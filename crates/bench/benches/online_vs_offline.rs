@@ -1,9 +1,7 @@
 //! Online (analyze during profiling, constant space) vs offline
 //! (materialize the trace, then analyze) — the trade-off the paper
-//! resolves in favour of online at the end of Section 4 — plus the
-//! sharded parallel paths (online sink routing and zero-copy offline
-//! fan-out), which trade the constant-space property for wall-clock
-//! speed.
+//! resolves in favour of online at the end of Section 4 — plus the batch
+//! pool, which parallelizes across whole programs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use foray_workloads::{by_name, Params};
@@ -30,33 +28,11 @@ fn bench_modes(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("online_sharded", |b| {
-        b.iter(|| {
-            let mut analyzer = foray::ShardedAnalyzer::new();
-            let outcome = minic_sim::run_with_sink(
-                black_box(&prog),
-                &SimConfig::default(),
-                &w.inputs,
-                &mut analyzer,
-            )
-            .expect("runs");
-            black_box((outcome.accesses, analyzer.into_analysis().refs().len()))
-        });
-    });
-
     group.bench_function("offline_collect_then_analyze", |b| {
         b.iter(|| {
             let (_, records) =
                 minic_sim::run(black_box(&prog), &SimConfig::default(), &w.inputs).expect("runs");
             let analysis = foray::analyze(&records);
-            black_box(analysis.refs().len())
-        });
-    });
-
-    group.bench_function("offline_collect_then_analyze_sharded", |b| {
-        let (_, records) = minic_sim::run(&prog, &SimConfig::default(), &w.inputs).expect("runs");
-        b.iter(|| {
-            let analysis = foray::analyze_sharded(black_box(&records), 0);
             black_box(analysis.refs().len())
         });
     });

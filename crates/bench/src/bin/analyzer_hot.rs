@@ -1,87 +1,46 @@
-//! `analyzer_hot` — analyzer hot-path and streaming scale-out report.
+//! `analyzer_hot` — analyzer hot-path report.
 //!
-//! Companion to `fused_exec`, focused on the two costs this repo's
-//! hot-path overhaul attacks: the per-record analysis cost itself (dense
-//! instruction-indexed dispatch vs the legacy hash lookup) and the
-//! checkpoint fan-out cost of the sharded streaming fabric (compacted
-//! context deltas vs broadcast). One workload is measured five ways:
+//! Measures what online analysis adds to a profiling run: the per-record
+//! analysis cost with dense instruction-indexed dispatch vs the legacy
+//! hash lookup. One workload is measured three ways:
 //!
 //! * **bare** — simulation into a [`minic_trace::NullSink`]: the floor;
 //! * **seq-hash** — the online [`foray::Analyzer`] with
 //!   [`LookupStrategy::Hash`], the pre-overhaul hot path;
 //! * **sequential** — the same analyzer with the default
-//!   [`LookupStrategy::Dense`] tables and last-instruction memo;
-//! * **stream-k2** — [`foray::shard::analyze_streaming_with`] at K=2, the
-//!   configuration the fused overhead gate polices;
-//! * **stream-auto** — the same pipeline at auto-K
-//!   ([`foray::resolve_shards`]).
+//!   [`LookupStrategy::Dense`] tables and last-instruction memo.
 //!
-//! A second sweep runs streaming K=2 vs auto-K over the whole corpus:
-//! with compacted checkpoint routing, auto-K must not be slower than the
-//! old pinned K=2 default on any host. All analysis rows are asserted
-//! byte-identical before anything is reported. Writes a machine-readable
-//! `foray-analyzer-bench/v1` JSON report (CI uploads it as
-//! `BENCH_analyzer.json`).
+//! Both analysis rows are asserted byte-identical before anything is
+//! reported. Writes a machine-readable `foray-analyzer-bench/v2` JSON
+//! report (CI uploads it as `BENCH_analyzer.json`) that records the
+//! host's CPU count next to the timings.
 //!
 //! ```text
 //! cargo run --release -p foray-bench --bin analyzer_hot -- \
-//!     [--workload NAME] [--scale N] [--iters N] [--quick] [--block N] \
-//!     [--json PATH] [--check-overhead X] [--check-autok]
+//!     [--workload NAME] [--scale N] [--iters N] [--quick] \
+//!     [--json PATH] [--check-overhead X]
 //! ```
 //!
-//! `--check-overhead X` exits non-zero if streaming profile+analyze at
-//! K=2 costs more than `X` times bare execution; `--check-autok` exits
-//! non-zero if the corpus-total auto-K time exceeds K=2 by more than the
-//! measurement-noise margin. Both are CI gates.
+//! `--check-overhead X` exits non-zero if sequential profile+analyze costs
+//! more than `X` times bare execution; CI gates on it.
 
-use foray::shard::{analyze_streaming_produce, RecordProducer};
-use foray::{Analysis, Analyzer, AnalyzerConfig, LookupStrategy};
+use foray::{Analyzer, AnalyzerConfig, LookupStrategy};
 use foray_workloads::Params;
-use minic_trace::{NullSink, TraceSink};
+use minic_trace::NullSink;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-
-/// The VM as a statically dispatched record producer: the configuration
-/// every throughput-sensitive caller should use (the closure-based
-/// `analyze_streaming_with` pays a virtual call per record).
-struct VmProducer<'a> {
-    prog: &'a minic::Program,
-    sim: &'a minic_sim::SimConfig,
-    inputs: &'a [i64],
-}
-
-impl RecordProducer for VmProducer<'_> {
-    type Out = minic_sim::SimOutcome;
-    type Err = minic_sim::RuntimeError;
-    fn produce<S: TraceSink>(self, sink: &mut S) -> Result<Self::Out, Self::Err> {
-        minic_sim::run_with_sink(self.prog, self.sim, self.inputs, sink)
-    }
-}
-
-/// Noise margin for the auto-vs-K2 gate: best-of-N timing on shared
-/// runners still jitters a few percent, and "no slower" must not flake.
-const AUTOK_NOISE_MARGIN: f64 = 1.10;
 
 struct Args {
     workload: String,
     scale: u32,
     iters: u32,
-    block: usize,
     json: Option<String>,
     check_overhead: Option<f64>,
-    check_autok: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        workload: "fftc".to_owned(),
-        scale: 2,
-        iters: 20,
-        block: 0,
-        json: None,
-        check_overhead: None,
-        check_autok: false,
-    };
+    let mut args =
+        Args { workload: "fftc".to_owned(), scale: 2, iters: 20, json: None, check_overhead: None };
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut it = raw.iter();
     let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
@@ -99,12 +58,8 @@ fn parse_args() -> Result<Args, String> {
                     need(&mut it, "--iters")?.parse().map_err(|_| "bad --iters".to_owned())?;
             }
             // Enough best-of rounds to shake off scheduler noise in the
-            // gated ratios while staying CI-cheap.
+            // gated ratio while staying CI-cheap.
             "--quick" => args.iters = 10,
-            "--block" => {
-                args.block =
-                    need(&mut it, "--block")?.parse().map_err(|_| "bad --block".to_owned())?;
-            }
             "--json" => args.json = Some(need(&mut it, "--json")?),
             "--check-overhead" => {
                 args.check_overhead = Some(
@@ -113,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "bad --check-overhead".to_owned())?,
                 );
             }
-            "--check-autok" => args.check_autok = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -129,13 +83,6 @@ struct Row {
     overhead: f64,
 }
 
-struct CorpusRow {
-    workload: &'static str,
-    records: u64,
-    k2: Duration,
-    auto: Duration,
-}
-
 /// Time one run, folding it into a best-so-far. Modes are measured
 /// round-robin so a slow scheduling window inflates every mode's sample
 /// equally instead of skewing one ratio.
@@ -146,31 +93,15 @@ fn timed<T>(best: &mut Duration, run: impl FnOnce() -> T) -> T {
     value
 }
 
-fn stream_config(shards: usize, block: usize) -> AnalyzerConfig {
-    let mut config = AnalyzerConfig { shards, ..AnalyzerConfig::default() };
-    if block > 0 {
-        config.stream.block_records = block;
-    }
-    config
-}
-
-fn json_report(
-    args: &Args,
-    auto_shards: usize,
-    records: u64,
-    bare: Duration,
-    rows: &[Row],
-    corpus: &[CorpusRow],
-    autok_ratio: f64,
-) -> String {
+fn json_report(args: &Args, cpus: usize, records: u64, bare: Duration, rows: &[Row]) -> String {
     // Hand-rolled JSON, like every report in this workspace: the build is
     // offline and dependency-free by construction.
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"foray-analyzer-bench/v1\",\n");
+    s.push_str("{\n  \"schema\": \"foray-analyzer-bench/v2\",\n");
     let _ = writeln!(s, "  \"workload\": \"{}\",", args.workload);
     let _ = writeln!(s, "  \"scale\": {},", args.scale);
     let _ = writeln!(s, "  \"iters\": {},", args.iters);
-    let _ = writeln!(s, "  \"auto_shards\": {auto_shards},");
+    let _ = writeln!(s, "  \"cpus\": {cpus},");
     let _ = writeln!(s, "  \"records\": {records},");
     let _ = writeln!(s, "  \"bare_seconds\": {:.6},", bare.as_secs_f64());
     s.push_str("  \"modes\": [\n");
@@ -181,18 +112,7 @@ fn json_report(
         let _ = write!(s, "\"overhead_vs_bare\": {:.3}", r.overhead);
         s.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
     }
-    s.push_str("  ],\n  \"corpus\": [\n");
-    for (i, c) in corpus.iter().enumerate() {
-        s.push_str("    {");
-        let _ = write!(s, "\"workload\": \"{}\", ", c.workload);
-        let _ = write!(s, "\"records\": {}, ", c.records);
-        let _ = write!(s, "\"k2_seconds\": {:.6}, ", c.k2.as_secs_f64());
-        let _ = write!(s, "\"auto_seconds\": {:.6}", c.auto.as_secs_f64());
-        s.push_str(if i + 1 < corpus.len() { "},\n" } else { "}\n" });
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(s, "  \"autok_vs_k2_ratio\": {autok_ratio:.3}");
-    s.push_str("}\n");
+    s.push_str("  ]\n}\n");
     s
 }
 
@@ -203,7 +123,7 @@ fn main() {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: analyzer_hot [--workload NAME] [--scale N] [--iters N] [--quick] \
-                 [--block N] [--json PATH] [--check-overhead X] [--check-autok]"
+                 [--json PATH] [--check-overhead X]"
             );
             std::process::exit(1);
         }
@@ -215,20 +135,17 @@ fn main() {
     };
     let prog = w.frontend().expect("workload compiles");
     let sim = minic_sim::SimConfig::default();
-    let auto_shards = foray::resolve_shards(0);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
-        "analyzer_hot: {} at scale {}, auto-K {} (best of {} iters)",
-        w.name, args.scale, auto_shards, args.iters
+        "analyzer_hot: {} at scale {} on {} cpus (best of {} iters)",
+        w.name, args.scale, cpus, args.iters
     );
 
     let hash_config = AnalyzerConfig { lookup: LookupStrategy::Hash, ..AnalyzerConfig::default() };
     let dense_config = AnalyzerConfig::default();
-    let k2_config = stream_config(2, args.block);
-    let auto_config = stream_config(0, args.block);
 
-    let (mut bare, mut hash_t, mut dense_t, mut k2_t, mut auto_t) =
-        (Duration::MAX, Duration::MAX, Duration::MAX, Duration::MAX, Duration::MAX);
+    let (mut bare, mut hash_t, mut dense_t) = (Duration::MAX, Duration::MAX, Duration::MAX);
     let (mut records, mut last) = (0u64, None);
     for _ in 0..args.iters {
         records = timed(&mut bare, || {
@@ -249,39 +166,15 @@ fn main() {
                 .expect("workload runs with dense lookup");
             analyzer.into_analysis()
         });
-        let (k2, stats) = timed(&mut k2_t, || {
-            let producer = VmProducer { prog: &prog, sim: &sim, inputs: &w.inputs };
-            let (analysis, _, stats) = analyze_streaming_produce(&k2_config, producer)
-                .expect("workload runs streaming at K=2");
-            (analysis, stats)
-        });
-        let auto = timed(&mut auto_t, || {
-            let producer = VmProducer { prog: &prog, sim: &sim, inputs: &w.inputs };
-            let (analysis, _, _) = analyze_streaming_produce(&auto_config, producer)
-                .expect("workload runs streaming at auto-K");
-            analysis
-        });
-        last = Some((hashed, dense, k2, auto, stats));
+        last = Some((hashed, dense));
     }
-    let (hashed, dense, k2, auto, stats) = last.expect("iters >= 1");
-
+    let (hashed, dense) = last.expect("iters >= 1");
     assert_eq!(dense, hashed, "dense lookup must be byte-identical to hash");
-    assert_eq!(k2, hashed, "streaming K=2 must be byte-identical to sequential");
-    assert_eq!(auto, hashed, "streaming auto-K must be byte-identical to sequential");
-    assert!(
-        stats.peak_buffered_records <= stats.max_buffered_records,
-        "peak buffered records {} over the configured ceiling {}",
-        stats.peak_buffered_records,
-        stats.max_buffered_records
-    );
-    let _: &Analysis = &hashed;
 
     let overhead = |d: Duration| d.as_secs_f64() / bare.as_secs_f64();
     let rows = [
         Row { mode: "seq-hash", seconds: hash_t, overhead: overhead(hash_t) },
         Row { mode: "sequential", seconds: dense_t, overhead: overhead(dense_t) },
-        Row { mode: "stream-k2", seconds: k2_t, overhead: overhead(k2_t) },
-        Row { mode: "stream-auto", seconds: auto_t, overhead: overhead(auto_t) },
     ];
     let table = foray_bench::render_table(
         &["mode", "records", "time", "vs bare"],
@@ -303,88 +196,20 @@ fn main() {
     );
     println!("{table}");
 
-    // Corpus sweep: streaming K=2 vs auto-K on every workload. Fewer
-    // rounds than the hot-path section — the gate compares corpus totals,
-    // which average out per-workload jitter.
-    let corpus_iters = (args.iters / 4).max(3);
-    let mut corpus: Vec<CorpusRow> = Vec::new();
-    for cw in foray_workloads::all(params) {
-        let cprog = cw.frontend().expect("corpus workload compiles");
-        let (mut ck2, mut cauto) = (Duration::MAX, Duration::MAX);
-        let mut crecords = 0u64;
-        for _ in 0..corpus_iters {
-            let k2r = timed(&mut ck2, || {
-                let producer = VmProducer { prog: &cprog, sim: &sim, inputs: &cw.inputs };
-                let (analysis, outcome, _) = analyze_streaming_produce(&k2_config, producer)
-                    .expect("corpus workload runs at K=2");
-                crecords = outcome.accesses + outcome.checkpoints;
-                analysis
-            });
-            let autor = timed(&mut cauto, || {
-                let producer = VmProducer { prog: &cprog, sim: &sim, inputs: &cw.inputs };
-                let (analysis, _, _) = analyze_streaming_produce(&auto_config, producer)
-                    .expect("corpus workload runs at auto-K");
-                analysis
-            });
-            assert_eq!(autor, k2r, "{}: auto-K must match K=2 byte-for-byte", cw.name);
-        }
-        corpus.push(CorpusRow { workload: cw.name, records: crecords, k2: ck2, auto: cauto });
-    }
-    let k2_total: f64 = corpus.iter().map(|c| c.k2.as_secs_f64()).sum();
-    let auto_total: f64 = corpus.iter().map(|c| c.auto.as_secs_f64()).sum();
-    let autok_ratio = auto_total / k2_total;
-    let corpus_table = foray_bench::render_table(
-        &["workload", "records", "K=2", "auto-K", "auto/K=2"],
-        &corpus
-            .iter()
-            .map(|c| {
-                vec![
-                    c.workload.to_owned(),
-                    foray_bench::human(c.records),
-                    format!("{:.1} ms", c.k2.as_secs_f64() * 1e3),
-                    format!("{:.1} ms", c.auto.as_secs_f64() * 1e3),
-                    format!("{:.2}x", c.auto.as_secs_f64() / c.k2.as_secs_f64()),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!("{corpus_table}");
-    println!(
-        "corpus totals: K=2 {:.1} ms, auto-K {:.1} ms ({autok_ratio:.2}x)",
-        k2_total * 1e3,
-        auto_total * 1e3
-    );
-
     if let Some(path) = &args.json {
-        let report = json_report(&args, auto_shards, records, bare, &rows, &corpus, autok_ratio);
+        let report = json_report(&args, cpus, records, bare, &rows);
         if let Err(e) = std::fs::write(path, report) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote {path} (foray-analyzer-bench/v1)");
+        println!("wrote {path} (foray-analyzer-bench/v2)");
     }
-    let mut failed = false;
     if let Some(max) = args.check_overhead {
-        let got = rows[2].overhead;
+        let got = rows[1].overhead;
         if got > max {
-            eprintln!("FAIL: streaming K=2 overhead {got:.2}x is above the {max:.2}x gate");
-            failed = true;
-        } else {
-            println!("check passed: streaming K=2 {got:.2}x <= {max:.2}x");
+            eprintln!("FAIL: sequential overhead {got:.2}x is above the {max:.2}x gate");
+            std::process::exit(3);
         }
-    }
-    if args.check_autok {
-        if autok_ratio > AUTOK_NOISE_MARGIN {
-            eprintln!(
-                "FAIL: corpus auto-K is {autok_ratio:.2}x of K=2 \
-                 (gate: {AUTOK_NOISE_MARGIN:.2}x)"
-            );
-            failed = true;
-        } else {
-            println!("check passed: corpus auto-K {autok_ratio:.2}x <= {AUTOK_NOISE_MARGIN:.2}x");
-        }
-    }
-    if failed {
-        std::process::exit(3);
+        println!("check passed: sequential {got:.2}x <= {max:.2}x");
     }
 }

@@ -84,7 +84,7 @@ pub fn run_suite(params: Params) -> Vec<BenchRun> {
 }
 
 /// [`run_suite`] with an explicit worker count (`0` = auto-detect; see
-/// [`foray::resolve_shards`]). Results are in workload order and identical
+/// [`foray::resolve_workers`]). Results are in workload order and identical
 /// to sequential [`BenchRun::execute`] runs regardless of scheduling.
 pub fn run_suite_with(params: Params, workers: usize) -> Vec<BenchRun> {
     let workloads = all(params);

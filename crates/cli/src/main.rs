@@ -14,8 +14,7 @@
 //!     delta-compressed blocks with CRC32s and a checkpoint index)
 //!     — the trace is streamed block by block, never materialized in
 //!     memory
-//! foray-gen trace analyze <FILE.ftrace> [--sharded] [--jobs N]
-//!         [--from-loop N]
+//! foray-gen trace analyze <FILE.ftrace> [--from-loop N]
 //!     re-analyze a recorded trace file; prints the same FORAY model the
 //!     in-RAM `model` command prints, byte for byte. `--from-loop N`
 //!     seeks to loop N via the v2 checkpoint index and analyzes the
@@ -71,14 +70,13 @@ const USAGE: &str = "usage:
   foray-gen trace    <prog.mc> [--format text|binary|framed] [-o FILE] [--inputs v,v,..]
   foray-gen trace record  (<prog.mc> | --workload NAME [--scale N]) -o FILE.ftrace
                           [--trace-format v1|v2]
-  foray-gen trace analyze <FILE.ftrace> [--nexec N] [--nloc N] [--sharded] [--jobs N]
-                          [--from-loop N]
+  foray-gen trace analyze <FILE.ftrace> [--nexec N] [--nloc N] [--from-loop N]
   foray-gen annotate <prog.mc>
   foray-gen spm      <prog.mc> [--capacity BYTES] [--nexec N] [--nloc N] [--inputs v,v,..]
   foray-gen dse      [--workloads all|a,b,..] [--capacities n,n,..] [--models m,m,..]
                      [--jobs N] [--scale N] [--json PATH] [--check]
   foray-gen serve    (--socket PATH | --tcp HOST:PORT) [--workers N] [--queue N]
-                     [--cache N] [--spill DIR] [--jobs N]
+                     [--cache N] [--spill DIR]
   foray-gen client   (--socket PATH | --tcp HOST:PORT) ACTION [flags]
                      ACTION: submit (--workload NAME [--scale N] | <prog.mc> |
                              --trace FILE.ftrace) [--kind model|report|dse]
@@ -93,11 +91,6 @@ program sources (model/report/trace/spm):
                    gsmc, adpcmc, histoc) with its canonical inputs;
                    --scale N sizes it
 
-analysis flags (model/report/spm/trace analyze):
-  --sharded   analyze on K parallel shard workers fed over bounded channels
-              while profiling runs (identical output, bounded memory)
-  --jobs N    shard/worker count for --sharded (default: available parallelism)
-
 trace file flags:
   --trace-format v1|v2  container version for `trace record` (default: v2,
               compressed + checksummed + indexed; v1 is the frozen
@@ -109,8 +102,7 @@ trace file flags:
 sampling (model/report/spm/trace, trace record, trace analyze):
   --sample S  deterministic access sampling: every:N | warmup:N |
               reservoir:N[:SEED] | full (default); checkpoints always pass,
-              and the same program + spec yields the same model for any
-              worker count
+              and the same program + spec always yields the same model
 
 profiling flags (model/report/trace/spm):
   --engine E  execution engine: `vm` (compiled bytecode, default) or `tree`
@@ -130,8 +122,7 @@ serve flags:
   --workers N  compute threads (default 1); --queue N bounded queue depth
                (default 64, overflow is a typed queue_full rejection);
   --cache N    in-memory result-cache entries (default 128); --spill DIR
-               spills evictions to disk; --jobs N analysis shards per job
-               (default: available parallelism)
+               spills evictions to disk
 
 client notes:
   submit waits and prints the result payload verbatim (byte-comparable
@@ -172,8 +163,6 @@ struct Options {
     output: Option<String>,
     capacity: u32,
     executable: bool,
-    sharded: bool,
-    jobs: usize,
     engine: Engine,
     sample: SampleSpec,
     trace_format: minic_trace::FormatVersion,
@@ -192,8 +181,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         output: None,
         capacity: 4096,
         executable: false,
-        sharded: false,
-        jobs: 0,
         engine: Engine::default(),
         sample: SampleSpec::default(),
         trace_format: minic_trace::FormatVersion::default(),
@@ -209,8 +196,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--nloc" => opts.n_loc = parse_num(&need(&mut it, "--nloc")?)?,
             "--capacity" => opts.capacity = parse_num(&need(&mut it, "--capacity")?)? as u32,
             "--executable" => opts.executable = true,
-            "--sharded" => opts.sharded = true,
-            "--jobs" => opts.jobs = parse_num(&need(&mut it, "--jobs")?)? as usize,
             "--format" => opts.format = need(&mut it, "--format")?,
             "--engine" => {
                 let name = need(&mut it, "--engine")?;
@@ -306,12 +291,7 @@ fn pipeline(opts: &Options) -> ForayGen {
     ForayGen::new()
         .filter(FilterConfig { n_exec: opts.n_exec, n_loc: opts.n_loc })
         .inputs(opts.inputs.clone())
-        .analyzer(AnalyzerConfig {
-            shards: opts.jobs,
-            sample: opts.sample,
-            ..AnalyzerConfig::default()
-        })
-        .sharded(opts.sharded)
+        .analyzer(AnalyzerConfig { sample: opts.sample, ..AnalyzerConfig::default() })
         .engine(opts.engine)
 }
 
@@ -452,18 +432,17 @@ fn cmd_trace_record(src: &str, opts: &Options) -> Result<(), CliError> {
 }
 
 /// `trace analyze`: replay a recorded `foray-trace` file (either format
-/// version) through the (optionally sharded) analyzer and print the
-/// extracted FORAY model — byte-identical to what `model` prints for the
-/// same program and thresholds.
+/// version) through the analyzer and print the extracted FORAY model —
+/// byte-identical to what `model` prints for the same program and
+/// thresholds.
 ///
 /// Without `--from-loop` the file is streamed through
 /// [`minic_trace::TraceReader`] (one block in memory at a time), so traces
 /// bigger than RAM analyze fine — the sequential analyzer is
-/// constant-space, and `--sharded` pipes bounded record blocks to workers
-/// as they decode (no full-trace buffer on that path either). With
-/// `--from-loop N` the file is opened as a [`minic_trace::TraceFile`] and
-/// the v2 checkpoint index seeks straight to loop `N`'s region; only the
-/// trace suffix from its first checkpoint is decoded and analyzed.
+/// constant-space. With `--from-loop N` the file is opened as a
+/// [`minic_trace::TraceFile`] and the v2 checkpoint index seeks straight
+/// to loop `N`'s region; only the trace suffix from its first checkpoint
+/// is decoded and analyzed.
 fn cmd_trace_analyze(opts: &Options) -> Result<(), CliError> {
     if opts.workload.is_some() {
         return Err(CliError::Usage("trace analyze reads a FILE.ftrace, not --workload".into()));
@@ -471,8 +450,7 @@ fn cmd_trace_analyze(opts: &Options) -> Result<(), CliError> {
     if opts.file.is_empty() {
         return Err(CliError::Usage("trace analyze needs a FILE.ftrace argument".to_owned()));
     }
-    let config =
-        AnalyzerConfig { shards: opts.jobs, sample: opts.sample, ..AnalyzerConfig::default() };
+    let config = AnalyzerConfig { sample: opts.sample, ..AnalyzerConfig::default() };
     let analysis = if let Some(loop_id) = opts.from_loop {
         let file = minic_trace::TraceFile::open(&opts.file)
             .map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -490,21 +468,13 @@ fn cmd_trace_analyze(opts: &Options) -> Result<(), CliError> {
                 opts.file
             )));
         };
-        if opts.sharded {
-            foray::analyze_sharded_source(records, config)
-        } else {
-            foray::analyze_source_with(records, config)
-        }
+        foray::analyze_source_with(records, config)
     } else {
         let file = std::fs::File::open(&opts.file)
             .map_err(|e| CliError::Usage(format!("cannot read `{}`: {e}", opts.file)))?;
         let reader = minic_trace::TraceReader::new(std::io::BufReader::new(file))
             .map_err(|e| CliError::Runtime(e.to_string()))?;
-        if opts.sharded {
-            foray::analyze_streaming_source(reader, config)
-        } else {
-            foray::analyze_source_with(reader, config)
-        }
+        foray::analyze_source_with(reader, config)
     }
     .map_err(|e| CliError::Runtime(e.to_string()))?;
     let model =
@@ -743,7 +713,6 @@ struct ServeOptions {
     queue: usize,
     cache: usize,
     spill: Option<String>,
-    jobs: usize,
 }
 
 /// Parses `--socket PATH | --tcp HOST:PORT` into a serve address
@@ -763,7 +732,7 @@ fn parse_addr(
 
 fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
     let (mut socket, mut tcp, mut spill) = (None, None, None);
-    let (mut workers, mut queue, mut cache, mut jobs) = (1usize, 64usize, 128usize, 0usize);
+    let (mut workers, mut queue, mut cache) = (1usize, 64usize, 128usize);
     let mut it = args.iter();
     let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
         it.next().cloned().ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
@@ -776,11 +745,10 @@ fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
             "--queue" => queue = parse_num(&need(&mut it, "--queue")?)?.max(1) as usize,
             "--cache" => cache = parse_num(&need(&mut it, "--cache")?)? as usize,
             "--spill" => spill = Some(need(&mut it, "--spill")?),
-            "--jobs" => jobs = parse_num(&need(&mut it, "--jobs")?)? as usize,
             other => return Err(CliError::Usage(format!("unknown serve flag `{other}`"))),
         }
     }
-    Ok(ServeOptions { addr: parse_addr(socket, tcp)?, workers, queue, cache, spill, jobs })
+    Ok(ServeOptions { addr: parse_addr(socket, tcp)?, workers, queue, cache, spill })
 }
 
 fn cmd_serve(opts: &ServeOptions) -> Result<(), CliError> {
@@ -789,7 +757,6 @@ fn cmd_serve(opts: &ServeOptions) -> Result<(), CliError> {
         queue_capacity: opts.queue,
         cache_entries: opts.cache,
         spill_dir: opts.spill.clone().map(Into::into),
-        default_shards: opts.jobs,
         ..foray_serve::ServeConfig::default()
     });
     eprintln!("forayd listening on {}", opts.addr);
@@ -1040,23 +1007,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_flags_parse_and_run() {
-        let path = write_temp("sharded", PROG);
-        let args: Vec<String> = ["model", path.as_str(), "--sharded", "--jobs", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&args).is_ok());
-        let parsed = parse_options(&args[1..]).unwrap();
-        assert!(parsed.sharded);
-        assert_eq!(parsed.jobs, 3);
-        // --jobs alone (no --sharded) parses but leaves the sequential path.
-        let seq = parse_options(&["x.mc".to_owned(), "--jobs".to_owned(), "2".to_owned()]).unwrap();
-        assert!(!seq.sharded);
-        assert!(matches!(
-            parse_options(&["x.mc".to_owned(), "--jobs".to_owned()]),
-            Err(CliError::Usage(_))
-        ));
+    fn removed_parallelism_flags_are_usage_errors() {
+        let path = write_temp("removed_flags", PROG);
+        let socket = std::env::temp_dir().join("foray_cli_test_removed_flags.sock");
+        let socket = socket.to_string_lossy().into_owned();
+        let sharded = format!("--{}", "sharded");
+        for argv in [
+            vec!["model", path.as_str(), sharded.as_str()],
+            vec!["model", path.as_str(), "--jobs", "3"],
+            vec!["trace", "analyze", path.as_str(), sharded.as_str()],
+            vec!["serve", "--socket", socket.as_str(), "--jobs", "2"],
+        ] {
+            let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{argv:?}");
+        }
     }
 
     #[test]
@@ -1139,24 +1103,15 @@ mod tests {
         assert!(run(&record).is_ok());
         let file = minic_trace::TraceFile::open(&ftrace).unwrap();
         assert!(file.record_count() > 0);
-        // The file-backed analysis equals the in-RAM pipeline, sharded or
-        // not (stdout capture is per-process, so compare models directly).
+        // The file-backed analysis equals the in-RAM pipeline (stdout
+        // capture is per-process, so compare models directly).
         let in_ram = ForayGen::new().run_source(PROG).unwrap();
-        for sharded in [false, true] {
-            let config = AnalyzerConfig { shards: 2, ..AnalyzerConfig::default() };
-            let analysis = if sharded {
-                foray::analyze_sharded_source(&file, config).unwrap()
-            } else {
-                foray::analyze_source_with(&file, config).unwrap()
-            };
-            assert_eq!(analysis, in_ram.analysis, "sharded={sharded}");
-            let model = ForayModel::extract(&analysis, &FilterConfig::default());
-            assert_eq!(foray::codegen::emit(&model), in_ram.code, "sharded={sharded}");
-        }
-        let analyze: Vec<String> = ["trace", "analyze", ftrace_s.as_str(), "--sharded"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let analysis = foray::analyze_source(&file).unwrap();
+        assert_eq!(analysis, in_ram.analysis);
+        let model = ForayModel::extract(&analysis, &FilterConfig::default());
+        assert_eq!(foray::codegen::emit(&model), in_ram.code);
+        let analyze: Vec<String> =
+            ["trace", "analyze", ftrace_s.as_str()].iter().map(|s| s.to_string()).collect();
         assert!(run(&analyze).is_ok());
         std::fs::remove_file(&ftrace).ok();
     }
@@ -1219,19 +1174,18 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(run(&record).is_ok());
-        // Seeking to the program's (only) loop works, sharded or not, and
-        // sees the whole loop: the analysis equals the full replay.
+        // Seeking to the program's (only) loop works and sees the whole
+        // loop: the analysis equals the full replay.
         let file = minic_trace::TraceFile::open(&ftrace).unwrap();
         let full = foray::analyze_source(&file).unwrap();
         let seeked =
             foray::analyze_source(file.records_from_loop(minic::LoopId(0)).unwrap()).unwrap();
         assert_eq!(seeked, full);
-        for extra in [None, Some("--sharded")] {
-            let mut args = vec!["trace".to_owned(), "analyze".to_owned(), ftrace_s.clone()];
-            args.extend(["--from-loop".to_owned(), "0".to_owned()]);
-            args.extend(extra.map(str::to_owned));
-            assert!(run(&args).is_ok(), "--from-loop 0 {extra:?}");
-        }
+        let seek: Vec<String> = ["trace", "analyze", &ftrace_s, "--from-loop", "0"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert!(run(&seek).is_ok(), "--from-loop 0");
         // A loop the trace never runs is a runtime error, not silence.
         let absent: Vec<String> = ["trace", "analyze", &ftrace_s, "--from-loop", "999"]
             .iter()
@@ -1463,12 +1417,10 @@ mod tests {
             "7",
             "--spill",
             "/tmp/spill",
-            "--jobs",
-            "2",
         ]))
         .unwrap();
         assert_eq!(o.addr, foray_serve::ServeAddr::Unix("/tmp/f.sock".into()));
-        assert_eq!((o.workers, o.queue, o.cache, o.jobs), (3, 9, 7, 2));
+        assert_eq!((o.workers, o.queue, o.cache), (3, 9, 7));
         assert_eq!(o.spill.as_deref(), Some("/tmp/spill"));
         let o = parse_serve_options(&owned(&["--tcp", "127.0.0.1:0"])).unwrap();
         assert_eq!(o.addr, foray_serve::ServeAddr::Tcp("127.0.0.1:0".into()));

@@ -50,35 +50,6 @@ fn model_command_recovers_figure4_coefficients() {
 }
 
 #[test]
-fn sharded_model_command_matches_the_sequential_output() {
-    // `--sharded --jobs 4` routes the analysis through four shard workers;
-    // the recovered model (coefficients 1 and 103) and the exit code must
-    // be byte-identical to the sequential path.
-    let path = write_fixture("sharded");
-    let sequential = foray_gen(&["model", path.to_str().unwrap(), "--nexec", "6", "--nloc", "6"]);
-    let sharded = foray_gen(&[
-        "model",
-        path.to_str().unwrap(),
-        "--nexec",
-        "6",
-        "--nloc",
-        "6",
-        "--sharded",
-        "--jobs",
-        "4",
-    ]);
-    assert!(sequential.status.success());
-    assert!(sharded.status.success(), "stderr: {}", String::from_utf8_lossy(&sharded.stderr));
-    assert_eq!(sequential.status.code(), sharded.status.code());
-    let stdout = String::from_utf8(sharded.stdout.clone()).unwrap();
-    assert!(
-        stdout.contains("+ 1*i3 + 103*i0]"),
-        "sharded analysis lost the Fig. 4 coefficients:\n{stdout}"
-    );
-    assert_eq!(sequential.stdout, sharded.stdout, "sharded output must be byte-identical");
-}
-
-#[test]
 fn executable_model_reprofiles_to_the_same_coefficients() {
     // --executable emits the model as a runnable mini-C program; piping it
     // back through `model` must be a fixpoint on the affine function.
@@ -144,8 +115,8 @@ fn dse_report_is_deterministic_in_the_job_count() {
 #[test]
 fn trace_file_pipeline_matches_the_in_ram_model() {
     // The acceptance bar for the file-backed trace pipeline: record a
-    // workload trace to disk, re-analyze it from the file (sequentially and
-    // sharded), and require byte-identical model output to the in-RAM run.
+    // workload trace to disk, re-analyze it from the file, and require
+    // byte-identical model output to the in-RAM run.
     let ftrace = std::env::temp_dir().join("foray_cli_smoke_fftc.ftrace");
     let in_ram = foray_gen(&["model", "--workload", "fftc"]);
     assert!(in_ram.status.success(), "stderr: {}", String::from_utf8_lossy(&in_ram.stderr));
@@ -180,14 +151,6 @@ fn trace_file_pipeline_matches_the_in_ram_model() {
             in_ram.stdout, from_file.stdout,
             "{format} file-backed model must be byte-identical"
         );
-
-        let sharded =
-            foray_gen(&["trace", "analyze", ftrace.to_str().unwrap(), "--sharded", "--jobs", "3"]);
-        assert!(sharded.status.success(), "stderr: {}", String::from_utf8_lossy(&sharded.stderr));
-        assert_eq!(
-            in_ram.stdout, sharded.stdout,
-            "{format} sharded file-backed model must be byte-identical"
-        );
     }
     assert!(
         sizes["v2"] < sizes["v1"],
@@ -206,6 +169,9 @@ fn trace_file_pipeline_matches_the_in_ram_model() {
 fn usage_and_compile_errors_map_to_distinct_exit_codes() {
     let usage = foray_gen(&["model"]);
     assert_eq!(usage.status.code(), Some(1), "missing file is a usage error");
+    let fixture = write_fixture("usage");
+    let unknown = foray_gen(&["model", fixture.to_str().unwrap(), "--jobs", "3"]);
+    assert_eq!(unknown.status.code(), Some(1), "an unknown flag is a usage error");
 
     let broken = std::env::temp_dir().join("foray_cli_smoke_broken.mc");
     std::fs::write(&broken, "void main() {").unwrap();

@@ -173,51 +173,6 @@ impl Default for LastMemo {
     }
 }
 
-/// Tuning for the pipelined streaming sharded path
-/// ([`crate::shard::analyze_streaming_with`]): how many items one routed
-/// block carries and how many blocks each worker's bounded channel holds.
-///
-/// Peak buffered memory is
-/// `(shards x (channel_blocks + 3) + 1) x block_records` items — per
-/// shard: a staging stub, a block awaiting hand-off, the channel
-/// occupancy, and the block being replayed; plus one block's worth of
-/// entries in the shared compacted context log — independent of trace
-/// length. When a worker lags, its channel fills and the producer blocks
-/// on the next hand-off: natural backpressure instead of unbounded
-/// queueing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Items per routed block (larger amortizes channel overhead,
-    /// smaller tightens the memory cap and latency).
-    pub block_records: usize,
-    /// Bounded-channel capacity per worker, in blocks.
-    pub channel_blocks: usize,
-    /// Spawn worker threads even when the machine exposes a single
-    /// hardware thread. By default a single-context machine gets the
-    /// inline schedule — the sequential analyzer applied on the producing
-    /// thread, byte-identical by the ordinal-merge invariant (worker
-    /// threads could only time-slice the one core, so routing and
-    /// hand-off would buy pure overhead). The equivalence tests force
-    /// threads to keep the hand-off path covered everywhere.
-    pub force_worker_threads: bool,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig { block_records: 4096, channel_blocks: 2, force_worker_threads: false }
-    }
-}
-
-impl StreamConfig {
-    /// The worst-case number of record-sized items buffered anywhere in
-    /// the streaming pipeline for `shards` workers (see the type docs for
-    /// the terms).
-    pub fn max_buffered_records(&self, shards: usize) -> u64 {
-        ((shards as u64) * (self.channel_blocks.max(1) as u64 + 3) + 1)
-            * (self.block_records.max(1) as u64)
-    }
-}
-
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzerConfig {
@@ -226,17 +181,9 @@ pub struct AnalyzerConfig {
     pub track_footprint: bool,
     /// Reference lookup strategy.
     pub lookup: LookupStrategy,
-    /// Shard count for [`crate::shard::ShardedAnalyzer`]; `0` means
-    /// auto-detect (the `FORAY_TEST_THREADS` env override, else available
-    /// parallelism). The sequential [`Analyzer`] ignores this field.
-    pub shards: usize,
     /// Deterministic access-sampling policy (default: analyze every
-    /// access). Per-reference state means the sampled analysis is
-    /// byte-identical for any shard count; see [`minic_trace::sample`].
+    /// access); see [`minic_trace::sample`].
     pub sample: SampleSpec,
-    /// Streaming-pipeline tuning (block size, channel depth); only the
-    /// streaming sharded path reads this.
-    pub stream: StreamConfig,
 }
 
 impl Default for AnalyzerConfig {
@@ -244,9 +191,7 @@ impl Default for AnalyzerConfig {
         AnalyzerConfig {
             track_footprint: true,
             lookup: LookupStrategy::Dense,
-            shards: 0,
             sample: SampleSpec::Full,
-            stream: StreamConfig::default(),
         }
     }
 }
@@ -339,46 +284,21 @@ impl Analyzer {
         Analysis { tree: self.tree, refs: self.refs, accesses: self.accesses }
     }
 
-    /// References discovered so far (the sharded driver watches this to
-    /// stamp each reference's first-observation ordinal).
-    pub fn ref_count(&self) -> usize {
-        self.refs.len()
-    }
-
-    /// Applies `runs` empty body iterations of `loop_id` in one step —
-    /// the analyzer-side consumer of [`minic_trace::BlockItem::IterRun`],
-    /// byte-identical to feeding the expanded `(BodyBegin; BodyEnd)`
-    /// checkpoint pairs (see [`LoopTree::on_body_run`]).
-    pub fn body_run(&mut self, loop_id: LoopId, runs: u32) {
-        let before = self.tree.current();
-        self.tree.on_body_run(loop_id, runs);
-        // The run only mutates the iterated loop's own node, and the walker
-        // finishes at that node's *parent* — so when the walker ends where
-        // it started, no node on the current path changed and the cached
-        // iterator vector is still exact. (The self-nested climb case moves
-        // the walker, which forces the recompute.)
-        if self.tree.current() != before {
-            self.iters_valid = false;
-        }
-    }
-
-    /// Applies one checkpoint without going through a [`Record`] — the
-    /// streaming shard replay calls this and [`Self::on_access`] directly.
-    pub(crate) fn on_checkpoint(&mut self, loop_id: LoopId, kind: CheckpointKind) {
+    fn on_checkpoint(&mut self, loop_id: LoopId, kind: CheckpointKind) {
         self.tree.on_checkpoint(loop_id, kind);
         self.iters_valid = false;
     }
 
-    /// Applies one access; returns whether it created a new reference (the
-    /// sharded driver stamps first-observation ordinals off this signal
-    /// without re-reading the reference count around every access).
-    pub(crate) fn on_access(&mut self, a: &Access) -> bool {
-        // Sampling lives here, not in a wrapping sink, so every path —
-        // sequential, buffered sharded, streaming sharded — makes the same
-        // per-reference decisions (rejected accesses create no reference,
-        // keeping the sharded first-observation ordinals aligned too).
+    // Kept out of line: inlined into `record`, its only caller, it slowed
+    // trace-file replay by about 8% (perfbench `trace_replay`, 2-core
+    // x86-64 host).
+    #[inline(never)]
+    fn on_access(&mut self, a: &Access) {
+        // Sampling lives here, not in a wrapping sink, so online profiling
+        // and every offline replay make the same per-reference decisions
+        // (rejected accesses create no reference).
         if !self.sample.accept(a) {
-            return false;
+            return;
         }
         self.accesses += 1;
         let node = self.tree.current();
@@ -413,7 +333,6 @@ impl Analyzer {
                     AccessKind::Read => rec.reads += 1,
                     AccessKind::Write => rec.writes += 1,
                 }
-                false
             }
             None => {
                 let depth = self.tree.node(node).depth;
@@ -449,7 +368,6 @@ impl Analyzer {
                         self.by_node.entry(node).or_default().push(i);
                     }
                 }
-                true
             }
         }
     }
@@ -471,9 +389,7 @@ impl TraceSink for Analyzer {
     fn record(&mut self, rec: &Record) {
         match rec {
             Record::Checkpoint { loop_id, kind } => self.on_checkpoint(*loop_id, *kind),
-            Record::Access(a) => {
-                self.on_access(a);
-            }
+            Record::Access(a) => self.on_access(a),
         }
     }
 }
@@ -488,17 +404,6 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Assembles an analysis from merged shard results (see
-    /// [`crate::shard`]).
-    pub(crate) fn from_parts(tree: LoopTree, refs: Vec<RefRecord>, accesses: u64) -> Analysis {
-        Analysis { tree, refs, accesses }
-    }
-
-    /// Decomposes the analysis for the shard merge.
-    pub(crate) fn into_parts(self) -> (LoopTree, Vec<RefRecord>, u64) {
-        (self.tree, self.refs, self.accesses)
-    }
-
     /// The reconstructed loop tree.
     pub fn tree(&self) -> &LoopTree {
         &self.tree

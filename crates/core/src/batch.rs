@@ -1,24 +1,23 @@
 //! Batch execution: fan many full FORAY-GEN jobs across a shared thread
 //! pool.
 //!
-//! The sharded analyzer ([`crate::shard`]) parallelizes *within* one trace;
-//! this module parallelizes *across* programs — the shape of the bench
-//! suite (workload corpus × tables) and of design-space exploration sweeps.
-//! Jobs are pulled from a shared atomic cursor by `N` scoped worker
-//! threads, and results are returned **in job order** regardless of which
-//! worker finished first, so batch output is deterministic.
+//! Each trace is analyzed by one sequential online [`crate::Analyzer`];
+//! this module is where parallelism lives, *across* jobs — the shape of
+//! the bench suite (workload corpus × tables), of trace-file batches, and
+//! of design-space exploration sweeps. Jobs are pulled from a shared
+//! atomic cursor by `N` scoped worker threads, and results are returned
+//! **in job order** regardless of which worker finished first, so batch
+//! output is deterministic.
 
 use crate::analyzer::{analyze_source_with, Analysis, AnalyzerConfig};
 use crate::pipeline::{ForayGen, ForayGenOutput, PipelineError};
-use crate::shard::resolve_shards;
 use minic_trace::{ReadError, TraceFile};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// One unit of batch work: a source program plus the pipeline to run it
-/// through (filter thresholds, inputs, analyzer configuration — including
-/// sharded analysis, if the pipeline asks for it).
+/// through (filter thresholds, inputs, analyzer configuration).
 #[derive(Debug, Clone, Default)]
 pub struct BatchJob {
     /// Label for reports (workload name, file name, ...).
@@ -42,8 +41,64 @@ impl BatchJob {
     }
 }
 
+/// Parses a `FORAY_TEST_THREADS`-style worker-count override.
+///
+/// # Errors
+///
+/// A human-readable message when the value cannot name a worker count
+/// (non-numeric, or zero — zero means "auto" only as the *absence* of the
+/// variable, never as its value).
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(foray::parse_thread_override("4"), Ok(4));
+/// assert!(foray::parse_thread_override("0").is_err());
+/// assert!(foray::parse_thread_override("many").is_err());
+/// ```
+pub fn parse_thread_override(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(0) => {
+            Err(format!("`{value}` requests zero workers (use >= 1, or unset to auto-detect)"))
+        }
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("`{value}` is not a worker count")),
+    }
+}
+
+/// Resolves a requested worker count: `0` means auto-detect — the
+/// `FORAY_TEST_THREADS` environment override if set (the CI knob for
+/// exercising the pool under constrained parallelism), otherwise
+/// [`std::thread::available_parallelism`].
+///
+/// An unusable `FORAY_TEST_THREADS` value (garbage, or `0`) is *not*
+/// silently ignored: it falls back to available parallelism with a
+/// once-per-process warning on stderr, so CI matrix typos surface instead
+/// of quietly running at the wrong width.
+pub fn resolve_workers(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
+    }
+    let auto = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1);
+    if let Ok(v) = std::env::var("FORAY_TEST_THREADS") {
+        match parse_thread_override(&v) {
+            Ok(n) => return n,
+            Err(msg) => {
+                static WARNED: std::sync::Once = std::sync::Once::new();
+                WARNED.call_once(|| {
+                    eprintln!(
+                        "warning: ignoring FORAY_TEST_THREADS={v:?}: {msg}; \
+                         falling back to {auto} workers (available parallelism)"
+                    );
+                });
+            }
+        }
+    }
+    auto
+}
+
 /// Applies `f` to every item across `workers` threads (`0` = auto-detect,
-/// see [`resolve_shards`]), returning one result per item **in item
+/// see [`resolve_workers`]), returning one result per item **in item
 /// order** regardless of which worker finished first.
 ///
 /// This is the shared pool under [`analyze_batch`] and
@@ -67,7 +122,7 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    let workers = resolve_shards(workers).min(items.len());
+    let workers = resolve_workers(workers).min(items.len());
     if workers == 1 {
         return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
@@ -96,7 +151,7 @@ where
 }
 
 /// Runs every job across `workers` threads (`0` = auto-detect, see
-/// [`resolve_shards`]), returning one result per job **in job order**.
+/// [`resolve_workers`]), returning one result per job **in job order**.
 ///
 /// # Examples
 ///
@@ -118,15 +173,14 @@ pub fn analyze_batch(
     map_ordered(jobs, workers, |_, job| job.pipeline.run_source(&job.source))
 }
 
-/// Analyzes many pre-recorded `foray-trace/v1` files across `workers`
-/// threads (`0` = auto-detect), one result per path **in path order**.
+/// Analyzes many pre-recorded `foray-trace` files (v1 or v2) across
+/// `workers` threads (`0` = auto-detect), one result per path **in path
+/// order**.
 ///
 /// This is the batch companion of [`crate::analyze_source`]: each file is
-/// opened with [`minic_trace::TraceFile::open`] and analyzed with a
-/// sequential analyzer under `config` (parallelism comes from the fan-out
-/// across files; set `config.shards` and use
-/// [`crate::shard::analyze_sharded_source`] instead to parallelize within
-/// one huge trace). Per-file failures stay in their slot.
+/// opened with [`minic_trace::TraceFile::open`] and analyzed by one
+/// sequential analyzer under `config`; parallelism comes from the fan-out
+/// across files. Per-file failures stay in their slot.
 ///
 /// # Examples
 ///
@@ -204,6 +258,40 @@ mod tests {
         let items = ["a", "b", "c"];
         let got = map_ordered(&items, 2, |i, s| format!("{i}:{s}"));
         assert_eq!(got, vec!["0:a", "1:b", "2:c"]);
+    }
+
+    #[test]
+    fn resolve_workers_prefers_explicit_request() {
+        // Explicit requests pass through verbatim, however large.
+        for k in [1usize, 2, 3, 7, 64] {
+            assert_eq!(resolve_workers(k), k);
+        }
+        assert!(resolve_workers(0) >= 1);
+    }
+
+    #[test]
+    fn auto_workers_track_the_environment() {
+        let auto = resolve_workers(0);
+        let override_k =
+            std::env::var("FORAY_TEST_THREADS").ok().and_then(|v| parse_thread_override(&v).ok());
+        match override_k {
+            Some(n) => assert_eq!(auto, n, "env override is honored verbatim"),
+            None => {
+                let avail =
+                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1);
+                assert_eq!(auto, avail, "auto is the machine's full parallelism");
+            }
+        }
+    }
+
+    #[test]
+    fn thread_override_parses_strictly() {
+        assert_eq!(parse_thread_override("4"), Ok(4));
+        assert_eq!(parse_thread_override(" 2 "), Ok(2), "whitespace is tolerated");
+        for bad in ["0", "", "banana", "-1", "1.5"] {
+            let err = parse_thread_override(bad).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "error names the value: {err}");
+        }
     }
 
     #[test]

@@ -65,25 +65,22 @@ pub mod looptree;
 pub mod model;
 pub mod pipeline;
 pub mod report;
-pub mod shard;
 pub mod srcmap;
 
 pub use affine::AffineState;
 pub use analyzer::{
     analyze, analyze_source, analyze_source_with, analyze_with, Analysis, Analyzer, AnalyzerConfig,
-    LookupStrategy, RefClass, RefRecord, StreamConfig,
+    LookupStrategy, RefClass, RefRecord,
 };
-pub use batch::{analyze_batch, analyze_trace_files, map_ordered, BatchJob};
+pub use batch::{
+    analyze_batch, analyze_trace_files, map_ordered, parse_thread_override, resolve_workers,
+    BatchJob,
+};
 pub use digest::StableHasher;
 pub use hints::InlineHint;
 pub use looptree::{LoopTree, NodeId, ROOT};
 pub use minic_sim::Engine;
 pub use minic_trace::SampleSpec;
 pub use model::{AffineTerm, FilterConfig, ForayModel, ModelDiff, ModelLoop, ModelRef};
-pub use pipeline::{ForayGen, ForayGenOutput, PipelineError, ShardMode};
+pub use pipeline::{ForayGen, ForayGenOutput, PipelineError};
 pub use report::{CaptureComparison, LoopBreakdown, LoopKind, MemoryBehavior};
-pub use shard::{
-    analyze_sharded, analyze_sharded_source, analyze_sharded_with, analyze_streaming,
-    analyze_streaming_produce, analyze_streaming_source, analyze_streaming_with,
-    parse_thread_override, resolve_shards, RecordProducer, ShardedAnalyzer, StreamStats,
-};

@@ -229,45 +229,6 @@ impl LoopTree {
         }
     }
 
-    /// Applies `runs` consecutive empty body iterations of `loop_id` — the
-    /// exact effect of replaying `(BodyBegin; BodyEnd) × runs`, which is
-    /// how the sharded streaming router delivers iteration spans a shard
-    /// had no accesses in ([`minic_trace::BlockItem::IterRun`]).
-    ///
-    /// The common case is O(1): after the first `BodyBegin` lands on a
-    /// node whose *parent* is not an instance of the same loop, every
-    /// remaining pair provably re-targets that same node (`BodyEnd` parks
-    /// the walker at the parent, whose unique `child(loop_id)` the next
-    /// `BodyBegin` re-finds), so the remaining iterations collapse into
-    /// one counter update. When the parent *is* the same loop — the
-    /// self-nested chains recursion produces — consecutive pairs climb the
-    /// chain, so the pairs are replayed one by one to stay byte-identical
-    /// to the sequential walk.
-    pub fn on_body_run(&mut self, loop_id: LoopId, runs: u32) {
-        let mut left = runs;
-        while left > 0 {
-            self.on_checkpoint(loop_id, CheckpointKind::BodyBegin);
-            let target = self.current;
-            let fast = match self.node(target).parent {
-                None => true,
-                Some(p) => self.node(p).loop_id != Some(loop_id),
-            };
-            if fast && left > 1 {
-                let extra = u64::from(left - 1);
-                let node = &mut self.nodes[target.0 as usize];
-                node.iter += extra as i64;
-                node.total_iters += extra;
-                let trip = (node.iter + 1) as u64;
-                if trip > node.max_trip {
-                    node.max_trip = trip;
-                }
-                left = 1;
-            }
-            self.on_checkpoint(loop_id, CheckpointKind::BodyEnd);
-            left -= 1;
-        }
-    }
-
     fn child_or_create(&mut self, parent: NodeId, loop_id: LoopId) -> NodeId {
         match self.node(parent).child(loop_id) {
             Some(c) => c,
@@ -529,52 +490,6 @@ mod tests {
             feed(&mut tree, &[(l, BE)]);
         }
         assert_eq!(tree.current(), ROOT);
-    }
-
-    /// `on_body_run(l, n)` must be indistinguishable from replaying the
-    /// `(BodyBegin; BodyEnd) × n` pairs one at a time, from any walker
-    /// position — including the self-nested same-loop-id chains where
-    /// consecutive pairs climb the tree.
-    #[test]
-    fn body_run_equals_expanded_pairs() {
-        // Prefix streams putting the walker in assorted positions: fresh
-        // tree, inside a plain nest, between iterations, mid-body, and on
-        // a self-nested chain (loop 5 under loop 5 under loop 5).
-        let prefixes: &[&[(u32, CheckpointKind)]] = &[
-            &[],
-            &[(0, LB)],
-            &[(0, LB), (0, BB)],
-            &[(0, LB), (0, BB), (1, LB), (1, BB), (1, BE)],
-            &[(5, LB), (5, BB), (5, LB), (5, BB), (5, LB), (5, BB)],
-            &[(5, BB), (5, BB), (5, BE)],
-        ];
-        for prefix in prefixes {
-            for loop_id in [0u32, 1, 5, 9] {
-                for runs in [1u32, 2, 3, 7, 100] {
-                    let mut bulk = LoopTree::new();
-                    feed(&mut bulk, prefix);
-                    bulk.on_body_run(LoopId(loop_id), runs);
-
-                    let mut pairs = LoopTree::new();
-                    feed(&mut pairs, prefix);
-                    for _ in 0..runs {
-                        pairs.on_checkpoint(LoopId(loop_id), BB);
-                        pairs.on_checkpoint(LoopId(loop_id), BE);
-                    }
-                    assert_eq!(bulk, pairs, "prefix={prefix:?} loop={loop_id} runs={runs}");
-                    assert_eq!(bulk.current(), pairs.current());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn body_run_zero_is_a_no_op() {
-        let mut tree = LoopTree::new();
-        feed(&mut tree, &[(0, LB), (0, BB)]);
-        let before = tree.clone();
-        tree.on_body_run(LoopId(0), 0);
-        assert_eq!(tree, before);
     }
 
     #[test]

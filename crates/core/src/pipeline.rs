@@ -9,32 +9,10 @@ use crate::analyzer::{Analysis, Analyzer, AnalyzerConfig};
 use crate::codegen;
 use crate::hints::{inline_hints, InlineHint};
 use crate::model::{FilterConfig, ForayModel};
-use crate::shard::{self, ShardedAnalyzer};
 use minic::Program;
 use minic_sim::{Engine, RuntimeError, SimConfig, SimOutcome};
-use minic_trace::{TeeSink, TraceSink, TraceStats};
+use minic_trace::{TeeSink, TraceStats};
 use std::fmt;
-
-/// How [`ForayGen`] parallelizes the analysis half of a profiling run.
-///
-/// Every mode produces a byte-identical [`Analysis`]; they differ only in
-/// memory shape and wall-clock (see `docs/ARCHITECTURE.md`, "Streaming &
-/// backpressure").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// The sequential online analyzer rides the simulation directly — the
-    /// paper's constant-space mode.
-    #[default]
-    Off,
-    /// K shard workers consume routed record blocks over bounded channels
-    /// *while the VM executes* — parallel and still constant-space
-    /// (O(shards × block) buffered records).
-    Streaming,
-    /// Route the whole stream into per-shard buffers, fan workers out at
-    /// the end — O(trace) memory; kept for A/B comparison against
-    /// `Streaming` (see the `fused_exec` bench).
-    Buffered,
-}
 
 /// Pipeline failure: either the frontend rejected the program or the
 /// profiling run faulted.
@@ -141,7 +119,6 @@ pub struct ForayGen {
     analyzer: AnalyzerConfig,
     sim: SimConfig,
     inputs: Vec<i64>,
-    sharding: ShardMode,
 }
 
 impl ForayGen {
@@ -160,23 +137,6 @@ impl ForayGen {
     /// Sets the analyzer configuration.
     pub fn analyzer(mut self, config: AnalyzerConfig) -> Self {
         self.analyzer = config;
-        self
-    }
-
-    /// Turns parallel analysis on ([`ShardMode::Streaming`]: K shard
-    /// workers fed over bounded channels while the VM runs; K from the
-    /// analyzer configuration's `shards`, `0` = auto) or off
-    /// ([`ShardMode::Off`]). The result is identical to the sequential
-    /// path in either case.
-    pub fn sharded(mut self, on: bool) -> Self {
-        self.sharding = if on { ShardMode::Streaming } else { ShardMode::Off };
-        self
-    }
-
-    /// Selects the parallel-analysis mode explicitly (the buffered legacy
-    /// path stays reachable for A/B benchmarking).
-    pub fn shard_mode(mut self, mode: ShardMode) -> Self {
-        self.sharding = mode;
         self
     }
 
@@ -225,50 +185,17 @@ impl ForayGen {
         self.run_instrumented(prog)
     }
 
-    /// Profiles the program with `analyzer` (and trace statistics) riding
-    /// the simulation as sinks.
-    fn profile<A: TraceSink>(
-        &self,
-        prog: &Program,
-        analyzer: A,
-    ) -> Result<(A, SimOutcome, TraceStats), PipelineError> {
-        let mut sink = TeeSink::new(analyzer, TraceStats::new());
-        let sim = minic_sim::run_with_sink(prog, &self.sim, &self.inputs, &mut sink)?;
-        let (analyzer, trace_stats) = sink.into_inner();
-        Ok((analyzer, sim, trace_stats))
-    }
-
-    /// Profiles the program once and analyzes it per the sharding mode.
-    /// All three modes funnel the simulation through the same
-    /// [`Self::profile`] helper — they differ only in which sink rides it
-    /// and when workers run.
+    /// Profiles the program once with the online analyzer (and trace
+    /// statistics) riding the simulation as sinks.
     fn profile_analysis(
         &self,
         prog: &Program,
     ) -> Result<(Analysis, SimOutcome, TraceStats), PipelineError> {
-        match self.sharding {
-            ShardMode::Off => {
-                let (a, sim, ts) =
-                    self.profile(prog, Analyzer::with_config(self.analyzer.clone()))?;
-                Ok((a.into_analysis(), sim, ts))
-            }
-            ShardMode::Buffered => {
-                let (a, sim, ts) =
-                    self.profile(prog, ShardedAnalyzer::with_config(self.analyzer.clone()))?;
-                Ok((a.into_analysis(), sim, ts))
-            }
-            ShardMode::Streaming => {
-                // Workers analyze routed blocks while the VM is still
-                // executing; the producer closure is the profiling run
-                // itself, with the block router as its sink.
-                let (analysis, (sim, ts), _stats) =
-                    shard::analyze_streaming_with(&self.analyzer, |sink| {
-                        let (_, sim, ts) = self.profile(prog, sink)?;
-                        Ok::<_, PipelineError>((sim, ts))
-                    })?;
-                Ok((analysis, sim, ts))
-            }
-        }
+        let analyzer = Analyzer::with_config(self.analyzer.clone());
+        let mut sink = TeeSink::new(analyzer, TraceStats::new());
+        let sim = minic_sim::run_with_sink(prog, &self.sim, &self.inputs, &mut sink)?;
+        let (analyzer, trace_stats) = sink.into_inner();
+        Ok((analyzer.into_analysis(), sim, trace_stats))
     }
 
     fn run_instrumented(&self, prog: Program) -> Result<ForayGenOutput, PipelineError> {
@@ -403,39 +330,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pipeline_matches_sequential() {
-        let seq = ForayGen::new().run_source(FIG4).unwrap();
-        for mode in [ShardMode::Streaming, ShardMode::Buffered] {
-            let sharded = ForayGen::new()
-                .shard_mode(mode)
-                .analyzer(AnalyzerConfig { shards: 3, ..AnalyzerConfig::default() })
-                .run_source(FIG4)
-                .unwrap();
-            assert_eq!(seq.analysis, sharded.analysis, "{mode:?}");
-            assert_eq!(seq.code, sharded.code, "{mode:?}");
-            assert_eq!(seq.trace_stats, sharded.trace_stats, "{mode:?}");
-        }
-        // `sharded(true)` selects the streaming mode.
-        assert_eq!(ForayGen::new().sharded(true).run_source(FIG4).unwrap().analysis, seq.analysis);
-    }
-
-    #[test]
-    fn sampled_pipeline_is_identical_across_modes() {
+    fn sampled_pipeline_thins_the_analysis_not_the_trace() {
         use minic_trace::SampleSpec;
-        let config = AnalyzerConfig {
-            shards: 2,
-            sample: SampleSpec::EveryNth { n: 2 },
-            ..AnalyzerConfig::default()
-        };
-        let seq = ForayGen::new().analyzer(config.clone()).run_source(FIG4).unwrap();
+        let config =
+            AnalyzerConfig { sample: SampleSpec::EveryNth { n: 2 }, ..AnalyzerConfig::default() };
+        let full = ForayGen::new().run_source(FIG4).unwrap();
+        let out = ForayGen::new().analyzer(config).run_source(FIG4).unwrap();
         // Sampling halves the analyzed accesses but not the trace itself.
-        assert!(seq.analysis.accesses() < seq.trace_stats.accesses);
-        for mode in [ShardMode::Streaming, ShardMode::Buffered] {
-            let out =
-                ForayGen::new().analyzer(config.clone()).shard_mode(mode).run_source(FIG4).unwrap();
-            assert_eq!(out.analysis, seq.analysis, "{mode:?}");
-            assert_eq!(out.trace_stats, seq.trace_stats, "{mode:?}");
-        }
+        assert!(out.analysis.accesses() < out.trace_stats.accesses);
+        assert_eq!(out.trace_stats, full.trace_stats);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   (see `AnalyzerConfig::stable_digest`);
 //! * the `input()` data fed to the program.
 //!
-//! **Deliberately excluded:** worker/shard counts, stream tuning, lookup
-//! strategy, and scheduling priority. The shard- and stream-equivalence
-//! suites prove those cannot change output bytes; keying on them would
-//! only fragment the cache.
+//! **Deliberately excluded:** worker counts, lookup strategy, and
+//! scheduling priority. None of them can change output bytes (each job
+//! runs one sequential analyzer, and the analyzer's tests prove every
+//! lookup strategy equivalent); keying on them would only fragment the
+//! cache.
 
 use crate::protocol::{JobInput, JobSpec};
 use crate::{ErrorCode, ProtoError};
@@ -101,7 +102,7 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
 
 /// The analyzer configuration a job runs with (sampling is the only
 /// output-relevant knob the protocol exposes; everything else stays at
-/// the crate defaults and the scheduler picks worker counts freely).
+/// the crate defaults).
 pub(crate) fn analyzer_config_for(spec: &JobSpec) -> foray::AnalyzerConfig {
     foray::AnalyzerConfig { sample: spec.sample, ..foray::AnalyzerConfig::default() }
 }

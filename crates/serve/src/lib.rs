@@ -4,10 +4,10 @@
 //! every time, even for a workload analyzed seconds ago. `forayd` keeps
 //! the pipeline warm behind a socket: clients submit jobs over a
 //! line-delimited JSON protocol and identical work is answered from a
-//! **content-addressed cache** — sound because the analysis is
-//! byte-deterministic for any worker count (locked by the shard/stream
-//! equivalence suites), so a result is fully determined by program
-//! content + output-relevant configuration.
+//! **content-addressed cache** — sound because each job runs one
+//! byte-deterministic sequential analysis, whichever worker picks it up,
+//! so a result is fully determined by program content + output-relevant
+//! configuration.
 //!
 //! The pieces:
 //!

@@ -48,10 +48,6 @@ pub struct ServeConfig {
     /// Spill directory for evicted cache entries (`None`: evictions are
     /// dropped).
     pub spill_dir: Option<PathBuf>,
-    /// Analysis shard workers per job (`0` = auto; see
-    /// [`foray::resolve_shards`]). Not cache-key material: any value
-    /// yields byte-identical results.
-    pub default_shards: usize,
     /// Backoff hint attached to `queue_full` rejections.
     pub retry_after_ms: u64,
 }
@@ -63,7 +59,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache_entries: 128,
             spill_dir: None,
-            default_shards: 0,
             retry_after_ms: 100,
         }
     }
@@ -459,7 +454,7 @@ fn claim_next(st: &mut State) -> Option<(u64, ResolvedJob)> {
 /// Computes a claimed job unlocked, then publishes the result (into the
 /// cache on success) and wakes waiters.
 fn run_claimed(shared: &Arc<Shared>, id: u64, resolved: &ResolvedJob) {
-    let outcome = compute(resolved, &shared.cfg);
+    let outcome = compute(resolved);
     let mut st = shared.lock();
     st.running -= 1;
     st.in_flight.remove(&resolved.key);
@@ -483,13 +478,13 @@ fn run_claimed(shared: &Arc<Shared>, id: u64, resolved: &ResolvedJob) {
     shared.done.notify_all();
 }
 
-/// The actual analysis. Runs with the lock released; any worker count
-/// yields byte-identical payloads (the determinism the cache relies on).
-fn compute(resolved: &ResolvedJob, cfg: &ServeConfig) -> Result<String, String> {
+/// The actual analysis: one sequential analyzer per job, run with the
+/// lock released. Its payload is a pure function of the resolved job (the
+/// determinism the cache relies on).
+fn compute(resolved: &ResolvedJob) -> Result<String, String> {
     let spec = &resolved.spec;
     let filter = foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc };
-    let mut acfg = analyzer_config_for(spec);
-    acfg.shards = cfg.default_shards;
+    let acfg = analyzer_config_for(spec);
     match spec.kind {
         JobKind::Model | JobKind::Report => {
             let (analysis, model, code) = match &spec.input {
@@ -509,7 +504,6 @@ fn compute(resolved: &ResolvedJob, cfg: &ServeConfig) -> Result<String, String> 
                     let out = ForayGen::new()
                         .filter(filter)
                         .analyzer(acfg)
-                        .sharded(true)
                         .engine(spec.engine)
                         .inputs(resolved.inputs.clone())
                         .run_source(source)
@@ -532,7 +526,6 @@ fn compute(resolved: &ResolvedJob, cfg: &ServeConfig) -> Result<String, String> 
             let pipeline = ForayGen::new()
                 .filter(filter)
                 .analyzer(acfg)
-                .sharded(true)
                 .engine(spec.engine)
                 .inputs(resolved.inputs.clone());
             let job = foray::BatchJob::new(name, source).pipeline(pipeline);

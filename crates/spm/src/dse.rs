@@ -111,7 +111,7 @@ impl SpmDesignSpace {
     }
 
     /// Explores the full space on `workers` pool threads (`0` =
-    /// auto-detect, see [`foray::resolve_shards`]).
+    /// auto-detect, see [`foray::resolve_workers`]).
     ///
     /// Points come back workload-major, then model, then ascending
     /// capacity, and are identical for every worker count.

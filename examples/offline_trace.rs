@@ -69,15 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let from_text = analyzer.into_analysis();
 
     // Same step via the framed file: one bulk read, zero-copy decode, and
-    // any RecordSource-aware entry point (sequential or sharded).
+    // any RecordSource-aware entry point.
     let file = TraceFile::open(&framed_path)?;
     println!("replayed {} records from the framed file", file.record_count());
     let mut analyzer = Analyzer::new();
     (&file).stream_into(&mut analyzer)?;
     let from_framed = analyzer.into_analysis();
     assert_eq!(from_text, from_framed, "both file formats replay identically");
-    let sharded = foray::analyze_sharded_source(&file, foray::AnalyzerConfig::default())?;
-    assert_eq!(from_framed, sharded, "sharded replay is bit-identical too");
 
     let model = ForayModel::extract(&from_framed, &FilterConfig::default());
     println!("\nFORAY model from the trace file:\n{}", foray::codegen::emit(&model));

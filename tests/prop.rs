@@ -3,13 +3,14 @@
 //! * Algorithm 3 recovers randomly generated affine access patterns
 //!   *exactly*;
 //! * both trace codecs round-trip arbitrary record streams;
+//! * the identity sampling specs (`every:1`, `warmup:0`) change nothing;
 //! * the interpreter agrees with a Rust-side reference evaluator on random
 //!   arithmetic expressions;
 //! * pretty-printed programs re-parse to the same text (fixpoint);
 //! * the exact knapsack dominates greedy and matches brute force on small
 //!   instances.
 
-use foray::{analyze, FilterConfig, ForayModel};
+use foray::{analyze, analyze_with, AnalyzerConfig, FilterConfig, ForayModel, SampleSpec};
 use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
 use minic_trace::{AccessKind, Record};
 use proptest::prelude::*;
@@ -153,6 +154,44 @@ proptest! {
         let bytes = minic_trace::binary::to_bytes(&records);
         let parsed = minic_trace::binary::from_bytes(&bytes).unwrap();
         prop_assert_eq!(parsed, records);
+    }
+}
+
+// ---------- identity sampling ----------
+
+/// Arbitrary records with instruction addresses drawn from a small pool,
+/// so references accumulate real multi-access state.
+fn arb_site_record() -> impl Strategy<Value = Record> {
+    prop_oneof![
+        (0u32..8, 0usize..3).prop_map(|(l, k)| {
+            let kind = [LoopBegin, BodyBegin, BodyEnd][k];
+            Record::checkpoint(l, kind)
+        }),
+        (0u32..12, any::<u32>(), any::<bool>()).prop_map(|(site, a, w)| {
+            Record::access(
+                0x40_0000 + 4 * site,
+                a,
+                if w { AccessKind::Write } else { AccessKind::Read },
+            )
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn identity_sampling_specs_change_nothing(
+        records in proptest::collection::vec(arb_site_record(), 0..300),
+    ) {
+        let full = analyze(&records);
+        for sample in [SampleSpec::EveryNth { n: 1 }, SampleSpec::Warmup { skip: 0 }] {
+            let sampled = analyze_with(
+                &records,
+                AnalyzerConfig { sample, ..AnalyzerConfig::default() },
+            );
+            prop_assert_eq!(&sampled, &full, "{:?}", sample);
+        }
     }
 }
 

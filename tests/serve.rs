@@ -5,9 +5,8 @@
 //! shutdown), and property tests pinning the cache-key digest.
 //!
 //! The load-bearing claim: a cached resubmission returns bytes identical
-//! to a direct in-process run **and** to its own cold-path response, for
-//! any analysis worker count K — that is exactly the determinism contract
-//! the shard/stream equivalence suites lock, lifted to the service layer.
+//! to a direct in-process run **and** to its own cold-path response — the
+//! sequential analyzer's determinism, lifted to the service layer.
 
 use foray_serve::{
     resolve, Client, ErrorCode, JobInput, JobKind, JobSpec, Response, ServeAddr, ServeConfig,
@@ -19,8 +18,8 @@ use std::time::Duration;
 
 /// A manual-drive server: no background workers, jobs run via `step_one`
 /// so every test is deterministic.
-fn manual(default_shards: usize) -> Server {
-    Server::new(ServeConfig { workers: 0, default_shards, ..ServeConfig::default() })
+fn manual() -> Server {
+    Server::new(ServeConfig { workers: 0, ..ServeConfig::default() })
 }
 
 fn workload_spec(name: &str) -> JobSpec {
@@ -39,14 +38,13 @@ fn run_job(srv: &Server, spec: &JobSpec) -> (bool, String) {
     (hit, payload.to_string())
 }
 
-// ---------- tentpole acceptance: corpus byte-identity across K ----------
+// ---------- tentpole acceptance: corpus byte-identity ----------
 
-/// Every corpus workload, served across K ∈ {1, 2, auto} analysis
-/// workers: the daemon's cold response equals a direct `ForayGen` run
-/// byte for byte, and the cached resubmission equals the cold response —
-/// with the hit verified by counters, not vibes.
+/// Every corpus workload: the daemon's cold response equals a direct
+/// `ForayGen` run byte for byte, and the cached resubmission equals the
+/// cold response — with the hit verified by counters, not vibes.
 #[test]
-fn corpus_served_bytes_equal_direct_runs_for_k_1_2_auto() {
+fn corpus_served_bytes_equal_direct_runs() {
     for workload in foray_workloads::all(Params { scale: 1 }) {
         // The direct (no-daemon) reference run: plain sequential pipeline.
         let direct = foray::ForayGen::new()
@@ -54,23 +52,17 @@ fn corpus_served_bytes_equal_direct_runs_for_k_1_2_auto() {
             .run_source(&workload.source)
             .expect("direct run")
             .code;
-        for k in [1usize, 2, 0] {
-            let srv = manual(k);
-            let spec = workload_spec(workload.name);
-            let (cold_hit, cold) = run_job(&srv, &spec);
-            assert!(!cold_hit);
-            assert_eq!(
-                cold, direct,
-                "{} K={k}: daemon bytes differ from direct run",
-                workload.name
-            );
-            let (warm_hit, warm) = run_job(&srv, &spec);
-            assert!(warm_hit, "{} K={k}: resubmission missed the cache", workload.name);
-            assert_eq!(warm, cold, "{} K={k}: cached bytes differ from cold", workload.name);
-            let st = srv.stats();
-            assert_eq!(st.cache_hits, 1, "{} K={k}", workload.name);
-            assert_eq!(st.computed, 1, "{} K={k}: hit must not recompute", workload.name);
-        }
+        let srv = manual();
+        let spec = workload_spec(workload.name);
+        let (cold_hit, cold) = run_job(&srv, &spec);
+        assert!(!cold_hit);
+        assert_eq!(cold, direct, "{}: daemon bytes differ from direct run", workload.name);
+        let (warm_hit, warm) = run_job(&srv, &spec);
+        assert!(warm_hit, "{}: resubmission missed the cache", workload.name);
+        assert_eq!(warm, cold, "{}: cached bytes differ from cold", workload.name);
+        let st = srv.stats();
+        assert_eq!(st.cache_hits, 1, "{}", workload.name);
+        assert_eq!(st.computed, 1, "{}: hit must not recompute", workload.name);
     }
 }
 
@@ -78,7 +70,7 @@ fn corpus_served_bytes_equal_direct_runs_for_k_1_2_auto() {
 /// tags.
 #[test]
 fn report_and_dse_payloads_cache_byte_identically() {
-    let srv = manual(0);
+    let srv = manual();
     for (kind, schema) in
         [(JobKind::Report, "foray-serve-report/v1"), (JobKind::Dse, "foray-dse/v1")]
     {
@@ -99,7 +91,7 @@ fn report_and_dse_payloads_cache_byte_identically() {
 /// engine-equivalence guarantee observed through the service).
 #[test]
 fn engines_are_distinct_keys_with_identical_payloads() {
-    let srv = manual(0);
+    let srv = manual();
     let vm = workload_spec("adpcmc");
     let tree = JobSpec { engine: foray::Engine::Tree, ..vm.clone() };
     let (_, vm_bytes) = run_job(&srv, &vm);

@@ -13,10 +13,10 @@
 //!   v2 payload/CRC/index bytes are all rejected with typed errors,
 //!   never mis-decoded;
 //! * the workload corpus: profile once, write the trace file in *both*
-//!   formats, re-analyze each sequentially and sharded (K ∈ {1, auto})
-//!   and require equality with the online in-RAM analysis — model code
-//!   included — plus the `analyze_trace_files` batch fan-out, and
-//!   require the v2 file to be smaller than its v1 sibling.
+//!   formats, re-analyze each and require equality with the online
+//!   in-RAM analysis — model code included — plus the
+//!   `analyze_trace_files` batch fan-out, and require the v2 file to be
+//!   smaller than its v1 sibling.
 
 use foray::{analyze, AnalyzerConfig, FilterConfig, ForayGen, ForayModel};
 use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
@@ -106,16 +106,12 @@ proptest! {
         bodies in 1u32..40,
         refs in 1u32..8,
         block_bytes in 1usize..256,
-        shards in 1usize..5,
     ) {
         let records = nest_trace(bodies, refs);
         let in_ram = analyze(&records);
         let tf = TraceFile::from_bytes(frame_with(format, &records, block_bytes)).unwrap();
         let sequential = foray::analyze_source(&tf).unwrap();
         prop_assert_eq!(&sequential, &in_ram);
-        let config = AnalyzerConfig { shards, ..AnalyzerConfig::default() };
-        let sharded = foray::analyze_sharded_source(&tf, config).unwrap();
-        prop_assert_eq!(&sharded, &in_ram);
         // The raw zero-copy decoder (no framing) agrees too.
         let raw = minic_trace::binary::to_bytes(&records);
         let from_raw = foray::analyze_source(RecordReader::new(&raw)).unwrap();
@@ -298,23 +294,15 @@ fn workload_traces_replay_byte_identically_from_disk() {
             let tf = TraceFile::open(&path).unwrap();
             assert_eq!(tf.version(), format, "{}", w.name);
             assert_eq!(tf.record_count(), records.len() as u64, "{}", w.name);
-            // K = 1 (sequential) and K = auto (0), per the acceptance bar.
-            for shards in [1usize, 0] {
-                let config = AnalyzerConfig { shards, ..AnalyzerConfig::default() };
-                let analysis = if shards == 1 {
-                    foray::analyze_source_with(&tf, config).unwrap()
-                } else {
-                    foray::analyze_sharded_source(&tf, config).unwrap()
-                };
-                assert_eq!(analysis, online.analysis, "{} {format} K={shards}", w.name);
-                let model = ForayModel::extract(&analysis, &FilterConfig::default());
-                assert_eq!(
-                    foray::codegen::emit(&model),
-                    online.code,
-                    "{} {format} K={shards}: model code must be byte-identical",
-                    w.name
-                );
-            }
+            let analysis = foray::analyze_source(&tf).unwrap();
+            assert_eq!(analysis, online.analysis, "{} {format}", w.name);
+            let model = ForayModel::extract(&analysis, &FilterConfig::default());
+            assert_eq!(
+                foray::codegen::emit(&model),
+                online.code,
+                "{} {format}: model code must be byte-identical",
+                w.name
+            );
             paths.push(path);
             expected.push(online.analysis.clone());
         }

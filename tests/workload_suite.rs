@@ -186,3 +186,32 @@ fn online_mode_is_constant_space_compatible() {
     assert_eq!(offline.refs().len(), out.analysis.refs().len());
     assert_eq!(offline.accesses(), out.analysis.accesses());
 }
+
+/// Renders one batch result as the textual report a consumer would emit.
+fn render_batch(results: &[Result<foray::ForayGenOutput, foray::PipelineError>]) -> String {
+    let mut out = String::new();
+    for r in results {
+        let o = r.as_ref().expect("workload runs");
+        out.push_str(&o.code);
+        out.push_str(&o.analysis.tree().render());
+        out.push_str(&format!(
+            "accesses={} refs={} model_refs={}\n",
+            o.analysis.accesses(),
+            o.analysis.refs().len(),
+            o.model.ref_count()
+        ));
+    }
+    out
+}
+
+#[test]
+fn batch_report_is_byte_identical_across_runs() {
+    let jobs: Vec<foray::BatchJob> =
+        all(Params::default()).iter().map(|w| w.batch_job(foray::ForayGen::new())).collect();
+    let first = render_batch(&foray::analyze_batch(&jobs, 0));
+    let second = render_batch(&foray::analyze_batch(&jobs, 0));
+    assert!(!first.is_empty());
+    assert_eq!(first, second, "thread scheduling leaked into the batch report");
+    let serial = render_batch(&foray::analyze_batch(&jobs, 1));
+    assert_eq!(first, serial, "the pooled batch differs from the one-worker batch");
+}
