@@ -1,13 +1,15 @@
 //! `analyzer_hot` — analyzer hot-path report.
 //!
-//! Measures what online analysis adds to a profiling run: the per-record
-//! analysis cost with dense instruction-indexed dispatch vs the legacy
-//! hash lookup. One workload is measured three ways:
+//! Measures what online analysis adds to a profiling run, on the path
+//! users run: the whole [`foray::ForayGen`] pipeline (profile with the
+//! online analyzer as the VM's only sink, then extract, emit and hints),
+//! with dense instruction-indexed dispatch vs the legacy hash lookup. One
+//! workload is measured three ways:
 //!
 //! * **bare** — simulation into a [`minic_trace::NullSink`]: the floor;
-//! * **seq-hash** — the online [`foray::Analyzer`] with
-//!   [`LookupStrategy::Hash`], the pre-overhaul hot path;
-//! * **sequential** — the same analyzer with the default
+//! * **seq-hash** — `ForayGen` with [`LookupStrategy::Hash`], the
+//!   pre-overhaul hot path;
+//! * **sequential** — `ForayGen` with the default
 //!   [`LookupStrategy::Dense`] tables and last-instruction memo.
 //!
 //! Both analysis rows are asserted byte-identical before anything is
@@ -21,10 +23,10 @@
 //!     [--json PATH] [--check-overhead X]
 //! ```
 //!
-//! `--check-overhead X` exits non-zero if sequential profile+analyze costs
+//! `--check-overhead X` exits non-zero if the default `ForayGen` run costs
 //! more than `X` times bare execution; CI gates on it.
 
-use foray::{Analyzer, AnalyzerConfig, LookupStrategy};
+use foray::{AnalyzerConfig, ForayGen, LookupStrategy};
 use foray_workloads::Params;
 use minic_trace::NullSink;
 use std::fmt::Write as _;
@@ -143,7 +145,13 @@ fn main() {
     );
 
     let hash_config = AnalyzerConfig { lookup: LookupStrategy::Hash, ..AnalyzerConfig::default() };
-    let dense_config = AnalyzerConfig::default();
+    let pipeline = |config| ForayGen::new().analyzer(config).inputs(w.inputs.clone());
+    let (hash_gen, dense_gen) = (pipeline(hash_config), pipeline(AnalyzerConfig::default()));
+    // The program is cloned outside the timer: bare execution borrows it.
+    let run = |gen: &ForayGen, best: &mut Duration| {
+        let p = prog.clone();
+        timed(best, || gen.run_program(p)).expect("workload runs through ForayGen")
+    };
 
     let (mut bare, mut hash_t, mut dense_t) = (Duration::MAX, Duration::MAX, Duration::MAX);
     let (mut records, mut last) = (0u64, None);
@@ -154,22 +162,12 @@ fn main() {
                 .expect("workload runs bare");
             outcome.accesses + outcome.checkpoints
         });
-        let hashed = timed(&mut hash_t, || {
-            let mut analyzer = Analyzer::with_config(hash_config.clone());
-            minic_sim::run_with_sink(&prog, &sim, &w.inputs, &mut analyzer)
-                .expect("workload runs with hash lookup");
-            analyzer.into_analysis()
-        });
-        let dense = timed(&mut dense_t, || {
-            let mut analyzer = Analyzer::with_config(dense_config.clone());
-            minic_sim::run_with_sink(&prog, &sim, &w.inputs, &mut analyzer)
-                .expect("workload runs with dense lookup");
-            analyzer.into_analysis()
-        });
+        let hashed = run(&hash_gen, &mut hash_t);
+        let dense = run(&dense_gen, &mut dense_t);
         last = Some((hashed, dense));
     }
     let (hashed, dense) = last.expect("iters >= 1");
-    assert_eq!(dense, hashed, "dense lookup must be byte-identical to hash");
+    assert_eq!(dense.analysis, hashed.analysis, "dense lookup must be byte-identical to hash");
 
     let overhead = |d: Duration| d.as_secs_f64() / bare.as_secs_f64();
     let rows = [

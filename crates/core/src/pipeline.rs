@@ -11,7 +11,6 @@ use crate::hints::{inline_hints, InlineHint};
 use crate::model::{FilterConfig, ForayModel};
 use minic::Program;
 use minic_sim::{Engine, RuntimeError, SimConfig, SimOutcome};
-use minic_trace::{TeeSink, TraceStats};
 use std::fmt;
 
 /// Pipeline failure: either the frontend rejected the program or the
@@ -67,8 +66,6 @@ pub struct ForayGenOutput {
     pub code: String,
     /// Simulator outcome (printed values, counters).
     pub sim: SimOutcome,
-    /// Whole-trace statistics (Table III totals).
-    pub trace_stats: TraceStats,
     /// Function-inlining hints (Section 4).
     pub hints: Vec<InlineHint>,
 }
@@ -185,25 +182,20 @@ impl ForayGen {
         self.run_instrumented(prog)
     }
 
-    /// Profiles the program once with the online analyzer (and trace
-    /// statistics) riding the simulation as sinks.
-    fn profile_analysis(
-        &self,
-        prog: &Program,
-    ) -> Result<(Analysis, SimOutcome, TraceStats), PipelineError> {
-        let analyzer = Analyzer::with_config(self.analyzer.clone());
-        let mut sink = TeeSink::new(analyzer, TraceStats::new());
-        let sim = minic_sim::run_with_sink(prog, &self.sim, &self.inputs, &mut sink)?;
-        let (analyzer, trace_stats) = sink.into_inner();
-        Ok((analyzer.into_analysis(), sim, trace_stats))
+    /// Profiles the program once with the online analyzer as the
+    /// simulation's only sink.
+    fn profile_analysis(&self, prog: &Program) -> Result<(Analysis, SimOutcome), PipelineError> {
+        let mut analyzer = Analyzer::with_config(self.analyzer.clone());
+        let sim = minic_sim::run_with_sink(prog, &self.sim, &self.inputs, &mut analyzer)?;
+        Ok((analyzer.into_analysis(), sim))
     }
 
     fn run_instrumented(&self, prog: Program) -> Result<ForayGenOutput, PipelineError> {
-        let (analysis, sim, trace_stats) = self.profile_analysis(&prog)?;
+        let (analysis, sim) = self.profile_analysis(&prog)?;
         let model = ForayModel::extract(&analysis, &self.filter);
         let code = codegen::emit(&model);
         let hints = inline_hints(&prog, analysis.tree());
-        Ok(ForayGenOutput { program: prog, analysis, model, code, sim, trace_stats, hints })
+        Ok(ForayGenOutput { program: prog, analysis, model, code, sim, hints })
     }
 }
 
@@ -337,8 +329,8 @@ mod tests {
         let full = ForayGen::new().run_source(FIG4).unwrap();
         let out = ForayGen::new().analyzer(config).run_source(FIG4).unwrap();
         // Sampling halves the analyzed accesses but not the trace itself.
-        assert!(out.analysis.accesses() < out.trace_stats.accesses);
-        assert_eq!(out.trace_stats, full.trace_stats);
+        assert!(out.analysis.accesses() < out.sim.accesses);
+        assert_eq!(out.sim, full.sim);
     }
 
     #[test]
@@ -347,14 +339,14 @@ mod tests {
         let tree = ForayGen::new().engine(Engine::Tree).run_source(FIG4).unwrap();
         assert_eq!(vm.analysis, tree.analysis);
         assert_eq!(vm.code, tree.code);
-        assert_eq!(vm.trace_stats, tree.trace_stats);
         assert_eq!(vm.sim.accesses, tree.sim.accesses);
     }
 
     #[test]
-    fn trace_stats_match_sim_counters() {
+    fn analyzer_sees_every_access() {
         let out = ForayGen::new().run_source(FIG4).unwrap();
-        assert_eq!(out.trace_stats.accesses, out.sim.accesses);
-        assert_eq!(out.trace_stats.checkpoints, out.sim.checkpoints);
+        assert_eq!(out.analysis.accesses(), out.sim.accesses);
+        let observed: u64 = out.analysis.refs().iter().map(|r| r.reads + r.writes).sum();
+        assert_eq!(observed, out.sim.accesses);
     }
 }

@@ -30,7 +30,7 @@
 //! let textual = text::to_text(&sink.records);
 //! assert!(textual.contains("Instr: 4002a0 addr: 7fff5934 wr"));
 //!
-//! // And compute Table-III-style totals.
+//! // And compute whole-trace totals.
 //! let stats = TraceStats::from_records(&sink.records);
 //! assert_eq!(stats.references(), 1);
 //! ```

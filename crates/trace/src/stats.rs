@@ -1,5 +1,10 @@
-//! Whole-trace statistics: the raw numbers behind the paper's Table III
-//! ("total number of references / accesses / footprint" columns).
+//! Whole-trace statistics: reference, access and footprint totals over a
+//! raw trace, split user vs library.
+//!
+//! The paper's Table III, as `foray-gen report` prints it, comes from
+//! `foray::report::MemoryBehavior` over the analysis. `ForayGen` does not
+//! compute `TraceStats`: tee it next to the analyzer with a
+//! [`TeeSink`](crate::sink::TeeSink), or run [`TraceStats::from_records`].
 
 use crate::layout;
 use crate::record::{AccessKind, InstrAddr, MemAddr, Record};

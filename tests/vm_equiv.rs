@@ -87,7 +87,6 @@ fn pipeline_end_to_end_identical() {
         let vm = w.run_with(ForayGen::new().sim(config(Engine::Vm))).unwrap();
         assert_eq!(tree.analysis, vm.analysis, "{}: analysis", w.name);
         assert_eq!(tree.code, vm.code, "{}: emitted model code", w.name);
-        assert_eq!(tree.trace_stats, vm.trace_stats, "{}: trace stats", w.name);
         assert_eq!(tree.hints.len(), vm.hints.len(), "{}: inline hints", w.name);
     }
 }
