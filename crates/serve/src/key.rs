@@ -28,8 +28,9 @@
 use crate::protocol::{JobInput, JobSpec};
 use crate::{ErrorCode, ProtoError};
 use foray::StableHasher;
-use foray_workloads::{by_name, Params};
-use std::fs;
+use foray_workloads::{by_name, Params, MAX_SCALE};
+use std::fs::File;
+use std::io::{self, Read};
 
 /// Version tag mixed into every key; bump when key semantics change.
 pub const KEY_SCHEMA: &str = "foray-serve-key/v1";
@@ -51,14 +52,15 @@ pub struct ResolvedJob {
 
 /// Resolves a [`JobSpec`] to its cache key and run materials.
 ///
-/// This is where submit-time validation happens: unknown workload names
-/// and unreadable trace files are rejected here with typed
-/// [`ErrorCode::BadRequest`] errors, before anything is queued.
+/// This is where submit-time validation happens: unknown workload names,
+/// workload scales above [`MAX_SCALE`] and unreadable trace files are
+/// rejected here with typed [`ErrorCode::BadRequest`] errors, before
+/// anything is queued.
 ///
 /// # Errors
 ///
-/// [`ProtoError`] (`bad_request`) for unknown workloads or unreadable
-/// trace files.
+/// [`ProtoError`] (`bad_request`) for unknown workloads, oversized
+/// workload scales or unreadable trace files.
 pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
     if spec.kind == crate::protocol::JobKind::Dse && matches!(spec.input, JobInput::Trace(_)) {
         return Err(ProtoError::new(
@@ -72,6 +74,15 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
 
     let (source, canonical_inputs) = match &spec.input {
         JobInput::Workload(name) => {
+            if spec.scale > MAX_SCALE {
+                return Err(ProtoError::new(
+                    ErrorCode::BadRequest,
+                    format!(
+                        "scale {} is above the largest workload scale, {MAX_SCALE}",
+                        spec.scale
+                    ),
+                ));
+            }
             let w = by_name(name, Params { scale: spec.scale }).ok_or_else(|| {
                 ProtoError::new(ErrorCode::BadRequest, format!("unknown workload `{name}`"))
             })?;
@@ -79,12 +90,10 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
         }
         JobInput::Source(text) => (Some(canonicalize(text)), Vec::new()),
         JobInput::Trace(path) => {
-            let bytes = fs::read(path).map_err(|e| {
+            let digest = trace_digest(path).map_err(|e| {
                 ProtoError::new(ErrorCode::BadRequest, format!("cannot read trace `{path}`: {e}"))
             })?;
-            let mut th = StableHasher::new();
-            th.update(&bytes);
-            h.field_str("input.trace", &th.finish_hex());
+            h.field_str("input.trace", &digest);
             (None, Vec::new())
         }
     };
@@ -107,6 +116,22 @@ pub(crate) fn analyzer_config_for(spec: &JobSpec) -> foray::AnalyzerConfig {
     foray::AnalyzerConfig { sample: spec.sample, ..foray::AnalyzerConfig::default() }
 }
 
+/// Digests a trace file's content through one 64 KiB buffer, so a
+/// submit's memory stays bounded whatever the file's size.
+fn trace_digest(path: &str) -> io::Result<String> {
+    let mut file = File::open(path)?;
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut th = StableHasher::new();
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => return Ok(th.finish_hex()),
+            Ok(n) => th.update(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Normalizes line endings so the same program submitted from different
 /// platforms shares one cache entry.
 fn canonicalize(source: &str) -> String {
@@ -118,6 +143,7 @@ mod tests {
     use super::*;
     use crate::protocol::JobKind;
     use foray::{Engine, SampleSpec};
+    use std::fs;
 
     fn spec(input: JobInput) -> JobSpec {
         JobSpec { input, ..JobSpec::default() }
@@ -192,6 +218,24 @@ mod tests {
         fs::write(&p2, b"different bytes!").unwrap();
         let k3 = resolve(&spec(JobInput::Trace(p2.to_string_lossy().into_owned()))).unwrap().key;
         assert_ne!(k1, k3, "edited file: must miss");
+
+        // Files larger than the 64 KiB hashing buffer: the streamed digest
+        // equals a one-shot digest of the whole content, equal bytes share
+        // a key, and a one-byte edit past the first chunk moves it.
+        let big: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        fs::write(&p1, &big).unwrap();
+        fs::write(&p2, &big).unwrap();
+        let mut whole = StableHasher::new();
+        whole.update(&big);
+        assert_eq!(trace_digest(&p1.to_string_lossy()).unwrap(), whole.finish_hex());
+        let k1 = resolve(&spec(JobInput::Trace(p1.to_string_lossy().into_owned()))).unwrap().key;
+        let k2 = resolve(&spec(JobInput::Trace(p2.to_string_lossy().into_owned()))).unwrap().key;
+        assert_eq!(k1, k2, "same 200 KB of bytes, different path: must hit");
+        let mut edited = big;
+        edited[150_000] ^= 1;
+        fs::write(&p2, &edited).unwrap();
+        let k3 = resolve(&spec(JobInput::Trace(p2.to_string_lossy().into_owned()))).unwrap().key;
+        assert_ne!(k1, k3, "a byte edited past the first chunk: must miss");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -201,6 +245,15 @@ mod tests {
         assert_eq!(e.code, ErrorCode::BadRequest);
         let e = resolve(&spec(JobInput::Trace("/nonexistent/x.ftrace".into()))).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
+        for (name, scale) in [("lamec", 40), ("fftc", MAX_SCALE + 1), ("fftc", u32::MAX)] {
+            let mut huge = spec(JobInput::Workload(name.into()));
+            huge.scale = scale;
+            let e = resolve(&huge).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest, "{name} at scale {scale}");
+        }
+        let mut inline = spec(JobInput::Source("void main() { }".into()));
+        inline.scale = 40;
+        assert!(resolve(&inline).is_ok(), "source inputs ignore scale");
         let mut dse_trace = spec(JobInput::Trace("/tmp/x.ftrace".into()));
         dse_trace.kind = JobKind::Dse;
         let e = resolve(&dse_trace).unwrap_err();

@@ -3,9 +3,10 @@
 //!
 //! Submission path, in order:
 //!
-//! 1. **Validate + resolve** — unknown workloads / unreadable traces are
-//!    rejected with typed errors before anything is queued; the
-//!    content-addressed key is computed ([`crate::key`]).
+//! 1. **Validate + resolve** — unknown workloads, oversized workload
+//!    scales and unreadable traces are rejected with typed errors before
+//!    anything is queued; the content-addressed key is computed
+//!    ([`crate::key`]).
 //! 2. **Cache** — a hit answers instantly with a job that is born `done`.
 //! 3. **Dedupe** — a submission whose key is already queued or running is
 //!    coalesced onto the in-flight job: same job id back, one compute,
@@ -75,18 +76,15 @@ pub struct Submitted {
     pub key: String,
 }
 
+/// A job record. Only a queued job holds its resolved program; the worker
+/// that claims it takes the program, and a finished or cache-hit record
+/// keeps just its state and result.
 #[derive(Debug)]
 enum JobState {
-    Queued,
+    Queued(ResolvedJob),
     Running,
     Done { hit: bool, result: Arc<str> },
     Failed(String),
-}
-
-#[derive(Debug)]
-struct JobRecord {
-    resolved: ResolvedJob,
-    state: JobState,
 }
 
 /// Max-heap entry: highest priority first, then FIFO by sequence.
@@ -122,7 +120,7 @@ struct Counters {
 
 struct State {
     queue: BinaryHeap<QueueEntry>,
-    jobs: HashMap<u64, JobRecord>,
+    jobs: HashMap<u64, JobState>,
     in_flight: HashMap<String, u64>,
     cache: ResultCache,
     counters: Counters,
@@ -186,9 +184,10 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Typed [`ProtoError`]: `bad_request` (unknown workload, unreadable
-    /// trace, dse-over-trace), `shutting_down`, or `queue_full` (with a
-    /// retry hint).
+    /// Typed [`ProtoError`]: `bad_request` (unknown workload, workload
+    /// scale above [`foray_workloads::MAX_SCALE`], unreadable trace,
+    /// dse-over-trace), `shutting_down`, or `queue_full` (with a retry
+    /// hint).
     pub fn submit(&self, spec: &JobSpec) -> Result<Submitted, ProtoError> {
         // Resolution does IO (trace hashing) — keep it outside the lock.
         let resolved = resolve(spec)?;
@@ -205,7 +204,7 @@ impl Server {
             st.counters.cache_hits += 1;
             let id = st.next_id;
             st.next_id += 1;
-            st.jobs.insert(id, JobRecord { resolved, state: JobState::Done { hit: true, result } });
+            st.jobs.insert(id, JobState::Done { hit: true, result });
             return Ok(Submitted { job: format!("j{id}"), hit: true, key });
         }
         if let Some(&id) = st.in_flight.get(&key) {
@@ -225,7 +224,7 @@ impl Server {
         st.next_id += 1;
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.jobs.insert(id, JobRecord { resolved, state: JobState::Queued });
+        st.jobs.insert(id, JobState::Queued(resolved));
         st.in_flight.insert(key.clone(), id);
         st.queue.push(QueueEntry { priority: spec.priority, seq, id });
         drop(st);
@@ -247,16 +246,16 @@ impl Server {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut st = self.shared.lock();
         loop {
-            let rec = st
+            let state = st
                 .jobs
                 .get(&id)
                 .ok_or_else(|| ProtoError::new(ErrorCode::UnknownJob, format!("no job `{job}`")))?;
-            match &rec.state {
+            match state {
                 JobState::Done { hit, result } => return Ok((*hit, Arc::clone(result))),
                 JobState::Failed(msg) => {
                     return Err(ProtoError::new(ErrorCode::JobFailed, msg.clone()))
                 }
-                JobState::Queued | JobState::Running => {}
+                JobState::Queued(_) | JobState::Running => {}
             }
             st = match deadline {
                 None => {
@@ -288,12 +287,12 @@ impl Server {
     pub fn poll(&self, job: &str) -> Result<&'static str, ProtoError> {
         let id = parse_job_id(job)?;
         let st = self.shared.lock();
-        let rec = st
+        let state = st
             .jobs
             .get(&id)
             .ok_or_else(|| ProtoError::new(ErrorCode::UnknownJob, format!("no job `{job}`")))?;
-        Ok(match rec.state {
-            JobState::Queued => "queued",
+        Ok(match state {
+            JobState::Queued(_) => "queued",
             JobState::Running => "running",
             JobState::Done { .. } => "done",
             JobState::Failed(_) => "failed",
@@ -441,14 +440,17 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Pops the highest-priority job and marks it running — one atomic step
-/// under the lock, so a drain check never sees a popped-but-unmarked job.
+/// Pops the highest-priority job, marks it running and takes its program
+/// out of the record — one atomic step under the lock, so a drain check
+/// never sees a popped-but-unmarked job.
 fn claim_next(st: &mut State) -> Option<(u64, ResolvedJob)> {
     let id = st.queue.pop()?.id;
-    let rec = st.jobs.get_mut(&id).expect("queued job has a record");
-    rec.state = JobState::Running;
+    let state = st.jobs.get_mut(&id).expect("queued job has a record");
+    let JobState::Queued(resolved) = std::mem::replace(state, JobState::Running) else {
+        unreachable!("a job in the queue is in the Queued state")
+    };
     st.running += 1;
-    Some((id, rec.resolved.clone()))
+    Some((id, resolved))
 }
 
 /// Computes a claimed job unlocked, then publishes the result (into the
@@ -463,14 +465,14 @@ fn run_claimed(shared: &Arc<Shared>, id: u64, resolved: &ResolvedJob) {
             let result: Arc<str> = Arc::from(text);
             st.cache.insert(&resolved.key, Arc::clone(&result));
             st.counters.computed += 1;
-            if let Some(rec) = st.jobs.get_mut(&id) {
-                rec.state = JobState::Done { hit: false, result };
+            if let Some(state) = st.jobs.get_mut(&id) {
+                *state = JobState::Done { hit: false, result };
             }
         }
         Err(msg) => {
             st.counters.failed += 1;
-            if let Some(rec) = st.jobs.get_mut(&id) {
-                rec.state = JobState::Failed(msg);
+            if let Some(state) = st.jobs.get_mut(&id) {
+                *state = JobState::Failed(msg);
             }
         }
     }

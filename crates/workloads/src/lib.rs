@@ -116,23 +116,37 @@ impl Workload {
     }
 }
 
+/// The largest [`Params::scale`] a service should build a workload at.
+/// `fftc`'s transform size doubles per step: its source is about 4.9 MB
+/// at scale 8 and 24 MB at scale 10, and at scale 40 its allocation
+/// aborts the process.
+pub const MAX_SCALE: u32 = 8;
+
+/// Builds one workload at the given size.
+type Builder = fn(Params) -> Workload;
+
+/// Every workload's name and builder, in registry order. [`all`] and
+/// [`by_name`] both walk this one table.
+const REGISTRY: &[(&str, Builder)] = &[
+    ("jpegc", jpegc::workload),
+    ("lamec", lamec::workload),
+    ("susanc", susanc::workload),
+    ("fftc", fftc::workload),
+    ("gsmc", gsmc::workload),
+    ("adpcmc", adpcmc::workload),
+    ("histoc", histoc::workload),
+];
+
 /// All workloads at the given size: the six MiBench analogues plus the
 /// data-dependent irregular probe (`histoc`).
 pub fn all(params: Params) -> Vec<Workload> {
-    vec![
-        jpegc::workload(params),
-        lamec::workload(params),
-        susanc::workload(params),
-        fftc::workload(params),
-        gsmc::workload(params),
-        adpcmc::workload(params),
-        histoc::workload(params),
-    ]
+    REGISTRY.iter().map(|(_, build)| build(params)).collect()
 }
 
-/// Looks a workload up by name.
+/// Builds the workload called `name` at the given size, running only that
+/// workload's builder; `None` for an unknown name.
 pub fn by_name(name: &str, params: Params) -> Option<Workload> {
-    all(params).into_iter().find(|w| w.name == name)
+    REGISTRY.iter().find(|(n, _)| *n == name).map(|(_, build)| build(params))
 }
 
 #[cfg(test)]
@@ -145,8 +159,15 @@ mod tests {
         assert_eq!(ws.len(), 7);
         let names: Vec<&str> = ws.iter().map(|w| w.name).collect();
         assert_eq!(names, vec!["jpegc", "lamec", "susanc", "fftc", "gsmc", "adpcmc", "histoc"]);
-        for n in names {
-            assert!(by_name(n, Params::default()).is_some());
+        for scale in [1, 2] {
+            let params = Params { scale };
+            for w in all(params) {
+                let b = by_name(w.name, params)
+                    .unwrap_or_else(|| panic!("{} missing from by_name", w.name));
+                assert_eq!(b.name, w.name, "the table's name and builder disagree");
+                assert_eq!(b.source, w.source, "{} at scale {scale}", w.name);
+                assert_eq!(b.inputs, w.inputs, "{} at scale {scale}", w.name);
+            }
         }
         assert!(by_name("nope", Params::default()).is_none());
     }
