@@ -1,10 +1,10 @@
-//! Reference-lookup ablation: dense dispatch vs hash table vs linear scan.
+//! Reference-lookup ablation: dense dispatch vs hash table.
 //!
 //! Section 4: "the complexity of the Algorithms 2 and 3 is constant on
 //! average **if we use hash tables** for the searches". This bench puts
 //! many distinct references into one loop node and compares the default
-//! dense instruction-indexed tables against the paper's hash-map lookup
-//! and a per-node linear scan.
+//! successor predictor and dense instruction-indexed tables against the
+//! paper's hash-map lookup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use foray::{analyze_with, AnalyzerConfig, LookupStrategy};
@@ -36,11 +36,7 @@ fn bench_lookup(c: &mut Criterion) {
         let trace = wide_body_trace(refs, 2048 / refs.max(1));
         let accesses = trace.iter().filter(|r| matches!(r, Record::Access(_))).count() as u64;
         group.throughput(Throughput::Elements(accesses));
-        for (name, strategy) in [
-            ("dense", LookupStrategy::Dense),
-            ("hash", LookupStrategy::Hash),
-            ("linear", LookupStrategy::Linear),
-        ] {
+        for (name, strategy) in [("dense", LookupStrategy::Dense), ("hash", LookupStrategy::Hash)] {
             group.bench_with_input(BenchmarkId::new(name, refs), &trace, |b, t| {
                 let config = AnalyzerConfig {
                     lookup: strategy,

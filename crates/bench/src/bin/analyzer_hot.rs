@@ -3,14 +3,14 @@
 //! Measures what online analysis adds to a profiling run, on the path
 //! users run: the whole [`foray::ForayGen`] pipeline (profile with the
 //! online analyzer as the VM's only sink, then extract, emit and hints),
-//! with dense instruction-indexed dispatch vs the legacy hash lookup. One
+//! with dense instruction-indexed dispatch vs the paper's hash lookup. One
 //! workload is measured three ways:
 //!
 //! * **bare** — simulation into a [`minic_trace::NullSink`]: the floor;
-//! * **seq-hash** — `ForayGen` with [`LookupStrategy::Hash`], the
-//!   pre-overhaul hot path;
+//! * **seq-hash** — `ForayGen` with [`LookupStrategy::Hash`], one hash
+//!   probe per access;
 //! * **sequential** — `ForayGen` with the default
-//!   [`LookupStrategy::Dense`] tables and last-instruction memo.
+//!   [`LookupStrategy::Dense`] successor predictor and tables.
 //!
 //! Both analysis rows are asserted byte-identical before anything is
 //! reported. Writes a machine-readable `foray-analyzer-bench/v2` JSON

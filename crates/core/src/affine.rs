@@ -40,6 +40,28 @@ use crate::footprint::Footprint;
 /// A coefficient: `None` is the paper's `UNKNOWN`.
 pub type Coeff = Option<i64>;
 
+/// The current execution's iterator values, as the shared Step 3 and
+/// Step 6 code reads them.
+#[derive(Debug, Clone, Copy)]
+enum Iters<'a> {
+    /// The whole vector, innermost first.
+    All(&'a [i64]),
+    /// The innermost iterator; every outer one still equals its `ITP`.
+    Inner(i64),
+}
+
+impl Iters<'_> {
+    /// Iterator `i`'s current value, given the previous values `itp`.
+    #[inline]
+    fn lane(self, i: usize, itp: &[i64]) -> i64 {
+        match self {
+            Iters::All(v) => v[i],
+            Iters::Inner(it) if i == 0 => it,
+            Iters::Inner(_) => itp[i],
+        }
+    }
+}
+
 /// Incremental affine model of one static memory reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AffineState {
@@ -109,93 +131,122 @@ impl AffineState {
     #[allow(clippy::needless_range_loop)]
     pub fn observe(&mut self, iters: &[i64], addr: u32) {
         assert_eq!(iters.len(), self.n as usize, "iterator vector must match nest level");
+        self.count(addr);
+        let ind = addr as i64;
+        if !self.non_analyzable {
+            // Step 2 fused with an incremental Step 5: one pass counts the
+            // unknown-coefficient iterators that changed (`h`, Step 2) while
+            // accumulating the known-coefficient prediction delta. Invariant:
+            // whenever the reference is analyzable, the previous Step 5/6 left
+            // `KONST + Σ_known C_i·ITP_i == INDP` (a correct prediction ends
+            // there by definition; a misprediction re-bases KONST to restore
+            // it), so the paper's `INDC = KONST + Σ C_i·IT_i` equals
+            // `INDP + Σ_known C_i·(IT_i − ITP_i)` exactly.
+            let mut h = 0u32;
+            let mut k = usize::MAX;
+            let mut dpred = 0i64;
+            for i in 0..self.n as usize {
+                let d = iters[i] - self.itp[i];
+                if d != 0 {
+                    match self.coeffs[i] {
+                        Some(c) => dpred += c * d,
+                        None => {
+                            h += 1;
+                            k = i;
+                        }
+                    }
+                }
+            }
+            match h {
+                0 => {
+                    // No unknowns changed: predict incrementally (Step 5)
+                    // and re-base on a miss (Step 6).
+                    let indc = self.indp + dpred;
+                    if indc != ind {
+                        self.mispredict(Iters::All(iters), ind, indc);
+                    }
+                }
+                1 => self.solve(Iters::All(iters), k, dpred, ind),
+                // Step 4: several unknowns changed at once — give up.
+                _ => self.non_analyzable = true,
+            }
+        }
+        self.itp.copy_from_slice(iters);
+        self.indp = ind;
+    }
+
+    /// [`AffineState::observe`] for an execution whose outer iterators all
+    /// equal their `ITP`: only the innermost iterator, `it`, may have
+    /// changed, so Steps 2–6 run on lane 0 alone. This is the analyzer's
+    /// per-access hot path.
+    pub(crate) fn observe_inner(&mut self, it: i64, addr: u32) {
+        debug_assert!(self.n > 0, "the innermost iterator needs a loop");
+        self.count(addr);
+        let ind = addr as i64;
+        if !self.non_analyzable {
+            let d = it - self.itp[0];
+            match self.coeffs[0] {
+                Some(c) => {
+                    let indc = self.indp + c * d;
+                    if indc != ind {
+                        self.mispredict(Iters::Inner(it), ind, indc);
+                    }
+                }
+                None if d == 0 => {
+                    if self.indp != ind {
+                        self.mispredict(Iters::Inner(it), ind, self.indp);
+                    }
+                }
+                None => self.solve(Iters::Inner(it), 0, 0, ind),
+            }
+        }
+        self.itp[0] = it;
+        self.indp = ind;
+    }
+
+    /// Counts one execution and its address.
+    #[inline]
+    fn count(&mut self, addr: u32) {
         self.execs += 1;
         if let Some(fp) = self.footprint.as_mut() {
             fp.insert(addr);
         }
-        if self.non_analyzable {
-            self.itp.copy_from_slice(iters);
-            self.indp = addr as i64;
+    }
+
+    /// Step 3: solves `C_k`, the one unknown coefficient whose iterator
+    /// changed, from the address delta; `dpred` is the compensation term
+    /// ADJ (changed iterators with known coefficients — unknowns contribute
+    /// nothing to it). Then Step 5 in full: the just-solved coefficient was
+    /// not part of the invariant sum, so the incremental form does not
+    /// apply on this execution. Runs at most once per coefficient.
+    #[cold]
+    fn solve(&mut self, iters: Iters<'_>, k: usize, dpred: i64, ind: i64) {
+        let num = ind - dpred - self.indp;
+        let den = iters.lane(k, &self.itp) - self.itp[k];
+        debug_assert_ne!(den, 0);
+        if num % den != 0 {
+            self.non_analyzable = true;
             return;
         }
-        let ind = addr as i64;
-
-        // Step 2 fused with an incremental Step 5: one pass counts the
-        // unknown-coefficient iterators that changed (`h`, Step 2) while
-        // accumulating the known-coefficient prediction delta. Invariant:
-        // whenever the reference is analyzable, the previous Step 5/6 left
-        // `KONST + Σ_known C_i·ITP_i == INDP` (a correct prediction ends
-        // there by definition; a misprediction re-bases KONST to restore
-        // it), so the paper's `INDC = KONST + Σ C_i·IT_i` equals
-        // `INDP + Σ_known C_i·(IT_i − ITP_i)` exactly.
-        let mut h = 0u32;
-        let mut k = usize::MAX;
-        let mut dpred = 0i64;
-        for i in 0..self.n as usize {
-            let d = iters[i] - self.itp[i];
-            if d != 0 {
-                match self.coeffs[i] {
-                    Some(c) => dpred += c * d,
-                    None => {
-                        h += 1;
-                        k = i;
-                    }
-                }
+        self.coeffs[k] = Some(num / den);
+        let mut indc = self.konst;
+        for (i, c) in self.coeffs.iter().enumerate() {
+            if let Some(c) = c {
+                indc += c * iters.lane(i, &self.itp);
             }
         }
-
-        match h {
-            0 => {
-                // No unknowns changed: predict incrementally (Step 5) and
-                // re-base on a miss (Step 6). This is the per-access hot
-                // path; everything below runs at most once per coefficient.
-                let indc = self.indp + dpred;
-                if indc != ind {
-                    self.mispredict(iters, ind, indc);
-                }
-            }
-            1 => {
-                // Step 3: solve C_k from the delta; `dpred` already holds
-                // the compensation term ADJ (changed iterators with known
-                // coefficients — unknowns contribute nothing to it).
-                let num = ind - dpred - self.indp;
-                let den = iters[k] - self.itp[k];
-                debug_assert_ne!(den, 0);
-                if num % den == 0 {
-                    self.coeffs[k] = Some(num / den);
-                    // Step 5 in full: the just-solved coefficient was not
-                    // part of the invariant sum, so the incremental form
-                    // does not apply on this execution.
-                    let mut indc = self.konst;
-                    for i in 0..self.n as usize {
-                        if let Some(c) = self.coeffs[i] {
-                            indc += c * iters[i];
-                        }
-                    }
-                    if indc != ind {
-                        self.mispredict(iters, ind, indc);
-                    }
-                } else {
-                    self.non_analyzable = true;
-                }
-            }
-            _ => {
-                // Step 4: several unknowns changed at once — give up.
-                self.non_analyzable = true;
-            }
+        if indc != ind {
+            self.mispredict(iters, ind, indc);
         }
-
-        self.itp.copy_from_slice(iters);
-        self.indp = ind;
     }
 
     /// Step 6: re-base CONST and shrink the partial window to the
     /// iterators that changed in *every* misprediction so far.
     #[cold]
-    fn mispredict(&mut self, iters: &[i64], ind: i64, indc: i64) {
+    fn mispredict(&mut self, iters: Iters<'_>, ind: i64, indc: i64) {
         self.mispredictions += 1;
-        for (i, (&it, &itp)) in iters.iter().zip(&self.itp).enumerate().take(self.n as usize) {
-            if it == itp {
+        for i in 0..self.n as usize {
+            if iters.lane(i, &self.itp) == self.itp[i] {
                 self.s[i] = true;
             }
         }

@@ -22,19 +22,20 @@ use std::collections::HashMap;
 /// the searches"; we go one step further: the simulator's instruction
 /// addresses are *dense* (user sites at `CODE_BASE + 4·site`, library and
 /// frame sites likewise stride-packed), so [`LookupStrategy::Dense`] — the
-/// default — replaces the hash with a bounds-checked array index plus a
-/// last-instruction memo. [`LookupStrategy::Hash`] (the paper's choice) and
-/// [`LookupStrategy::Linear`] remain for the `lookup_ablation` bench.
+/// default — replaces the hash with a bounds-checked array index, fronted
+/// by a successor predictor: each reference remembers the reference that
+/// followed it, and that one is checked first. [`LookupStrategy::Hash`]
+/// (the paper's choice, one probe per access) remains for the
+/// `lookup_ablation` bench and `analyzer_hot`'s seq-hash row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LookupStrategy {
-    /// Instruction-indexed side tables (dense synthetic address ranges)
-    /// with a spill hash for unaligned or out-of-range addresses.
+    /// Successor predictor, then instruction-indexed side tables (dense
+    /// synthetic address ranges) with a spill hash for unaligned or
+    /// out-of-range addresses.
     #[default]
     Dense,
     /// Hash map keyed by `(node, instruction)` — the paper's choice.
     Hash,
-    /// Linear scan of the current node's reference list.
-    Linear,
 }
 
 /// Per-range slot cap for the dense tables (256 Ki slots ≈ 2 MiB fully
@@ -155,21 +156,71 @@ impl DenseTables {
     }
 }
 
-/// The last resolved access: hot loops hammer one instruction from one
-/// tree position, so this answers most lookups with two compares.
+/// Marks "no reference" in the predictor's links; it can never index
+/// `Analyzer::refs`.
+const NO_REF: u32 = u32::MAX;
+
+/// A reference's access-path state, parallel to `Analyzer::refs` and kept
+/// out of [`RefRecord`].
 #[derive(Debug, Clone, Copy)]
-struct LastMemo {
-    instr: u32,
-    node: NodeId,
-    index: u32,
+struct Link {
+    /// The reference whose access followed this one's last time
+    /// ([`NO_REF`] until one has).
+    next: u32,
+    /// Loop-tree tick at this reference's previous execution.
+    last: u64,
 }
 
-impl Default for LastMemo {
+/// The successor predictor's cursor.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    /// The reference of the previous access.
+    prev: u32,
+    /// Its successor last time: the guess for the next access.
+    guess: u32,
+}
+
+impl Default for Cursor {
     fn default() -> Self {
-        // `u32::MAX` is unaligned, so it can never equal a dense-range
-        // instruction, and `NodeId(u32::MAX)` never names a real node —
-        // the memo starts inert without an `Option` on the hot path.
-        LastMemo { instr: u32::MAX, node: NodeId(u32::MAX), index: u32::MAX }
+        Cursor { prev: NO_REF, guess: NO_REF }
+    }
+}
+
+/// Deterministic counts of the analyzer's work off the per-access fast
+/// path: a typical access hits the successor predictor and observes only
+/// its innermost iterator, and counts nothing but `accesses`. The counts
+/// are a pure function of the record stream and the configuration; they
+/// never enter an [`Analysis`], output bytes or cache keys.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AnalyzerCounters {
+    /// Accesses analyzed (sampled-out accesses excluded).
+    pub accesses: u64,
+    /// Accesses whose reference was looked up in the table: predictor
+    /// misses under [`LookupStrategy::Dense`], every access under
+    /// [`LookupStrategy::Hash`]. Includes the lookups that created a
+    /// reference.
+    pub table_lookups: u64,
+    /// Accesses that ran Algorithm 3 over the whole iterator vector
+    /// because an enclosing loop's iterator changed since the reference
+    /// last ran (or the reference sits at the root).
+    pub full_observes: u64,
+    /// Times the iterator vector was collected from the loop tree: at most
+    /// once per checkpoint interval, and only for full observes and new
+    /// references.
+    pub iterator_collections: u64,
+    /// References created.
+    pub refs_created: u64,
+}
+
+impl AnalyzerCounters {
+    /// Accesses whose reference the successor predictor named.
+    pub fn predictor_hits(&self) -> u64 {
+        self.accesses - self.table_lookups
+    }
+
+    /// Accesses that ran Algorithm 3 on the innermost iterator alone.
+    pub fn inner_observes(&self) -> u64 {
+        self.accesses - self.full_observes - self.refs_created
     }
 }
 
@@ -245,19 +296,18 @@ pub struct RefRecord {
 pub struct Analyzer {
     tree: LoopTree,
     refs: Vec<RefRecord>,
+    links: Vec<Link>,
+    cursor: Cursor,
     dense: DenseTables,
-    memo: LastMemo,
-    by_key: HashMap<(NodeId, InstrAddr), usize>,
-    by_node: HashMap<NodeId, Vec<usize>>,
+    by_key: HashMap<(NodeId, InstrAddr), u32>,
     config: AnalyzerConfig,
     sample: SampleState,
     iters_buf: Vec<i64>,
-    /// Whether `iters_buf` holds the current node's iterator vector. The
-    /// walker only moves — and iterators only change — at checkpoints, so
-    /// the vector is computed once per checkpoint interval instead of once
-    /// per access.
+    /// Whether `iters_buf` holds the current node's iterator vector. Every
+    /// checkpoint invalidates it; it is collected again on demand, at most
+    /// once per checkpoint interval.
     iters_valid: bool,
-    accesses: u64,
+    counters: AnalyzerCounters,
 }
 
 impl Analyzer {
@@ -279,9 +329,14 @@ impl Analyzer {
         }
     }
 
+    /// Counts of the work done off the per-access fast path so far.
+    pub fn counters(&self) -> AnalyzerCounters {
+        self.counters
+    }
+
     /// Finishes analysis, yielding the immutable results.
     pub fn into_analysis(self) -> Analysis {
-        Analysis { tree: self.tree, refs: self.refs, accesses: self.accesses }
+        Analysis { tree: self.tree, refs: self.refs, accesses: self.counters.accesses }
     }
 
     fn on_checkpoint(&mut self, loop_id: LoopId, kind: CheckpointKind) {
@@ -300,88 +355,108 @@ impl Analyzer {
         if !self.sample.accept(a) {
             return;
         }
-        self.accesses += 1;
+        self.counters.accesses += 1;
         let node = self.tree.current();
-        if !self.iters_valid {
-            self.iters_buf.clear();
-            collect_iters(&self.tree, node, &mut self.iters_buf);
-            self.iters_valid = true;
-        }
-        let idx = match self.config.lookup {
-            LookupStrategy::Dense => {
-                if self.memo.instr == a.instr.0 && self.memo.node == node {
-                    Some(self.memo.index as usize)
-                } else {
-                    let found = self.dense.get(a.instr.0, node);
-                    if let Some(index) = found {
-                        self.memo = LastMemo { instr: a.instr.0, node, index };
-                    }
-                    found.map(|i| i as usize)
-                }
-            }
-            LookupStrategy::Hash => self.by_key.get(&(node, a.instr)).copied(),
-            LookupStrategy::Linear => self
-                .by_node
-                .get(&node)
-                .and_then(|v| v.iter().copied().find(|&i| self.refs[i].instr == a.instr)),
+        // The successor predictor: a hit names the reference without a
+        // table lookup. Under `Hash` no successor is ever recorded, so the
+        // guess is always `NO_REF` and every access probes the hash.
+        let guess = self.cursor.guess;
+        let i = match self.refs.get(guess as usize) {
+            Some(r) if r.instr == a.instr && r.node == node => guess,
+            _ => match self.lookup(a.instr, node) {
+                Some(i) => i,
+                None => return self.create(a, node),
+            },
         };
-        match idx {
-            Some(i) => {
-                let rec = &mut self.refs[i];
-                rec.state.observe(&self.iters_buf, a.addr.0);
-                match a.kind {
-                    AccessKind::Read => rec.reads += 1,
-                    AccessKind::Write => rec.writes += 1,
-                }
-            }
-            None => {
-                let depth = self.tree.node(node).depth;
-                let state = AffineState::first(
-                    depth,
-                    &self.iters_buf,
-                    a.addr.0,
-                    self.config.track_footprint,
-                );
-                let (mut reads, mut writes) = (0, 0);
-                match a.kind {
-                    AccessKind::Read => reads = 1,
-                    AccessKind::Write => writes = 1,
-                }
-                let i = self.refs.len();
-                self.refs.push(RefRecord {
-                    instr: a.instr,
-                    node,
-                    state,
-                    reads,
-                    writes,
-                    class: RefClass::of(a.instr),
-                });
-                match self.config.lookup {
-                    LookupStrategy::Dense => {
-                        self.dense.insert(a.instr.0, node, i as u32);
-                        self.memo = LastMemo { instr: a.instr.0, node, index: i as u32 };
-                    }
-                    LookupStrategy::Hash => {
-                        self.by_key.insert((node, a.instr), i);
-                    }
-                    LookupStrategy::Linear => {
-                        self.by_node.entry(node).or_default().push(i);
-                    }
-                }
-            }
+        let iu = i as usize;
+        // The stamp test makes the innermost-only observe exact: no outer
+        // iterator moved since this reference's previous execution.
+        let inner = self.tree.inner_iter_since(self.links[iu].last);
+        if inner.is_none() {
+            self.collect_iters();
+            self.counters.full_observes += 1;
+        }
+        let rec = &mut self.refs[iu];
+        match inner {
+            Some(it) => rec.state.observe_inner(it, a.addr.0),
+            None => rec.state.observe(&self.iters_buf, a.addr.0),
+        }
+        match a.kind {
+            AccessKind::Read => rec.reads += 1,
+            AccessKind::Write => rec.writes += 1,
+        }
+        let link = &mut self.links[iu];
+        link.last = self.tree.tick();
+        self.cursor = Cursor { prev: i, guess: link.next };
+    }
+
+    /// The lookup-table path: finds `(instr, node)`'s reference and, if it
+    /// exists, records it as the previous access's successor.
+    fn lookup(&mut self, instr: InstrAddr, node: NodeId) -> Option<u32> {
+        self.counters.table_lookups += 1;
+        let found = match self.config.lookup {
+            LookupStrategy::Dense => self.dense.get(instr.0, node),
+            LookupStrategy::Hash => self.by_key.get(&(node, instr)).copied(),
+        };
+        if let Some(i) = found {
+            self.set_successor(i);
+        }
+        found
+    }
+
+    /// Records reference `i` as the successor of the previous access's
+    /// reference (the predictor runs under [`LookupStrategy::Dense`] only).
+    fn set_successor(&mut self, i: u32) {
+        if self.config.lookup != LookupStrategy::Dense {
+            return;
+        }
+        if let Some(link) = self.links.get_mut(self.cursor.prev as usize) {
+            link.next = i;
         }
     }
-}
 
-fn collect_iters(tree: &LoopTree, node: NodeId, buf: &mut Vec<i64>) {
-    // Innermost first, matching `LoopTree::iterators` without allocating.
-    let mut cur = Some(node);
-    while let Some(nid) = cur {
-        let n = tree.node(nid);
-        if n.loop_id.is_some() {
-            buf.push(n.iter);
+    /// Collects the current node's iterator vector unless this checkpoint
+    /// interval already did.
+    fn collect_iters(&mut self) {
+        if !self.iters_valid {
+            self.iters_buf.clear();
+            self.tree.iterators_into(self.tree.current(), &mut self.iters_buf);
+            self.iters_valid = true;
+            self.counters.iterator_collections += 1;
         }
-        cur = n.parent;
+    }
+
+    /// First execution of `(a.instr, node)`: a new reference.
+    #[cold]
+    fn create(&mut self, a: &Access, node: NodeId) {
+        self.collect_iters();
+        self.counters.refs_created += 1;
+        let depth = self.tree.node(node).depth;
+        let state =
+            AffineState::first(depth, &self.iters_buf, a.addr.0, self.config.track_footprint);
+        let (mut reads, mut writes) = (0, 0);
+        match a.kind {
+            AccessKind::Read => reads = 1,
+            AccessKind::Write => writes = 1,
+        }
+        let i = self.refs.len() as u32;
+        self.refs.push(RefRecord {
+            instr: a.instr,
+            node,
+            state,
+            reads,
+            writes,
+            class: RefClass::of(a.instr),
+        });
+        self.links.push(Link { next: NO_REF, last: self.tree.tick() });
+        match self.config.lookup {
+            LookupStrategy::Dense => self.dense.insert(a.instr.0, node, i),
+            LookupStrategy::Hash => {
+                self.by_key.insert((node, a.instr), i);
+            }
+        }
+        self.set_successor(i);
+        self.cursor = Cursor { prev: i, guess: NO_REF };
     }
 }
 
@@ -550,11 +625,11 @@ mod tests {
     fn all_lookup_strategies_agree() {
         let trace = figure4_trace();
         let dense = analyze_with(&trace, AnalyzerConfig::default());
-        for lookup in [LookupStrategy::Hash, LookupStrategy::Linear] {
-            let other =
-                analyze_with(&trace, AnalyzerConfig { lookup, ..AnalyzerConfig::default() });
-            assert_eq!(dense, other, "{lookup:?} diverged from Dense");
-        }
+        let hash = analyze_with(
+            &trace,
+            AnalyzerConfig { lookup: LookupStrategy::Hash, ..AnalyzerConfig::default() },
+        );
+        assert_eq!(dense, hash, "Hash diverged from Dense");
     }
 
     /// Unaligned and out-of-range instruction addresses can never use a

@@ -70,7 +70,7 @@ pub mod srcmap;
 pub use affine::AffineState;
 pub use analyzer::{
     analyze, analyze_source, analyze_source_with, analyze_with, Analysis, Analyzer, AnalyzerConfig,
-    LookupStrategy, RefClass, RefRecord,
+    AnalyzerCounters, LookupStrategy, RefClass, RefRecord,
 };
 pub use batch::{
     analyze_batch, analyze_trace_files, map_ordered, parse_thread_override, resolve_workers,

@@ -15,6 +15,10 @@
 //! called from two different places grows two separate subtrees for the same
 //! static loop — the paper's "functions appear to be inlined" property
 //! (Section 4), which also powers the inlining hints.
+//!
+//! The tree also stamps every iterator change with a tick, so the analyzer
+//! can tell in O(1) whether any loop enclosing the current node moved since
+//! a reference last ran (see `LoopTree::inner_iter_since`).
 
 use minic::{CheckpointKind, LoopId};
 
@@ -85,12 +89,37 @@ impl Node {
     }
 }
 
+/// Iterator-change stamps of one node, parallel to the node arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stamp {
+    /// Tick of this node's own last iterator change.
+    changed: u64,
+    /// Largest `changed` among the node's strict ancestors. Set when the
+    /// walker lands on the node, and valid while the node is on the
+    /// walker's path: an ancestor's iterator only changes when the walker
+    /// lands on that ancestor, which takes this node off the path.
+    outer: u64,
+}
+
 /// The reconstructed loop tree and the walking pointer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LoopTree {
     nodes: Vec<Node>,
     current: NodeId,
+    /// Iterator changes so far; bumped once per LoopBegin or BodyBegin.
+    tick: u64,
+    stamps: Vec<Stamp>,
 }
+
+/// Two trees are equal when their structure, statistics and walker
+/// position are; the change stamps are walk bookkeeping and stay out.
+impl PartialEq for LoopTree {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.current == other.current
+    }
+}
+
+impl Eq for LoopTree {}
 
 impl Default for LoopTree {
     fn default() -> Self {
@@ -101,7 +130,12 @@ impl Default for LoopTree {
 impl LoopTree {
     /// Creates a tree containing only the root.
     pub fn new() -> Self {
-        LoopTree { nodes: vec![Node::new(None, None, 0)], current: ROOT }
+        LoopTree {
+            nodes: vec![Node::new(None, None, 0)],
+            current: ROOT,
+            tick: 0,
+            stamps: vec![Stamp::default()],
+        }
     }
 
     /// The node the walker is currently at (where the next memory access
@@ -138,6 +172,12 @@ impl LoopTree {
     /// first** (the paper's `IT1..ITN` for a reference attached at `id`).
     pub fn iterators(&self, id: NodeId) -> Vec<i64> {
         let mut out = Vec::new();
+        self.iterators_into(id, &mut out);
+        out
+    }
+
+    /// Appends [`LoopTree::iterators`]`(id)` to `out` without allocating.
+    pub(crate) fn iterators_into(&self, id: NodeId, out: &mut Vec<i64>) {
         let mut cur = Some(id);
         while let Some(nid) = cur {
             let node = self.node(nid);
@@ -146,7 +186,32 @@ impl LoopTree {
             }
             cur = node.parent;
         }
-        out
+    }
+
+    /// Iterator changes so far: the tick that stamps the next access.
+    pub(crate) fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// The current node's own iterator, if the walker is inside a loop and
+    /// no enclosing loop's iterator changed after tick `since`. A reference
+    /// at the current node that last ran at `since` then sees every outer
+    /// iterator equal to its previous value, so Algorithm 3 needs only this
+    /// one.
+    #[inline]
+    pub(crate) fn inner_iter_since(&self, since: u64) -> Option<i64> {
+        let cur = self.current.0 as usize;
+        (cur != ROOT.0 as usize && self.stamps[cur].outer <= since).then(|| self.nodes[cur].iter)
+    }
+
+    /// Lands the walker on `id` after its iterator changed: stamps the
+    /// change and takes `outer` from the parent, which is on the path.
+    fn land(&mut self, id: NodeId) {
+        self.tick += 1;
+        let parent = self.node(id).parent.unwrap_or(ROOT);
+        let p = self.stamps[parent.0 as usize];
+        self.stamps[id.0 as usize] = Stamp { changed: self.tick, outer: p.changed.max(p.outer) };
+        self.current = id;
     }
 
     /// The chain of loop ids from `id` up to the root, innermost first.
@@ -194,6 +259,21 @@ impl LoopTree {
     /// Accesses between body-end and the next body-begin (loop conditions,
     /// `for` steps) therefore attribute to the parent, which matches where
     /// the paper's annotator places its checkpoints.
+    ///
+    /// On unbalanced input the walker lands as follows (no checkpoint is
+    /// ever rejected):
+    ///
+    /// * *loop-begin* always lands on the child of the current node, so a
+    ///   loop entered again without exiting nests under itself;
+    /// * *body-begin* walks up from the current node to the first node that
+    ///   is the named loop or has it as a child, and lands on that node or
+    ///   that child. With no such node it creates the loop under the
+    ///   current node, counted as one entry. A body-begin for an ancestor
+    ///   thus pops the walker up to it from any depth, unless a node below
+    ///   the ancestor has a child for that loop;
+    /// * *body-end* lands on the parent of the nearest node on the path that
+    ///   is the named loop, popping past every node below it; one for a loop
+    ///   not on the path leaves the walker where it is.
     pub fn on_checkpoint(&mut self, loop_id: LoopId, kind: CheckpointKind) {
         match kind {
             CheckpointKind::LoopBegin => {
@@ -201,7 +281,7 @@ impl LoopTree {
                 let node = &mut self.nodes[child.0 as usize];
                 node.iter = -1;
                 node.entries += 1;
-                self.current = child;
+                self.land(child);
             }
             CheckpointKind::BodyBegin => {
                 let target = self.find_for_body(loop_id);
@@ -212,11 +292,13 @@ impl LoopTree {
                 if trip > node.max_trip {
                     node.max_trip = trip;
                 }
-                self.current = target;
+                self.land(target);
             }
             CheckpointKind::BodyEnd => {
                 // Walk up to the loop node (inclusive), then step to its
                 // parent. A body-end for a loop not on the path is ignored.
+                // No iterator changes and the walker lands on a node of its
+                // own path, whose stamps are still valid.
                 let mut cur = Some(self.current);
                 while let Some(nid) = cur {
                     if self.node(nid).loop_id == Some(loop_id) {
@@ -236,6 +318,7 @@ impl LoopTree {
                 let id = NodeId(self.nodes.len() as u32);
                 let depth = self.node(parent).depth + 1;
                 self.nodes.push(Node::new(Some(parent), Some(loop_id), depth));
+                self.stamps.push(Stamp::default());
                 self.nodes[parent.0 as usize].children.push((loop_id, id));
                 id
             }

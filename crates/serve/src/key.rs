@@ -68,11 +68,7 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
             "dse needs program source: a trace file carries no program to re-run",
         ));
     }
-    let mut h = StableHasher::new();
-    h.field_str("schema", KEY_SCHEMA);
-    h.field_str("kind", spec.kind.as_str());
-
-    let (source, canonical_inputs) = match &spec.input {
+    let (source, canonical_inputs, trace) = match &spec.input {
         JobInput::Workload(name) => {
             if spec.scale > MAX_SCALE {
                 return Err(ProtoError::new(
@@ -86,27 +82,43 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
             let w = by_name(name, Params { scale: spec.scale }).ok_or_else(|| {
                 ProtoError::new(ErrorCode::BadRequest, format!("unknown workload `{name}`"))
             })?;
-            (Some(canonicalize(&w.source)), w.inputs)
+            (Some(canonicalize(&w.source)), w.inputs, None)
         }
-        JobInput::Source(text) => (Some(canonicalize(text)), Vec::new()),
+        JobInput::Source(text) => (Some(canonicalize(text)), Vec::new(), None),
         JobInput::Trace(path) => {
             let digest = trace_digest(path).map_err(|e| {
                 ProtoError::new(ErrorCode::BadRequest, format!("cannot read trace `{path}`: {e}"))
             })?;
-            h.field_str("input.trace", &digest);
-            (None, Vec::new())
+            (None, Vec::new(), Some(digest))
         }
     };
-    if let Some(src) = &source {
+    let inputs = spec.inputs.clone().unwrap_or(canonical_inputs);
+    let key = job_key(spec, source.as_deref(), trace.as_deref(), &inputs);
+    Ok(ResolvedJob { key, spec: spec.clone(), source, inputs })
+}
+
+/// The cache key of `spec` run on the program text `source`, or on the
+/// trace whose content digest is `trace`, with `inputs`.
+pub(crate) fn job_key(
+    spec: &JobSpec,
+    source: Option<&str>,
+    trace: Option<&str>,
+    inputs: &[i64],
+) -> String {
+    let mut h = StableHasher::new();
+    h.field_str("schema", KEY_SCHEMA);
+    h.field_str("kind", spec.kind.as_str());
+    if let Some(digest) = trace {
+        h.field_str("input.trace", digest);
+    }
+    if let Some(src) = source {
         h.field_str("input.source", src);
     }
-    let inputs = spec.inputs.clone().unwrap_or(canonical_inputs);
-    h.field_i64_list("inputs", &inputs);
+    h.field_i64_list("inputs", inputs);
     h.field_str("engine", spec.engine.as_str());
     foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc }.stable_digest(&mut h);
     analyzer_config_for(spec).stable_digest(&mut h);
-
-    Ok(ResolvedJob { key: h.finish_hex(), spec: spec.clone(), source, inputs })
+    h.finish_hex()
 }
 
 /// The analyzer configuration a job runs with (sampling is the only
@@ -114,6 +126,14 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
 /// the crate defaults).
 pub(crate) fn analyzer_config_for(spec: &JobSpec) -> foray::AnalyzerConfig {
     foray::AnalyzerConfig { sample: spec.sample, ..foray::AnalyzerConfig::default() }
+}
+
+/// The content digest of a trace held in memory: equal to the streamed
+/// [`trace_digest`] of a file with these bytes.
+pub(crate) fn content_digest(bytes: &[u8]) -> String {
+    let mut th = StableHasher::new();
+    th.update(bytes);
+    th.finish_hex()
 }
 
 /// Digests a trace file's content through one 64 KiB buffer, so a

@@ -23,7 +23,7 @@
 
 use crate::cache::ResultCache;
 use crate::json::{obj, Json};
-use crate::key::{analyzer_config_for, resolve, ResolvedJob};
+use crate::key::{analyzer_config_for, content_digest, job_key, resolve, ResolvedJob};
 use crate::protocol::{
     parse_request, ErrorCode, JobInput, JobKind, JobSpec, ProtoError, Request, Response,
     StatsSnapshot,
@@ -491,12 +491,7 @@ fn compute(resolved: &ResolvedJob) -> Result<String, String> {
         JobKind::Model | JobKind::Report => {
             let (analysis, model, code) = match &spec.input {
                 JobInput::Trace(path) => {
-                    let results = foray::analyze_trace_files(&[path.as_str()], 1, &acfg);
-                    let analysis = results
-                        .into_iter()
-                        .next()
-                        .expect("one path in, one result out")
-                        .map_err(|e| format!("trace `{path}`: {e}"))?;
+                    let analysis = analyze_submitted_trace(resolved, path, acfg)?;
                     let model = ForayModel::extract(&analysis, &filter);
                     let code = foray::codegen::emit(&model);
                     (analysis, model, code)
@@ -540,6 +535,24 @@ fn compute(resolved: &ResolvedJob) -> Result<String, String> {
             Ok(result.to_json())
         }
     }
+}
+
+/// Reads a trace job's file once and analyzes those bytes, provided they
+/// are the bytes the job's key was taken from. A file rewritten since
+/// submit fails the job, so nothing is cached under the old key.
+fn analyze_submitted_trace(
+    resolved: &ResolvedJob,
+    path: &str,
+    acfg: foray::AnalyzerConfig,
+) -> Result<foray::Analysis, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("trace `{path}`: {e}"))?;
+    let digest = content_digest(&bytes);
+    if job_key(&resolved.spec, None, Some(&digest), &resolved.inputs) != resolved.key {
+        return Err(format!("trace `{path}` changed since submit"));
+    }
+    let file =
+        minic_trace::TraceFile::from_bytes(bytes).map_err(|e| format!("trace `{path}`: {e}"))?;
+    foray::analyze_source_with(&file, acfg).map_err(|e| format!("trace `{path}`: {e}"))
 }
 
 /// Renders the `report` payload: `foray-serve-report/v1`, one compact

@@ -4,16 +4,24 @@
 //!   *exactly*;
 //! * both trace codecs round-trip arbitrary record streams;
 //! * the identity sampling specs (`every:1`, `warmup:0`) change nothing;
+//! * the streaming analyzer equals a naive Algorithm 2 + 3 reference on
+//!   hostile (unbalanced, deep, multi-context) checkpoint streams;
 //! * the interpreter agrees with a Rust-side reference evaluator on random
 //!   arithmetic expressions;
 //! * pretty-printed programs re-parse to the same text (fixpoint);
 //! * the exact knapsack dominates greedy and matches brute force on small
 //!   instances.
 
-use foray::{analyze, analyze_with, AnalyzerConfig, FilterConfig, ForayModel, SampleSpec};
+use foray::looptree::{LoopTree, NodeId};
+use foray::{
+    analyze, analyze_with, AffineState, AnalyzerConfig, FilterConfig, ForayModel, LookupStrategy,
+    SampleSpec,
+};
 use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
-use minic_trace::{AccessKind, Record};
+use minic::{CheckpointKind, LoopId};
+use minic_trace::{AccessKind, InstrAddr, Record, SampleState};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 // ---------- Algorithm 3 recovers synthetic affine nests ----------
 
@@ -191,6 +199,204 @@ proptest! {
                 AnalyzerConfig { sample, ..AnalyzerConfig::default() },
             );
             prop_assert_eq!(&sampled, &full, "{:?}", sample);
+        }
+    }
+}
+
+// ---------- streaming analyzer vs a naive reference ----------
+
+/// One step of a generated stream. Sites are `(site, mode)` pairs: modes
+/// 0–2 are affine in the iterators, 3 is constant and 4 is random.
+#[derive(Debug, Clone)]
+enum Event {
+    /// A lone checkpoint `(loop id, kind index)`, wherever the walker is:
+    /// body-begins with no loop-begin, body-ends off the path, body-begins
+    /// for an ancestor from deep inside a nest, re-entries.
+    Checkpoint(u32, usize),
+    /// One access `(site, mode, noise)`.
+    Access(u32, u32, u32),
+    /// A balanced two-level nest `(outer id, inner id, outer trips, inner
+    /// trips, body)`: the first body site runs in the outer body, the rest
+    /// in the inner one. An inner id equal to the outer one nests the loop
+    /// under itself.
+    Nest(u32, u32, u32, u32, Vec<(u32, u32)>),
+    /// `(first id, depth)`: that many loop-begin/body-begin pairs in a row,
+    /// nesting deeper than any corpus program.
+    Dive(u32, u32),
+}
+
+fn arb_site() -> impl Strategy<Value = (u32, u32)> {
+    (0u32..7, 0u32..5)
+}
+
+fn arb_event() -> impl Strategy<Value = Event> {
+    let nest = (0u32..4, 0u32..4, 1u32..5, 0u32..5, proptest::collection::vec(arb_site(), 0..5))
+        .prop_map(|(o, i, ot, it, body)| Event::Nest(o, i, ot, it, body))
+        .boxed();
+    prop_oneof![
+        (0u32..4, 0usize..3).prop_map(|(l, k)| Event::Checkpoint(l, k)),
+        (0u32..4, 0usize..3).prop_map(|(l, k)| Event::Checkpoint(l, k)),
+        (arb_site(), any::<u32>()).prop_map(|((s, m), n)| Event::Access(s, m, n)),
+        (arb_site(), any::<u32>()).prop_map(|((s, m), n)| Event::Access(s, m, n)),
+        nest.clone(),
+        nest,
+        (0u32..4, 1u32..9).prop_map(|(l, d)| Event::Dive(l, d)),
+    ]
+}
+
+/// Expands events into records, walking a loop tree alongside so affine
+/// addresses follow the iterators the analyzer will see.
+struct StreamBuilder {
+    tree: LoopTree,
+    records: Vec<Record>,
+}
+
+impl StreamBuilder {
+    fn checkpoint(&mut self, loop_id: u32, kind: CheckpointKind) {
+        self.tree.on_checkpoint(LoopId(loop_id), kind);
+        self.records.push(Record::checkpoint(loop_id, kind));
+    }
+
+    fn access(&mut self, (site, mode): (u32, u32), noise: u32) {
+        // Six dense user sites and one unaligned one (the spill-hash path).
+        let instr = if site == 6 { 0x40_0001 } else { 0x40_0000 + 4 * site };
+        let base = 0x1000_0000i64 + 0x1_0000 * i64::from(site);
+        let addr = match mode {
+            0..=2 => {
+                let iters = self.tree.iterators(self.tree.current());
+                let coeff = |j: usize| 4 * ((i64::from(site) * 5 + j as i64 * 3) % 7) - 12;
+                base + iters.iter().enumerate().map(|(j, it)| coeff(j) * it).sum::<i64>()
+            }
+            3 => base,
+            // A small range: the deltas are often not a multiple of the
+            // iterator delta, so Step 3 finds non-integral quotients.
+            _ => base + i64::from(noise % 64),
+        };
+        let kind = if noise & 1 == 0 { AccessKind::Read } else { AccessKind::Write };
+        self.records.push(Record::access(instr, addr as u32, kind));
+    }
+}
+
+fn build_stream(events: &[Event]) -> Vec<Record> {
+    let mut b = StreamBuilder { tree: LoopTree::new(), records: Vec::new() };
+    for e in events {
+        match e {
+            Event::Checkpoint(l, k) => b.checkpoint(*l, [LoopBegin, BodyBegin, BodyEnd][*k]),
+            Event::Access(site, mode, noise) => b.access((*site, *mode), *noise),
+            Event::Nest(outer, inner, outer_trips, inner_trips, body) => {
+                b.checkpoint(*outer, LoopBegin);
+                for t in 0..*outer_trips {
+                    b.checkpoint(*outer, BodyBegin);
+                    let mut sites = body.iter();
+                    if let Some(site) = sites.next() {
+                        b.access(*site, t.wrapping_mul(0x9E37_79B9));
+                    }
+                    b.checkpoint(*inner, LoopBegin);
+                    for u in 0..*inner_trips {
+                        b.checkpoint(*inner, BodyBegin);
+                        for site in sites.clone() {
+                            b.access(*site, (t * 7 + u).wrapping_mul(0x9E37_79B9));
+                        }
+                        b.checkpoint(*inner, BodyEnd);
+                    }
+                    b.checkpoint(*outer, BodyEnd);
+                }
+            }
+            Event::Dive(first, depth) => {
+                for j in 0..*depth {
+                    b.checkpoint((first + j) % 4, LoopBegin);
+                    b.checkpoint((first + j) % 4, BodyBegin);
+                }
+            }
+        }
+    }
+    b.records
+}
+
+/// One reference as the naive analyzer sees it.
+#[derive(Debug, PartialEq)]
+struct NaiveRef {
+    instr: InstrAddr,
+    node: NodeId,
+    state: AffineState,
+    reads: u64,
+    writes: u64,
+}
+
+/// Algorithms 2 and 3 from public parts only: its own loop tree, the full
+/// iterator vector at every accepted access, and one `AffineState` per
+/// `(node, instruction)`.
+fn naive_analysis(records: &[Record], sample: SampleSpec) -> (LoopTree, Vec<NaiveRef>, u64) {
+    let mut tree = LoopTree::new();
+    let mut sampler = SampleState::new(sample);
+    let mut refs: Vec<NaiveRef> = Vec::new();
+    let mut index: HashMap<(NodeId, InstrAddr), usize> = HashMap::new();
+    let mut accesses = 0;
+    for r in records {
+        match r {
+            Record::Checkpoint { loop_id, kind } => tree.on_checkpoint(*loop_id, *kind),
+            Record::Access(a) => {
+                if !sampler.accept(a) {
+                    continue;
+                }
+                accesses += 1;
+                let node = tree.current();
+                let iters = tree.iterators(node);
+                let i = match index.get(&(node, a.instr)) {
+                    Some(&i) => {
+                        refs[i].state.observe(&iters, a.addr.0);
+                        i
+                    }
+                    None => {
+                        let state = AffineState::first(iters.len() as u32, &iters, a.addr.0, true);
+                        refs.push(NaiveRef { instr: a.instr, node, state, reads: 0, writes: 0 });
+                        index.insert((node, a.instr), refs.len() - 1);
+                        refs.len() - 1
+                    }
+                };
+                let rec = &mut refs[i];
+                match a.kind {
+                    AccessKind::Read => rec.reads += 1,
+                    AccessKind::Write => rec.writes += 1,
+                }
+            }
+        }
+    }
+    (tree, refs, accesses)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The analyzer's access path (successor predictor, innermost-only
+    /// observe behind the loop tree's change stamps, lazily collected
+    /// iterator vector) must equal the naive reference exactly, under both
+    /// lookup strategies, with and without sampling.
+    #[test]
+    fn analyzer_equals_naive_reference_on_hostile_streams(
+        events in proptest::collection::vec(arb_event(), 0..40),
+    ) {
+        let records = build_stream(&events);
+        for sample in [SampleSpec::Full, SampleSpec::EveryNth { n: 3 }] {
+            let (tree, expect, accesses) = naive_analysis(&records, sample);
+            for lookup in [LookupStrategy::Dense, LookupStrategy::Hash] {
+                let config = AnalyzerConfig { sample, lookup, ..AnalyzerConfig::default() };
+                let got = analyze_with(&records, config);
+                prop_assert_eq!(got.accesses(), accesses);
+                prop_assert_eq!(got.tree(), &tree);
+                let got: Vec<NaiveRef> = got
+                    .refs()
+                    .iter()
+                    .map(|r| NaiveRef {
+                        instr: r.instr,
+                        node: r.node,
+                        state: r.state.clone(),
+                        reads: r.reads,
+                        writes: r.writes,
+                    })
+                    .collect();
+                prop_assert_eq!(got, expect, "{} with {:?}", sample, lookup);
+            }
         }
     }
 }

@@ -101,6 +101,58 @@ fn engines_are_distinct_keys_with_identical_payloads() {
     assert_eq!(srv.stats().computed, 2);
 }
 
+/// A trace job analyzes the bytes its key was taken from. Submit path P
+/// holding trace A, rewrite P with trace B before the job runs: the job
+/// must fail and cache nothing, so a byte-identical copy of A submitted
+/// from another path computes A's own model instead of hitting B's.
+#[test]
+fn trace_rewritten_after_submit_fails_and_caches_nothing() {
+    use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
+    use minic_trace::{AccessKind, Record};
+    let strided = |stride: u32| {
+        let mut t = vec![Record::checkpoint(0, LoopBegin)];
+        for i in 0..32 {
+            t.push(Record::checkpoint(0, BodyBegin));
+            t.push(Record::access(0x40_000c, 0x1000_0000 + stride * i, AccessKind::Read));
+            t.push(Record::checkpoint(0, BodyEnd));
+        }
+        t
+    };
+    let encode = |t: &[Record]| {
+        let mut bytes = Vec::new();
+        minic_trace::file::write_to(&mut bytes, t).unwrap();
+        bytes
+    };
+    let (a, b) = (strided(4), strided(16));
+    let dir = std::env::temp_dir().join(format!("foray-serve-rewrite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (path, copy) = (dir.join("p.ftrace"), dir.join("copy.ftrace"));
+    std::fs::write(&path, encode(&a)).unwrap();
+    std::fs::write(&copy, encode(&a)).unwrap();
+    let trace_spec = |p: &std::path::Path| JobSpec {
+        input: JobInput::Trace(p.to_string_lossy().into_owned()),
+        ..JobSpec::default()
+    };
+
+    let srv = manual();
+    let first = srv.submit(&trace_spec(&path)).unwrap();
+    assert!(!first.hit);
+    std::fs::write(&path, encode(&b)).unwrap();
+    while srv.step_one() {}
+    let e = srv.wait(&first.job, Some(Duration::from_secs(30))).unwrap_err();
+    assert_eq!(e.code, ErrorCode::JobFailed);
+    assert!(e.message.contains("changed since submit"), "{}", e.message);
+    assert_eq!(srv.stats().computed, 0);
+
+    let filter = foray::FilterConfig { n_exec: 20, n_loc: 10 };
+    let direct = foray::codegen::emit(&foray::ForayModel::extract(&foray::analyze(&a), &filter));
+    assert!(direct.contains("4*i0"), "{direct}");
+    let (hit, payload) = run_job(&srv, &trace_spec(&copy));
+    assert!(!hit, "nothing may be cached under A's key");
+    assert_eq!(payload, direct);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------- concurrency & robustness ----------
 
 /// N threads hammering the same key: exactly one compute, N identical

@@ -187,6 +187,33 @@ fn online_mode_is_constant_space_compatible() {
     assert_eq!(offline.accesses(), out.analysis.accesses());
 }
 
+/// The analyzer's access path, counted on every corpus program: a typical
+/// access hits the successor predictor and observes only its innermost
+/// iterator, and the iterator vector is rarely collected. The counts are a
+/// pure function of the trace, so the bounds are exact properties of the
+/// corpus, not timings.
+#[test]
+fn analyzer_counters_show_the_fast_path_dominates() {
+    for w in all(Params { scale: 1 }) {
+        let prog = w.frontend().unwrap();
+        let (_, records) =
+            minic_sim::run(&prog, &minic_sim::SimConfig::default(), &w.inputs).unwrap();
+        let count = || {
+            let mut analyzer = foray::Analyzer::new();
+            analyzer.consume(&records);
+            analyzer.counters()
+        };
+        let c = count();
+        assert_eq!(c, count(), "{}: counters must repeat exactly", w.name);
+        let share = |n: u64| n as f64 / c.accesses as f64;
+        assert!(share(c.inner_observes()) >= 0.80, "{}: {c:?}", w.name);
+        assert!(share(c.iterator_collections) <= 0.10, "{}: {c:?}", w.name);
+        if ["fftc", "gsmc", "adpcmc"].contains(&w.name) {
+            assert!(share(c.predictor_hits()) >= 0.98, "{}: {c:?}", w.name);
+        }
+    }
+}
+
 /// Renders one batch result as the textual report a consumer would emit.
 fn render_batch(results: &[Result<foray::ForayGenOutput, foray::PipelineError>]) -> String {
     let mut out = String::new();
