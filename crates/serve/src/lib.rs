@@ -15,7 +15,8 @@
 //!   (integer-only, insertion-ordered, deterministic rendering);
 //! * [`protocol`] — request/response types with **typed** error codes
 //!   (`bad_json`, `queue_full`, `shutting_down`, ...): a malformed line
-//!   earns an error reply, never a dropped connection;
+//!   earns an error reply, never a dropped connection (a line over
+//!   [`MAX_LINE_BYTES`] also closes it);
 //! * [`key`] — the cache-key digest: what a result *depends on*, and
 //!   nothing else (worker counts and priorities are deliberately
 //!   excluded);
@@ -60,7 +61,7 @@ pub mod server;
 
 pub use cache::{CacheCounters, ResultCache};
 pub use key::{resolve, ResolvedJob, KEY_SCHEMA};
-pub use net::{serve, Client, ServeAddr};
+pub use net::{serve, Client, ServeAddr, MAX_LINE_BYTES};
 pub use protocol::{
     parse_request, ErrorCode, JobInput, JobKind, JobSpec, ProtoError, Request, Response,
     StatsSnapshot, MAX_PRIORITY,

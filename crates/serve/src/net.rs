@@ -6,9 +6,10 @@
 //! [`Server::handle_line`](crate::Server::handle_line). One thread per
 //! connection; a blocking `wait` therefore never stalls other clients.
 //! A malformed line earns an error response and the connection stays
-//! open; only EOF or a transport error closes it.
+//! open; only EOF, a transport error or a line longer than
+//! [`MAX_LINE_BYTES`] closes it.
 
-use crate::protocol::{ProtoError, Response};
+use crate::protocol::{ErrorCode, ProtoError, Response};
 use crate::Server;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -18,6 +19,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+
+/// The longest request line the daemon reads, in bytes, line ending
+/// excluded: 8 MiB. A workload's source pasted into a `source` submit
+/// still fits at `foray_workloads::MAX_SCALE` (fftc at scale 8 renders a
+/// 4.9 MB line). A longer line earns `bad_request` and closes the
+/// connection, after the daemon has read one byte past the cap.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Where the daemon listens (and the client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,26 +123,63 @@ impl Conn for TcpStream {
     }
 }
 
+/// One request line, framed.
+enum Line<'a> {
+    /// The line's text, line ending stripped.
+    Text(&'a str),
+    /// Longer than [`MAX_LINE_BYTES`].
+    TooLong,
+    /// EOF, a transport error or bytes that are not UTF-8.
+    End,
+}
+
+/// Reads the next request line through `buf`, never more than one byte
+/// past [`MAX_LINE_BYTES`] of it.
+fn next_line<'a>(reader: &mut impl BufRead, buf: &'a mut Vec<u8>) -> Line<'a> {
+    buf.clear();
+    match reader.take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => return Line::End,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        return Line::TooLong;
+    }
+    std::str::from_utf8(buf).map_or(Line::End, Line::Text)
+}
+
 /// Serves one connection; returns `true` when the client asked for
 /// shutdown.
 fn drive_connection(server: &Server, stream: &dyn Conn) -> bool {
     let Ok((read, mut write)) = stream.split() else { return false };
-    for line in BufReader::new(read).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = server.handle_line(&line);
+    let mut reader = BufReader::new(read);
+    let mut buf = Vec::new();
+    loop {
+        let (response, shutdown, close) = match next_line(&mut reader, &mut buf) {
+            Line::Text(line) if line.trim().is_empty() => continue,
+            Line::Text(line) => {
+                let (response, shutdown) = server.handle_line(line);
+                (response, shutdown, false)
+            }
+            Line::TooLong => {
+                let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                (Response::Error(ProtoError::new(ErrorCode::BadRequest, message)), false, true)
+            }
+            Line::End => return false,
+        };
         let mut payload = response.render();
         payload.push('\n');
-        if write.write_all(payload.as_bytes()).and_then(|()| write.flush()).is_err() {
-            break;
+        if write.write_all(payload.as_bytes()).and_then(|()| write.flush()).is_err() || close {
+            return false;
         }
         if shutdown {
             return true;
         }
     }
-    false
 }
 
 /// Wakes a blocked `accept` so the loop can observe the stop flag.

@@ -17,7 +17,8 @@
 //!
 //! Every failure is a *typed* error object
 //! (`{"ok":false,"error":CODE,"message":...}`) — a malformed line earns an
-//! error response, never a dropped connection.
+//! error response, never a dropped connection. Only a line longer than
+//! [`crate::MAX_LINE_BYTES`] also closes its connection.
 
 use crate::json::{obj, Json};
 use foray::{Engine, SampleSpec};

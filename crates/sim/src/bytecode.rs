@@ -163,9 +163,26 @@ impl VmValue {
     }
 }
 
+/// What a `++`/`--` op leaves on the stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Push {
+    /// The pre-update value (postfix `i++`).
+    Old,
+    /// The updated value (prefix `++i`).
+    New,
+    /// Nothing: a `++`/`--` statement, which lowers to the op with
+    /// `Old` or `New` followed by its statement's [`Op::Pop`], fused.
+    Nothing,
+}
+
 /// One bytecode instruction.
 ///
 /// Stack-effect notation: `[a b] -> [c]` pops `b` then `a`, pushes `c`.
+///
+/// The lowering peephole (`crate::lower`) fuses hot sequences into single
+/// ops. Each fused op documents the exact unfused sequence it replaces and
+/// behaves as that sequence does: same records in the same order, same
+/// errors at the same point. It counts as one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// `[] -> [n]` — push a literal.
@@ -186,7 +203,7 @@ pub enum Op {
         /// Declared type (coercion target).
         ty: TypeId,
     },
-    /// `[] -> [old|new]` — `++`/`--` on a register slot.
+    /// `[] -> [old|new|]` — `++`/`--` on a register slot.
     IncDecSlot {
         /// Frame slot index.
         slot: u32,
@@ -194,8 +211,8 @@ pub enum Op {
         ty: TypeId,
         /// +1 or -1.
         delta: i8,
-        /// Push the pre-update value (postfix) instead of the new one.
-        post: bool,
+        /// What to leave on the stack.
+        push: Push,
     },
     /// `[] -> [v]` — load a memory-resident global scalar, emitting a read
     /// access record at `site`.
@@ -216,7 +233,7 @@ pub enum Op {
         /// Access-site index.
         site: u32,
     },
-    /// `[] -> [old|new]` — `++`/`--` on a global scalar (read + write
+    /// `[] -> [old|new|]` — `++`/`--` on a global scalar (read + write
     /// records, like the oracle's load/store pair).
     IncDecGlobal {
         /// Absolute address of the scalar.
@@ -227,8 +244,8 @@ pub enum Op {
         site: u32,
         /// +1 or -1 (elements for pointers, units for integers).
         delta: i8,
-        /// Push the pre-update value instead of the new one.
-        post: bool,
+        /// What to leave on the stack.
+        push: Push,
     },
     /// `[] -> [ptr]` — push a constant typed pointer (global array decay,
     /// `&global`).
@@ -257,20 +274,48 @@ pub enum Op {
         /// Access-site index.
         site: u32,
     },
+    /// `[ptr idx] -> [v]` — `IndexPtr; LoadThru { site }` fused (`base[idx]`
+    /// read).
+    LoadIndexed {
+        /// Access-site index.
+        site: u32,
+    },
+    /// `[ptr] -> [v]` — `LoadSlot(slot); IndexPtr; LoadThru { site }`
+    /// fused: the index is the frame slot's value.
+    LoadIndexedSlot {
+        /// Frame slot holding the index.
+        slot: u32,
+        /// Access-site index.
+        site: u32,
+    },
     /// `[ptr v] -> []` — store through a pointer, emitting a write record.
     StoreThru {
         /// Access-site index.
         site: u32,
     },
-    /// `[ptr] -> [old|new]` — `++`/`--` through a pointer (read + write
+    /// `[v ptr idx] -> []` — `IndexPtr; Swap; StoreThru { site }` fused
+    /// (`base[idx] = v`).
+    StoreIndexed {
+        /// Access-site index.
+        site: u32,
+    },
+    /// `[v ptr] -> []` — `LoadSlot(slot); IndexPtr; Swap; StoreThru { site }`
+    /// fused: the index is the frame slot's value.
+    StoreIndexedSlot {
+        /// Frame slot holding the index.
+        slot: u32,
+        /// Access-site index.
+        site: u32,
+    },
+    /// `[ptr] -> [old|new|]` — `++`/`--` through a pointer (read + write
     /// records).
     IncDecThru {
         /// Access-site index.
         site: u32,
         /// +1 or -1.
         delta: i8,
-        /// Push the pre-update value instead of the new one.
-        post: bool,
+        /// What to leave on the stack.
+        push: Push,
     },
     /// `[v] -> [v]` — require a pointer on top of stack (`&*p`).
     CheckPtr,
@@ -279,24 +324,66 @@ pub enum Op {
     /// `[a b] -> [a op b]` — binary operator with the oracle's pointer
     /// arithmetic. `&&`/`||` never reach the VM (lowered to jumps).
     Binary(BinOp),
-    /// `[a] -> [a op imm]` — fused `PushInt` + [`Op::Binary`] (pure
-    /// peephole; semantics identical to the unfused pair).
+    /// `[a] -> [a op imm]` — `PushInt(imm); Binary(op)` fused.
     BinaryImm {
         /// The operator.
         op: BinOp,
         /// The literal right-hand side.
         imm: i64,
     },
-    /// `[a] -> [a op frame[slot]]` — fused `LoadSlot` + [`Op::Binary`].
+    /// `[a] -> [a op frame[slot]]` — `LoadSlot(slot); Binary(op)` fused.
     BinarySlot {
         /// The operator.
         op: BinOp,
         /// Frame slot supplying the right-hand side.
         slot: u32,
     },
+    /// `[a] -> []` — `BinaryImm { op, imm }; JumpIfFalse(target)` fused:
+    /// jump unless `a op imm`. `op` is a comparison.
+    BranchImm {
+        /// The comparison.
+        op: BinOp,
+        /// The literal right-hand side (fused only when it fits `i32`).
+        imm: i32,
+        /// Jump target.
+        target: u32,
+    },
+    /// `[a] -> []` — `BinarySlot { op, slot }; JumpIfFalse(target)` fused:
+    /// jump unless `a op frame[slot]`. `op` is a comparison.
+    BranchSlot {
+        /// The comparison.
+        op: BinOp,
+        /// Frame slot supplying the right-hand side.
+        slot: u32,
+        /// Jump target.
+        target: u32,
+    },
+    /// `[] -> []` — `LoadSlot(slot); BinaryImm { op, imm };
+    /// JumpIfFalse(target)` fused: jump unless `frame[slot] op imm`. `op`
+    /// is a comparison.
+    BranchSlotImm {
+        /// The comparison.
+        op: BinOp,
+        /// Frame slot supplying the left-hand side.
+        slot: u32,
+        /// The literal right-hand side (fused only when it fits `i32`).
+        imm: i32,
+        /// Jump target.
+        target: u32,
+    },
     /// `[old rhs] -> [new]` — compound-assignment arithmetic (`+=` family;
     /// pointers scale on `+`/`-`, everything else is integer).
     Compound(BinOp),
+    /// `[old rhs] -> []` — `Compound(op); StoreSlot { slot, ty }` fused. The
+    /// old value was loaded before the right-hand side ran, as unfused.
+    CompoundSlot {
+        /// The operator.
+        op: BinOp,
+        /// Frame slot index.
+        slot: u32,
+        /// Declared type (coercion target).
+        ty: TypeId,
+    },
     /// `[v] -> [0|1]` — C truthiness (second operand of `&&`/`||`).
     Truthy,
     /// `[] -> []` — unconditional jump.

@@ -33,8 +33,8 @@ pub(crate) const STACK_LIMIT: u32 = 0x7f00_0000;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
     /// Abort after this many executed steps (statements/expressions on the
-    /// tree-walker, bytecode instructions on the VM — either way, a guard
-    /// against non-terminating programs).
+    /// tree-walker, dispatched ops on the VM, where a fused op counts once
+    /// — either way, a guard against non-terminating programs).
     pub max_steps: u64,
     /// Emit synthetic argument-passing stack traffic around user calls.
     pub model_call_overhead: bool,
@@ -64,7 +64,8 @@ pub struct SimOutcome {
     /// Values passed to `print_int`, in order.
     pub printed: Vec<i64>,
     /// Executed steps — statement/expression evaluations on the
-    /// tree-walker, bytecode instructions on the VM. The unit is
+    /// tree-walker, dispatched ops on the VM (a fused op, which stands for
+    /// a sequence of unfused ones, counts once). The unit is
     /// engine-specific; every other counter is engine-identical.
     pub steps: u64,
     /// Memory access records emitted.

@@ -18,7 +18,7 @@
 //! right — because trace byte-identity with the oracle depends on side
 //! effects (access records) happening in the same sequence.
 
-use crate::bytecode::{CompiledFunction, CompiledProgram, Op, TypeId, TypeTable};
+use crate::bytecode::{CompiledFunction, CompiledProgram, Op, Push, TypeId, TypeTable};
 use crate::interp::RuntimeError;
 use minic::ast::*;
 use minic_trace::layout;
@@ -105,8 +105,8 @@ struct Lowerer<'p> {
     slots: Vec<SlotInfo>,
     loops: Vec<LoopCtx>,
     /// Peephole fence: the highest op index any jump label points at.
-    /// Fusion never rewrites ops at or after a label, so every recorded
-    /// jump target keeps its meaning.
+    /// Fusion never rewrites ops after a label, so every recorded jump
+    /// target keeps its meaning.
     barrier: usize,
 }
 
@@ -161,60 +161,123 @@ impl<'p> Lowerer<'p> {
 
     // ---- emission helpers -----------------------------------------------
 
+    /// Emits `op`, fused with the ops before it where [`Self::fusion`]
+    /// finds a shape.
     fn emit(&mut self, op: Op) {
-        self.ops.push(op);
+        match self.fusion(op) {
+            Some((k, fused)) => {
+                self.ops.truncate(self.ops.len() - k);
+                self.ops.push(fused);
+            }
+            None => self.ops.push(op),
+        }
+    }
+
+    /// Emits a placeholder jump, returning the index [`Self::patch`] takes:
+    /// that of the op now holding the jump, fused or not.
+    fn emit_jump(&mut self, op: Op) -> usize {
+        self.emit(op);
+        self.ops.len() - 1
     }
 
     fn emit_trap(&mut self, err: RuntimeError) {
         let idx = self.traps.len() as u32;
         self.traps.push(err);
-        self.ops.push(Op::Trap(idx));
-    }
-
-    /// Emits a placeholder jump, returning its index for [`Self::patch`].
-    fn emit_jump(&mut self, op: Op) -> usize {
-        self.ops.push(op);
-        self.ops.len() - 1
+        self.emit(Op::Trap(idx));
     }
 
     /// Returns the current position as a jump label, fencing it off from
-    /// the peephole fusion in [`Self::emit_binary_op`].
+    /// fusion (see [`Self::tail`]).
     fn here(&mut self) -> u32 {
         self.barrier = self.ops.len();
         self.ops.len() as u32
     }
 
-    /// Emits a non-short-circuit binary operator, fusing constant and
-    /// slot-fed right-hand sides. Safe because a fused op replaces the ops
-    /// it subsumes *in place* (jumps to the first subsumed op observe
-    /// identical stack effects) and [`Self::here`] fences every label.
-    fn emit_binary_op(&mut self, op: BinOp) {
+    /// The fence rule: the last `k` emitted ops, when no jump label points
+    /// inside them. A label may name the first of them, since the fused op
+    /// takes its place and does what the sequence did from there; a label
+    /// at any later one, or where the next op goes, keeps them apart.
+    fn tail(&self, k: usize) -> Option<&[Op]> {
         let n = self.ops.len();
-        if self.barrier < n {
-            if let Op::PushInt(k) = self.ops[n - 1] {
-                if self.barrier < n - 1 {
-                    if let Op::PushInt(a) = self.ops[n - 2] {
-                        if let Some(v) = const_fold(op, a, k) {
-                            self.ops.truncate(n - 2);
-                            self.emit(Op::PushInt(v));
-                            return;
-                        }
+        (k <= n && self.barrier <= n - k).then(|| &self.ops[n - k..])
+    }
+
+    /// The peephole: when emitting `op` completes a hot sequence whose
+    /// earlier ops pass [`Self::tail`], returns how many of those ops to
+    /// replace and the single op that replaces them and `op` (see the
+    /// fused ops in [`Op`]). Literal arithmetic folds here too.
+    fn fusion(&self, op: Op) -> Option<(usize, Op)> {
+        Some(match op {
+            Op::Binary(op) => {
+                if let Some(&[Op::PushInt(a), Op::PushInt(b)]) = self.tail(2) {
+                    if let Some(v) = const_fold(op, a, b) {
+                        return Some((2, Op::PushInt(v)));
                     }
                 }
-                self.ops[n - 1] = Op::BinaryImm { op, imm: k };
-                return;
+                match *self.tail(1)? {
+                    [Op::PushInt(imm)] => (1, Op::BinaryImm { op, imm }),
+                    [Op::LoadSlot(slot)] => (1, Op::BinarySlot { op, slot }),
+                    _ => return None,
+                }
             }
-            if let Op::LoadSlot(slot) = self.ops[n - 1] {
-                self.ops[n - 1] = Op::BinarySlot { op, slot };
-                return;
+            Op::JumpIfFalse(target) => match (self.tail(2), self.tail(1)?) {
+                (Some(&[Op::LoadSlot(slot), Op::BinaryImm { op, imm }]), _)
+                    if op.is_comparison() =>
+                {
+                    (2, Op::BranchSlotImm { op, slot, imm: i32::try_from(imm).ok()?, target })
+                }
+                (_, &[Op::BinaryImm { op, imm }]) if op.is_comparison() => {
+                    (1, Op::BranchImm { op, imm: i32::try_from(imm).ok()?, target })
+                }
+                (_, &[Op::BinarySlot { op, slot }]) if op.is_comparison() => {
+                    (1, Op::BranchSlot { op, slot, target })
+                }
+                _ => return None,
+            },
+            Op::LoadThru { site } => match (self.tail(2), self.tail(1)?) {
+                (Some(&[Op::LoadSlot(slot), Op::IndexPtr]), _) => {
+                    (2, Op::LoadIndexedSlot { slot, site })
+                }
+                (_, &[Op::IndexPtr]) => (1, Op::LoadIndexed { site }),
+                _ => return None,
+            },
+            Op::StoreThru { site } => match (self.tail(3), self.tail(2)?) {
+                (Some(&[Op::LoadSlot(slot), Op::IndexPtr, Op::Swap]), _) => {
+                    (3, Op::StoreIndexedSlot { slot, site })
+                }
+                (_, &[Op::IndexPtr, Op::Swap]) => (2, Op::StoreIndexed { site }),
+                _ => return None,
+            },
+            Op::StoreSlot { slot, ty } => match self.tail(1)? {
+                &[Op::Compound(op)] => (1, Op::CompoundSlot { op, slot, ty }),
+                _ => return None,
+            },
+            Op::Pop => {
+                let &[mut last] = self.tail(1)? else { return None };
+                match &mut last {
+                    Op::IncDecSlot { push, .. }
+                    | Op::IncDecGlobal { push, .. }
+                    | Op::IncDecThru { push, .. }
+                        if *push != Push::Nothing =>
+                    {
+                        *push = Push::Nothing;
+                    }
+                    _ => return None,
+                }
+                (1, last)
             }
-        }
-        self.emit(Op::Binary(op));
+            _ => return None,
+        })
     }
 
     fn patch(&mut self, at: usize, target: u32) {
         match &mut self.ops[at] {
-            Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfTrue(t) => *t = target,
+            Op::Jump(t)
+            | Op::JumpIfFalse(t)
+            | Op::JumpIfTrue(t)
+            | Op::BranchImm { target: t, .. }
+            | Op::BranchSlot { target: t, .. }
+            | Op::BranchSlotImm { target: t, .. } => *t = target,
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
@@ -624,24 +687,25 @@ impl<'p> Lowerer<'p> {
             _ => {
                 self.lower_expr(lhs);
                 self.lower_expr(rhs);
-                self.emit_binary_op(op);
+                self.emit(Op::Binary(op));
             }
         }
     }
 
     fn lower_incdec(&mut self, op: IncDec, target: &'p Expr) {
-        let (delta, post) = (op.delta() as i8, op.is_post());
+        let delta = op.delta() as i8;
+        let push = if op.is_post() { Push::Old } else { Push::New };
         match target {
             Expr::Var { name, site, .. } => match self.resolve(name) {
                 VarRef::Slot(slot, info) if !info.is_array => {
-                    self.emit(Op::IncDecSlot { slot, ty: info.ty, delta, post });
+                    self.emit(Op::IncDecSlot { slot, ty: info.ty, delta, push });
                 }
                 VarRef::Slot(..) => {
                     // `arr++`: load and offset succeed, the store fails.
                     self.emit_trap(RuntimeError::UnknownVariable { name: name.clone() });
                 }
                 VarRef::GlobalScalar { addr, ty } => {
-                    self.emit(Op::IncDecGlobal { addr, ty, site: site.0, delta, post });
+                    self.emit(Op::IncDecGlobal { addr, ty, site: site.0, delta, push });
                 }
                 VarRef::GlobalArray { .. } | VarRef::Unknown => {
                     self.emit_trap(RuntimeError::UnknownVariable { name: name.clone() });
@@ -649,7 +713,7 @@ impl<'p> Lowerer<'p> {
             },
             Expr::Index { .. } | Expr::Deref { .. } => {
                 if let Some(site) = self.lower_place_ptr(target) {
-                    self.emit(Op::IncDecThru { site, delta, post });
+                    self.emit(Op::IncDecThru { site, delta, push });
                 }
             }
             other => self.emit_trap(non_lvalue(other)),
@@ -744,6 +808,69 @@ mod tests {
         }));
         let c = compile(&prog);
         assert_eq!(c.traps, vec![RuntimeError::UnknownFunction { name: "nope".into() }]);
+    }
+
+    /// The ops of `main`, whose body is `body`, after `decls`.
+    fn main_ops(decls: &str, body: &str) -> Vec<Op> {
+        let c = compile_src(&format!("{decls} void main() {{ {body} }}"));
+        c.ops[c.functions[c.main.expect("main") as usize].entry as usize..].to_vec()
+    }
+
+    #[test]
+    fn copy_loop_lowers_to_the_fused_forms() {
+        let ops = main_ops("int a[16]; int b[16];", "int i; for (i = 0; i < 16; i++) a[i] = b[i];");
+        let shape: Vec<Op> =
+            ops.iter().copied().filter(|op| !matches!(op, Op::Checkpoint { .. })).collect();
+        let names: Vec<String> = shape
+            .iter()
+            .map(|op| format!("{op:?}").split([' ', '(']).next().unwrap_or_default().to_owned())
+            .collect();
+        #[rustfmt::skip]
+        assert_eq!(names, [
+            "PushInt", "StoreSlot",          // int i;
+            "PushInt", "StoreSlot",          // i = 0
+            "BranchSlotImm",                 // i < 16
+            "PushPtr", "LoadIndexedSlot",    // b[i]
+            "PushPtr", "StoreIndexedSlot",   // a[i] =
+            "IncDecSlot",                    // i++;
+            "Jump",                          // back edge
+            "PushInt", "Ret",                // fall off the end
+        ]);
+        let Op::BranchSlotImm { op: BinOp::Lt, slot: 0, imm: 16, target: exit } = shape[4] else {
+            panic!("{ops:#?}")
+        };
+        assert!(matches!(shape[6], Op::LoadIndexedSlot { slot: 0, .. }));
+        assert!(matches!(shape[8], Op::StoreIndexedSlot { slot: 0, .. }));
+        assert!(matches!(shape[9], Op::IncDecSlot { slot: 0, delta: 1, push: Push::Nothing, .. }));
+        // `main` starts at op 0 of `ops`: the back edge lands on the
+        // condition, and the exit is the implicit `return 0`.
+        let Op::Jump(back) = shape[10] else { unreachable!() };
+        assert_eq!(ops[back as usize], shape[4]);
+        assert_eq!(ops[exit as usize..], [Op::PushInt(0), Op::Ret]);
+    }
+
+    #[test]
+    fn a_label_inside_a_window_blocks_fusion() {
+        let vars = "int c; int i; int j; int s;";
+        let count = |ops: &[Op], f: fn(&Op) -> bool| ops.iter().filter(|op| f(op)).count();
+        // The `?:`'s end label lands on `IndexPtr`: only `IndexPtr; LoadThru` fuse.
+        let ops = main_ops("int a[4];", &format!("{vars} s = a[c ? i : j];"));
+        assert_eq!(count(&ops, |op| matches!(op, Op::LoadIndexed { .. })), 1, "{ops:#?}");
+        assert_eq!(count(&ops, |op| matches!(op, Op::LoadIndexedSlot { .. })), 0, "{ops:#?}");
+        // Its end label lands on the compare: only `BinaryImm; JumpIfFalse` fuse.
+        let ops = main_ops("", &format!("{vars} if ((c ? i : j) < 5) {{ s = 1; }}"));
+        assert_eq!(count(&ops, |op| matches!(op, Op::BranchImm { .. })), 1, "{ops:#?}");
+        assert_eq!(count(&ops, |op| matches!(op, Op::BranchSlotImm { .. })), 0, "{ops:#?}");
+        // A jump lands on the statement's `Pop`, which must stay.
+        let ops = main_ops("", &format!("{vars} c ? i++ : j++;"));
+        assert_eq!(count(&ops, |op| matches!(op, Op::Pop)), 1, "{ops:#?}");
+        let post = |op: &Op| matches!(op, Op::IncDecSlot { push: Push::Old, .. });
+        assert_eq!(count(&ops, post), 2, "{ops:#?}");
+    }
+
+    #[test]
+    fn an_op_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 16);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The equivalence is locked by `tests/vm_equiv.rs` (every workload at
 //! scale 1 and 2, plus property tests over random inputs).
 
-use crate::bytecode::{CompiledProgram, Op, TyKind, TypeId, VmValue};
+use crate::bytecode::{CompiledProgram, Op, Push, TyKind, TypeId, VmValue};
 use crate::interp::{int_binop, RuntimeError, SimConfig, SimOutcome, STACK_LIMIT};
 use crate::mem::{Heap, Memory};
 use minic::ast::{BinOp, CheckpointKind, LoopId, UnOp};
@@ -118,9 +118,9 @@ impl<'c, S: TraceSink> Vm<'c, S> {
         let mut pc = self.call(main, 0, u32::MAX)?;
         let max_steps = self.config.max_steps;
         loop {
-            // The VM's step unit is one bytecode instruction (the oracle
-            // counts statement/expression evaluations); the budget guards
-            // non-termination either way.
+            // The VM's step unit is one dispatched op, fused or not (the
+            // oracle counts statement/expression evaluations); the budget
+            // guards non-termination either way.
             *steps += 1;
             if *steps > max_steps {
                 return Err(RuntimeError::StepLimitExceeded);
@@ -130,7 +130,7 @@ impl<'c, S: TraceSink> Vm<'c, S> {
             match op {
                 Op::PushInt(v) => self.stack.push(VmValue::Int(v)),
                 Op::Pop => {
-                    self.stack.pop();
+                    self.pop();
                 }
                 Op::Dup => {
                     let top = *self.stack.last().expect("stack underflow");
@@ -141,19 +141,18 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                     self.stack.swap(n - 1, n - 2);
                 }
                 Op::LoadSlot(slot) => {
-                    let v = self.slots[self.cur_base + slot as usize];
+                    let v = self.slot(slot);
                     self.stack.push(v);
                 }
                 Op::StoreSlot { slot, ty } => {
-                    let v = self.stack.pop().expect("stack underflow");
-                    self.slots[self.cur_base + slot as usize] = self.coerce(v, ty);
+                    let v = self.pop();
+                    self.set_slot(slot, ty, v);
                 }
-                Op::IncDecSlot { slot, ty, delta, post } => {
-                    let idx = self.cur_base + slot as usize;
-                    let old = self.slots[idx];
+                Op::IncDecSlot { slot, ty, delta, push } => {
+                    let old = self.slot(slot);
                     let new = self.offset(old, delta as i64);
-                    self.slots[idx] = self.coerce(new, ty);
-                    self.stack.push(if post { old } else { new });
+                    self.set_slot(slot, ty, new);
+                    self.leave(push, old, new);
                 }
                 Op::LoadGlobal { addr, ty, site } => {
                     self.emit_access(layout::user_instr(site), addr, AccessKind::Read);
@@ -161,17 +160,17 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                     self.stack.push(v);
                 }
                 Op::StoreGlobal { addr, ty, site } => {
-                    let v = self.stack.pop().expect("stack underflow");
+                    let v = self.pop();
                     self.emit_access(layout::user_instr(site), addr, AccessKind::Write);
                     write_typed(&mut self.mem, addr, self.code.types.kind(ty), v.as_int());
                 }
-                Op::IncDecGlobal { addr, ty, site, delta, post } => {
+                Op::IncDecGlobal { addr, ty, site, delta, push } => {
                     self.emit_access(layout::user_instr(site), addr, AccessKind::Read);
                     let old = self.read_typed(addr, ty);
                     let new = self.offset(old, delta as i64);
                     self.emit_access(layout::user_instr(site), addr, AccessKind::Write);
                     write_typed(&mut self.mem, addr, self.code.types.kind(ty), new.as_int());
-                    self.stack.push(if post { old } else { new });
+                    self.leave(push, old, new);
                 }
                 Op::PushPtr { addr, pointee } => self.stack.push(VmValue::Ptr { addr, pointee }),
                 Op::AllocArray { slot, elem, size } => {
@@ -183,44 +182,53 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                         VmValue::Ptr { addr: self.sp, pointee: elem };
                 }
                 Op::IndexPtr => {
-                    let idx = self.stack.pop().expect("stack underflow").as_int();
-                    let base = self.stack.pop().expect("stack underflow");
-                    let VmValue::Ptr { addr, pointee } = base else {
-                        return Err(self.deref_non_pointer(base));
-                    };
-                    let size = self.code.types.size(pointee) as i64;
-                    let addr = addr.wrapping_add(idx.wrapping_mul(size) as u32);
-                    self.stack.push(VmValue::Ptr { addr, pointee });
+                    let idx = self.pop().as_int();
+                    let base = self.pop();
+                    let p = self.index(base, idx)?;
+                    self.stack.push(p);
                 }
                 Op::LoadThru { site } => {
-                    let p = self.stack.pop().expect("stack underflow");
-                    let VmValue::Ptr { addr, pointee } = p else {
-                        return Err(self.deref_non_pointer(p));
-                    };
-                    self.emit_access(layout::user_instr(site), addr, AccessKind::Read);
-                    let v = self.read_typed(addr, pointee);
+                    let p = self.pop();
+                    let v = self.load(site, p)?;
+                    self.stack.push(v);
+                }
+                Op::LoadIndexed { site } => {
+                    let idx = self.pop().as_int();
+                    let base = self.pop();
+                    let v = self.load(site, self.index(base, idx)?)?;
+                    self.stack.push(v);
+                }
+                Op::LoadIndexedSlot { slot, site } => {
+                    let idx = self.slot(slot).as_int();
+                    let base = self.pop();
+                    let v = self.load(site, self.index(base, idx)?)?;
                     self.stack.push(v);
                 }
                 Op::StoreThru { site } => {
-                    let v = self.stack.pop().expect("stack underflow");
-                    let p = self.stack.pop().expect("stack underflow");
-                    let VmValue::Ptr { addr, pointee } = p else {
-                        return Err(self.deref_non_pointer(p));
-                    };
-                    self.emit_access(layout::user_instr(site), addr, AccessKind::Write);
-                    write_typed(&mut self.mem, addr, self.code.types.kind(pointee), v.as_int());
+                    let v = self.pop();
+                    let p = self.pop();
+                    self.store(site, p, v)?;
                 }
-                Op::IncDecThru { site, delta, post } => {
-                    let p = self.stack.pop().expect("stack underflow");
-                    let VmValue::Ptr { addr, pointee } = p else {
-                        return Err(self.deref_non_pointer(p));
-                    };
-                    self.emit_access(layout::user_instr(site), addr, AccessKind::Read);
-                    let old = self.read_typed(addr, pointee);
+                Op::StoreIndexed { site } => {
+                    let idx = self.pop().as_int();
+                    let base = self.pop();
+                    let p = self.index(base, idx)?;
+                    let v = self.pop();
+                    self.store(site, p, v)?;
+                }
+                Op::StoreIndexedSlot { slot, site } => {
+                    let idx = self.slot(slot).as_int();
+                    let base = self.pop();
+                    let p = self.index(base, idx)?;
+                    let v = self.pop();
+                    self.store(site, p, v)?;
+                }
+                Op::IncDecThru { site, delta, push } => {
+                    let p = self.pop();
+                    let old = self.load(site, p)?;
                     let new = self.offset(old, delta as i64);
-                    self.emit_access(layout::user_instr(site), addr, AccessKind::Write);
-                    write_typed(&mut self.mem, addr, self.code.types.kind(pointee), new.as_int());
-                    self.stack.push(if post { old } else { new });
+                    self.store(site, p, new)?;
+                    self.leave(push, old, new);
                 }
                 Op::CheckPtr => {
                     let p = *self.stack.last().expect("stack underflow");
@@ -229,7 +237,7 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                     }
                 }
                 Op::Unary(op) => {
-                    let v = self.stack.pop().expect("stack underflow").as_int();
+                    let v = self.pop().as_int();
                     self.stack.push(VmValue::Int(match op {
                         UnOp::Neg => v.wrapping_neg(),
                         UnOp::Not => (v == 0) as i64,
@@ -237,40 +245,65 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                     }));
                 }
                 Op::Binary(op) => {
-                    let r = self.stack.pop().expect("stack underflow");
-                    let l = self.stack.pop().expect("stack underflow");
+                    let r = self.pop();
+                    let l = self.pop();
                     let v = self.binary(op, l, r)?;
                     self.stack.push(v);
                 }
                 Op::BinaryImm { op, imm } => {
-                    let l = self.stack.pop().expect("stack underflow");
+                    let l = self.pop();
                     let v = self.binary(op, l, VmValue::Int(imm))?;
                     self.stack.push(v);
                 }
                 Op::BinarySlot { op, slot } => {
-                    let r = self.slots[self.cur_base + slot as usize];
-                    let l = self.stack.pop().expect("stack underflow");
+                    let r = self.slot(slot);
+                    let l = self.pop();
                     let v = self.binary(op, l, r)?;
                     self.stack.push(v);
                 }
+                Op::BranchImm { op, imm, target } => {
+                    let l = self.pop();
+                    if !self.binary(op, l, VmValue::Int(imm.into()))?.is_truthy() {
+                        pc = target as usize;
+                    }
+                }
+                Op::BranchSlot { op, slot, target } => {
+                    let r = self.slot(slot);
+                    let l = self.pop();
+                    if !self.binary(op, l, r)?.is_truthy() {
+                        pc = target as usize;
+                    }
+                }
+                Op::BranchSlotImm { op, slot, imm, target } => {
+                    let l = self.slot(slot);
+                    if !self.binary(op, l, VmValue::Int(imm.into()))?.is_truthy() {
+                        pc = target as usize;
+                    }
+                }
                 Op::Compound(op) => {
-                    let rhs = self.stack.pop().expect("stack underflow");
-                    let old = self.stack.pop().expect("stack underflow");
+                    let rhs = self.pop();
+                    let old = self.pop();
                     let v = self.compound(op, old, rhs)?;
                     self.stack.push(v);
                 }
+                Op::CompoundSlot { op, slot, ty } => {
+                    let rhs = self.pop();
+                    let old = self.pop();
+                    let v = self.compound(op, old, rhs)?;
+                    self.set_slot(slot, ty, v);
+                }
                 Op::Truthy => {
-                    let v = self.stack.pop().expect("stack underflow");
+                    let v = self.pop();
                     self.stack.push(VmValue::Int(v.is_truthy() as i64));
                 }
                 Op::Jump(t) => pc = t as usize,
                 Op::JumpIfFalse(t) => {
-                    if !self.stack.pop().expect("stack underflow").is_truthy() {
+                    if !self.pop().is_truthy() {
                         pc = t as usize;
                     }
                 }
                 Op::JumpIfTrue(t) => {
-                    if self.stack.pop().expect("stack underflow").is_truthy() {
+                    if self.pop().is_truthy() {
                         pc = t as usize;
                     }
                 }
@@ -308,6 +341,32 @@ impl<'c, S: TraceSink> Vm<'c, S> {
 
     fn deref_non_pointer(&self, v: VmValue) -> RuntimeError {
         RuntimeError::DerefNonPointer { found: v.display(&self.code.types) }
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> VmValue {
+        self.stack.pop().expect("stack underflow")
+    }
+
+    #[inline(always)]
+    fn slot(&self, slot: u32) -> VmValue {
+        self.slots[self.cur_base + slot as usize]
+    }
+
+    /// Coerces `v` to the slot's declared type and stores it.
+    #[inline(always)]
+    fn set_slot(&mut self, slot: u32, ty: TypeId, v: VmValue) {
+        self.slots[self.cur_base + slot as usize] = self.coerce(v, ty);
+    }
+
+    /// Leaves a `++`/`--` op's result on the stack.
+    #[inline(always)]
+    fn leave(&mut self, push: Push, old: VmValue, new: VmValue) {
+        match push {
+            Push::Old => self.stack.push(old),
+            Push::New => self.stack.push(new),
+            Push::Nothing => {}
+        }
     }
 
     // ---- calls ----------------------------------------------------------
@@ -412,6 +471,38 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                 pointee,
             },
         }
+    }
+
+    /// `base[idx]`'s element pointer; the oracle's error if `base` is not a
+    /// pointer.
+    #[inline(always)]
+    fn index(&self, base: VmValue, idx: i64) -> RunResult<VmValue> {
+        let VmValue::Ptr { addr, pointee } = base else {
+            return Err(self.deref_non_pointer(base));
+        };
+        let size = self.code.types.size(pointee) as i64;
+        Ok(VmValue::Ptr { addr: addr.wrapping_add(idx.wrapping_mul(size) as u32), pointee })
+    }
+
+    /// Loads through `p`, emitting a read record at `site`.
+    #[inline(always)]
+    fn load(&mut self, site: u32, p: VmValue) -> RunResult<VmValue> {
+        let VmValue::Ptr { addr, pointee } = p else {
+            return Err(self.deref_non_pointer(p));
+        };
+        self.emit_access(layout::user_instr(site), addr, AccessKind::Read);
+        Ok(self.read_typed(addr, pointee))
+    }
+
+    /// Stores `v` through `p`, emitting a write record at `site`.
+    #[inline(always)]
+    fn store(&mut self, site: u32, p: VmValue, v: VmValue) -> RunResult<()> {
+        let VmValue::Ptr { addr, pointee } = p else {
+            return Err(self.deref_non_pointer(p));
+        };
+        self.emit_access(layout::user_instr(site), addr, AccessKind::Write);
+        write_typed(&mut self.mem, addr, self.code.types.kind(pointee), v.as_int());
+        Ok(())
     }
 
     #[inline(always)]

@@ -266,6 +266,48 @@ fn malformed_lines_answer_typed_errors_without_killing_the_connection() {
     daemon.join().unwrap().unwrap();
 }
 
+/// A request line over `MAX_LINE_BYTES` earns `bad_request` and closes
+/// its connection, while a line at the cap is read as usual; the daemon
+/// still answers a new connection. The read timeout makes a daemon that
+/// keeps buffering fail the test instead of hanging it.
+#[test]
+fn an_overlong_line_is_a_bad_request_that_closes_its_connection() {
+    use foray_serve::MAX_LINE_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+    let sock = std::env::temp_dir().join(format!("foray-serve-long-{}.sock", std::process::id()));
+    let addr = ServeAddr::Unix(sock.clone());
+    let server = Server::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let daemon = {
+        let addr = addr.clone();
+        std::thread::spawn(move || foray_serve::serve(server, &addr))
+    };
+    wait_for_socket(&sock);
+
+    let mut stream = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = String::new();
+    let mut line = vec![b'x'; MAX_LINE_BYTES];
+    line.push(b'\n');
+    stream.write_all(&line).unwrap();
+    reader.read_line(&mut reply).expect("a reply to the line at the cap");
+    assert!(reply.contains("\"error\":\"bad_json\""), "{reply}");
+
+    // No newline: the daemon must answer after one byte past the cap.
+    stream.write_all(&line[..MAX_LINE_BYTES]).unwrap();
+    stream.write_all(b"x").unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).expect("a reply before the read timeout");
+    assert!(reply.contains("\"error\":\"bad_request\""), "{reply}");
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).expect("the daemon closes"), 0, "{reply}");
+
+    let mut client = Client::connect(&addr).unwrap();
+    assert_eq!(client.ping().unwrap(), Response::Pong);
+    assert_eq!(client.shutdown().unwrap(), Response::ShutdownStarted);
+    daemon.join().unwrap().unwrap();
+}
+
 /// Shutdown mid-queue: accepted jobs all finish, none are lost, new
 /// submissions are fenced out with a typed error.
 #[test]

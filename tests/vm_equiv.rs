@@ -9,61 +9,83 @@
 //!   checkpoint counts, printed output, heap allocations);
 //! * the full pipeline end to end (analysis, emitted FORAY model code,
 //!   trace statistics);
-//! * runtime *errors* (same variant, same message) on the failure paths;
-//! * property tests over randomized inputs and scales.
+//! * runtime *errors* on the failure paths, a fault inside each fused op
+//!   among them (the same records before the error, then the same variant
+//!   and message);
+//! * property tests over randomized inputs and scales, and over generated
+//!   programs that put each fused op next to a jump label.
 
 use foray::ForayGen;
 use foray_workloads::{all, Params};
+use minic::Program;
 use minic_sim::{Engine, RuntimeError, SimConfig, SimOutcome};
-use minic_trace::Record;
+use minic_trace::{Record, VecSink};
 use proptest::prelude::*;
 
 fn config(engine: Engine) -> SimConfig {
     SimConfig { engine, ..SimConfig::default() }
 }
 
-fn run_engine(
-    src: &str,
+/// Runs `prog` on one engine: its outcome or error, and every record it
+/// emitted (on an error, the prefix before it).
+fn observe(
+    prog: &Program,
+    config: &SimConfig,
     inputs: &[i64],
-    engine: Engine,
-) -> Result<(SimOutcome, Vec<Record>), RuntimeError> {
-    let prog = minic::frontend(src).expect("workload compiles");
-    minic_sim::run(&prog, &config(engine), inputs)
+) -> (Result<SimOutcome, RuntimeError>, Vec<Record>) {
+    let mut sink = VecSink::new();
+    let result = minic_sim::run_with_sink(prog, config, inputs, &mut sink);
+    (result, sink.into_records())
 }
 
-/// Asserts full observable equality of one program run under both engines.
-/// Returns the record count so callers can sanity-check coverage.
-fn assert_engines_agree(name: &str, src: &str, inputs: &[i64]) -> usize {
-    let tree = run_engine(src, inputs, Engine::Tree);
-    let vm = run_engine(src, inputs, Engine::Vm);
-    match (tree, vm) {
-        (Ok((to, tr)), Ok((vo, vr))) => {
-            // Byte-identity covers access records *and* checkpoints.
-            let tb = minic_trace::binary::to_bytes(&tr);
-            let vb = minic_trace::binary::to_bytes(&vr);
-            if tb != vb {
-                let at = tr.iter().zip(&vr).position(|(a, b)| a != b).map_or_else(
-                    || format!("lengths {} vs {}", tr.len(), vr.len()),
-                    |i| format!("record {i}: {:?} vs {:?}", tr[i], vr[i]),
-                );
-                panic!("{name}: trace divergence at {at}");
-            }
+/// Asserts full observable equality of one program run under both engines
+/// (with `config`'s other settings): the same trace bytes, or on an error
+/// the same prefix before it, and then the same outcome or the same error
+/// variant and message. Returns the agreed records and result.
+fn assert_programs_agree(
+    name: &str,
+    prog: &Program,
+    config: &SimConfig,
+    inputs: &[i64],
+) -> (Vec<Record>, Result<SimOutcome, RuntimeError>) {
+    let (tree, tr) = observe(prog, &SimConfig { engine: Engine::Tree, ..config.clone() }, inputs);
+    let (vm, vr) = observe(prog, &SimConfig { engine: Engine::Vm, ..config.clone() }, inputs);
+    // Byte-identity covers access records *and* checkpoints.
+    if minic_trace::binary::to_bytes(&tr) != minic_trace::binary::to_bytes(&vr) {
+        let at = tr.iter().zip(&vr).position(|(a, b)| a != b).map_or_else(
+            || format!("lengths {} vs {}", tr.len(), vr.len()),
+            |i| format!("record {i}: {:?} vs {:?}", tr[i], vr[i]),
+        );
+        panic!("{name}: trace divergence at {at}");
+    }
+    match (&tree, &vm) {
+        (Ok(to), Ok(vo)) => {
             assert_eq!(to.printed, vo.printed, "{name}: printed output");
             assert_eq!(to.accesses, vo.accesses, "{name}: access count");
             assert_eq!(to.checkpoints, vo.checkpoints, "{name}: checkpoint count");
             assert_eq!(to.heap_allocations, vo.heap_allocations, "{name}: heap allocations");
-            tr.len()
         }
         (Err(te), Err(ve)) => {
             assert_eq!(te, ve, "{name}: error divergence");
             assert_eq!(te.to_string(), ve.to_string(), "{name}: error message divergence");
-            0
         }
         (t, v) => panic!(
             "{name}: one engine failed: tree={:?} vm={:?}",
-            t.map(|(o, _)| o.accesses),
-            v.map(|(o, _)| o.accesses)
+            t.as_ref().map(|o| o.accesses),
+            v.as_ref().map(|o| o.accesses)
         ),
+    }
+    (tr, tree)
+}
+
+/// [`assert_programs_agree`] on a source through the full frontend, with
+/// the default configuration. Returns the record count of a clean run, or
+/// 0 when both engines fail alike.
+fn assert_engines_agree(name: &str, src: &str, inputs: &[i64]) -> usize {
+    let prog = minic::frontend(src).expect("program compiles");
+    match assert_programs_agree(name, &prog, &SimConfig::default(), inputs) {
+        (records, Ok(_)) => records.len(),
+        (_, Err(_)) => 0,
     }
 }
 
@@ -94,18 +116,16 @@ fn pipeline_end_to_end_identical() {
 #[test]
 fn call_overhead_off_is_also_identical() {
     let w = foray_workloads::by_name("gsmc", Params::default()).unwrap();
-    let cfg = |engine| SimConfig { model_call_overhead: false, engine, ..SimConfig::default() };
-    let prog = w.frontend().unwrap();
-    let (to, tr) = minic_sim::run(&prog, &cfg(Engine::Tree), &w.inputs).unwrap();
-    let (vo, vr) = minic_sim::run(&prog, &cfg(Engine::Vm), &w.inputs).unwrap();
-    assert_eq!(minic_trace::binary::to_bytes(&tr), minic_trace::binary::to_bytes(&vr));
-    assert_eq!(to.printed, vo.printed);
+    let cfg = SimConfig { model_call_overhead: false, ..SimConfig::default() };
+    let (_, result) = assert_programs_agree("gsmc", &w.frontend().unwrap(), &cfg, &w.inputs);
+    result.expect("gsmc runs");
 }
 
 #[test]
 fn error_paths_match_the_oracle() {
     // Programs that fault: both engines must raise the same error, with
-    // the same message, after the same trace prefix.
+    // the same message, after the same trace prefix. Step-limit cases stay
+    // out: where a budget stops a run is engine-specific by design.
     let cases: &[(&str, &str)] = &[
         ("div-by-zero", "void main() { int x; x = 1 / (x - x); }"),
         ("rem-by-zero", "void main() { int x; x = 1 % (x - x); }"),
@@ -118,15 +138,29 @@ fn error_paths_match_the_oracle() {
         ("huge-local-array", "void main() { int big[67000000]; big[0] = 1; }"),
         ("compound-div-zero", "int g; void main() { g = 4; g /= g - g; }"),
     ];
-    for (name, src) in cases {
+    // Faults inside each fused shape, each after records that must match.
+    let fused: &[(&str, &str)] = &[
+        ("slot-indexed-load", "int g; void main() { int x; int i; g = 1; i = g; g = x[i]; }"),
+        ("indexed-load", "int g; void main() { int x; int i; g = 1; g = x[i + g]; }"),
+        ("slot-indexed-store", "int g; void main() { int x; int i; g = 1; x[i] = g; }"),
+        ("indexed-store", "int g; void main() { int x; g = 1; x[g + 1] = g; }"),
+        ("index-incdec-stmt", "int g; void main() { int x; int i; g = 1; i = g; x[i]++; }"),
+        ("deref-incdec-stmt", "int g; void main() { int x; g = 1; x = g; --*x; }"),
+        ("compound-slot-div-zero", "int g; void main() { int s; s = g++; s /= g - 1; }"),
+        ("compound-slot-rem-zero", "int g; void main() { int s; g = 2; s = g; s %= s - g; }"),
+    ];
+    let fault = |name: &str, src: &str| {
         let mut prog = minic::parse(src).expect("parses");
         minic::check(&mut prog).expect("checks");
-        let tree = minic_sim::run(&prog, &config(Engine::Tree), &[]);
-        let vm = minic_sim::run(&prog, &config(Engine::Vm), &[]);
-        let te = tree.expect_err(name);
-        let ve = vm.expect_err(name);
-        assert_eq!(te, ve, "{name}: error variant");
-        assert_eq!(te.to_string(), ve.to_string(), "{name}: error message");
+        let (records, result) = assert_programs_agree(name, &prog, &SimConfig::default(), &[]);
+        result.expect_err(name);
+        records
+    };
+    for (name, src) in cases {
+        fault(name, src);
+    }
+    for (name, src) in fused {
+        assert!(!fault(name, src).is_empty(), "{name}: no prefix to compare");
     }
 }
 
@@ -198,6 +232,97 @@ fn scope_and_shadowing_semantics_match() {
     ];
     for (i, src) in cases.iter().enumerate() {
         assert_engines_agree(&format!("case {i}"), src, &[3, 1, 4, 1, 5]);
+    }
+}
+
+/// Statements that put each fused shape (compare-and-branch, indexed load
+/// and store, statement `++`/`--`, compound store) next to a jump label.
+/// `{k}` is a small literal and `{K}` an immediate at or past the edge of
+/// `i32`.
+const FUSION_EDGES: &[&str] = &[
+    // A `for` step reached by `continue`.
+    "for (i = 0; i < {k}; i++) { if (a[i & 15] > {k}) { continue; } s += a[i & 15]; }",
+    "s += f({k});",
+    // `?:`, `&&` and `||` inside an index.
+    "s += a[i < {k} ? i & 15 : j & 15];",
+    "a[(j > {k} && s < 50) + 2] = s;",
+    "b[(i == {k} || j != 3) + 1] += j;",
+    "c[j > {k} ? j & 15 : i & 15]++;",
+    // ... and in a loop condition.
+    "while (j < {k} && a[j & 15] != {k}) { j++; }",
+    "for (i = 0; i < 3 || i < {k}; i++) { s -= b[i & 15]; }",
+    "for (i = {k}; i > 0 ? a[i & 15] : 0; i--) { s++; }",
+    // Loop conditions on pointers.
+    "for (q = b; q < e; q++) { s += *q; }",
+    "for (q = b + ({k} & 15); q != 0 && q > b; q--) { *q = s; }",
+    "q = e; while (q > b + {k}) { q--; s += q[0]; }",
+    // Immediates at and past the edge of `i32`.
+    "if (s < {K}) { s += 1; }",
+    "while (j != {K} && j < {k}) { j++; }",
+    "s += (a[j & 15] >= {K}) + (b[i & 15] < 0 - {K});",
+    // `i++` and `a[i]++` as statements and inside expressions.
+    "j++; --i; a[j & 15]++; --b[i & 15]; g++; c[j & 15]--;",
+    "s += j++ + a[i & 15]++ - --b[j & 15] + g--;",
+    "a[j++ & 15] = i--;",
+    // `s += <expression that writes s>`, and compound faults.
+    "s += s++;",
+    "s -= a[s++ & 15];",
+    "s += --s + j;",
+    "s /= j - {k};",
+    "s %= {k};",
+];
+
+/// Literals at and past the edge of `i32` (`0 - n` folds to a negative
+/// literal).
+const EDGE_IMMEDIATES: &[&str] = &[
+    "2147483647",
+    "2147483648",
+    "(0 - 2147483648)",
+    "(0 - 2147483649)",
+    "3000000000",
+    "4294967296",
+];
+
+/// A program running `picks` of [`FUSION_EDGES`] in order, then printing
+/// every variable it touched.
+fn fusion_edge_program(s0: i64, j0: i64, picks: &[(usize, i64, usize)]) -> String {
+    let mut body = String::new();
+    for &(shape, k, big) in picks {
+        let stmt =
+            FUSION_EDGES[shape].replace("{k}", &k.to_string()).replace("{K}", EDGE_IMMEDIATES[big]);
+        body.push_str(&stmt);
+        body.push('\n');
+    }
+    format!(
+        "int a[16]; int b[16]; char c[16]; int g;
+         int f(int n) {{ int t; int r; r = 0;
+           for (t = 0; t < n; t++) {{ if (t == 2) {{ continue; }} r += t; }}
+           return r; }}
+         void main() {{ int i; int j; int s; int *q; int *e;
+           s = {s0}; j = {j0}; e = b + 16;
+           for (i = 0; i < 16; i++) {{ a[i] = i * 3 - 7; b[i] = 16 - i; c[i] = i * 37; }}
+           {body}
+           print_int(s); print_int(i); print_int(j); print_int(g);
+           for (i = 0; i < 16; i++) {{ print_int(a[i] + b[i] + c[i]); }} }}"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every fused shape next to a jump label: the engines agree on trace
+    /// bytes, printed output and errors.
+    #[test]
+    fn engines_agree_at_fusion_boundaries(
+        s0 in 0i64..10,
+        j0 in 0i64..10,
+        picks in proptest::collection::vec(
+            (0..FUSION_EDGES.len(), 0i64..20, 0..EDGE_IMMEDIATES.len()),
+            1..8,
+        ),
+    ) {
+        let src = fusion_edge_program(s0, j0, &picks);
+        assert_engines_agree(&src, &src, &[]);
     }
 }
 

@@ -214,6 +214,37 @@ fn analyzer_counters_show_the_fast_path_dominates() {
     }
 }
 
+/// Ops the VM dispatched on each corpus program at scale 1 before the
+/// lowering fused its hot sequences (compare-and-branch, indexed load and
+/// store, statement `++`/`--`, compound store).
+const UNFUSED_STEPS: [(&str, u64); 7] = [
+    ("jpegc", 413_341),
+    ("lamec", 709_712),
+    ("susanc", 306_307),
+    ("fftc", 143_233),
+    ("gsmc", 3_117_088),
+    ("adpcmc", 387_197),
+    ("histoc", 151_371),
+];
+
+#[test]
+fn fused_bytecode_dispatches_a_fifth_fewer_ops() {
+    let corpus = all(Params { scale: 1 });
+    assert_eq!(corpus.len(), UNFUSED_STEPS.len());
+    for (w, (name, unfused)) in corpus.iter().zip(UNFUSED_STEPS) {
+        assert_eq!(w.name, name);
+        let prog = w.frontend().unwrap();
+        let steps = || {
+            let mut sink = minic_trace::CountingSink::new();
+            let config = minic_sim::SimConfig::default();
+            minic_sim::run_with_sink(&prog, &config, &w.inputs, &mut sink).unwrap().steps
+        };
+        let n = steps();
+        assert_eq!(n, steps(), "{name}: dispatched ops must repeat exactly");
+        assert!(n * 5 <= unfused * 4, "{name}: {n} ops dispatched, {unfused} unfused");
+    }
+}
+
 /// Renders one batch result as the textual report a consumer would emit.
 fn render_batch(results: &[Result<foray::ForayGenOutput, foray::PipelineError>]) -> String {
     let mut out = String::new();
