@@ -59,11 +59,11 @@ impl Json {
     ///
     /// [`JsonError`] with the byte offset of the first problem.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { src: input, pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after the value"));
         }
         Ok(value)
@@ -171,7 +171,7 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -181,7 +181,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -200,7 +200,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -236,17 +236,27 @@ impl Parser<'_> {
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(self.err("non-integer numbers are not part of the protocol"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.src[start..self.pos];
         text.parse::<i64>().map(Json::Int).map_err(|_| JsonError {
             offset: start,
             reason: format!("`{text}` is not a valid integer"),
         })
     }
 
+    /// Parses a string in one pass: each run of bytes that are not `"`,
+    /// `\` or a control character is appended in one step, so a line's
+    /// cost is linear in its length.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.src.as_bytes()[self.pos..];
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+            let end = self.pos + run.unwrap_or(rest.len());
+            // The run ends at an ASCII byte or at the end of the input, so
+            // both of its ends are character boundaries.
+            out.push_str(&self.src[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -266,9 +276,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -283,15 +292,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf-8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -423,6 +424,41 @@ mod tests {
         assert_eq!(v.get("b").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Int(1).get("x"), None, "non-objects have no keys");
+    }
+
+    /// Long plain runs alternate with escapes, and multi-byte characters
+    /// sit at both edges of every run.
+    #[test]
+    fn long_runs_between_escapes_parse_exactly() {
+        let run = "for (i = 0; i < n; i++) { a[i] = i; } ".repeat(100);
+        let escapes = [
+            ("\\n", "\n"),
+            ("\\\"", "\""),
+            ("\\u0041", "A"),
+            ("\\u00e9", "é"),
+            ("\\u0001", "\u{1}"),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+        ];
+        let edges = ["é", "→", "世", "😀"];
+        let (mut line, mut want) = (String::from("\""), String::new());
+        for i in 0..64 {
+            let (escaped, plain) = escapes[i % escapes.len()];
+            let edge = edges[i % edges.len()];
+            for (out, esc) in [(&mut line, escaped), (&mut want, plain)] {
+                out.push_str(edge);
+                out.push_str(&run);
+                out.push_str(edge);
+                out.push_str(esc);
+            }
+        }
+        line.push('"');
+        let parsed = Json::parse(&line).unwrap();
+        assert_eq!(parsed.as_str(), Some(want.as_str()));
+        assert_eq!(Json::parse(&parsed.render()).unwrap(), parsed, "the writer's escapes too");
+        // A raw control character ends a run as an error, not as text.
+        let raw = format!("\"{run}\u{1f}{run}\"");
+        assert_eq!(Json::parse(&raw).unwrap_err().offset, 1 + run.len());
     }
 
     #[test]

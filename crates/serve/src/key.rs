@@ -25,32 +25,30 @@
 //! lookup strategy equivalent); keying on them would only fragment the
 //! cache.
 
-use crate::protocol::{JobInput, JobSpec};
+use crate::protocol::{JobInput, JobKind, JobSpec};
 use crate::{ErrorCode, ProtoError};
 use foray::StableHasher;
 use foray_workloads::{by_name, Params, MAX_SCALE};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Read};
+use std::sync::{Mutex, PoisonError};
 
 /// Version tag mixed into every key; bump when key semantics change.
 pub const KEY_SCHEMA: &str = "foray-serve-key/v1";
 
-/// A job's resolved identity: the cache key plus the materials the
-/// scheduler needs to actually run it (resolved source and inputs).
+/// A job's resolved identity: its cache key and the job as submitted.
+/// Resolving builds no program; the worker that runs the job does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedJob {
     /// 16-hex-char content-addressed cache key.
     pub key: String,
     /// The job as submitted.
     pub spec: JobSpec,
-    /// For workload/source jobs: the canonicalized program text.
-    pub source: Option<String>,
-    /// The `input()` data to install (resolved from the workload's
-    /// canonical inputs unless the submission overrode them).
-    pub inputs: Vec<i64>,
 }
 
-/// Resolves a [`JobSpec`] to its cache key and run materials.
+/// Resolves a [`JobSpec`] to its cache key.
 ///
 /// This is where submit-time validation happens: unknown workload names,
 /// workload scales above [`MAX_SCALE`] and unreadable trace files are
@@ -62,63 +60,165 @@ pub struct ResolvedJob {
 /// [`ProtoError`] (`bad_request`) for unknown workloads, oversized
 /// workload scales or unreadable trace files.
 pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, ProtoError> {
-    if spec.kind == crate::protocol::JobKind::Dse && matches!(spec.input, JobInput::Trace(_)) {
-        return Err(ProtoError::new(
-            ErrorCode::BadRequest,
-            "dse needs program source: a trace file carries no program to re-run",
-        ));
-    }
-    let (source, canonical_inputs, trace) = match &spec.input {
+    Ok(ResolvedJob { key: job_key(spec)?, spec: spec.clone() })
+}
+
+/// The cache key of `spec`. A workload job's program fields come from
+/// [`WORKLOAD_KEYS`]; source and trace jobs hash their text or file.
+pub(crate) fn job_key(spec: &JobSpec) -> Result<String, ProtoError> {
+    job_key_in(spec, &WORKLOAD_KEYS)
+}
+
+fn job_key_in(spec: &JobSpec, memo: &WorkloadKeys) -> Result<String, ProtoError> {
+    let mut h = match &spec.input {
         JobInput::Workload(name) => {
-            if spec.scale > MAX_SCALE {
+            let program = memo.get(spec.kind, name, spec.scale)?;
+            match &spec.inputs {
+                None => return Ok(finish_key(program.canonical, spec)),
+                Some(_) => program.program,
+            }
+        }
+        JobInput::Source(text) => program_fields(spec.kind, None, Some(&canonicalize(text))),
+        JobInput::Trace(path) => {
+            if spec.kind == JobKind::Dse {
                 return Err(ProtoError::new(
                     ErrorCode::BadRequest,
-                    format!(
-                        "scale {} is above the largest workload scale, {MAX_SCALE}",
-                        spec.scale
-                    ),
+                    "dse needs program source: a trace file carries no program to re-run",
                 ));
             }
-            let w = by_name(name, Params { scale: spec.scale }).ok_or_else(|| {
-                ProtoError::new(ErrorCode::BadRequest, format!("unknown workload `{name}`"))
-            })?;
-            (Some(canonicalize(&w.source)), w.inputs, None)
-        }
-        JobInput::Source(text) => (Some(canonicalize(text)), Vec::new(), None),
-        JobInput::Trace(path) => {
             let digest = trace_digest(path).map_err(|e| {
                 ProtoError::new(ErrorCode::BadRequest, format!("cannot read trace `{path}`: {e}"))
             })?;
-            (None, Vec::new(), Some(digest))
+            return Ok(trace_key(spec, &digest));
         }
     };
-    let inputs = spec.inputs.clone().unwrap_or(canonical_inputs);
-    let key = job_key(spec, source.as_deref(), trace.as_deref(), &inputs);
-    Ok(ResolvedJob { key, spec: spec.clone(), source, inputs })
+    h.field_i64_list("inputs", spec.inputs.as_deref().unwrap_or_default());
+    Ok(finish_key(h, spec))
 }
 
-/// The cache key of `spec` run on the program text `source`, or on the
-/// trace whose content digest is `trace`, with `inputs`.
-pub(crate) fn job_key(
-    spec: &JobSpec,
-    source: Option<&str>,
-    trace: Option<&str>,
-    inputs: &[i64],
-) -> String {
+/// The cache key of a trace job whose file has the content digest
+/// `digest`.
+pub(crate) fn trace_key(spec: &JobSpec, digest: &str) -> String {
+    let mut h = program_fields(spec.kind, Some(digest), None);
+    h.field_i64_list("inputs", spec.inputs.as_deref().unwrap_or_default());
+    finish_key(h, spec)
+}
+
+/// The key's leading fields, which name the program: the schema, the job
+/// kind, and the trace's content digest or the program's source.
+fn program_fields(kind: JobKind, trace: Option<&str>, source: Option<&str>) -> StableHasher {
     let mut h = StableHasher::new();
     h.field_str("schema", KEY_SCHEMA);
-    h.field_str("kind", spec.kind.as_str());
+    h.field_str("kind", kind.as_str());
     if let Some(digest) = trace {
         h.field_str("input.trace", digest);
     }
     if let Some(src) = source {
         h.field_str("input.source", src);
     }
-    h.field_i64_list("inputs", inputs);
+    h
+}
+
+/// Finishes a key from the state after its `inputs` field with the fields
+/// every request sets for itself: engine, filter and analyzer settings.
+fn finish_key(mut h: StableHasher, spec: &JobSpec) -> String {
     h.field_str("engine", spec.engine.as_str());
     foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc }.stable_digest(&mut h);
     analyzer_config_for(spec).stable_digest(&mut h);
     h.finish_hex()
+}
+
+/// A workload job's key state after its program fields, for one
+/// (kind, workload, scale).
+#[derive(Debug, Clone)]
+struct WorkloadKey {
+    /// After `input.source`: a submit that overrides the inputs goes on
+    /// from here.
+    program: StableHasher,
+    /// After the workload's canonical `inputs` as well.
+    canonical: StableHasher,
+}
+
+/// The memo of workload key states, keyed by (kind, workload, scale). A
+/// workload's source and canonical inputs are a function of its name and
+/// scale, so the key state after them is too; a hit finishes the key
+/// without building the workload.
+/// The memo holds hasher states, not programs, and an entry is added only
+/// after the name and scale checks pass, so it never holds more than
+/// 3 kinds × the registered workloads × (`MAX_SCALE` + 1) scales.
+struct WorkloadKeys(Mutex<BTreeMap<(&'static str, &'static str, u32), WorkloadKey>>);
+
+/// The process's workload key memo.
+static WORKLOAD_KEYS: WorkloadKeys = WorkloadKeys::new();
+
+impl WorkloadKeys {
+    const fn new() -> WorkloadKeys {
+        WorkloadKeys(Mutex::new(BTreeMap::new()))
+    }
+
+    /// The key state of `kind` on workload `name` at `scale`, built and
+    /// memoized on first use. The lock is not held while the workload is
+    /// built: two threads may both build it, and both insert equal states.
+    fn get(&self, kind: JobKind, name: &str, scale: u32) -> Result<WorkloadKey, ProtoError> {
+        let lock = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(known) = lock().get(&(kind.as_str(), name, scale)) {
+            return Ok(known.clone());
+        }
+        let (name, source, inputs) = workload_program(name, scale)?;
+        let program = program_fields(kind, None, Some(&source));
+        let mut canonical = program.clone();
+        canonical.field_i64_list("inputs", &inputs);
+        let built = WorkloadKey { program, canonical };
+        lock().insert((kind.as_str(), name, scale), built.clone());
+        Ok(built)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
+/// Builds workload `name` at `scale`: its registered name, canonicalized
+/// source and canonical `input()` data. Both the key memo and the worker
+/// that runs a job build through here, after the same checks.
+fn workload_program(
+    name: &str,
+    scale: u32,
+) -> Result<(&'static str, String, Vec<i64>), ProtoError> {
+    if scale > MAX_SCALE {
+        return Err(ProtoError::new(
+            ErrorCode::BadRequest,
+            format!("scale {scale} is above the largest workload scale, {MAX_SCALE}"),
+        ));
+    }
+    let w = by_name(name, Params { scale }).ok_or_else(|| {
+        ProtoError::new(ErrorCode::BadRequest, format!("unknown workload `{name}`"))
+    })?;
+    Ok((w.name, canonicalize(w.source).into_owned(), w.inputs))
+}
+
+/// The program a source or workload job runs: its canonicalized source
+/// and the `input()` data it installs.
+///
+/// # Errors
+///
+/// The `bad_request` that [`resolve`] gives the same spec.
+pub(crate) fn program(spec: &JobSpec) -> Result<(String, Vec<i64>), ProtoError> {
+    let (source, canonical_inputs) = match &spec.input {
+        JobInput::Workload(name) => {
+            let (_, source, inputs) = workload_program(name, spec.scale)?;
+            (source, inputs)
+        }
+        JobInput::Source(text) => (canonicalize(text).into_owned(), Vec::new()),
+        JobInput::Trace(path) => {
+            return Err(ProtoError::new(
+                ErrorCode::BadRequest,
+                format!("trace `{path}` carries no program source"),
+            ))
+        }
+    };
+    Ok((source, spec.inputs.clone().unwrap_or(canonical_inputs)))
 }
 
 /// The analyzer configuration a job runs with (sampling is the only
@@ -154,8 +254,13 @@ fn trace_digest(path: &str) -> io::Result<String> {
 
 /// Normalizes line endings so the same program submitted from different
 /// platforms shares one cache entry.
-fn canonicalize(source: &str) -> String {
-    source.replace("\r\n", "\n")
+fn canonicalize<'a>(source: impl Into<Cow<'a, str>>) -> Cow<'a, str> {
+    let source = source.into();
+    if source.contains("\r\n") {
+        Cow::Owned(source.replace("\r\n", "\n"))
+    } else {
+        source
+    }
 }
 
 #[cfg(test)]
@@ -171,15 +276,56 @@ mod tests {
 
     #[test]
     fn workload_resolves_to_its_source_and_canonical_inputs() {
-        let r = resolve(&spec(JobInput::Workload("fftc".into()))).unwrap();
+        let s = spec(JobInput::Workload("fftc".into()));
         let w = by_name("fftc", Params { scale: 1 }).unwrap();
-        assert_eq!(r.source.as_deref(), Some(w.source.as_str()));
-        assert_eq!(r.inputs, w.inputs);
+        assert_eq!(program(&s).unwrap(), (w.source.clone(), w.inputs.clone()));
         // Submitting the workload's source inline (with the same inputs)
         // lands on the same cache entry.
         let mut inline = spec(JobInput::Source(w.source.clone()));
         inline.inputs = Some(w.inputs.clone());
-        assert_eq!(resolve(&inline).unwrap().key, r.key);
+        assert_eq!(program(&inline).unwrap(), program(&s).unwrap());
+        assert_eq!(resolve(&inline).unwrap().key, resolve(&s).unwrap().key);
+        // An override replaces the canonical inputs, and only them.
+        let mut over = s.clone();
+        over.inputs = Some(vec![4, 5]);
+        assert_eq!(program(&over).unwrap(), (w.source, vec![4, 5]));
+    }
+
+    /// Keys taken before workload keys were memoized. A memo-cold key
+    /// (which builds the workload) and a memo-warm one (which does not)
+    /// must both equal them.
+    #[test]
+    fn workload_keys_match_pinned_values_cold_and_warm() {
+        let golden = [
+            ("fftc", JobKind::Model, "5ea73f7ddede47a6"),
+            ("fftc", JobKind::Report, "521f668b90c0c4c6"),
+            ("fftc", JobKind::Dse, "a8e1e7600b0cc615"),
+            ("histoc", JobKind::Model, "0841261023fa443f"),
+            ("histoc", JobKind::Report, "8d392a2e8dd3a61f"),
+            ("histoc", JobKind::Dse, "81023553a76923ca"),
+        ];
+        let memo = WorkloadKeys::new();
+        for (filled, (name, kind, key)) in golden.into_iter().enumerate() {
+            let s = JobSpec { kind, scale: 2, ..spec(JobInput::Workload(name.into())) };
+            assert_eq!(memo.len(), filled);
+            assert_eq!(job_key_in(&s, &memo).unwrap(), key, "{name} {kind:?}, memo cold");
+            assert_eq!(memo.len(), filled + 1, "a cold key fills one entry");
+            assert_eq!(job_key_in(&s, &memo).unwrap(), key, "{name} {kind:?}, memo warm");
+            assert_eq!(memo.len(), filled + 1, "a warm key fills nothing");
+            assert_eq!(resolve(&s).unwrap().key, key, "{name} {kind:?}, process memo");
+        }
+        // The fields each request sets for itself finish a memoized state:
+        // an inputs override goes on from the state after the source.
+        let mut over = spec(JobInput::Workload("fftc".into()));
+        over.scale = 2;
+        over.inputs = Some(vec![1, 2, 3]);
+        assert_eq!(job_key_in(&over, &memo).unwrap(), "c39e47b3d9a7d9ab");
+        let mut tree = spec(JobInput::Workload("histoc".into()));
+        tree.scale = 2;
+        tree.engine = Engine::Tree;
+        tree.n_exec = 7;
+        assert_eq!(job_key_in(&tree, &memo).unwrap(), "cd89f8e3b69b75c1");
+        assert_eq!(memo.len(), golden.len(), "both share their workload's entry");
     }
 
     #[test]
@@ -261,6 +407,15 @@ mod tests {
 
     #[test]
     fn unknown_workload_and_missing_trace_are_typed_errors() {
+        // Rejected workloads never reach the memo, cold or warm.
+        let memo = WorkloadKeys::new();
+        job_key_in(&spec(JobInput::Workload("fftc".into())), &memo).unwrap();
+        for (name, scale) in [("mp3floatc", 1), ("fftc", MAX_SCALE + 1), ("FFTC", 1)] {
+            let mut s = spec(JobInput::Workload(name.into()));
+            s.scale = scale;
+            assert_eq!(job_key_in(&s, &memo).unwrap_err().code, ErrorCode::BadRequest);
+        }
+        assert_eq!(memo.len(), 1);
         let e = resolve(&spec(JobInput::Workload("mp3floatc".into()))).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
         let e = resolve(&spec(JobInput::Trace("/nonexistent/x.ftrace".into()))).unwrap_err();

@@ -23,13 +23,15 @@
 
 use crate::cache::ResultCache;
 use crate::json::{obj, Json};
-use crate::key::{analyzer_config_for, content_digest, job_key, resolve, ResolvedJob};
+use crate::key::{analyzer_config_for, content_digest, job_key, program, trace_key, ResolvedJob};
 use crate::protocol::{
     parse_request, ErrorCode, JobInput, JobKind, JobSpec, ProtoError, Request, Response,
     StatsSnapshot,
 };
 use foray::{ForayGen, ForayModel, MemoryBehavior};
+use std::any::Any;
 use std::collections::{BinaryHeap, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -76,9 +78,9 @@ pub struct Submitted {
     pub key: String,
 }
 
-/// A job record. Only a queued job holds its resolved program; the worker
-/// that claims it takes the program, and a finished or cache-hit record
-/// keeps just its state and result.
+/// A job record. Only a queued job holds its key and spec; the worker that
+/// claims it takes them and builds the program, and a finished or
+/// cache-hit record keeps just its state and result.
 #[derive(Debug)]
 enum JobState {
     Queued(ResolvedJob),
@@ -189,9 +191,8 @@ impl Server {
     /// dse-over-trace), `shutting_down`, or `queue_full` (with a retry
     /// hint).
     pub fn submit(&self, spec: &JobSpec) -> Result<Submitted, ProtoError> {
-        // Resolution does IO (trace hashing) — keep it outside the lock.
-        let resolved = resolve(spec)?;
-        let key = resolved.key.clone();
+        // Keying does IO (trace hashing) — keep it outside the lock.
+        let key = job_key(spec)?;
         let mut st = self.shared.lock();
         if st.shutting_down {
             return Err(ProtoError::new(
@@ -224,7 +225,7 @@ impl Server {
         st.next_id += 1;
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.jobs.insert(id, JobState::Queued(resolved));
+        st.jobs.insert(id, JobState::Queued(ResolvedJob { key: key.clone(), spec: spec.clone() }));
         st.in_flight.insert(key.clone(), id);
         st.queue.push(QueueEntry { priority: spec.priority, seq, id });
         drop(st);
@@ -323,13 +324,19 @@ impl Server {
     /// a job ran. This is the `workers: 0` test/drain hook: combined with
     /// a bounded queue it makes backpressure and ordering deterministic.
     pub fn step_one(&self) -> bool {
+        self.step_with(compute)
+    }
+
+    /// [`Server::step_one`] with the compute step given: tests hand it a
+    /// faulty one.
+    fn step_with(&self, compute: impl FnOnce(&ResolvedJob) -> Result<String, String>) -> bool {
         let claimed = {
             let mut st = self.shared.lock();
             claim_next(&mut st)
         };
         match claimed {
-            Some((id, resolved)) => {
-                run_claimed(&self.shared, id, &resolved);
+            Some((id, job)) => {
+                run_claimed(&self.shared, id, &job, compute);
                 true
             }
             None => false,
@@ -436,34 +443,42 @@ fn worker_loop(shared: &Arc<Shared>) {
                 st = shared.work.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        run_claimed(shared, claimed.0, &claimed.1);
+        run_claimed(shared, claimed.0, &claimed.1, compute);
     }
 }
 
-/// Pops the highest-priority job, marks it running and takes its program
-/// out of the record — one atomic step under the lock, so a drain check
-/// never sees a popped-but-unmarked job.
+/// Pops the highest-priority job, marks it running and takes its key and
+/// spec out of the record — one atomic step under the lock, so a drain
+/// check never sees a popped-but-unmarked job.
 fn claim_next(st: &mut State) -> Option<(u64, ResolvedJob)> {
     let id = st.queue.pop()?.id;
     let state = st.jobs.get_mut(&id).expect("queued job has a record");
-    let JobState::Queued(resolved) = std::mem::replace(state, JobState::Running) else {
+    let JobState::Queued(job) = std::mem::replace(state, JobState::Running) else {
         unreachable!("a job in the queue is in the Queued state")
     };
     st.running += 1;
-    Some((id, resolved))
+    Some((id, job))
 }
 
 /// Computes a claimed job unlocked, then publishes the result (into the
-/// cache on success) and wakes waiters.
-fn run_claimed(shared: &Arc<Shared>, id: u64, resolved: &ResolvedJob) {
-    let outcome = compute(resolved);
+/// cache on success) and wakes waiters. A panic in `compute` fails the
+/// job like an error does: the job's own state is all it can have
+/// touched, and the worker thread lives on.
+fn run_claimed(
+    shared: &Shared,
+    id: u64,
+    job: &ResolvedJob,
+    compute: impl FnOnce(&ResolvedJob) -> Result<String, String>,
+) {
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| compute(job)))
+        .unwrap_or_else(|payload| Err(format!("panic: {}", panic_message(&*payload))));
     let mut st = shared.lock();
     st.running -= 1;
-    st.in_flight.remove(&resolved.key);
+    st.in_flight.remove(&job.key);
     match outcome {
         Ok(text) => {
             let result: Arc<str> = Arc::from(text);
-            st.cache.insert(&resolved.key, Arc::clone(&result));
+            st.cache.insert(&job.key, Arc::clone(&result));
             st.counters.computed += 1;
             if let Some(state) = st.jobs.get_mut(&id) {
                 *state = JobState::Done { hit: false, result };
@@ -480,56 +495,57 @@ fn run_claimed(shared: &Arc<Shared>, id: u64, resolved: &ResolvedJob) {
     shared.done.notify_all();
 }
 
+/// The text a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a payload that is not text")
+}
+
 /// The actual analysis: one sequential analyzer per job, run with the
-/// lock released. Its payload is a pure function of the resolved job (the
-/// determinism the cache relies on).
-fn compute(resolved: &ResolvedJob) -> Result<String, String> {
-    let spec = &resolved.spec;
+/// lock released. The worker builds the job's program here; its payload
+/// is a pure function of the job (the determinism the cache relies on).
+fn compute(job: &ResolvedJob) -> Result<String, String> {
+    let spec = &job.spec;
     let filter = foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc };
-    let acfg = analyzer_config_for(spec);
+    let pipeline = |inputs: Vec<i64>| {
+        let acfg = analyzer_config_for(spec);
+        ForayGen::new().filter(filter).analyzer(acfg).engine(spec.engine).inputs(inputs)
+    };
     match spec.kind {
         JobKind::Model | JobKind::Report => {
             let (analysis, model, code) = match &spec.input {
                 JobInput::Trace(path) => {
-                    let analysis = analyze_submitted_trace(resolved, path, acfg)?;
+                    let analysis = analyze_submitted_trace(job, path, analyzer_config_for(spec))?;
                     let model = ForayModel::extract(&analysis, &filter);
                     let code = foray::codegen::emit(&model);
                     (analysis, model, code)
                 }
                 JobInput::Workload(_) | JobInput::Source(_) => {
-                    let source = resolved.source.as_deref().expect("resolved program source");
-                    let out = ForayGen::new()
-                        .filter(filter)
-                        .analyzer(acfg)
-                        .engine(spec.engine)
-                        .inputs(resolved.inputs.clone())
-                        .run_source(source)
-                        .map_err(|e| e.to_string())?;
+                    let (source, inputs) = program(spec).map_err(|e| e.message)?;
+                    let out = pipeline(inputs).run_source(&source).map_err(|e| e.to_string())?;
                     (out.analysis, out.model, out.code)
                 }
             };
             match spec.kind {
                 JobKind::Model => Ok(code),
-                JobKind::Report => Ok(render_report(resolved, &analysis, &model, &code)),
+                JobKind::Report => Ok(render_report(job, &analysis, &model, &code)),
                 JobKind::Dse => unreachable!("outer match"),
             }
         }
         JobKind::Dse => {
-            let source = resolved.source.as_deref().expect("dse-over-trace rejected at resolve");
+            let (source, inputs) = program(spec).map_err(|e| e.message)?;
             let name = match &spec.input {
                 JobInput::Workload(w) => w.as_str(),
                 _ => "inline",
             };
-            let pipeline = ForayGen::new()
-                .filter(filter)
-                .analyzer(acfg)
-                .engine(spec.engine)
-                .inputs(resolved.inputs.clone());
-            let job = foray::BatchJob::new(name, source).pipeline(pipeline);
+            let batch = foray::BatchJob::new(name, source).pipeline(pipeline(inputs));
             let result = foray_spm::SpmDesignSpace::new()
                 .capacities(&[256, 512, 1024, 2048, 4096, 8192])
                 .preset_models()
-                .workloads([job])
+                .workloads([batch])
                 .explore(1)
                 .map_err(|e| e.to_string())?;
             Ok(result.to_json())
@@ -541,13 +557,12 @@ fn compute(resolved: &ResolvedJob) -> Result<String, String> {
 /// are the bytes the job's key was taken from. A file rewritten since
 /// submit fails the job, so nothing is cached under the old key.
 fn analyze_submitted_trace(
-    resolved: &ResolvedJob,
+    job: &ResolvedJob,
     path: &str,
     acfg: foray::AnalyzerConfig,
 ) -> Result<foray::Analysis, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("trace `{path}`: {e}"))?;
-    let digest = content_digest(&bytes);
-    if job_key(&resolved.spec, None, Some(&digest), &resolved.inputs) != resolved.key {
+    if trace_key(&job.spec, &content_digest(&bytes)) != job.key {
         return Err(format!("trace `{path}` changed since submit"));
     }
     let file =
@@ -559,13 +574,13 @@ fn analyze_submitted_trace(
 /// JSON object with the Table III memory-behaviour counters plus the
 /// emitted model code.
 fn render_report(
-    resolved: &ResolvedJob,
+    job: &ResolvedJob,
     analysis: &foray::Analysis,
     model: &ForayModel,
     code: &str,
 ) -> String {
     let mb = MemoryBehavior::compute(analysis, model);
-    let name = match &resolved.spec.input {
+    let name = match &job.spec.input {
         JobInput::Workload(w) => w.clone(),
         JobInput::Source(_) => "inline".to_owned(),
         JobInput::Trace(p) => p.clone(),
@@ -574,7 +589,7 @@ fn render_report(
     obj([
         ("schema", Json::Str("foray-serve-report/v1".into())),
         ("name", Json::Str(name)),
-        ("key", Json::Str(resolved.key.clone())),
+        ("key", Json::Str(job.key.clone())),
         ("total_refs", n(mb.total_refs)),
         ("total_accesses", n(mb.total_accesses)),
         ("total_footprint", n(mb.total_footprint)),
@@ -701,6 +716,34 @@ mod tests {
         assert!(!again.hit, "failures are never cached");
         assert_eq!(srv.stats().failed, 1);
         assert!(srv.step_one());
+    }
+
+    /// A compute step that panics fails its job and releases everything
+    /// the job held: the counters conserve, the key leaves the dedupe
+    /// table, nothing is cached and the drain still finishes.
+    #[test]
+    fn a_panicking_compute_fails_its_job_and_releases_its_key() {
+        let srv = manual_server();
+        let dead = srv.submit(&spec(LOOP)).unwrap();
+        assert!(srv.step_with(|_| panic!("injected fault")));
+        let e = srv.wait(&dead.job, Some(Duration::from_secs(5))).unwrap_err();
+        assert_eq!(e.code, ErrorCode::JobFailed);
+        assert_eq!(e.message, "panic: injected fault");
+        assert_eq!(srv.poll(&dead.job).unwrap(), "failed");
+
+        let again = srv.submit(&spec(LOOP)).unwrap();
+        assert!(!again.hit, "a panicked job caches nothing");
+        assert_ne!(again.job, dead.job, "not deduped onto the dead job");
+        srv.drain_wait();
+        let (hit, payload) = srv.wait(&again.job, Some(Duration::from_secs(5))).unwrap();
+        assert!(!hit);
+        assert!(payload.contains("for ("), "{payload}");
+
+        let st = srv.stats();
+        assert_eq!((st.submitted, st.deduped, st.failed, st.computed), (2, 0, 1, 1));
+        assert_eq!((st.queue_depth, st.running, st.cache_entries), (0, 0, 1));
+        assert_eq!(st.cache_hits + st.deduped + st.cache_misses + st.rejected, st.submitted);
+        assert_eq!(st.computed + st.failed + st.queue_depth + st.running, st.cache_misses);
     }
 
     #[test]

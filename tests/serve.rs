@@ -308,6 +308,31 @@ fn an_overlong_line_is_a_bad_request_that_closes_its_connection() {
     daemon.join().unwrap().unwrap();
 }
 
+/// A `submit` line carrying a source of over 1 MiB parses in linear
+/// time and round-trips byte for byte. A parser that re-scans the rest of
+/// the line per character takes tens of seconds on such a line.
+#[test]
+fn a_megabyte_source_line_parses_in_linear_time() {
+    let mut source = String::new();
+    for i in 0.. {
+        if source.len() >= 1 << 20 {
+            break;
+        }
+        source.push_str(&format!(
+            "// \"block\" {i}: é → 世\r\nint a{i}[64];\tvoid f{i}() {{ a{i}[{i} % 64] = {i}; }}\n"
+        ));
+    }
+    let spec = JobSpec { inputs: Some(vec![3, -1]), ..source_spec(&source) };
+    let line = spec.render_submit();
+    let start = std::time::Instant::now();
+    let parsed = foray_serve::parse_request(&line).expect("a valid submit line");
+    let took = start.elapsed();
+    let foray_serve::Request::Submit(back) = parsed else { panic!("not a submit") };
+    assert_eq!(*back, spec, "the source survives byte for byte");
+    assert_eq!(back.render_submit(), line);
+    assert!(took < Duration::from_secs(5), "{} bytes took {took:?}", line.len());
+}
+
 /// Shutdown mid-queue: accepted jobs all finish, none are lost, new
 /// submissions are fenced out with a typed error.
 #[test]
@@ -383,10 +408,24 @@ mod digest_props {
         "int c[16]; void main() { int i; for (i = 0; i < 16; i++) { c[i] = i + 1; } }",
     ];
 
+    /// The corpus workloads a drawn spec may name.
+    const WORKLOADS: &[&str] = &["jpegc", "lamec", "susanc", "fftc", "gsmc", "adpcmc", "histoc"];
+
+    /// An inline source or a workload, with or without an inputs override.
+    fn arb_input() -> impl Strategy<Value = (JobInput, Option<Vec<i64>>)> {
+        (
+            prop_oneof![
+                (0usize..BODIES.len()).prop_map(|b| JobInput::Source(BODIES[b].to_owned())),
+                (0usize..WORKLOADS.len()).prop_map(|w| JobInput::Workload(WORKLOADS[w].to_owned())),
+            ],
+            prop_oneof![Just(None), proptest::collection::vec(-9i64..10, 0..4).prop_map(Some)],
+        )
+    }
+
     fn arb_spec() -> impl Strategy<Value = JobSpec> {
         (
             (
-                0usize..BODIES.len(),
+                arb_input(),
                 prop_oneof![Just(JobKind::Model), Just(JobKind::Report), Just(JobKind::Dse)],
                 1u32..4,
                 any::<bool>(),
@@ -402,19 +441,21 @@ mod digest_props {
                 0u8..10,
             ),
         )
-            .prop_map(|((body, kind, scale, tree), (sample, n_exec, n_loc, priority))| {
-                JobSpec {
-                    kind,
-                    input: JobInput::Source(BODIES[body].to_owned()),
-                    scale,
-                    engine: if tree { foray::Engine::Tree } else { foray::Engine::Vm },
-                    n_exec,
-                    n_loc,
-                    sample,
-                    inputs: None,
-                    priority,
-                }
-            })
+            .prop_map(
+                |(((input, inputs), kind, scale, tree), (sample, n_exec, n_loc, priority))| {
+                    JobSpec {
+                        kind,
+                        input,
+                        scale,
+                        engine: if tree { foray::Engine::Tree } else { foray::Engine::Vm },
+                        n_exec,
+                        n_loc,
+                        sample,
+                        inputs,
+                        priority,
+                    }
+                },
+            )
     }
 
     fn key_of(spec: &JobSpec) -> String {
@@ -470,15 +511,37 @@ mod digest_props {
             filt.n_exec += 1;
             prop_assert_ne!(key_of(&filt), k.clone());
 
+            // Drawn overrides lie in -9..10, so this one differs from
+            // the spec's own inputs, drawn or canonical.
             let mut ins = spec.clone();
-            ins.inputs = Some(vec![1]);
+            ins.inputs = Some(vec![i64::MIN]);
             prop_assert_ne!(key_of(&ins), k.clone());
 
-            // A one-character source edit moves the key.
-            let JobInput::Source(src) = &spec.input else { panic!() };
-            let mut edit = spec.clone();
-            edit.input = JobInput::Source(src.replacen('i', "j", 1));
-            prop_assert_ne!(key_of(&edit), k);
+            match &spec.input {
+                // A one-character source edit moves the key.
+                JobInput::Source(src) => {
+                    let mut edit = spec.clone();
+                    edit.input = JobInput::Source(src.replacen('i', "j", 1));
+                    prop_assert_ne!(key_of(&edit), k);
+                }
+                // Another scale or another workload is another program;
+                // a scale above `MAX_SCALE` or an unregistered name is
+                // still a bad request once the memo holds this workload.
+                JobInput::Workload(name) => {
+                    let mut scaled = spec.clone();
+                    scaled.scale += 1;
+                    prop_assert_ne!(key_of(&scaled), k.clone());
+                    let i = WORKLOADS.iter().position(|w| w == name).unwrap();
+                    let mut other = spec.clone();
+                    other.input = JobInput::Workload(WORKLOADS[(i + 1) % WORKLOADS.len()].into());
+                    prop_assert_ne!(key_of(&other), k);
+                    scaled.scale = foray_workloads::MAX_SCALE + 1;
+                    prop_assert_eq!(resolve(&scaled).unwrap_err().code, ErrorCode::BadRequest);
+                    other.input = JobInput::Workload(format!("{name}2"));
+                    prop_assert_eq!(resolve(&other).unwrap_err().code, ErrorCode::BadRequest);
+                }
+                JobInput::Trace(_) => unreachable!("arb_spec draws no traces"),
+            }
         }
 
         /// Scale is absorbed into the resolved source: for workloads it
