@@ -12,9 +12,7 @@
 //!
 //! The cached payload is asserted byte-identical to the cold payload
 //! before anything is reported — the speedup must never come at the cost
-//! of the service's byte-identity contract. Writes a machine-readable
-//! `foray-serve-bench/v1` JSON report (CI uploads it as
-//! `BENCH_serve.json`).
+//! of the service's byte-identity contract.
 //!
 //! ```text
 //! cargo run --release -p foray-bench --bin serve_rtt -- \
@@ -22,58 +20,26 @@
 //!     [--check-speedup X]
 //! ```
 //!
-//! `--check-speedup X` exits non-zero unless the cached round trip is at
-//! least `X` times faster than the cold one — the CI gate on the cache
-//! actually caching.
+//! `--json PATH` appends one record in the shape of
+//! [`foray_bench::harness`], one row per path (`rtt_ns`); the committed
+//! history is `BENCH_history.jsonl`. `--check-speedup X` exits 3 unless
+//! the cached round trip is at least `X` times faster than the cold one —
+//! the CI gate on the cache actually caching.
 
+use foray_bench::harness::{ns, Args, Pass, Spec};
+use foray_serve::json::{obj, Json};
 use foray_serve::{Client, JobInput, JobSpec, Response, ServeAddr, ServeConfig, Server};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-struct Args {
-    workload: String,
-    scale: u32,
-    iters: u32,
-    json: Option<String>,
-    check_speedup: Option<f64>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args =
-        Args { workload: "fftc".to_owned(), scale: 1, iters: 12, json: None, check_speedup: None };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workload" => args.workload = need(&mut it, "--workload")?,
-            "--scale" => {
-                args.scale =
-                    need(&mut it, "--scale")?.parse().map_err(|_| "bad --scale".to_owned())?;
-            }
-            "--iters" => {
-                args.iters =
-                    need(&mut it, "--iters")?.parse().map_err(|_| "bad --iters".to_owned())?;
-            }
-            "--quick" => args.iters = 6,
-            "--json" => args.json = Some(need(&mut it, "--json")?),
-            "--check-speedup" => {
-                args.check_speedup = Some(
-                    need(&mut it, "--check-speedup")?
-                        .parse()
-                        .map_err(|_| "bad --check-speedup".to_owned())?,
-                );
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if args.iters == 0 {
-        return Err("--iters must be at least 1".to_owned());
-    }
-    Ok(args)
-}
+static SPEC: Spec = Spec {
+    bench: "serve_rtt",
+    workload_flag: "--workload",
+    workload: "fftc",
+    scale: 1,
+    iters: 12,
+    quick_iters: 6,
+    checks: &["--check-speedup"],
+};
 
 /// One full client round trip: connect, submit, wait, read the payload.
 fn round_trip(addr: &ServeAddr, spec: &JobSpec) -> (Duration, bool, String) {
@@ -83,37 +49,10 @@ fn round_trip(addr: &ServeAddr, spec: &JobSpec) -> (Duration, bool, String) {
     (start.elapsed(), hit, payload)
 }
 
-fn json_report(args: &Args, cold: Duration, cached: Duration, speedup: f64) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"foray-serve-bench/v1\",\n");
-    let _ = writeln!(s, "  \"workload\": \"{}\",", args.workload);
-    let _ = writeln!(s, "  \"scale\": {},", args.scale);
-    let _ = writeln!(s, "  \"iters\": {},", args.iters);
-    let _ = writeln!(s, "  \"cold_rtt_seconds\": {:.6},", cold.as_secs_f64());
-    let _ = writeln!(s, "  \"cached_rtt_seconds\": {:.6},", cached.as_secs_f64());
-    let _ = writeln!(s, "  \"speedup\": {speedup:.2}");
-    s.push_str("}\n");
-    s
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: serve_rtt [--workload NAME] [--scale N] [--iters N] [--quick] \
-                 [--json PATH] [--check-speedup X]"
-            );
-            std::process::exit(1);
-        }
-    };
-    if foray_workloads::by_name(&args.workload, foray_workloads::Params { scale: args.scale })
-        .is_none()
-    {
-        eprintln!("error: unknown workload `{}`", args.workload);
-        std::process::exit(1);
-    }
+    let args = Args::parse(&SPEC);
+    // An unknown name fails here, before the daemon boots.
+    args.resolve(&args.workload);
 
     let sock = std::env::temp_dir().join(format!("foray-serve-rtt-{}.sock", std::process::id()));
     let addr = ServeAddr::Unix(sock.clone());
@@ -168,36 +107,27 @@ fn main() {
     daemon.join().expect("daemon thread").expect("daemon exits cleanly");
 
     let speedup = cold.as_secs_f64() / cached.as_secs_f64();
+    let paths = [("cold", cold), ("cached", cached)];
     let table = foray_bench::render_table(
         &["path", "rtt", "speedup"],
-        &[
-            vec![
-                "cold".to_owned(),
-                format!("{:.2} ms", cold.as_secs_f64() * 1e3),
-                "1.00x".to_owned(),
-            ],
-            vec![
-                "cached".to_owned(),
-                format!("{:.2} ms", cached.as_secs_f64() * 1e3),
-                format!("{speedup:.2}x"),
-            ],
-        ],
+        &paths
+            .iter()
+            .map(|&(path, t)| {
+                vec![
+                    path.to_owned(),
+                    format!("{:.2} ms", t.as_secs_f64() * 1e3),
+                    format!("{:.2}x", cold.as_secs_f64() / t.as_secs_f64()),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
     println!("{table}");
 
-    if let Some(path) = &args.json {
-        let report = json_report(&args, cold, cached, speedup);
-        if let Err(e) = std::fs::write(path, report) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {path} (foray-serve-bench/v1)");
-    }
-    if let Some(min) = args.check_speedup {
-        if speedup < min {
-            eprintln!("FAIL: cached speedup {speedup:.2}x is below the {min:.2}x gate");
-            std::process::exit(3);
-        }
-        println!("check passed: {speedup:.2}x >= {min:.2}x");
-    }
+    args.report(
+        paths
+            .iter()
+            .map(|&(path, t)| obj([("path", Json::Str(path.to_owned())), ("rtt_ns", ns(t))]))
+            .collect(),
+    );
+    args.gate("--check-speedup", "cached speedup", speedup, Pass::AtLeast);
 }

@@ -1,10 +1,6 @@
 //! `sim_exec` — execution-engine throughput report (tree-walker vs VM).
 //!
-//! Measures profiling throughput of both engines on a corpus workload and
-//! writes a machine-readable `foray-sim-bench/v1` JSON report so the
-//! repo's perf trajectory is comparable across commits (CI uploads it as
-//! the `BENCH_sim.json` artifact).
-//!
+//! Measures profiling throughput of both engines on a corpus workload.
 //! Two numbers per engine:
 //!
 //! * **profile** — simulation with a [`minic_trace::CountingSink`]: the
@@ -19,60 +15,28 @@
 //!     [--json PATH] [--check-speedup X]
 //! ```
 //!
-//! `--check-speedup X` exits non-zero unless the VM's profile throughput
-//! is at least `X` times the tree-walker's — the CI gate for the engine's
-//! reason to exist.
+//! `--json PATH` appends one record in the shape of
+//! [`foray_bench::harness`], one row per engine (`records`, `profile_ns`,
+//! `pipeline_ns`); the committed history is `BENCH_history.jsonl`.
+//! `--check-speedup X` exits 3 unless the VM's profile throughput is at
+//! least `X` times the tree-walker's — the CI gate for the engine's reason
+//! to exist.
 
 use foray::{Engine, ForayGen};
-use foray_workloads::Params;
+use foray_bench::harness::{int, ns, Args, Pass, Spec};
+use foray_serve::json::{obj, Json};
 use minic_trace::CountingSink;
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-struct Args {
-    workload: String,
-    scale: u32,
-    iters: u32,
-    json: Option<String>,
-    check_speedup: Option<f64>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args =
-        Args { workload: "fftc".to_owned(), scale: 2, iters: 5, json: None, check_speedup: None };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workload" => args.workload = need(&mut it, "--workload")?,
-            "--scale" => {
-                args.scale =
-                    need(&mut it, "--scale")?.parse().map_err(|_| "bad --scale".to_owned())?;
-            }
-            "--iters" => {
-                args.iters =
-                    need(&mut it, "--iters")?.parse().map_err(|_| "bad --iters".to_owned())?;
-            }
-            "--quick" => args.iters = 2,
-            "--json" => args.json = Some(need(&mut it, "--json")?),
-            "--check-speedup" => {
-                args.check_speedup = Some(
-                    need(&mut it, "--check-speedup")?
-                        .parse()
-                        .map_err(|_| "bad --check-speedup".to_owned())?,
-                );
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if args.iters == 0 {
-        return Err("--iters must be at least 1".to_owned());
-    }
-    Ok(args)
-}
+static SPEC: Spec = Spec {
+    bench: "sim_exec",
+    workload_flag: "--workload",
+    workload: "fftc",
+    scale: 2,
+    iters: 5,
+    quick_iters: 2,
+    checks: &["--check-speedup"],
+};
 
 struct EngineRow {
     engine: Engine,
@@ -114,47 +78,9 @@ fn measure(w: &foray_workloads::Workload, engine: Engine, iters: u32) -> EngineR
     EngineRow { engine, records, profile, pipeline }
 }
 
-fn json_report(workload: &str, scale: u32, iters: u32, rows: &[EngineRow], speedup: f64) -> String {
-    // Hand-rolled JSON, like the dse report: the workspace is offline and
-    // dependency-free by construction.
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"foray-sim-bench/v1\",\n");
-    let _ = writeln!(s, "  \"workload\": \"{workload}\",");
-    let _ = writeln!(s, "  \"scale\": {scale},");
-    let _ = writeln!(s, "  \"iters\": {iters},");
-    s.push_str("  \"engines\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {");
-        let _ = write!(s, "\"engine\": \"{}\", ", r.engine.as_str());
-        let _ = write!(s, "\"records\": {}, ", r.records);
-        let _ = write!(s, "\"profile_seconds\": {:.6}, ", r.profile.as_secs_f64());
-        let _ = write!(s, "\"profile_records_per_sec\": {:.0}, ", r.profile_rate());
-        let _ = write!(s, "\"pipeline_seconds\": {:.6}", r.pipeline.as_secs_f64());
-        s.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(s, "  \"vm_profile_speedup\": {speedup:.3}");
-    s.push_str("}\n");
-    s
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: sim_exec [--workload NAME] [--scale N] [--iters N] [--quick] \
-                 [--json PATH] [--check-speedup X]"
-            );
-            std::process::exit(1);
-        }
-    };
-    let params = Params { scale: args.scale };
-    let Some(w) = foray_workloads::by_name(&args.workload, params) else {
-        eprintln!("error: unknown workload `{}`", args.workload);
-        std::process::exit(1);
-    };
+    let args = Args::parse(&SPEC);
+    let w = args.resolve(&args.workload);
 
     println!("sim_exec: {} at scale {} (best of {} iters)", w.name, args.scale, args.iters);
     let rows = [Engine::Tree, Engine::Vm].map(|e| measure(&w, e, args.iters));
@@ -179,19 +105,17 @@ fn main() {
     let pipeline_speedup = rows[0].pipeline.as_secs_f64() / rows[1].pipeline.as_secs_f64();
     println!("vm speedup: {speedup:.2}x profiling, {pipeline_speedup:.2}x full pipeline");
 
-    if let Some(path) = &args.json {
-        let report = json_report(w.name, args.scale, args.iters, &rows, speedup);
-        if let Err(e) = std::fs::write(path, report) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {path} (foray-sim-bench/v1)");
-    }
-    if let Some(min) = args.check_speedup {
-        if speedup < min {
-            eprintln!("FAIL: VM profiling speedup {speedup:.2}x is below the {min:.2}x gate");
-            std::process::exit(3);
-        }
-        println!("check passed: {speedup:.2}x >= {min:.2}x");
-    }
+    args.report(
+        rows.iter()
+            .map(|r| {
+                obj([
+                    ("engine", Json::Str(r.engine.as_str().to_owned())),
+                    ("records", int(r.records)),
+                    ("profile_ns", ns(r.profile)),
+                    ("pipeline_ns", ns(r.pipeline)),
+                ])
+            })
+            .collect(),
+    );
+    args.gate("--check-speedup", "VM profiling speedup", speedup, Pass::AtLeast);
 }

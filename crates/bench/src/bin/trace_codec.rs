@@ -12,9 +12,7 @@
 //!   — the v2 time *includes* its per-block CRC verification.
 //!
 //! Both decodes are asserted record-identical to the profiled stream
-//! before anything is reported. Writes a machine-readable
-//! `foray-codec-bench/v1` JSON report (CI uploads it as
-//! `BENCH_codec.json`; a reference run is committed at the repo root).
+//! before anything is reported.
 //!
 //! ```text
 //! cargo run --release -p foray-bench --bin trace_codec -- \
@@ -22,90 +20,36 @@
 //!     [--json PATH] [--check-ratio X] [--check-decode Y]
 //! ```
 //!
-//! `--check-ratio X` exits non-zero unless the corpus-total v1/v2 size
-//! ratio is at least `X`; `--check-decode Y` exits non-zero unless v2
-//! corpus-total decode throughput is at least `Y` times v1's. Both are CI
-//! gates on the format; CI pins `--check-ratio 3.0 --check-decode 0.6`.
+//! `--json PATH` appends one record in the shape of
+//! [`foray_bench::harness`], one row per workload (`records`, `v1_bytes`,
+//! `v2_bytes`, `v1_decode_ns`, `v2_decode_ns`; the totals row is their
+//! sum and is not stored); the committed history is `BENCH_history.jsonl`.
+//! `--check-ratio X` exits 3 unless the corpus-total v1/v2 size ratio is
+//! at least `X`; `--check-decode Y` exits 3 unless v2 corpus-total decode
+//! throughput is at least `Y` times v1's. Both are CI gates on the
+//! format; CI pins `--check-ratio 3.0 --check-decode 0.6`.
 //! The measured point is ~3.8x smaller files at ~0.75x of v1's records/s
 //! (v2 pays CRC verification and delta reconstruction per record) — ~5x
 //! cheaper per *file byte*, so replay from any storage slower than
 //! ~2 GB/s is bounded by v1's I/O, not v2's decode, and ends ~3x sooner.
 
+use foray_bench::harness::{int, ns, Args, Pass, Spec};
+use foray_serve::json::{obj, Json};
 use foray_workloads::Params;
 use minic_trace::file::{self, FormatVersion};
 use minic_trace::{Record, TraceReader};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-struct Args {
-    workloads: Vec<String>,
-    scale: u32,
-    iters: u32,
-    json: Option<String>,
-    check_ratio: Option<f64>,
-    check_decode: Option<f64>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        workloads: vec!["all".to_owned()],
-        scale: 2,
-        iters: 12,
-        json: None,
-        check_ratio: None,
-        check_decode: None,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workloads" => {
-                args.workloads = need(&mut it, "--workloads")?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--scale" => {
-                args.scale =
-                    need(&mut it, "--scale")?.parse().map_err(|_| "bad --scale".to_owned())?;
-            }
-            "--iters" => {
-                args.iters =
-                    need(&mut it, "--iters")?.parse().map_err(|_| "bad --iters".to_owned())?;
-            }
-            "--quick" => args.iters = 5,
-            "--json" => args.json = Some(need(&mut it, "--json")?),
-            "--check-ratio" => {
-                args.check_ratio = Some(
-                    need(&mut it, "--check-ratio")?
-                        .parse()
-                        .map_err(|_| "bad --check-ratio".to_owned())?,
-                );
-            }
-            "--check-decode" => {
-                args.check_decode = Some(
-                    need(&mut it, "--check-decode")?
-                        .parse()
-                        .map_err(|_| "bad --check-decode".to_owned())?,
-                );
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if args.iters == 0 {
-        return Err("--iters must be at least 1".to_owned());
-    }
-    if args.workloads.is_empty() {
-        return Err("--workloads needs at least one name".to_owned());
-    }
-    Ok(args)
-}
+static SPEC: Spec = Spec {
+    bench: "trace_codec",
+    workload_flag: "--workloads",
+    workload: "all",
+    scale: 2,
+    iters: 12,
+    quick_iters: 5,
+    checks: &["--check-ratio", "--check-decode"],
+};
 
 struct Row {
     name: String,
@@ -141,64 +85,18 @@ fn drain(bytes: &[u8]) -> u64 {
     })
 }
 
-fn json_report(args: &Args, rows: &[Row], totals: &Row) -> String {
-    // Hand-rolled JSON, like every report in this workspace: the build is
-    // offline and dependency-free by construction.
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"foray-codec-bench/v1\",\n");
-    let _ = writeln!(s, "  \"scale\": {},", args.scale);
-    let _ = writeln!(s, "  \"iters\": {},", args.iters);
-    s.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str("    {");
-        let _ = write!(s, "\"name\": \"{}\", ", r.name);
-        let _ = write!(s, "\"records\": {}, ", r.records);
-        let _ = write!(s, "\"v1_bytes\": {}, ", r.v1_bytes);
-        let _ = write!(s, "\"v2_bytes\": {}, ", r.v2_bytes);
-        let _ = write!(s, "\"size_ratio\": {:.3}, ", r.ratio());
-        let _ = write!(s, "\"v1_decode_seconds\": {:.6}, ", r.v1_decode.as_secs_f64());
-        let _ = write!(s, "\"v2_decode_seconds\": {:.6}, ", r.v2_decode.as_secs_f64());
-        let _ = write!(s, "\"v1_mrecs_per_s\": {:.1}, ", r.mrecs(r.v1_decode));
-        let _ = write!(s, "\"v2_mrecs_per_s\": {:.1}, ", r.mrecs(r.v2_decode));
-        let _ = write!(s, "\"decode_speedup\": {:.3}", r.decode_speedup());
-        s.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"totals\": {");
-    let _ = write!(s, "\"records\": {}, ", totals.records);
-    let _ = write!(s, "\"v1_bytes\": {}, ", totals.v1_bytes);
-    let _ = write!(s, "\"v2_bytes\": {}, ", totals.v2_bytes);
-    let _ = write!(s, "\"size_ratio\": {:.3}, ", totals.ratio());
-    let _ = write!(s, "\"decode_speedup\": {:.3}", totals.decode_speedup());
-    s.push_str("}\n}\n");
-    s
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: trace_codec [--workloads all|a,b] [--scale N] [--iters N] [--quick] \
-                 [--json PATH] [--check-ratio X] [--check-decode Y]"
-            );
-            std::process::exit(1);
-        }
-    };
-    let params = Params { scale: args.scale };
-    let workloads: Vec<foray_workloads::Workload> = if args.workloads.iter().any(|w| w == "all") {
-        foray_workloads::all(params)
+    let args = Args::parse(&SPEC);
+    let names: Vec<&str> =
+        args.workload.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+    if names.is_empty() {
+        eprintln!("error: --workloads needs at least one name");
+        std::process::exit(1);
+    }
+    let workloads: Vec<foray_workloads::Workload> = if names.contains(&"all") {
+        foray_workloads::all(Params { scale: args.scale })
     } else {
-        args.workloads
-            .iter()
-            .map(|name| {
-                foray_workloads::by_name(name, params).unwrap_or_else(|| {
-                    eprintln!("error: unknown workload `{name}`");
-                    std::process::exit(1);
-                })
-            })
-            .collect()
+        names.iter().map(|name| args.resolve(name)).collect()
     };
 
     println!(
@@ -287,28 +185,20 @@ fn main() {
     );
     println!("{table}");
 
-    if let Some(path) = &args.json {
-        let report = json_report(&args, &rows, &totals);
-        if let Err(e) = std::fs::write(path, report) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {path} (foray-codec-bench/v1)");
-    }
-    if let Some(min) = args.check_ratio {
-        let got = totals.ratio();
-        if got < min {
-            eprintln!("FAIL: corpus v1/v2 size ratio {got:.2}x is below the {min:.2}x gate");
-            std::process::exit(3);
-        }
-        println!("size check passed: {got:.2}x >= {min:.2}x");
-    }
-    if let Some(min) = args.check_decode {
-        let got = totals.decode_speedup();
-        if got < min {
-            eprintln!("FAIL: v2 decode speedup {got:.2}x is below the {min:.2}x gate");
-            std::process::exit(3);
-        }
-        println!("decode check passed: {got:.2}x >= {min:.2}x");
-    }
+    args.report(
+        rows.iter()
+            .map(|r| {
+                obj([
+                    ("workload", Json::Str(r.name.clone())),
+                    ("records", int(r.records)),
+                    ("v1_bytes", int(r.v1_bytes)),
+                    ("v2_bytes", int(r.v2_bytes)),
+                    ("v1_decode_ns", ns(r.v1_decode)),
+                    ("v2_decode_ns", ns(r.v2_decode)),
+                ])
+            })
+            .collect(),
+    );
+    args.gate("--check-ratio", "corpus v1/v2 size ratio", totals.ratio(), Pass::AtLeast);
+    args.gate("--check-decode", "v2 decode speedup", totals.decode_speedup(), Pass::AtLeast);
 }

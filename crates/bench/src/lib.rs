@@ -13,16 +13,23 @@
 //! * `... --bin figures` — Figs. 2, 4, 7, 9 as runnable demonstrations;
 //! * `... --bin sensitivity` — the paper's future-work experiment (model
 //!   stability across input sets);
-//! * `... --bin filter_sweep` — ablation of the Step 4 thresholds;
-//! * `... --bin dse` — the Phase II design-space exploration over the
-//!   whole corpus, with Pareto-front reporting (`--json PATH` for the
-//!   machine-readable artifact).
+//! * `... --bin filter_sweep` — ablation of the Step 4 thresholds.
+//!
+//! The Phase II design-space exploration over the whole corpus is
+//! `foray-gen dse` (the CLI), whose default space is [`dse_space`].
+//!
+//! Four gated bins measure the system itself — `sim_exec`,
+//! `analyzer_hot`, `serve_rtt` and `trace_codec` — and share their command
+//! line, record shape and gate through [`harness`]; each run can append
+//! one line to the committed `BENCH_history.jsonl`.
 //!
 //! Criterion micro-benchmarks live under `benches/` (analyzer throughput
 //! and linearity, nest-depth scaling, lookup-strategy ablation, online vs
 //! offline analysis, SPM design-space exploration).
 
 #![warn(missing_docs)]
+
+pub mod harness;
 
 use foray::{BatchJob, CaptureComparison, ForayGen, ForayGenOutput, LoopBreakdown, MemoryBehavior};
 use foray_workloads::{all, Params, Workload};
@@ -104,8 +111,9 @@ pub fn run_suite_with(params: Params, workers: usize) -> Vec<BenchRun> {
 }
 
 /// The corpus design space: every workload at `params`, every energy
-/// preset, and a standard SPM capacity grid — what the `dse` bin, the
-/// `spm_dse` bench, and CI's `dse-smoke` job explore.
+/// preset, and a standard SPM capacity grid — the space `foray-gen dse`
+/// explores by default and the `spm_dse` bench times. (CI's `dse-smoke`
+/// job runs the CLI on a five-capacity grid, without 8192.)
 pub fn dse_space(params: Params) -> foray_spm::SpmDesignSpace {
     foray_spm::SpmDesignSpace::new()
         .capacities(&[256, 512, 1024, 2048, 4096, 8192])

@@ -37,7 +37,7 @@
 //! Exit codes: 0 success, 1 usage error, 2 compile error, 3 runtime error.
 
 use foray::{AnalyzerConfig, Engine, FilterConfig, ForayGen, ForayModel, SampleSpec};
-use std::io::Write as _;
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -355,41 +355,58 @@ fn cmd_annotate(src: &str) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Bare `trace`: dump the program's trace to `-o FILE` or stdout as it
+/// runs, through the same [`profile_into`] as `trace record`.
 fn cmd_trace(src: &str, opts: &Options) -> Result<(), CliError> {
-    let prog = minic::frontend(src).map_err(|e| CliError::Compile(e.to_string()))?;
-    let (_, records) = minic_sim::run(&prog, &sim_config(opts), &opts.inputs)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let records = apply_sampling(records, opts.sample);
-    let bytes = match opts.format.as_str() {
-        "text" => minic_trace::text::to_text(&records).into_bytes(),
-        "binary" => minic_trace::binary::to_bytes(&records),
-        "framed" => {
-            let mut out = Vec::new();
-            minic_trace::file::write_to_with(&mut out, &records, opts.trace_format)?;
-            out
-        }
-        other => return Err(CliError::Usage(format!("unknown trace format `{other}`"))),
-    };
-    match &opts.output {
-        Some(path) => std::fs::write(path, bytes)?,
-        None => std::io::stdout().write_all(&bytes)?,
+    use minic_trace::{binary::BinaryWriter, text::TextWriter, TraceWriter};
+    let format = opts.format.as_str();
+    if !matches!(format, "text" | "binary" | "framed") {
+        return Err(CliError::Usage(format!("unknown trace format `{format}`")));
     }
-    Ok(())
+    let prog = minic::frontend(src).map_err(|e| CliError::Compile(e.to_string()))?;
+    let out: Box<dyn Write> = match &opts.output {
+        Some(path) => Box::new(std::fs::File::create(path)?),
+        None => Box::new(std::io::stdout().lock()),
+    };
+    let out = std::io::BufWriter::new(out);
+    match format {
+        "text" => latched(profile_into(&prog, opts, TextWriter::new(out))?.0.io_error()),
+        "binary" => latched(profile_into(&prog, opts, BinaryWriter::new(out))?.0.io_error()),
+        _ => {
+            let writer = TraceWriter::with_format(out, opts.trace_format);
+            latched(profile_into(&prog, opts, writer)?.0.io_error())
+        }
+    }
 }
 
-/// Thins a dumped record stream per `--sample` (identity specs pass the
-/// vector through untouched).
-fn apply_sampling(records: Vec<minic_trace::Record>, spec: SampleSpec) -> Vec<minic_trace::Record> {
-    use minic_trace::TraceSink as _;
-    if spec.is_identity() {
-        return records;
+/// Profiles `prog` into `writer` behind the `--sample` filter — the one
+/// way `trace` and `trace record` write a trace — and returns the writer
+/// with the accesses seen and kept. On a runtime error the writer never
+/// reaches `finish`, so the partial `-o` file is removed instead of left
+/// for later readers to trip over.
+fn profile_into<S: minic_trace::TraceSink>(
+    prog: &minic::Program,
+    opts: &Options,
+    writer: S,
+) -> Result<(S, u64, u64), CliError> {
+    let mut sink = minic_trace::SampleSink::new(opts.sample, writer);
+    if let Err(e) = minic_sim::run_with_sink(prog, &sim_config(opts), &opts.inputs, &mut sink) {
+        drop(sink);
+        if let Some(path) = &opts.output {
+            std::fs::remove_file(path).ok();
+        }
+        return Err(CliError::Runtime(e.to_string()));
     }
-    let mut sink = minic_trace::SampleSink::new(spec, minic_trace::VecSink::new());
-    for r in &records {
-        sink.record(r);
+    let (seen, kept) = (sink.seen(), sink.kept());
+    Ok((sink.into_inner(), seen, kept))
+}
+
+/// A trace writer's latched I/O error, if any, as the CLI's error.
+fn latched(error: Option<&std::io::Error>) -> Result<(), CliError> {
+    match error {
+        Some(e) => Err(CliError::Io(std::io::Error::new(e.kind(), e.to_string()))),
+        None => Ok(()),
     }
-    sink.finish();
-    sink.into_inner().into_records()
 }
 
 /// `trace record`: profile the program with a [`minic_trace::TraceWriter`]
@@ -401,24 +418,10 @@ fn cmd_trace_record(src: &str, opts: &Options) -> Result<(), CliError> {
         return Err(CliError::Usage("trace record needs -o FILE.ftrace".to_owned()));
     };
     let prog = minic::frontend(src).map_err(|e| CliError::Compile(e.to_string()))?;
-    let file = std::fs::File::create(path)?;
-    let mut writer =
-        minic_trace::TraceWriter::with_format(std::io::BufWriter::new(file), opts.trace_format);
-    let mut sink = minic_trace::SampleSink::new(opts.sample, &mut writer);
-    let run = minic_sim::run_with_sink(&prog, &sim_config(opts), &opts.inputs, &mut sink);
-    let (seen, kept) = (sink.seen(), sink.kept());
-    drop(sink);
-    if let Err(e) = run {
-        // The writer never reached `finish`: the file on disk is a
-        // footer-less stub every reader rejects. Remove it instead of
-        // leaving a corpse that later `trace analyze` runs trip over.
-        drop(writer);
-        std::fs::remove_file(path).ok();
-        return Err(CliError::Runtime(e.to_string()));
-    }
-    if let Some(e) = writer.io_error() {
-        return Err(CliError::Io(std::io::Error::new(e.kind(), e.to_string())));
-    }
+    let file = std::io::BufWriter::new(std::fs::File::create(path)?);
+    let writer = minic_trace::TraceWriter::with_format(file, opts.trace_format);
+    let (writer, seen, kept) = profile_into(&prog, opts, writer)?;
+    latched(writer.io_error())?;
     let records = writer.records_written();
     let bytes = std::fs::metadata(path)?.len();
     println!(
@@ -1148,7 +1151,7 @@ mod tests {
     #[test]
     fn failed_recording_removes_the_partial_file() {
         // A program that dies mid-run (division by zero) must not leave a
-        // footer-less .ftrace stub behind.
+        // footer-less .ftrace stub or a truncated dump behind.
         let prog = write_temp(
             "record_crash",
             "int a[8];\nvoid main() { int i; int z; z = 0; for (i = 0; i < 8; i++) { a[i] = 1 / z; } }",
@@ -1156,12 +1159,14 @@ mod tests {
         let ftrace = std::env::temp_dir().join("foray_cli_test_crash.ftrace");
         std::fs::remove_file(&ftrace).ok();
         let ftrace_s = ftrace.to_string_lossy().into_owned();
-        let args: Vec<String> = ["trace", "record", prog.as_str(), "-o", &ftrace_s]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(matches!(run(&args), Err(CliError::Runtime(_))));
-        assert!(!ftrace.exists(), "partial trace file must be removed on runtime error");
+        for argv in [
+            owned(&["trace", "record", &prog, "-o", &ftrace_s]),
+            owned(&["trace", &prog, "--format", "text", "-o", &ftrace_s]),
+            owned(&["trace", &prog, "--format", "framed", "-o", &ftrace_s]),
+        ] {
+            assert!(matches!(run(&argv), Err(CliError::Runtime(_))), "{argv:?}");
+            assert!(!ftrace.exists(), "{argv:?}: partial file must be removed on runtime error");
+        }
     }
 
     #[test]
@@ -1265,17 +1270,41 @@ mod tests {
 
     #[test]
     fn trace_to_file_in_both_formats() {
+        use minic_trace::TraceSink as _;
+        // `trace` streams its dump; the bytes must equal the whole record
+        // vector, thinned, then encoded.
         let path = write_temp("trace", PROG);
-        for fmt in ["text", "binary", "framed"] {
-            let out = std::env::temp_dir().join(format!("foray_cli_trace.{fmt}"));
-            let out_s = out.to_string_lossy().into_owned();
-            let args: Vec<String> = ["trace", path.as_str(), "--format", fmt, "-o", &out_s]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            assert!(run(&args).is_ok());
-            assert!(std::fs::metadata(&out).unwrap().len() > 0);
+        let prog = minic::frontend(PROG).unwrap();
+        let (_, records) = minic_sim::run(&prog, &minic_sim::SimConfig::default(), &[]).unwrap();
+        for sample in ["full", "every:3"] {
+            let spec = SampleSpec::parse(sample).unwrap();
+            let mut thin = minic_trace::SampleSink::new(spec, minic_trace::VecSink::new());
+            records.iter().for_each(|r| thin.record(r));
+            let thinned = thin.into_inner().into_records();
+            assert_eq!(thinned.len() < records.len(), sample != "full", "{sample}");
+            let mut framed = Vec::new();
+            minic_trace::file::write_to_with(&mut framed, &thinned, Default::default()).unwrap();
+            for (fmt, want) in [
+                ("text", minic_trace::text::to_text(&thinned).into_bytes()),
+                ("binary", minic_trace::binary::to_bytes(&thinned)),
+                ("framed", framed),
+            ] {
+                let out = std::env::temp_dir().join(format!("foray_cli_trace.{fmt}"));
+                let out_s = out.to_string_lossy().into_owned();
+                let args =
+                    owned(&["trace", &path, "--format", fmt, "-o", &out_s, "--sample", sample]);
+                assert!(run(&args).is_ok(), "{args:?}");
+                assert_eq!(std::fs::read(&out).unwrap(), want, "--format {fmt} --sample {sample}");
+                std::fs::remove_file(&out).ok();
+            }
         }
+        // An unknown format is a usage error that creates no file.
+        let out = std::env::temp_dir().join("foray_cli_trace.xml");
+        std::fs::remove_file(&out).ok();
+        let out_s = out.to_string_lossy().into_owned();
+        let xml = owned(&["trace", &path, "--format", "xml", "-o", &out_s]);
+        assert!(matches!(run(&xml), Err(CliError::Usage(_))));
+        assert!(!out.exists(), "a rejected --format must not create its -o file");
     }
 
     #[test]

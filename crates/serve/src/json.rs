@@ -279,8 +279,12 @@ impl Parser<'_> {
                                 .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Four hex digits: `from_str_radix` alone
+                            // would also take a leading `+`.
+                            let code = Some(hex)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogates are rejected rather than paired:
                             // the protocol never emits them.
                             let c = char::from_u32(code)
@@ -412,6 +416,14 @@ mod tests {
         // Deep nesting is bounded, not a stack overflow.
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(Json::parse(&deep).unwrap_err().reason.contains("deep"));
+    }
+
+    #[test]
+    fn a_unicode_escape_is_exactly_four_hex_digits() {
+        for bad in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u 041\""] {
+            assert_eq!(Json::parse(bad).unwrap_err().reason, "bad \\u escape", "{bad}");
+        }
+        assert_eq!(Json::parse("\"\\u0041\"").unwrap(), Json::Str("A".to_owned()));
     }
 
     #[test]
