@@ -28,10 +28,12 @@
 //! at least `X`; `--check-decode Y` exits 3 unless v2 corpus-total decode
 //! throughput is at least `Y` times v1's. Both are CI gates on the
 //! format; CI pins `--check-ratio 3.0 --check-decode 0.6`.
-//! The measured point is ~3.8x smaller files at ~0.75x of v1's records/s
-//! (v2 pays CRC verification and delta reconstruction per record) — ~5x
-//! cheaper per *file byte*, so replay from any storage slower than
-//! ~2 GB/s is bounded by v1's I/O, not v2's decode, and ends ~3x sooner.
+//! The measured point is ~3.8x smaller files at 0.75x of v1's records/s
+//! (the median of 20 `--quick --scale 2` runs on a 2-core x86-64 host,
+//! ranging 0.68–0.83x; v2 pays CRC verification and delta reconstruction
+//! per record) — ~5x cheaper per *file byte*, so replay from any storage
+//! slower than ~2 GB/s is bounded by v1's I/O, not v2's decode, and ends
+//! ~3x sooner.
 
 use foray_bench::harness::{int, ns, Args, Pass, Spec};
 use foray_serve::json::{obj, Json};

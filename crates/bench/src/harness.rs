@@ -13,8 +13,10 @@
 //!  "params":{"workload":"fftc","scale":2,"iters":20},"rows":[...]}
 //! ```
 //!
-//! `commit` is `git rev-parse --short=12 HEAD` in the working directory
-//! (`unknown` when that fails) and `cpus` is the available parallelism
+//! `commit` is `git rev-parse --short=12 HEAD` in the working directory,
+//! with `-dirty` appended when `git status --porcelain
+//! --untracked-files=no` lists a change (`unknown` when there is no HEAD),
+//! and `cpus` is the available parallelism
 //! (0 when unknown). Rows hold labels and integers only: nanoseconds,
 //! bytes and record counts. No ratio is stored; the bin's table prints
 //! each one and its gate computes it from the same values, so each number
@@ -194,16 +196,34 @@ pub fn cpus() -> u64 {
     std::thread::available_parallelism().map_or(0, |n| n.get() as u64)
 }
 
-fn commit() -> String {
+/// The stdout of a successful `git` run in the working directory.
+fn git(args: &[&str]) -> Option<String> {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|out| out.status.success())
         .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+fn commit() -> String {
+    let head = git(&["rev-parse", "--short=12", "HEAD"]).unwrap_or_default();
+    // Without `--no-optional-locks`, `status` refreshes `.git/index` and
+    // takes its lock, which a concurrent git command would then fail on.
+    let status = git(&["--no-optional-locks", "status", "--porcelain", "--untracked-files=no"])
+        .unwrap_or_default();
+    commit_label(head.trim(), &status)
+}
+
+/// The record's `commit`: HEAD, with `-dirty` when `git status
+/// --porcelain` lists a changed tracked file, since the measured source
+/// then differs from HEAD; `unknown` when there is no HEAD.
+fn commit_label(head: &str, porcelain: &str) -> String {
+    match (head.is_empty(), porcelain.trim().is_empty()) {
+        (true, _) => "unknown".to_owned(),
+        (false, true) => head.to_owned(),
+        (false, false) => format!("{head}-dirty"),
+    }
 }
 
 /// A row value in integer nanoseconds.
@@ -280,6 +300,15 @@ mod tests {
             assert!(matches!(record.get("params"), Some(Json::Obj(_))), "{line}");
             assert!(matches!(record.get("rows"), Some(Json::Arr(r)) if !r.is_empty()), "{line}");
         }
+    }
+
+    #[test]
+    fn a_changed_tracked_file_marks_the_commit_dirty() {
+        assert_eq!(commit_label("9d00eea2e71f", ""), "9d00eea2e71f");
+        assert_eq!(commit_label("9d00eea2e71f", "\n"), "9d00eea2e71f");
+        let porcelain = " M crates/trace/src/file.rs\nA  new.rs\n";
+        assert_eq!(commit_label("9d00eea2e71f", porcelain), "9d00eea2e71f-dirty");
+        assert_eq!(commit_label("", porcelain), "unknown");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!     as a runnable mini-C program (re-profiling it is a fixpoint)
 //! foray-gen report <prog.mc> [...]
 //!     model + static comparison + memory-behaviour breakdown + hints
-//! foray-gen trace <prog.mc> [--format text|binary|framed] [-o FILE]
+//! foray-gen trace <prog.mc> [--format text|binary] [-o FILE]
 //!     profile and dump the raw trace (Fig. 4(c) format)
 //! foray-gen trace record (<prog.mc> | --workload NAME) -o FILE.ftrace
 //!         [--trace-format v1|v2]
@@ -67,7 +67,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   foray-gen model    <prog.mc> [--nexec N] [--nloc N] [--inputs v,v,..] [--executable]
   foray-gen report   <prog.mc> [--nexec N] [--nloc N] [--inputs v,v,..]
-  foray-gen trace    <prog.mc> [--format text|binary|framed] [-o FILE] [--inputs v,v,..]
+  foray-gen trace    <prog.mc> [--format text|binary] [-o FILE] [--inputs v,v,..]
   foray-gen trace record  (<prog.mc> | --workload NAME [--scale N]) -o FILE.ftrace
                           [--trace-format v1|v2]
   foray-gen trace analyze <FILE.ftrace> [--nexec N] [--nloc N] [--from-loop N]
@@ -356,11 +356,12 @@ fn cmd_annotate(src: &str) -> Result<(), CliError> {
 }
 
 /// Bare `trace`: dump the program's trace to `-o FILE` or stdout as it
-/// runs, through the same [`profile_into`] as `trace record`.
+/// runs, through the same [`profile_into`] as `trace record`, which is
+/// the one command that writes a framed `foray-trace` file.
 fn cmd_trace(src: &str, opts: &Options) -> Result<(), CliError> {
-    use minic_trace::{binary::BinaryWriter, text::TextWriter, TraceWriter};
+    use minic_trace::{binary::BinaryWriter, text::TextWriter};
     let format = opts.format.as_str();
-    if !matches!(format, "text" | "binary" | "framed") {
+    if !matches!(format, "text" | "binary") {
         return Err(CliError::Usage(format!("unknown trace format `{format}`")));
     }
     let prog = minic::frontend(src).map_err(|e| CliError::Compile(e.to_string()))?;
@@ -369,13 +370,10 @@ fn cmd_trace(src: &str, opts: &Options) -> Result<(), CliError> {
         None => Box::new(std::io::stdout().lock()),
     };
     let out = std::io::BufWriter::new(out);
-    match format {
-        "text" => latched(profile_into(&prog, opts, TextWriter::new(out))?.0.io_error()),
-        "binary" => latched(profile_into(&prog, opts, BinaryWriter::new(out))?.0.io_error()),
-        _ => {
-            let writer = TraceWriter::with_format(out, opts.trace_format);
-            latched(profile_into(&prog, opts, writer)?.0.io_error())
-        }
+    if format == "text" {
+        latched(profile_into(&prog, opts, TextWriter::new(out))?.0.io_error())
+    } else {
+        latched(profile_into(&prog, opts, BinaryWriter::new(out))?.0.io_error())
     }
 }
 
@@ -1162,7 +1160,6 @@ mod tests {
         for argv in [
             owned(&["trace", "record", &prog, "-o", &ftrace_s]),
             owned(&["trace", &prog, "--format", "text", "-o", &ftrace_s]),
-            owned(&["trace", &prog, "--format", "framed", "-o", &ftrace_s]),
         ] {
             assert!(matches!(run(&argv), Err(CliError::Runtime(_))), "{argv:?}");
             assert!(!ftrace.exists(), "{argv:?}: partial file must be removed on runtime error");
@@ -1271,8 +1268,9 @@ mod tests {
     #[test]
     fn trace_to_file_in_both_formats() {
         use minic_trace::TraceSink as _;
-        // `trace` streams its dump; the bytes must equal the whole record
-        // vector, thinned, then encoded.
+        // `trace` streams its dump, and `trace record` its framed file;
+        // the bytes must equal the whole record vector, thinned, then
+        // encoded.
         let path = write_temp("trace", PROG);
         let prog = minic::frontend(PROG).unwrap();
         let (_, records) = minic_sim::run(&prog, &minic_sim::SimConfig::default(), &[]).unwrap();
@@ -1291,20 +1289,26 @@ mod tests {
             ] {
                 let out = std::env::temp_dir().join(format!("foray_cli_trace.{fmt}"));
                 let out_s = out.to_string_lossy().into_owned();
-                let args =
-                    owned(&["trace", &path, "--format", fmt, "-o", &out_s, "--sample", sample]);
+                let args = if fmt == "framed" {
+                    owned(&["trace", "record", &path, "-o", &out_s, "--sample", sample])
+                } else {
+                    owned(&["trace", &path, "--format", fmt, "-o", &out_s, "--sample", sample])
+                };
                 assert!(run(&args).is_ok(), "{args:?}");
-                assert_eq!(std::fs::read(&out).unwrap(), want, "--format {fmt} --sample {sample}");
+                assert_eq!(std::fs::read(&out).unwrap(), want, "{args:?}");
                 std::fs::remove_file(&out).ok();
             }
         }
-        // An unknown format is a usage error that creates no file.
-        let out = std::env::temp_dir().join("foray_cli_trace.xml");
-        std::fs::remove_file(&out).ok();
-        let out_s = out.to_string_lossy().into_owned();
-        let xml = owned(&["trace", &path, "--format", "xml", "-o", &out_s]);
-        assert!(matches!(run(&xml), Err(CliError::Usage(_))));
-        assert!(!out.exists(), "a rejected --format must not create its -o file");
+        // An unknown format (`framed` included: `trace record` writes
+        // those) is a usage error that creates no file.
+        for fmt in ["xml", "framed"] {
+            let out = std::env::temp_dir().join(format!("foray_cli_trace_bad.{fmt}"));
+            std::fs::remove_file(&out).ok();
+            let out_s = out.to_string_lossy().into_owned();
+            let args = owned(&["trace", &path, "--format", fmt, "-o", &out_s]);
+            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{args:?}");
+            assert!(!out.exists(), "a rejected --format must not create its -o file");
+        }
     }
 
     #[test]

@@ -45,18 +45,24 @@
 //! working set of [`TraceReader`] at one block regardless of trace length.
 //! The footer double-checks that the stream was finished, not chopped.
 //!
-//! Three consumers cover the access patterns:
+//! Both readers run one walker over the container: it alone reads block
+//! headers, checks payload CRCs, and reads the terminator, the index
+//! (audited against the blocks it walked) and the footer, so the two
+//! accept exactly the same files. They differ only in the byte source:
 //!
-//! * [`TraceFile`] — whole file in one buffer, records decoded zero-copy by
-//!   [`FileRecords`]. This is the memory-mapped shape; the workspace denies
-//!   `unsafe` code, so the buffer comes from one [`std::fs::read`] instead
-//!   of `mmap(2)` — same single-allocation behaviour, no page-cache
-//!   sharing. v2 files additionally expose
-//!   [`TraceFile::records_from_loop`], the seekable entry point.
-//! * [`TraceReader`] — constant-memory streaming over any [`Read`].
-//! * [`TraceWriter`] — a [`TraceSink`], so it can ride a profiling run and
-//!   write the file without ever materializing a `Vec<Record>`. The
-//!   [`FormatVersion`] knob picks the container version (default v2).
+//! * [`TraceFile`] — whole file in one buffer, walked once at open, then
+//!   records decoded zero-copy by [`FileRecords`]. This is the
+//!   memory-mapped shape; the workspace denies `unsafe` code, so the
+//!   buffer comes from one [`std::fs::read`] instead of `mmap(2)` — same
+//!   single-allocation behaviour, no page-cache sharing. v2 files
+//!   additionally expose [`TraceFile::records_from_loop`], the seekable
+//!   entry point.
+//! * [`TraceReader`] — constant-memory streaming over any [`Read`], which
+//!   refills one block buffer and decodes as it walks.
+//!
+//! [`TraceWriter`] is a [`TraceSink`], so it can ride a profiling run and
+//! write the file without ever materializing a `Vec<Record>`. The
+//! [`FormatVersion`] knob picks the container version (default v2).
 //!
 //! # Examples
 //!
@@ -374,11 +380,6 @@ impl<W: Write> TraceWriter<W> {
         TraceWriter::with_options(out, format, DEFAULT_BLOCK_BYTES)
     }
 
-    /// [`Self::new`] with an explicit block payload capacity.
-    pub fn with_block_bytes(out: W, block_cap: usize) -> Self {
-        TraceWriter::with_options(out, FormatVersion::default(), block_cap)
-    }
-
     /// Fully explicit constructor. The capacity is clamped to at least one
     /// record and to the readers' block sanity bound (a block may overshoot
     /// the capacity by one record before it flushes, so the upper clamp
@@ -423,11 +424,6 @@ impl<W: Write> TraceWriter<W> {
             _ => None,
         };
         self
-    }
-
-    /// The container version being written.
-    pub fn format(&self) -> FormatVersion {
-        self.format
     }
 
     /// Records written so far.
@@ -590,27 +586,273 @@ pub fn write_file<P: AsRef<Path>>(path: P, records: &[Record]) -> io::Result<u64
     write_file_with(path, records, FormatVersion::default())
 }
 
-/// Maps `read_exact` failures to [`ReadError::Truncated`] when the stream
-/// simply ended, so corrupt files report *what* is missing.
-fn read_struct<R: Read>(
-    input: &mut R,
-    buf: &mut [u8],
-    offset: u64,
-    what: &'static str,
-) -> Result<(), ReadError> {
-    input.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ReadError::Truncated { offset, what }
-        } else {
-            ReadError::Io(e)
+/// The byte sources the block walker reads: the buffer of an opened
+/// [`TraceFile`], or a stream that refills one reusable block buffer.
+/// The types are public only so that [`TraceReader`] and [`FileRecords`]
+/// can name them; nothing outside this crate can build one or implement
+/// [`Source`](bytes::Source).
+pub(crate) mod bytes {
+    use super::ReadError;
+    use std::io::{self, Read};
+
+    /// Hands the walker the container's structures in file order.
+    pub trait Source {
+        /// Consumes the next `n` bytes: a `what` that starts at file
+        /// offset `at`.
+        fn take(&mut self, n: usize, at: u64, what: &'static str) -> Result<&[u8], ReadError>;
+        /// Consumes the next `n` bytes, starting at `at`, as the current
+        /// block payload, which [`Self::block`] returns from then on.
+        fn load(&mut self, n: usize, at: u64) -> Result<&[u8], ReadError>;
+        /// The current block payload (empty before the first block).
+        fn block(&self) -> &[u8];
+    }
+
+    /// A whole container in memory; payloads are borrowed, not copied.
+    #[derive(Debug, Clone)]
+    pub struct Slice<'a> {
+        bytes: &'a [u8],
+        block: &'a [u8],
+    }
+
+    impl<'a> Slice<'a> {
+        pub(crate) fn new(bytes: &'a [u8]) -> Self {
+            Slice { bytes, block: &[] }
         }
-    })
+
+        fn get(&self, n: usize, at: u64, what: &'static str) -> Result<&'a [u8], ReadError> {
+            usize::try_from(at)
+                .ok()
+                .and_then(|at| self.bytes.get(at..))
+                .and_then(|rest| rest.get(..n))
+                .ok_or(ReadError::Truncated { offset: at, what })
+        }
+    }
+
+    impl Source for Slice<'_> {
+        fn take(&mut self, n: usize, at: u64, what: &'static str) -> Result<&[u8], ReadError> {
+            self.get(n, at, what)
+        }
+
+        fn load(&mut self, n: usize, at: u64) -> Result<&[u8], ReadError> {
+            self.block = self.get(n, at, "block payload")?;
+            Ok(self.block)
+        }
+
+        fn block(&self) -> &[u8] {
+            self.block
+        }
+    }
+
+    /// A container read from a stream: the current block payload, plus a
+    /// scratch buffer for the other structures (the largest is the v2
+    /// index section).
+    #[derive(Debug)]
+    pub struct Stream<R> {
+        input: R,
+        block: Vec<u8>,
+        scratch: Vec<u8>,
+    }
+
+    impl<R: Read> Stream<R> {
+        pub(crate) fn new(input: R) -> Self {
+            Stream { input, block: Vec::new(), scratch: Vec::new() }
+        }
+    }
+
+    /// Reads exactly `n` bytes into `buf`; a stream that ends first is
+    /// [`ReadError::Truncated`] at `at`, so corrupt files report *what* is
+    /// missing.
+    fn fill(
+        input: &mut impl Read,
+        buf: &mut Vec<u8>,
+        n: usize,
+        at: u64,
+        what: &'static str,
+    ) -> Result<(), ReadError> {
+        buf.resize(n, 0);
+        input.read_exact(buf).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                ReadError::Truncated { offset: at, what }
+            } else {
+                ReadError::Io(e)
+            }
+        })
+    }
+
+    impl<R: Read> Source for Stream<R> {
+        fn take(&mut self, n: usize, at: u64, what: &'static str) -> Result<&[u8], ReadError> {
+            fill(&mut self.input, &mut self.scratch, n, at, what)?;
+            Ok(&self.scratch)
+        }
+
+        fn load(&mut self, n: usize, at: u64) -> Result<&[u8], ReadError> {
+            fill(&mut self.input, &mut self.block, n, at, "block payload")?;
+            Ok(&self.block)
+        }
+
+        fn block(&self) -> &[u8] {
+            &self.block
+        }
+    }
+}
+
+use bytes::{Slice, Source, Stream};
+
+fn le32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b[..4].try_into().expect("four bytes"))
+}
+
+/// The one walk over a container's structure after the file header: block
+/// headers, payload CRCs, the terminator, the v2 index section and the
+/// footer. Decoding is left to [`Records`], which reads the payloads the
+/// walker loads.
+#[derive(Debug, Clone)]
+struct Walker<S> {
+    src: S,
+    format: FormatVersion,
+    /// File offset of the next unread structure.
+    offset: u64,
+    /// Records the blocks walked so far declare: the next block's first
+    /// ordinal, and at the footer the file's total.
+    ordinal: u64,
+    /// An earlier walk over these bytes already checked the payload CRCs,
+    /// the index and the footer, so this one stops at the terminator.
+    checked: bool,
+    /// `(offset, first ordinal)` of each v2 block walked, for the index
+    /// audit.
+    blocks: Vec<(u64, u64)>,
+    /// The v2 checkpoint index, once the trailer has been read.
+    index: Option<CheckpointIndex>,
+    /// File offset of the current block's header.
+    base: u64,
+    /// Records the current block declares, and those decoded from it.
+    declared: u32,
+    decoded: u32,
+    /// Decode position in the current payload, and the v2 delta state.
+    pos: usize,
+    v2: V2State,
+}
+
+impl<S: Source> Walker<S> {
+    fn new(src: S, format: FormatVersion, offset: u64, checked: bool) -> Self {
+        Walker {
+            src,
+            format,
+            offset,
+            ordinal: 0,
+            checked,
+            blocks: Vec::new(),
+            index: None,
+            base: offset,
+            declared: 0,
+            decoded: 0,
+            pos: 0,
+            v2: V2State::default(),
+        }
+    }
+
+    /// Loads the next block; `Ok(false)` means the terminator, and the
+    /// trailer after it, were read.
+    fn next_block(&mut self) -> Result<bool, ReadError> {
+        if self.decoded != self.declared {
+            return Err(ReadError::BlockCountMismatch {
+                offset: self.base,
+                declared: self.declared,
+                decoded: self.decoded,
+            });
+        }
+        let at = self.offset;
+        let v2 = self.format == FormatVersion::V2;
+        let header_len = self.format.block_header_bytes();
+        let header = self.src.take(header_len, at, "block header")?;
+        let (len, count) = (le32(header), le32(&header[4..]));
+        let stored_crc = if v2 { le32(&header[8..]) } else { 0 };
+        self.offset += header_len as u64;
+        if len == 0 {
+            if !self.checked {
+                self.trailer()?;
+            }
+            return Ok(false);
+        }
+        if len > MAX_BLOCK_BYTES {
+            return Err(ReadError::OversizedBlock { offset: at, len });
+        }
+        let payload = self.src.load(len as usize, self.offset)?;
+        if v2 && !self.checked {
+            let computed = crc32(payload);
+            if computed != stored_crc {
+                return Err(ReadError::BadBlockCrc { offset: at, stored: stored_crc, computed });
+            }
+            self.blocks.push((at, self.ordinal));
+        }
+        self.ordinal += u64::from(count);
+        self.offset += u64::from(len);
+        self.base = at;
+        self.declared = count;
+        self.decoded = 0;
+        self.pos = 0;
+        self.v2 = V2State::default();
+        Ok(true)
+    }
+
+    /// Reads the v2 index section, auditing it against the blocks walked,
+    /// and the footer.
+    fn trailer(&mut self) -> Result<(), ReadError> {
+        if self.format == FormatVersion::V2 {
+            let at = self.offset;
+            let bad = |reason| ReadError::BadIndex { offset: at, reason };
+            let count = le32(self.src.take(4, at, "index entry count")?) as usize;
+            // No entries means no index. Otherwise there is one entry per
+            // block, which also bounds the read below by the blocks
+            // already read.
+            if count != 0 && count != self.blocks.len() {
+                return Err(bad("entry count disagrees with the block count"));
+            }
+            let len = count * ENTRY_BYTES;
+            // The source lends one structure at a time and the stored CRC
+            // follows the entries, so the entries are parsed where they
+            // lie against the CRC they hash to, which is then compared
+            // with the stored one.
+            let entries = self.src.take(len, at + 4, "index entries")?;
+            let computed = crc32(entries);
+            let index = CheckpointIndex::parse(entries, computed).map_err(bad)?;
+            if le32(self.src.take(4, at + 4 + len as u64, "index checksum")?) != computed {
+                return Err(bad("index CRC mismatch"));
+            }
+            let layout = index.entries().iter().map(|e| (e.offset, e.first_ordinal));
+            if count != 0 && !layout.eq(self.blocks.iter().copied()) {
+                return Err(bad("entry disagrees with the block layout"));
+            }
+            self.index = (count != 0).then_some(index);
+            self.offset = at + 8 + len as u64;
+        }
+        let footer = self.src.take(8, self.offset, "footer")?;
+        let declared = u64::from_le_bytes(footer.try_into().expect("eight bytes"));
+        if declared != self.ordinal {
+            return Err(ReadError::CountMismatch { declared, decoded: self.ordinal });
+        }
+        Ok(())
+    }
+}
+
+/// The records of a `foray-trace` file, decoded block by block as the
+/// walker loads them: the one iterator behind [`TraceReader`] and
+/// [`FileRecords`]. Both container versions are read, dispatching on the
+/// header. Fuses after the first error.
+#[derive(Debug, Clone)]
+pub struct Records<S> {
+    walk: Walker<S>,
+    /// When seeking: drop records until this loop's first checkpoint.
+    skip_until: Option<LoopId>,
+    done: bool,
 }
 
 /// Constant-memory streaming reader over any [`Read`]: holds one block in
-/// memory at a time, whatever the trace length. Reads both container
-/// versions, dispatching on the header (v2 blocks are CRC-verified as
-/// they are loaded).
+/// memory at a time, whatever the trace length, plus the v2 index section
+/// and 16 bytes per v2 block for the index audit at the end. It accepts
+/// exactly the files [`TraceFile`] accepts, but checks each block (its
+/// CRC in v2) as it loads it, and the index and the footer only after the
+/// last block.
 ///
 /// # Examples
 ///
@@ -627,28 +869,15 @@ fn read_struct<R: Read>(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    input: R,
-    format: FormatVersion,
-    offset: u64,
-    block: Vec<u8>,
-    pos: usize,
-    block_base: u64,
-    block_declared: u32,
-    block_decoded: u32,
-    total: u64,
-    v2_state: V2State,
-    index: Option<CheckpointIndex>,
-    state: ReaderState,
-}
+pub type TraceReader<R> = Records<Stream<R>>;
 
-#[derive(Debug, PartialEq, Eq)]
-enum ReaderState {
-    Reading,
-    Done,
-    Failed,
-}
+/// Zero-copy record iterator over a [`TraceFile`] buffer, obtained from
+/// [`TraceFile::records`] (the whole stream) or
+/// [`TraceFile::records_from_loop`] (positioned mid-file by the checkpoint
+/// index). It decodes each block payload in place, with no per-record or
+/// per-block allocation, and does not check the CRCs, the index or the
+/// footer again.
+pub type FileRecords<'a> = Records<Slice<'a>>;
 
 impl<R: Read> TraceReader<R> {
     /// Wraps a reader, consuming and validating the file header.
@@ -657,134 +886,16 @@ impl<R: Read> TraceReader<R> {
     ///
     /// [`ReadError::BadMagic`], [`ReadError::UnsupportedVersion`],
     /// [`ReadError::BadHeader`], or an I/O / truncation failure.
-    pub fn new(mut input: R) -> Result<Self, ReadError> {
-        let mut header = [0u8; HEADER_BYTES];
-        read_struct(&mut input, &mut header, 0, "file header")?;
-        let (format, _) = parse_header(&header)?;
-        Ok(TraceReader {
-            input,
-            format,
-            offset: HEADER_BYTES as u64,
-            block: Vec::new(),
-            pos: 0,
-            block_base: 0,
-            block_declared: 0,
-            block_decoded: 0,
-            total: 0,
-            v2_state: V2State::default(),
-            index: None,
-            state: ReaderState::Reading,
-        })
-    }
-
-    /// The container version being read.
-    pub fn format(&self) -> FormatVersion {
-        self.format
-    }
-
-    /// Records decoded so far.
-    pub fn records_read(&self) -> u64 {
-        self.total
-    }
-
-    /// The checkpoint index, available once the stream has been fully
-    /// drained (v2 files with an index only; a sequential reader cannot
-    /// seek, but the index still validates and is exposed for callers
-    /// that cache it).
-    pub fn index(&self) -> Option<&CheckpointIndex> {
-        self.index.as_ref()
-    }
-
-    /// Reads and validates the v2 index section, leaving the stream at
-    /// the footer.
-    fn read_index(&mut self) -> Result<(), ReadError> {
-        let section_offset = self.offset;
-        let mut count = [0u8; 4];
-        read_struct(&mut self.input, &mut count, self.offset, "index entry count")?;
-        self.offset += 4;
-        let count = u32::from_le_bytes(count) as usize;
-        // The index holds one entry per block, and every block preceding
-        // it occupies at least a header plus one payload byte — so a
-        // count past that ratio is corrupt, not just large, and must not
-        // trigger a giant allocation.
-        if count as u64 > self.offset / (self.format.block_header_bytes() as u64 + 1) {
-            return Err(ReadError::BadIndex {
-                offset: section_offset,
-                reason: "entry count is implausibly large",
-            });
-        }
-        let len = count * ENTRY_BYTES;
-        let mut entries = vec![0u8; len];
-        read_struct(&mut self.input, &mut entries, self.offset, "index entries")?;
-        self.offset += len as u64;
-        let mut crc = [0u8; 4];
-        read_struct(&mut self.input, &mut crc, self.offset, "index checksum")?;
-        self.offset += 4;
-        let index = CheckpointIndex::parse(&entries, u32::from_le_bytes(crc))
-            .map_err(|reason| ReadError::BadIndex { offset: section_offset, reason })?;
-        if !index.entries().is_empty() {
-            self.index = Some(index);
-        }
-        Ok(())
-    }
-
-    /// Loads the next block; `Ok(false)` means the terminator, trailer,
-    /// and footer were consumed and the stream is complete.
-    fn next_block(&mut self) -> Result<bool, ReadError> {
-        if self.block_decoded != self.block_declared {
-            return Err(ReadError::BlockCountMismatch {
-                offset: self.block_base,
-                declared: self.block_declared,
-                decoded: self.block_decoded,
-            });
-        }
-        let header_offset = self.offset;
-        let header_len = self.format.block_header_bytes();
-        let mut header = [0u8; 12];
-        read_struct(&mut self.input, &mut header[..header_len], header_offset, "block header")?;
-        self.offset += header_len as u64;
-        let len = u32::from_le_bytes(header[..4].try_into().expect("slice length"));
-        let count = u32::from_le_bytes(header[4..8].try_into().expect("slice length"));
-        let stored_crc = u32::from_le_bytes(header[8..12].try_into().expect("slice length"));
-        if len == 0 {
-            if self.format == FormatVersion::V2 {
-                self.read_index()?;
-            }
-            let mut footer = [0u8; 8];
-            read_struct(&mut self.input, &mut footer, self.offset, "footer")?;
-            self.offset += 8;
-            let declared = u64::from_le_bytes(footer);
-            if declared != self.total {
-                return Err(ReadError::CountMismatch { declared, decoded: self.total });
-            }
-            return Ok(false);
-        }
-        if len > MAX_BLOCK_BYTES {
-            return Err(ReadError::OversizedBlock { offset: header_offset, len });
-        }
-        self.block.resize(len as usize, 0);
-        read_struct(&mut self.input, &mut self.block, self.offset, "block payload")?;
-        if self.format == FormatVersion::V2 {
-            let computed = crc32(&self.block);
-            if computed != stored_crc {
-                return Err(ReadError::BadBlockCrc {
-                    offset: header_offset,
-                    stored: stored_crc,
-                    computed,
-                });
-            }
-        }
-        self.block_base = header_offset;
-        self.block_declared = count;
-        self.block_decoded = 0;
-        self.pos = 0;
-        self.v2_state = V2State::default();
-        self.offset += len as u64;
-        Ok(true)
+    pub fn new(input: R) -> Result<Self, ReadError> {
+        let mut src = Stream::new(input);
+        let header = src.take(HEADER_BYTES, 0, "file header")?;
+        let (format, _) = parse_header(header.try_into().expect("HEADER_BYTES long"))?;
+        let walk = Walker::new(src, format, HEADER_BYTES as u64, false);
+        Ok(Records { walk, skip_until: None, done: false })
     }
 }
 
-impl<R: Read> Iterator for TraceReader<R> {
+impl<S: Source> Iterator for Records<S> {
     type Item = Result<Record, ReadError>;
 
     /// Bulk drain: decodes each block in a tight loop with the consumer
@@ -792,30 +903,36 @@ impl<R: Read> Iterator for TraceReader<R> {
     /// `Option<Result<..>>`) per record. `for_each`, `fold`-composing
     /// adapters like `map`, and the `RecordSource::stream_into` replay
     /// path `trace analyze` sits on all route through here. Semantics match
-    /// `next()` exactly — the reader fuses after the first error, so the
-    /// closure sees every record up to and including that error and
-    /// nothing after.
+    /// `next()` exactly: the closure sees every record up to and including
+    /// the first error and nothing after.
     fn fold<B, F>(mut self, init: B, mut f: F) -> B
     where
         F: FnMut(B, Self::Item) -> B,
     {
         let mut acc = init;
-        if self.state != ReaderState::Reading {
+        // A seek's prefix goes through `next`, which drops records up to
+        // the loop's first checkpoint, so the bulk loop carries no filter.
+        if self.skip_until.is_some() {
+            match self.next() {
+                Some(Ok(rec)) => acc = f(acc, Ok(rec)),
+                Some(Err(e)) => return f(acc, Err(e)),
+                None => return acc,
+            }
+        }
+        if self.done {
             return acc;
         }
+        let w = &mut self.walk;
         loop {
-            let payload_base = self.block_base + self.format.block_header_bytes() as u64;
-            match self.format {
+            let payload = w.src.block();
+            let base = w.base + w.format.block_header_bytes() as u64;
+            match w.format {
                 FormatVersion::V1 => {
-                    while self.pos < self.block.len() {
-                        match binary::decode_one(
-                            &self.block[self.pos..],
-                            payload_base + self.pos as u64,
-                        ) {
+                    while w.pos < payload.len() {
+                        match binary::decode_one(&payload[w.pos..], base + w.pos as u64) {
                             Ok((rec, len)) => {
-                                self.pos += len;
-                                self.block_decoded += 1;
-                                self.total += 1;
+                                w.pos += len;
+                                w.decoded += 1;
                                 acc = f(acc, Ok(rec));
                             }
                             Err(e) => return f(acc, Err(ReadError::Decode(e))),
@@ -823,26 +940,25 @@ impl<R: Read> Iterator for TraceReader<R> {
                     }
                 }
                 FormatVersion::V2 => {
-                    // The counters ride in the accumulator so the loop's
+                    // The count rides in the accumulator so the loop's
                     // only per-record memory traffic is the payload and
                     // the address table (see `v2::decode_fold`).
                     let ((a, n), err) = v2::decode_fold(
-                        &self.block,
-                        &mut self.pos,
-                        payload_base,
-                        &mut self.v2_state,
-                        (acc, 0u64),
+                        payload,
+                        &mut w.pos,
+                        base,
+                        &mut w.v2,
+                        (acc, 0u32),
                         |(a, n), rec| (f(a, Ok(rec)), n + 1),
                     );
                     acc = a;
-                    self.block_decoded += n as u32;
-                    self.total += n;
+                    w.decoded += n;
                     if let Some(e) = err {
                         return f(acc, Err(ReadError::Decode(e)));
                     }
                 }
             }
-            match self.next_block() {
+            match w.next_block() {
                 Ok(true) => {}
                 Ok(false) => return acc,
                 Err(e) => return f(acc, Err(e)),
@@ -851,54 +967,49 @@ impl<R: Read> Iterator for TraceReader<R> {
     }
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.state != ReaderState::Reading {
+        if self.done {
             return None;
         }
+        let w = &mut self.walk;
         loop {
-            // Decode the next record in place. Payload offsets are
-            // relative to the block payload start (block_base + header).
-            if self.pos < self.block.len() {
-                let payload_base = self.block_base + self.format.block_header_bytes() as u64;
-                let res = match self.format {
-                    FormatVersion::V1 => {
-                        match binary::decode_one(
-                            &self.block[self.pos..],
-                            payload_base + self.pos as u64,
-                        ) {
-                            Ok((rec, len)) => {
-                                self.pos += len;
-                                Ok(rec)
-                            }
-                            Err(e) => Err(e),
-                        }
-                    }
-                    FormatVersion::V2 => v2::decode_step(
-                        &self.block,
-                        &mut self.pos,
-                        payload_base,
-                        &mut self.v2_state,
-                    ),
+            let payload = w.src.block();
+            if w.pos < payload.len() {
+                // Payload offsets are relative to the block payload start
+                // (the block header's offset plus its length).
+                let base = w.base + w.format.block_header_bytes() as u64;
+                let res = match w.format {
+                    FormatVersion::V1 => binary::decode_one(&payload[w.pos..], base + w.pos as u64)
+                        .map(|(rec, len)| {
+                            w.pos += len;
+                            rec
+                        }),
+                    FormatVersion::V2 => v2::decode_step(payload, &mut w.pos, base, &mut w.v2),
                 };
                 match res {
                     Ok(rec) => {
-                        self.block_decoded += 1;
-                        self.total += 1;
+                        w.decoded += 1;
+                        if let Some(id) = self.skip_until {
+                            if !matches!(rec, Record::Checkpoint { loop_id, .. } if loop_id == id) {
+                                continue;
+                            }
+                            self.skip_until = None;
+                        }
                         return Some(Ok(rec));
                     }
                     Err(e) => {
-                        self.state = ReaderState::Failed;
+                        self.done = true;
                         return Some(Err(ReadError::Decode(e)));
                     }
                 }
             }
-            match self.next_block() {
+            match w.next_block() {
                 Ok(true) => {}
                 Ok(false) => {
-                    self.state = ReaderState::Done;
+                    self.done = true;
                     return None;
                 }
                 Err(e) => {
-                    self.state = ReaderState::Failed;
+                    self.done = true;
                     return Some(Err(e));
                 }
             }
@@ -940,64 +1051,17 @@ impl TraceFile {
     /// Any structural [`ReadError`] — including [`ReadError::BadBlockCrc`]
     /// and [`ReadError::BadIndex`] for v2 files, both checked here.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<TraceFile, ReadError> {
-        if bytes.len() < HEADER_BYTES {
+        let Some(header) = bytes.first_chunk() else {
             return Err(ReadError::Truncated { offset: bytes.len() as u64, what: "file header" });
-        }
-        let (format, block_hint) =
-            parse_header(bytes[..HEADER_BYTES].try_into().expect("length checked"))?;
-        let header_len = format.block_header_bytes();
-        // Walk the block headers (no payload decoding; v2 payloads are
-        // CRC-checked) to validate the frame structure, remembering each
-        // block's offset and starting ordinal to audit the index against.
-        let mut pos = HEADER_BYTES;
-        let mut declared_total = 0u64;
-        let mut blocks: Vec<(u64, u64)> = Vec::new();
-        loop {
-            let Some(header) = bytes.get(pos..pos + header_len) else {
-                return Err(ReadError::Truncated { offset: pos as u64, what: "block header" });
-            };
-            let len = u32::from_le_bytes(header[..4].try_into().expect("slice length"));
-            let count = u32::from_le_bytes(header[4..8].try_into().expect("slice length"));
-            if len == 0 {
-                pos += header_len;
-                break;
-            }
-            if len > MAX_BLOCK_BYTES {
-                return Err(ReadError::OversizedBlock { offset: pos as u64, len });
-            }
-            let Some(payload) = bytes.get(pos + header_len..pos + header_len + len as usize) else {
-                return Err(ReadError::Truncated {
-                    offset: (pos + header_len) as u64,
-                    what: "block payload",
-                });
-            };
-            if format == FormatVersion::V2 {
-                let stored = u32::from_le_bytes(header[8..12].try_into().expect("slice length"));
-                let computed = crc32(payload);
-                if computed != stored {
-                    return Err(ReadError::BadBlockCrc { offset: pos as u64, stored, computed });
-                }
-            }
-            blocks.push((pos as u64, declared_total));
-            declared_total += count as u64;
-            pos += header_len + len as usize;
-        }
-        let index = match format {
-            FormatVersion::V1 => None,
-            FormatVersion::V2 => {
-                let (parsed, consumed) = parse_index_section(&bytes, pos, &blocks)?;
-                pos += consumed;
-                parsed
-            }
         };
-        let Some(footer) = bytes.get(pos..pos + 8) else {
-            return Err(ReadError::Truncated { offset: pos as u64, what: "footer" });
-        };
-        let declared = u64::from_le_bytes(footer.try_into().expect("slice length"));
-        if declared != declared_total {
-            return Err(ReadError::CountMismatch { declared, decoded: declared_total });
+        let (format, block_hint) = parse_header(header)?;
+        let mut walk = Walker::new(Slice::new(&bytes), format, HEADER_BYTES as u64, false);
+        // The structure only: `records` decodes the payloads later.
+        while walk.next_block()? {
+            walk.decoded = walk.declared;
         }
-        Ok(TraceFile { bytes, format, record_count: declared_total, block_hint, index })
+        let (record_count, index) = (walk.ordinal, walk.index);
+        Ok(TraceFile { bytes, format, record_count, block_hint, index })
     }
 
     /// The container version of this file.
@@ -1016,11 +1080,6 @@ impl TraceFile {
         self.block_hint
     }
 
-    /// The raw file bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// The checkpoint index (v2 files written with one), validated at
     /// open time against the actual block offsets and ordinals.
     pub fn index(&self) -> Option<&CheckpointIndex> {
@@ -1029,27 +1088,16 @@ impl TraceFile {
 
     /// Iterates the records, decoding zero-copy from the file buffer.
     pub fn records(&self) -> FileRecords<'_> {
-        FileRecords {
-            bytes: &self.bytes,
-            pos: HEADER_BYTES,
-            format: self.format,
-            payload: &[],
-            ppos: 0,
-            v2_state: V2State::default(),
-            block_base: HEADER_BYTES as u64,
-            block_declared: 0,
-            block_decoded: 0,
-            skip_until: None,
-            done: false,
-        }
+        self.records_at(HEADER_BYTES as u64, None)
     }
 
     /// Seeks to loop `loop_id` via the checkpoint index: returns an
     /// iterator positioned at the first block whose loop range covers the
     /// id, which then skips records until the loop's first checkpoint and
-    /// yields everything from that checkpoint on — without decoding (or
-    /// having CRC-checked block payloads of) the prefix. This is the
-    /// seekable [`RecordSource`](crate::source::RecordSource) entry point.
+    /// yields everything from that checkpoint on, without decoding the
+    /// prefix ([`Self::open`] has already CRC-checked every block). This
+    /// is the seekable [`RecordSource`](crate::source::RecordSource) entry
+    /// point.
     ///
     /// Returns `None` when the file has no index (v1, or a v2 file
     /// written with the index disabled) or when no block's range covers
@@ -1058,266 +1106,13 @@ impl TraceFile {
     /// absent, the returned iterator skips to the end and yields nothing.
     pub fn records_from_loop(&self, loop_id: LoopId) -> Option<FileRecords<'_>> {
         let entry = self.index.as_ref()?.find_loop(loop_id)?;
-        Some(FileRecords {
-            bytes: &self.bytes,
-            pos: usize::try_from(entry.offset).expect("validated block offset"),
-            format: self.format,
-            payload: &[],
-            ppos: 0,
-            v2_state: V2State::default(),
-            block_base: entry.offset,
-            block_declared: 0,
-            block_decoded: 0,
-            skip_until: Some(loop_id),
-            done: false,
-        })
-    }
-}
-
-/// Parses and audits the v2 index section starting at `pos`; returns the
-/// index (if non-empty) and the number of bytes consumed.
-fn parse_index_section(
-    bytes: &[u8],
-    pos: usize,
-    blocks: &[(u64, u64)],
-) -> Result<(Option<CheckpointIndex>, usize), ReadError> {
-    let section = pos as u64;
-    let Some(count_bytes) = bytes.get(pos..pos + 4) else {
-        return Err(ReadError::Truncated { offset: pos as u64, what: "index entry count" });
-    };
-    let count = u32::from_le_bytes(count_bytes.try_into().expect("slice length")) as usize;
-    if count == 0 {
-        // Disabled or empty index: just the count and the empty CRC.
-        let Some(crc) = bytes.get(pos + 4..pos + 8) else {
-            return Err(ReadError::Truncated { offset: pos as u64 + 4, what: "index checksum" });
-        };
-        if u32::from_le_bytes(crc.try_into().expect("slice length")) != crc32(&[]) {
-            return Err(ReadError::BadIndex { offset: section, reason: "index CRC mismatch" });
-        }
-        return Ok((None, 8));
-    }
-    if count != blocks.len() {
-        return Err(ReadError::BadIndex {
-            offset: section,
-            reason: "entry count disagrees with the block count",
-        });
-    }
-    let len = count * ENTRY_BYTES;
-    let Some(entries) = bytes.get(pos + 4..pos + 4 + len) else {
-        return Err(ReadError::Truncated { offset: pos as u64 + 4, what: "index entries" });
-    };
-    let Some(crc) = bytes.get(pos + 4 + len..pos + 8 + len) else {
-        return Err(ReadError::Truncated {
-            offset: (pos + 4 + len) as u64,
-            what: "index checksum",
-        });
-    };
-    let index = CheckpointIndex::parse(entries, u32::from_le_bytes(crc.try_into().expect("len")))
-        .map_err(|reason| ReadError::BadIndex { offset: section, reason })?;
-    for (entry, (offset, ordinal)) in index.entries().iter().zip(blocks) {
-        if entry.offset != *offset || entry.first_ordinal != *ordinal {
-            return Err(ReadError::BadIndex {
-                offset: section,
-                reason: "entry disagrees with the block layout",
-            });
-        }
-    }
-    Ok((Some(index), 8 + len))
-}
-
-/// Zero-copy record iterator over a [`TraceFile`] buffer.
-///
-/// Decodes each block payload in place; no per-record or per-block
-/// allocation. Fuses after the first error. Obtained from
-/// [`TraceFile::records`] (the whole stream) or
-/// [`TraceFile::records_from_loop`] (positioned mid-file by the
-/// checkpoint index).
-#[derive(Debug, Clone)]
-pub struct FileRecords<'a> {
-    bytes: &'a [u8],
-    /// Offset of the next unread block header.
-    pos: usize,
-    format: FormatVersion,
-    /// Current block payload and the decode position inside it.
-    payload: &'a [u8],
-    ppos: usize,
-    v2_state: V2State,
-    block_base: u64,
-    block_declared: u32,
-    block_decoded: u32,
-    /// When seeking: drop records until this loop's first checkpoint.
-    skip_until: Option<LoopId>,
-    done: bool,
-}
-
-impl FileRecords<'_> {
-    /// Advances to the next block. `Ok(false)` at the terminator. The
-    /// frame structure was validated at open time, so header/length reads
-    /// cannot fail here.
-    fn next_block(&mut self) -> Result<bool, ReadError> {
-        if self.block_decoded != self.block_declared {
-            return Err(ReadError::BlockCountMismatch {
-                offset: self.block_base,
-                declared: self.block_declared,
-                decoded: self.block_decoded,
-            });
-        }
-        let header_len = self.format.block_header_bytes();
-        let header = &self.bytes[self.pos..self.pos + header_len];
-        let len = u32::from_le_bytes(header[..4].try_into().expect("slice length")) as usize;
-        let count = u32::from_le_bytes(header[4..8].try_into().expect("slice length"));
-        if len == 0 {
-            return Ok(false);
-        }
-        self.payload = &self.bytes[self.pos + header_len..self.pos + header_len + len];
-        self.block_base = self.pos as u64;
-        self.block_declared = count;
-        self.block_decoded = 0;
-        self.ppos = 0;
-        self.v2_state = V2State::default();
-        self.pos += header_len + len;
-        Ok(true)
-    }
-}
-
-impl Iterator for FileRecords<'_> {
-    type Item = Result<Record, ReadError>;
-
-    /// Bulk drain, mirroring [`TraceReader`]'s `fold`: one tight decode
-    /// loop per block with the consumer inlined, no per-record iterator
-    /// call. The seek filter (`skip_until`) stays on the fast path — it
-    /// is a predictable not-taken branch once positioned.
-    fn fold<B, F>(mut self, init: B, mut f: F) -> B
-    where
-        F: FnMut(B, Self::Item) -> B,
-    {
-        let mut acc = init;
-        if self.done {
-            return acc;
-        }
-        loop {
-            while self.ppos == self.payload.len() {
-                match self.next_block() {
-                    Ok(true) => {}
-                    Ok(false) => return acc,
-                    Err(e) => return f(acc, Err(e)),
-                }
-            }
-            let payload_base = self.block_base + self.format.block_header_bytes() as u64;
-            match self.format {
-                FormatVersion::V1 => {
-                    while self.ppos < self.payload.len() {
-                        match binary::decode_one(
-                            &self.payload[self.ppos..],
-                            payload_base + self.ppos as u64,
-                        ) {
-                            Ok((rec, len)) => {
-                                self.ppos += len;
-                                self.block_decoded += 1;
-                                if let Some(id) = self.skip_until {
-                                    match rec {
-                                        Record::Checkpoint { loop_id, .. } if loop_id == id => {
-                                            self.skip_until = None;
-                                        }
-                                        _ => continue,
-                                    }
-                                }
-                                acc = f(acc, Ok(rec));
-                            }
-                            Err(e) => return f(acc, Err(ReadError::Decode(e))),
-                        }
-                    }
-                }
-                FormatVersion::V2 => {
-                    // Counters and the seek filter ride in the closure so
-                    // the loop's only per-record memory traffic is the
-                    // payload and the address table (see
-                    // `v2::decode_fold`). The filter is a predictable
-                    // not-taken branch once positioned.
-                    let skip = &mut self.skip_until;
-                    let ((a, n), err) = v2::decode_fold(
-                        self.payload,
-                        &mut self.ppos,
-                        payload_base,
-                        &mut self.v2_state,
-                        (acc, 0u64),
-                        |(a, n), rec| {
-                            if let Some(id) = *skip {
-                                match rec {
-                                    Record::Checkpoint { loop_id, .. } if loop_id == id => {
-                                        *skip = None;
-                                    }
-                                    _ => return (a, n + 1),
-                                }
-                            }
-                            (f(a, Ok(rec)), n + 1)
-                        },
-                    );
-                    acc = a;
-                    self.block_decoded += n as u32;
-                    if let Some(e) = err {
-                        return f(acc, Err(ReadError::Decode(e)));
-                    }
-                }
-            }
-        }
+        Some(self.records_at(entry.offset, Some(loop_id)))
     }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            while self.ppos == self.payload.len() {
-                match self.next_block() {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.done = true;
-                        return None;
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                }
-            }
-            let payload_base = self.block_base + self.format.block_header_bytes() as u64;
-            let res = match self.format {
-                FormatVersion::V1 => {
-                    match binary::decode_one(
-                        &self.payload[self.ppos..],
-                        payload_base + self.ppos as u64,
-                    ) {
-                        Ok((rec, len)) => {
-                            self.ppos += len;
-                            Ok(rec)
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-                FormatVersion::V2 => {
-                    v2::decode_step(self.payload, &mut self.ppos, payload_base, &mut self.v2_state)
-                }
-            };
-            match res {
-                Ok(rec) => {
-                    self.block_decoded += 1;
-                    if let Some(id) = self.skip_until {
-                        match rec {
-                            Record::Checkpoint { loop_id, .. } if loop_id == id => {
-                                self.skip_until = None;
-                            }
-                            _ => continue,
-                        }
-                    }
-                    return Some(Ok(rec));
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(ReadError::Decode(e)));
-                }
-            }
-        }
+    /// Records from the block at `offset`, which open time validated.
+    fn records_at(&self, offset: u64, skip_until: Option<LoopId>) -> FileRecords<'_> {
+        let walk = Walker::new(Slice::new(&self.bytes), self.format, offset, true);
+        Records { walk, skip_until, done: false }
     }
 }
 
@@ -1360,10 +1155,9 @@ mod tests {
                 assert_eq!(file.record_count(), recs.len() as u64);
                 let decoded: Vec<Record> = file.records().map(Result::unwrap).collect();
                 assert_eq!(decoded, recs, "{format} block_bytes={block_bytes}");
-                let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-                let streamed: Vec<Record> = reader.by_ref().map(Result::unwrap).collect();
+                let reader = TraceReader::new(bytes.as_slice()).unwrap();
+                let streamed: Vec<Record> = reader.map(Result::unwrap).collect();
                 assert_eq!(streamed, recs, "{format} block_bytes={block_bytes}");
-                assert_eq!(reader.records_read(), recs.len() as u64);
             }
         }
     }
@@ -1537,7 +1331,7 @@ mod tests {
 
     #[test]
     fn v2_index_corruption_is_rejected() {
-        let bytes = encode_with(FormatVersion::V2, &sample(40), 64);
+        let bytes = encode_with(FormatVersion::V2, &sample(200), 64);
         let file = TraceFile::from_bytes(bytes.clone()).unwrap();
         let n_blocks = file.index().unwrap().entries().len();
         assert!(n_blocks > 1, "want a multi-block file");
@@ -1545,13 +1339,35 @@ mod tests {
         // its first field. Find it from the end: footer(8) + crc(4) +
         // entries + count(4).
         let count_at = bytes.len() - 8 - 4 - n_blocks * ENTRY_BYTES - 4;
+        let entries_at = count_at + 4;
+        let crc_at = entries_at + n_blocks * ENTRY_BYTES;
+        // Both readers refuse each tampered file at the index section.
+        let rejected = |tampered: Vec<u8>| {
+            let streamed: Result<Vec<Record>, _> =
+                TraceReader::new(tampered.as_slice()).unwrap().collect();
+            for got in [TraceFile::from_bytes(tampered).map(|_| ()), streamed.map(|_| ())] {
+                let Err(ReadError::BadIndex { offset, .. }) = got else {
+                    panic!("want BadIndex, got {got:?}")
+                };
+                assert_eq!(offset, count_at as u64);
+            }
+        };
         let mut tampered = bytes.clone();
         tampered[count_at] ^= 1;
-        assert!(matches!(TraceFile::from_bytes(tampered), Err(ReadError::BadIndex { .. })));
+        rejected(tampered);
         // Flipping an entry byte breaks the index CRC.
         let mut tampered = bytes.clone();
-        tampered[count_at + 4] ^= 1;
-        assert!(matches!(TraceFile::from_bytes(tampered), Err(ReadError::BadIndex { .. })));
+        tampered[entries_at] ^= 1;
+        rejected(tampered);
+        // An entry's offset or first ordinal moved, with the CRC
+        // recomputed, disagrees with the block layout.
+        for field in [0, 8] {
+            let mut tampered = bytes.clone();
+            tampered[entries_at + ENTRY_BYTES + field] += 1;
+            let crc = crc32(&tampered[entries_at..crc_at]);
+            tampered[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+            rejected(tampered);
+        }
     }
 
     #[test]
@@ -1613,8 +1429,7 @@ mod tests {
     fn index_entries_describe_the_blocks() {
         let recs = sample(50);
         // Tiny blocks so the index has many entries.
-        let bytes = encode_with(FormatVersion::V2, &recs, 32);
-        let file = TraceFile::from_bytes(bytes.clone()).unwrap();
+        let file = TraceFile::from_bytes(encode_with(FormatVersion::V2, &recs, 32)).unwrap();
         let index = file.index().expect("v2 writes an index by default");
         assert!(index.entries().len() > 1);
         assert_eq!(index.entries()[0].offset, HEADER_BYTES as u64);
@@ -1624,13 +1439,6 @@ mod tests {
         assert!(ordinals.windows(2).all(|w| w[0] < w[1]));
         // Every entry's loop range covers loop 0 or is access-only.
         assert!(index.find_loop(LoopId(0)).is_some());
-        // The streaming reader sees (and validates) the same index.
-        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-        assert!(reader.index().is_none(), "index arrives only after the drain");
-        reader.by_ref().for_each(|r| {
-            r.unwrap();
-        });
-        assert_eq!(reader.index().unwrap(), index);
     }
 
     #[test]

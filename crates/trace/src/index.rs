@@ -5,9 +5,9 @@
 //! which global record ordinal it begins at, and the range of loop ids
 //! whose checkpoints appear inside it — enough for `trace analyze
 //! --from-loop N` to drop a reader at the first block that can contain
-//! loop `N` without replaying (or even CRC-checking) the prefix. Because
-//! the v2 delta state resets at block boundaries, a block located through
-//! the index decodes stand-alone.
+//! loop `N` without decoding the prefix (opening the file has already
+//! CRC-checked every block). Because the v2 delta state resets at block
+//! boundaries, a block located through the index decodes stand-alone.
 //!
 //! On-disk layout (all integers little-endian, following the 12-byte zero
 //! block terminator):

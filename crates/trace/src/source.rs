@@ -85,29 +85,6 @@ where
     Ok(n)
 }
 
-/// Drains a *fused* fallible iterator through its `fold` — the bulk path
-/// for the file-backed sources, whose `fold` overrides decode a whole
-/// block per iterator step with the sink inlined, instead of paying a
-/// `next()` call per record. Only sound for iterators that yield nothing
-/// after their first `Err` (both file readers fuse), since `fold` cannot
-/// stop early.
-fn drain_fold<E, S>(iter: impl Iterator<Item = Result<Record, E>>, sink: &mut S) -> Result<u64, E>
-where
-    S: TraceSink + ?Sized,
-{
-    // `try_fold` cannot be overridden on stable, so the readers override
-    // `fold`; switching this to `try_fold` would silently fall back to
-    // the per-record `next()` path.
-    #[allow(clippy::manual_try_fold)]
-    let n = iter.fold(Ok(0u64), |acc: Result<u64, E>, rec| {
-        let n = acc?;
-        sink.record(&rec?);
-        Ok(n + 1)
-    })?;
-    sink.finish();
-    Ok(n)
-}
-
 /// The zero-copy in-place byte decoder is a source.
 impl RecordSource for crate::binary::RecordReader<'_> {
     type Error = crate::binary::DecodeError;
@@ -117,21 +94,28 @@ impl RecordSource for crate::binary::RecordReader<'_> {
     }
 }
 
-/// The constant-memory streaming file reader is a source.
-impl<R: std::io::Read> RecordSource for crate::file::TraceReader<R> {
+/// Both file readers are sources: the constant-memory
+/// [`TraceReader`](crate::file::TraceReader) and the zero-copy walk of an
+/// opened trace file, [`FileRecords`](crate::file::FileRecords).
+impl<B: crate::file::bytes::Source> RecordSource for crate::file::Records<B> {
     type Error = ReadError;
 
+    /// Drains through `fold`, whose override decodes a whole block per
+    /// iterator step with the sink inlined, instead of paying a `next()`
+    /// call per record. Sound because the readers yield nothing after
+    /// their first `Err`, since `fold` cannot stop early.
     fn stream_into<S: TraceSink + ?Sized>(self, sink: &mut S) -> Result<u64, Self::Error> {
-        drain_fold(self, sink)
-    }
-}
-
-/// A zero-copy walk of an opened trace file is a source.
-impl RecordSource for crate::file::FileRecords<'_> {
-    type Error = ReadError;
-
-    fn stream_into<S: TraceSink + ?Sized>(self, sink: &mut S) -> Result<u64, Self::Error> {
-        drain_fold(self, sink)
+        // `try_fold` cannot be overridden on stable, so the readers
+        // override `fold`; switching this to `try_fold` would silently
+        // fall back to the per-record `next()` path.
+        #[allow(clippy::manual_try_fold)]
+        let n = self.fold(Ok(0u64), |acc: Result<u64, ReadError>, rec| {
+            let n = acc?;
+            sink.record(&rec?);
+            Ok(n + 1)
+        })?;
+        sink.finish();
+        Ok(n)
     }
 }
 

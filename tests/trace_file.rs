@@ -9,9 +9,11 @@
 //!   block sizes, both formats) → `TraceFile` / `TraceReader` / raw
 //!   `RecordReader` → identical records and identical `Analysis`;
 //! * corruption: truncation at every structural boundary, bad magic,
-//!   future and unknown versions, flipped v1 payload bytes, and flipped
-//!   v2 payload/CRC/index bytes are all rejected with typed errors,
-//!   never mis-decoded;
+//!   future and unknown versions, flipped v1 payload bytes, flipped
+//!   v2 payload/CRC/index bytes, and index entries that disagree with
+//!   the block layout are all rejected with typed errors, never
+//!   mis-decoded, and `TraceFile` and `TraceReader` accept the same
+//!   files;
 //! * the workload corpus: profile once, write the trace file in *both*
 //!   formats, re-analyze each and require equality with the online
 //!   in-RAM analysis — model code included — plus the
@@ -22,7 +24,9 @@ use foray::{analyze, AnalyzerConfig, FilterConfig, ForayGen, ForayModel};
 use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
 use minic::LoopId;
 use minic_trace::binary::RecordReader;
+use minic_trace::crc::crc32;
 use minic_trace::file::{self, FormatVersion, TraceReader, TraceWriter, HEADER_BYTES};
+use minic_trace::index::ENTRY_BYTES;
 use minic_trace::{AccessKind, ReadError, Record, RecordSource, TraceFile, TraceSink};
 use proptest::prelude::*;
 
@@ -42,6 +46,15 @@ fn frame_with(format: FormatVersion, records: &[Record], block_bytes: usize) -> 
 /// Frames with the default (v2) format.
 fn frame(records: &[Record], block_bytes: usize) -> Vec<u8> {
     frame_with(FormatVersion::default(), records, block_bytes)
+}
+
+/// One input through both readers: the streaming `TraceReader`, then an
+/// opened `TraceFile`.
+fn read_both(bytes: &[u8]) -> [Result<Vec<Record>, ReadError>; 2] {
+    [
+        TraceReader::new(bytes).and_then(Iterator::collect),
+        TraceFile::from_bytes(bytes.to_vec()).and_then(|tf| tf.records().collect()),
+    ]
 }
 
 fn arb_record() -> impl Strategy<Value = Record> {
@@ -129,13 +142,10 @@ proptest! {
         // Cut anywhere strictly inside the file: open must fail (the frame
         // walk covers every structure) and streaming must error too.
         let cut = 1 + (bytes.len() - 2) * cut_seed / 10_000;
-        let truncated = bytes[..cut].to_vec();
-        prop_assert!(TraceFile::from_bytes(truncated.clone()).is_err(), "cut={cut}");
-        let streamed: Result<Vec<Record>, ReadError> = match TraceReader::new(truncated.as_slice()) {
-            Ok(r) => r.collect(),
-            Err(e) => Err(e),
-        };
-        prop_assert!(streamed.is_err(), "cut={cut}");
+        prop_assert!(TraceFile::from_bytes(bytes[..cut].to_vec()).is_err(), "cut={cut}");
+        for got in read_both(&bytes[..cut]) {
+            prop_assert!(got.is_err(), "cut={cut}");
+        }
     }
 
     #[test]
@@ -145,23 +155,54 @@ proptest! {
         byte_seed in 0usize..10_000,
         bit in 0u8..8,
     ) {
-        // Flip one bit anywhere past the header: the file must either be
-        // refused (open or decode) or still yield exactly the original
-        // records — a flipped bit may never silently change the stream.
-        // Payload flips trip the block CRC, index flips trip the index
-        // CRC/audit, header-field flips trip the structural walk or the
-        // footer count; only flips in ignored padding (e.g. the unused
-        // bytes of the zero terminator) are absorbed, and those leave the
-        // records untouched by construction.
+        // Flip one bit anywhere past the header: both readers must either
+        // refuse the file (open or decode) or still yield exactly the
+        // original records — a flipped bit may never silently change the
+        // stream, nor split the readers. Payload flips trip the block
+        // CRC, index flips trip the index CRC/audit, header-field flips
+        // trip the structural walk or the footer count; only flips in
+        // ignored padding (e.g. the unused bytes of the zero terminator)
+        // are absorbed, and those leave the records untouched by
+        // construction.
         let bytes = frame(&records, block_bytes);
         let at = HEADER_BYTES + (bytes.len() - HEADER_BYTES - 1) * byte_seed / 10_000;
         let mut flipped = bytes;
         flipped[at] ^= 1 << bit;
-        if let Ok(tf) = TraceFile::from_bytes(flipped) {
-            let decoded: Result<Vec<Record>, ReadError> = tf.records().collect();
-            if let Ok(got) = decoded {
-                prop_assert_eq!(got, records, "flip at byte {} bit {}", at, bit);
+        match read_both(&flipped) {
+            [Ok(streamed), Ok(opened)] => {
+                prop_assert_eq!(&streamed, &records, "flip at byte {} bit {}", at, bit);
+                prop_assert_eq!(&opened, &records, "flip at byte {} bit {}", at, bit);
             }
+            [Err(_), Err(_)] => {}
+            [streamed, opened] => prop_assert!(
+                false,
+                "flip at byte {at} bit {bit} splits the readers: {streamed:?} / {opened:?}"
+            ),
+        }
+    }
+
+    #[test]
+    fn v2_index_edits_are_always_rejected(
+        records in proptest::collection::vec(arb_record(), 1..120),
+        block_bytes in 1usize..128,
+        entry_seed in 0usize..10_000,
+        ordinal in any::<bool>(),
+        delta in 1u64..1_000,
+    ) {
+        // Move one index entry's block offset or first ordinal and
+        // recompute the index CRC: the index now disagrees with the block
+        // layout, and both readers must refuse the file for it.
+        let mut bytes = frame(&records, block_bytes);
+        let n = TraceFile::from_bytes(bytes.clone()).unwrap().index().unwrap().entries().len();
+        let entries_at = bytes.len() - 8 - 4 - n * ENTRY_BYTES;
+        let crc_at = entries_at + n * ENTRY_BYTES;
+        let field = entries_at + n * entry_seed / 10_000 * ENTRY_BYTES + if ordinal { 8 } else { 0 };
+        let value = u64::from_le_bytes(bytes[field..field + 8].try_into().unwrap());
+        bytes[field..field + 8].copy_from_slice(&value.wrapping_add(delta).to_le_bytes());
+        let crc = crc32(&bytes[entries_at..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        for got in read_both(&bytes) {
+            prop_assert!(matches!(got, Err(ReadError::BadIndex { .. })), "{:?}", got);
         }
     }
 
