@@ -17,16 +17,16 @@
 //! ```text
 //! cargo run --release -p foray-bench --bin serve_rtt -- \
 //!     [--workload NAME] [--scale N] [--iters N] [--quick] [--json PATH] \
-//!     [--check-speedup X]
+//!     [--check]
 //! ```
 //!
 //! `--json PATH` appends one record in the shape of
 //! [`foray_bench::harness`], one row per path (`rtt_ns`); the committed
-//! history is `BENCH_history.jsonl`. `--check-speedup X` exits 3 unless
-//! the cached round trip is at least `X` times faster than the cold one —
+//! history is `BENCH_history.jsonl`. `--check` exits 3 unless the cached
+//! round trip is at least [`MIN_SPEEDUP`] times faster than the cold one —
 //! the CI gate on the cache actually caching.
 
-use foray_bench::harness::{ns, Args, Pass, Spec};
+use foray_bench::harness::{ns, Args, Bound, Spec};
 use foray_serve::json::{obj, Json};
 use foray_serve::{Client, JobInput, JobSpec, Response, ServeAddr, ServeConfig, Server};
 use std::time::{Duration, Instant};
@@ -38,8 +38,12 @@ static SPEC: Spec = Spec {
     scale: 1,
     iters: 12,
     quick_iters: 6,
-    checks: &["--check-speedup"],
 };
+
+/// `--check`: a cached round trip is at least this many times faster than
+/// a cold one (well under the measured ~10x, to absorb shared-runner
+/// noise).
+const MIN_SPEEDUP: f64 = 2.0;
 
 /// One full client round trip: connect, submit, wait, read the payload.
 fn round_trip(addr: &ServeAddr, spec: &JobSpec) -> (Duration, bool, String) {
@@ -129,5 +133,5 @@ fn main() {
             .map(|&(path, t)| obj([("path", Json::Str(path.to_owned())), ("rtt_ns", ns(t))]))
             .collect(),
     );
-    args.gate("--check-speedup", "cached speedup", speedup, Pass::AtLeast);
+    args.check(&[("cached speedup", speedup, Bound::AtLeast(MIN_SPEEDUP))]);
 }

@@ -12,18 +12,18 @@
 //! ```text
 //! cargo run --release -p foray-bench --bin sim_exec -- \
 //!     [--workload NAME] [--scale N] [--iters N] [--quick] \
-//!     [--json PATH] [--check-speedup X]
+//!     [--json PATH] [--check]
 //! ```
 //!
 //! `--json PATH` appends one record in the shape of
 //! [`foray_bench::harness`], one row per engine (`records`, `profile_ns`,
 //! `pipeline_ns`); the committed history is `BENCH_history.jsonl`.
-//! `--check-speedup X` exits 3 unless the VM's profile throughput is at
-//! least `X` times the tree-walker's — the CI gate for the engine's reason
-//! to exist.
+//! `--check` exits 3 unless the VM's profile throughput is at least
+//! [`MIN_SPEEDUP`] times the tree-walker's — the CI gate for the engine's
+//! reason to exist.
 
 use foray::{Engine, ForayGen};
-use foray_bench::harness::{int, ns, Args, Pass, Spec};
+use foray_bench::harness::{int, ns, Args, Bound, Spec};
 use foray_serve::json::{obj, Json};
 use minic_trace::CountingSink;
 use std::time::{Duration, Instant};
@@ -35,8 +35,12 @@ static SPEC: Spec = Spec {
     scale: 2,
     iters: 5,
     quick_iters: 2,
-    checks: &["--check-speedup"],
 };
+
+/// `--check`: the VM profiles at least this many times as fast as the
+/// tree-walker (well under the measured ~7x, to absorb shared-runner
+/// noise).
+const MIN_SPEEDUP: f64 = 2.0;
 
 struct EngineRow {
     engine: Engine,
@@ -117,5 +121,5 @@ fn main() {
             })
             .collect(),
     );
-    args.gate("--check-speedup", "VM profiling speedup", speedup, Pass::AtLeast);
+    args.check(&[("VM profiling speedup", speedup, Bound::AtLeast(MIN_SPEEDUP))]);
 }

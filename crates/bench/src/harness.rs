@@ -4,9 +4,10 @@
 //!
 //! Every bin takes its workload flag (`--workload NAME`, or
 //! `--workloads all|a,b` for `trace_codec`), `--scale N`, `--iters N`,
-//! `--quick` (the bin's own short best-of count), `--json PATH` and its
-//! `--check-*` gates. `--json PATH` appends one line to PATH, always in
-//! one record shape:
+//! `--quick` (the bin's own short best-of count), `--json PATH` and
+//! `--check`, which applies the bin's gates: fixed bounds, named
+//! constants in the bin, that hold for its default parameters. `--json
+//! PATH` appends one line to PATH, always in one record shape:
 //!
 //! ```text
 //! {"bench":"sim_exec","host":{"cpus":2,"commit":"80bc795"},
@@ -29,7 +30,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
-/// A bench bin's command line: its name, its defaults and its gates.
+/// A bench bin's command line: its name and its defaults.
 pub struct Spec {
     /// The bin's name, recorded as `bench`.
     pub bench: &'static str,
@@ -43,28 +44,25 @@ pub struct Spec {
     pub iters: u32,
     /// `--iters` under `--quick`.
     pub quick_iters: u32,
-    /// The `--check-*` flags; each takes a bound.
-    pub checks: &'static [&'static str],
 }
 
 impl Spec {
     fn usage(&self) -> String {
         let value = if self.workload_flag == "--workloads" { "all|a,b" } else { "NAME" };
-        let checks: String = self.checks.iter().map(|c| format!(" [{c} X]")).collect();
         format!(
-            "usage: {} [{} {value}] [--scale N] [--iters N] [--quick] [--json PATH]{checks}",
+            "usage: {} [{} {value}] [--scale N] [--iters N] [--quick] [--json PATH] [--check]",
             self.bench, self.workload_flag
         )
     }
 }
 
-/// Which side of a `--check-*` bound passes.
+/// A gate's bound, and which side of it passes.
 #[derive(Debug, Clone, Copy)]
-pub enum Pass {
-    /// The measured ratio must be at least the bound.
-    AtLeast,
-    /// The measured ratio must be at most the bound.
-    AtMost,
+pub enum Bound {
+    /// The measured ratio must be at least this.
+    AtLeast(f64),
+    /// The measured ratio must be at most this.
+    AtMost(f64),
 }
 
 /// A bench bin's parsed command line.
@@ -77,8 +75,8 @@ pub struct Args {
     /// Best-of rounds: `--iters`, or the bin's `--quick` count.
     pub iters: u32,
     json: Option<String>,
-    /// The bound given to each of `spec.checks`, in order.
-    checks: Vec<Option<f64>>,
+    /// `--check`: apply the bin's gates.
+    check: bool,
 }
 
 fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
@@ -105,25 +103,19 @@ impl Args {
             scale: spec.scale,
             iters: spec.iters,
             json: None,
-            checks: vec![None; spec.checks.len()],
+            check: false,
         };
         let mut it = raw.into_iter();
         while let Some(flag) = it.next() {
             let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
                 "--quick" => args.iters = spec.quick_iters,
+                "--check" => args.check = true,
                 "--scale" => args.scale = number(&flag, value()?)?,
                 "--iters" => args.iters = number(&flag, value()?)?,
                 "--json" => args.json = Some(value()?),
                 f if f == spec.workload_flag => args.workload = value()?,
-                f => {
-                    let i = spec
-                        .checks
-                        .iter()
-                        .position(|c| *c == f)
-                        .ok_or_else(|| format!("unknown argument `{f}`"))?;
-                    args.checks[i] = Some(number(f, value()?)?);
-                }
+                f => return Err(format!("unknown argument `{f}`")),
             }
         }
         if args.iters == 0 {
@@ -169,24 +161,29 @@ impl Args {
         println!("appended one {} record to {path}", self.spec.bench);
     }
 
-    /// Applies the gate `flag` if it was given: prints the pass line, or
-    /// prints FAIL and exits 3. `what` names the ratio `got`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flag` is not one of the spec's `checks`.
-    pub fn gate(&self, flag: &str, what: &str, got: f64, pass: Pass) {
-        let i = self.spec.checks.iter().position(|c| *c == flag).expect("gate is in the spec");
-        let Some(bound) = self.checks[i] else { return };
-        let (failed, side, beyond) = match pass {
-            Pass::AtLeast => (got < bound, ">=", "below"),
-            Pass::AtMost => (got > bound, "<=", "above"),
-        };
+    /// With `--check`, applies each gate `(what, got, bound)`, where
+    /// `what` names the ratio `got`: prints its pass or FAIL line, then
+    /// exits 3 if any gate failed.
+    pub fn check(&self, gates: &[(&str, f64, Bound)]) {
+        if !self.check {
+            return;
+        }
+        let mut failed = false;
+        for &(what, got, bound) in gates {
+            let (pass, side, beyond, bound) = match bound {
+                Bound::AtLeast(b) => (got >= b, ">=", "below", b),
+                Bound::AtMost(b) => (got <= b, "<=", "above", b),
+            };
+            if pass {
+                println!("check passed: {what} {got:.2}x {side} {bound:.2}x");
+            } else {
+                eprintln!("FAIL: {what} {got:.2}x is {beyond} the {bound:.2}x gate");
+                failed = true;
+            }
+        }
         if failed {
-            eprintln!("FAIL: {what} {got:.2}x is {beyond} the {bound:.2}x gate");
             std::process::exit(3);
         }
-        println!("check passed: {what} {got:.2}x {side} {bound:.2}x");
     }
 }
 
@@ -255,7 +252,6 @@ mod tests {
         scale: 2,
         iters: 12,
         quick_iters: 5,
-        checks: &["--check-ratio", "--check-decode"],
     };
 
     fn parse(argv: &[&str]) -> Result<Args, String> {
@@ -266,16 +262,16 @@ mod tests {
     fn flags_parse_over_the_spec_defaults() {
         let args = parse(&[]).unwrap();
         assert_eq!((args.workload.as_str(), args.scale, args.iters), ("all", 2, 12));
-        assert_eq!((args.json, args.checks), (None, vec![None, None]));
+        assert_eq!((args.json, args.check), (None, false));
         let args = parse(&["--workloads", "fftc,gsmc", "--iters", "7", "--quick"]).unwrap();
         assert_eq!((args.workload.as_str(), args.iters), ("fftc,gsmc", 5));
-        let args = parse(&["--quick", "--iters", "7", "--check-decode", "0.6"]).unwrap();
-        assert_eq!((args.iters, args.checks), (7, vec![None, Some(0.6)]));
+        let args = parse(&["--quick", "--iters", "7", "--check"]).unwrap();
+        assert_eq!((args.iters, args.check), (7, true));
         for (argv, want) in [
             (&["--workload", "fftc"][..], "unknown argument `--workload`"),
             (&["--scale"], "--scale needs a value"),
             (&["--scale", "x"], "bad --scale"),
-            (&["--check-ratio", "x"], "bad --check-ratio"),
+            (&["--check-ratio", "3.0"], "unknown argument `--check-ratio`"),
             (&["--iters", "0"], "--iters must be at least 1"),
         ] {
             assert_eq!(parse(argv).err().as_deref(), Some(want), "{argv:?}");

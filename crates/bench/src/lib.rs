@@ -20,12 +20,11 @@
 //!
 //! Four gated bins measure the system itself — `sim_exec`,
 //! `analyzer_hot`, `serve_rtt` and `trace_codec` — and share their command
-//! line, record shape and gate through [`harness`]; each run can append
-//! one line to the committed `BENCH_history.jsonl`.
-//!
-//! Criterion micro-benchmarks live under `benches/` (analyzer throughput
-//! and linearity, nest-depth scaling, lookup-strategy ablation, online vs
-//! offline analysis, SPM design-space exploration).
+//! line, record shape and `--check` gate through [`harness`]; each run can
+//! append one line to the committed `BENCH_history.jsonl`. `analyzer_hot`
+//! also checks the paper's Section 4 cost claims: time per record flat as
+//! the trace grows, and time per access growing only gently with nest
+//! depth.
 
 #![warn(missing_docs)]
 
@@ -112,8 +111,8 @@ pub fn run_suite_with(params: Params, workers: usize) -> Vec<BenchRun> {
 
 /// The corpus design space: every workload at `params`, every energy
 /// preset, and a standard SPM capacity grid — the space `foray-gen dse`
-/// explores by default and the `spm_dse` bench times. (CI's `dse-smoke`
-/// job runs the CLI on a five-capacity grid, without 8192.)
+/// explores by default. (CI's `dse-smoke` job runs the CLI on a
+/// five-capacity grid, without 8192.)
 pub fn dse_space(params: Params) -> foray_spm::SpmDesignSpace {
     foray_spm::SpmDesignSpace::new()
         .capacities(&[256, 512, 1024, 2048, 4096, 8192])

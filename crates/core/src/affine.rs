@@ -86,8 +86,8 @@ pub struct AffineState {
     execs: u64,
     /// Mispredictions (Step 6 firings).
     mispredictions: u64,
-    /// Distinct addresses touched (footprint), if tracking is enabled.
-    footprint: Option<Footprint>,
+    /// Distinct addresses touched (footprint).
+    footprint: Footprint,
 }
 
 impl AffineState {
@@ -98,12 +98,10 @@ impl AffineState {
     /// # Panics
     ///
     /// Panics if `iters.len() != n`.
-    pub fn first(n: u32, iters: &[i64], addr: u32, track_footprint: bool) -> Self {
+    pub fn first(n: u32, iters: &[i64], addr: u32) -> Self {
         assert_eq!(iters.len(), n as usize, "iterator vector must match nest level");
-        let mut footprint = track_footprint.then(Footprint::new);
-        if let Some(fp) = footprint.as_mut() {
-            fp.insert(addr);
-        }
+        let mut footprint = Footprint::new();
+        footprint.insert(addr);
         AffineState {
             n,
             konst: addr as i64,
@@ -208,9 +206,7 @@ impl AffineState {
     #[inline]
     fn count(&mut self, addr: u32) {
         self.execs += 1;
-        if let Some(fp) = self.footprint.as_mut() {
-            fp.insert(addr);
-        }
+        self.footprint.insert(addr);
     }
 
     /// Step 3: solves `C_k`, the one unknown coefficient whose iterator
@@ -302,16 +298,15 @@ impl AffineState {
         self.mispredictions
     }
 
-    /// Distinct addresses touched (the paper's `Nloc` filter input), if
-    /// tracking was enabled.
-    pub fn footprint(&self) -> Option<u64> {
-        self.footprint.as_ref().map(Footprint::len)
+    /// Distinct addresses touched (the paper's `Nloc` filter input).
+    pub fn footprint(&self) -> u64 {
+        self.footprint.len()
     }
 
-    /// The footprint address set itself, if tracking was enabled (used to
-    /// union footprints per reference class for Table III).
-    pub fn footprint_addrs(&self) -> Option<&Footprint> {
-        self.footprint.as_ref()
+    /// The footprint address set itself (used to union footprints per
+    /// reference class for Table III).
+    pub fn footprint_addrs(&self) -> &Footprint {
+        &self.footprint
     }
 
     /// Whether the expression, restricted to its window, involves at least
@@ -340,7 +335,7 @@ mod tests {
 
     /// Drives a state through `(iters, addr)` observations.
     fn drive(n: u32, obs: &[(&[i64], u32)]) -> AffineState {
-        let mut st = AffineState::first(n, obs[0].0, obs[0].1, true);
+        let mut st = AffineState::first(n, obs[0].0, obs[0].1);
         for (iters, addr) in &obs[1..] {
             st.observe(iters, *addr);
         }
@@ -370,7 +365,7 @@ mod tests {
         assert_eq!(st.window(), 2);
         assert_eq!(st.executions(), 6);
         assert_eq!(st.mispredictions(), 0);
-        assert_eq!(st.footprint(), Some(6));
+        assert_eq!(st.footprint(), 6);
         assert!(st.has_iterator());
     }
 
@@ -477,15 +472,7 @@ mod tests {
         assert_eq!(st.coefficients(), &[Some(4), Some(64), Some(1024)]);
         assert!(st.is_full());
         assert_eq!(st.mispredictions(), 0);
-        assert_eq!(st.footprint(), Some(64));
-    }
-
-    #[test]
-    fn footprint_tracking_optional() {
-        let mut st = AffineState::first(1, &[0], 0x100, false);
-        st.observe(&[1], 0x104);
-        assert_eq!(st.footprint(), None);
-        assert_eq!(st.executions(), 2);
+        assert_eq!(st.footprint(), 64);
     }
 
     #[test]

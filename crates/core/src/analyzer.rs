@@ -25,8 +25,8 @@ use std::collections::HashMap;
 /// default — replaces the hash with a bounds-checked array index, fronted
 /// by a successor predictor: each reference remembers the reference that
 /// followed it, and that one is checked first. [`LookupStrategy::Hash`]
-/// (the paper's choice, one probe per access) remains for the
-/// `lookup_ablation` bench and `analyzer_hot`'s seq-hash row.
+/// (the paper's choice, one probe per access) remains as the ablation
+/// that `analyzer_hot`'s hash row times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LookupStrategy {
     /// Successor predictor, then instruction-indexed side tables (dense
@@ -227,9 +227,6 @@ impl AnalyzerCounters {
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzerConfig {
-    /// Track each reference's distinct-address footprint (needed by the
-    /// Step 4 filter and Table III; disable only for throughput benching).
-    pub track_footprint: bool,
     /// Reference lookup strategy.
     pub lookup: LookupStrategy,
     /// Deterministic access-sampling policy (default: analyze every
@@ -239,11 +236,7 @@ pub struct AnalyzerConfig {
 
 impl Default for AnalyzerConfig {
     fn default() -> Self {
-        AnalyzerConfig {
-            track_footprint: true,
-            lookup: LookupStrategy::Dense,
-            sample: SampleSpec::Full,
-        }
+        AnalyzerConfig { lookup: LookupStrategy::Dense, sample: SampleSpec::Full }
     }
 }
 
@@ -432,8 +425,7 @@ impl Analyzer {
         self.collect_iters();
         self.counters.refs_created += 1;
         let depth = self.tree.node(node).depth;
-        let state =
-            AffineState::first(depth, &self.iters_buf, a.addr.0, self.config.track_footprint);
+        let state = AffineState::first(depth, &self.iters_buf, a.addr.0);
         let (mut reads, mut writes) = (0, 0);
         match a.kind {
             AccessKind::Read => reads = 1,

@@ -137,18 +137,19 @@ impl StableHasher {
 
 impl AnalyzerConfig {
     /// Feeds every analyzer-configuration field **that can change the
-    /// analysis output bytes** into `h`:
-    ///
-    /// * `track_footprint` — footprint counters feed the Step 4 filter;
-    /// * `sample` — the deterministic sampling policy (hashed as its
-    ///   canonical `--sample` spelling, which round-trips through
-    ///   [`minic_trace::SampleSpec::parse`]).
+    /// analysis output bytes** into `h`: `sample`, the deterministic
+    /// sampling policy (hashed as its canonical `--sample` spelling, which
+    /// round-trips through [`minic_trace::SampleSpec::parse`]).
     ///
     /// `lookup` is excluded on purpose: every lookup strategy is proven
     /// to produce the same analysis (the analyzer's lookup-equivalence
     /// tests), so keying on it would only fragment a result cache.
+    ///
+    /// `analyzer.track_footprint` is fed as the constant `true`, which
+    /// keeps every cache key byte-identical to the keys computed when
+    /// footprint tracking was a setting.
     pub fn stable_digest(&self, h: &mut StableHasher) {
-        h.field_bool("analyzer.track_footprint", self.track_footprint);
+        h.field_bool("analyzer.track_footprint", true);
         h.field_str("analyzer.sample", &self.sample.to_string());
     }
 }
@@ -221,9 +222,8 @@ mod tests {
         // Sampling changes which accesses the analyzer sees: must miss.
         assert_ne!(
             hex(&base),
-            hex(&AnalyzerConfig { sample: SampleSpec::EveryNth { n: 2 }, ..base.clone() })
+            hex(&AnalyzerConfig { sample: SampleSpec::EveryNth { n: 2 }, ..base })
         );
-        assert_ne!(hex(&base), hex(&AnalyzerConfig { track_footprint: false, ..base }));
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl FilterConfig {
             && !r.state.is_non_analyzable()
             && r.state.has_iterator()
             && r.state.executions() >= self.n_exec
-            && r.state.footprint().is_none_or(|fp| fp >= self.n_loc)
+            && r.state.footprint() >= self.n_loc
     }
 }
 
@@ -178,7 +178,7 @@ impl ForayModel {
                 loop_path,
                 node_path: node_path.clone(),
                 execs: r.state.executions(),
-                footprint: r.state.footprint().unwrap_or(0),
+                footprint: r.state.footprint(),
                 reads: r.reads,
                 writes: r.writes,
             });

@@ -141,15 +141,14 @@ impl MemoryBehavior {
                 row.lib_refs += 1;
                 row.lib_accesses += execs;
             }
-            if let Some(addrs) = r.state.footprint_addrs() {
-                addrs.union_into(&mut total_fp);
-                if model_keys.contains(&(r.instr, r.node)) {
-                    addrs.union_into(&mut model_fp);
-                } else if r.class == RefClass::Library {
-                    addrs.union_into(&mut lib_fp);
-                } else {
-                    addrs.union_into(&mut other_fp);
-                }
+            let addrs = r.state.footprint_addrs();
+            addrs.union_into(&mut total_fp);
+            if model_keys.contains(&(r.instr, r.node)) {
+                addrs.union_into(&mut model_fp);
+            } else if r.class == RefClass::Library {
+                addrs.union_into(&mut lib_fp);
+            } else {
+                addrs.union_into(&mut other_fp);
             }
         }
         row.total_footprint = Footprint::union_len(&total_fp);

@@ -4,8 +4,8 @@
 //!
 //! Selecting at most one buffering level per reference under a capacity
 //! budget is a multiple-choice knapsack. Both an exact dynamic program and
-//! the classical density-greedy heuristic are provided; the
-//! `spm_dse` bench compares them (an ablation called out in `DESIGN.md`).
+//! the classical density-greedy heuristic are provided, so the heuristic
+//! can be ablated against the optimum.
 
 use crate::candidate::BufferCandidate;
 use crate::energy::EnergyModel;

@@ -19,7 +19,7 @@ use crate::record::{Access, AccessKind, InstrAddr, MemAddr, Record};
 use crate::sink::TraceSink;
 use minic::{CheckpointKind, LoopId};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 const TAG_CHECKPOINT: u8 = 0x01;
 const TAG_ACCESS: u8 = 0x02;
@@ -341,57 +341,6 @@ impl<W: Write> TraceSink for BinaryWriter<W> {
     }
 }
 
-/// Streaming binary decoder over any [`Read`].
-///
-/// For byte slices already in memory, prefer the allocation-free
-/// [`RecordReader`]; this type exists for sockets, pipes, and other
-/// unseekable streams of raw (unframed) records.
-#[derive(Debug)]
-pub struct BinaryReader<R: Read> {
-    input: R,
-    offset: u64,
-}
-
-impl<R: Read> BinaryReader<R> {
-    /// Wraps a reader.
-    pub fn new(input: R) -> Self {
-        BinaryReader { input, offset: 0 }
-    }
-
-    fn read_exact(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.input.read_exact(buf)?;
-        self.offset += buf.len() as u64;
-        Ok(())
-    }
-}
-
-impl<R: Read> Iterator for BinaryReader<R> {
-    type Item = io::Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let start = self.offset;
-        let mut buf = [0u8; MAX_RECORD_BYTES];
-        match self.input.read(&mut buf[..1]) {
-            Ok(0) => return None,
-            Ok(_) => self.offset += 1,
-            Err(e) => return Some(Err(e)),
-        }
-        let body = match buf[0] {
-            TAG_CHECKPOINT => CHECKPOINT_BYTES - 1,
-            TAG_ACCESS => ACCESS_BYTES - 1,
-            t => {
-                return Some(Err(
-                    DecodeError { offset: start, reason: DecodeReason::BadTag(t) }.into()
-                ));
-            }
-        };
-        if let Err(e) = self.read_exact(&mut buf[1..=body]) {
-            return Some(Err(e));
-        }
-        Some(decode_one(&buf[..=body], start).map(|(rec, _)| rec).map_err(Into::into))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,13 +371,6 @@ mod tests {
         assert_eq!(decoded, recs);
         assert_eq!(reader.offset(), bytes.len());
         assert!(reader.remaining().is_empty());
-    }
-
-    #[test]
-    fn io_reader_round_trip() {
-        let bytes = to_bytes(&sample());
-        let decoded: io::Result<Vec<Record>> = BinaryReader::new(bytes.as_slice()).collect();
-        assert_eq!(decoded.unwrap(), sample());
     }
 
     #[test]

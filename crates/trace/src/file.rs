@@ -593,7 +593,7 @@ pub fn write_file<P: AsRef<Path>>(path: P, records: &[Record]) -> io::Result<u64
 /// [`Source`](bytes::Source).
 pub(crate) mod bytes {
     use super::ReadError;
-    use std::io::{self, Read};
+    use std::io::Read;
 
     /// Hands the walker the container's structures in file order.
     pub trait Source {
@@ -661,7 +661,9 @@ pub(crate) mod bytes {
 
     /// Reads exactly `n` bytes into `buf`; a stream that ends first is
     /// [`ReadError::Truncated`] at `at`, so corrupt files report *what* is
-    /// missing.
+    /// missing. `buf` grows only as bytes arrive, so a length the input
+    /// does not back costs memory in proportion to the input, not to the
+    /// declared length.
     fn fill(
         input: &mut impl Read,
         buf: &mut Vec<u8>,
@@ -669,14 +671,12 @@ pub(crate) mod bytes {
         at: u64,
         what: &'static str,
     ) -> Result<(), ReadError> {
-        buf.resize(n, 0);
-        input.read_exact(buf).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                ReadError::Truncated { offset: at, what }
-            } else {
-                ReadError::Io(e)
-            }
-        })
+        buf.clear();
+        input.take(n as u64).read_to_end(buf)?;
+        if buf.len() < n {
+            return Err(ReadError::Truncated { offset: at, what });
+        }
+        Ok(())
     }
 
     impl<R: Read> Source for Stream<R> {
@@ -692,6 +692,14 @@ pub(crate) mod bytes {
 
         fn block(&self) -> &[u8] {
             &self.block
+        }
+    }
+
+    #[cfg(test)]
+    impl<R> Stream<R> {
+        /// Bytes the block buffer has allocated.
+        pub(super) fn block_capacity(&self) -> usize {
+            self.block.capacity()
         }
     }
 }
@@ -1387,6 +1395,26 @@ mod tests {
                 TraceReader::new(bytes.as_slice()).unwrap().collect();
             assert!(matches!(streamed, Err(ReadError::OversizedBlock { .. })), "{format}");
         }
+    }
+
+    #[test]
+    fn a_short_stream_allocates_by_its_bytes_not_its_declared_block_length() {
+        // The file header, then one v2 block header (payload length,
+        // record count, CRC) that declares a 1 GiB payload, of which only
+        // four bytes follow.
+        let mut bytes = Vec::from(header_bytes(FormatVersion::V2, 64));
+        for field in [MAX_BLOCK_BYTES, 1, 0] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes.extend_from_slice(&[0; 4]);
+        assert_eq!(bytes.len(), 32);
+        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
+        let err = reader.next().unwrap().unwrap_err();
+        assert!(
+            matches!(err, ReadError::Truncated { offset: 28, what: "block payload" }),
+            "{err:?}"
+        );
+        assert!(reader.walk.src.block_capacity() < 1 << 12, "{}", reader.walk.src.block_capacity());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `fft`, `gsm`, `adpcm`). MiBench's C sources cannot be vendored into this
 //! workspace, so this crate provides six mini-C programs implementing the
 //! same algorithm families with the same *access-pattern character* — the
-//! property the evaluation actually depends on (see `DESIGN.md` §2):
+//! property the evaluation actually depends on:
 //!
 //! | Workload | Algorithm | Character |
 //! |---|---|---|

@@ -348,7 +348,7 @@ fn naive_analysis(records: &[Record], sample: SampleSpec) -> (LoopTree, Vec<Naiv
                         i
                     }
                     None => {
-                        let state = AffineState::first(iters.len() as u32, &iters, a.addr.0, true);
+                        let state = AffineState::first(iters.len() as u32, &iters, a.addr.0);
                         refs.push(NaiveRef { instr: a.instr, node, state, reads: 0, writes: 0 });
                         index.insert((node, a.instr), refs.len() - 1);
                         refs.len() - 1
@@ -380,7 +380,7 @@ proptest! {
         for sample in [SampleSpec::Full, SampleSpec::EveryNth { n: 3 }] {
             let (tree, expect, accesses) = naive_analysis(&records, sample);
             for lookup in [LookupStrategy::Dense, LookupStrategy::Hash] {
-                let config = AnalyzerConfig { sample, lookup, ..AnalyzerConfig::default() };
+                let config = AnalyzerConfig { sample, lookup };
                 let got = analyze_with(&records, config);
                 prop_assert_eq!(got.accesses(), accesses);
                 prop_assert_eq!(got.tree(), &tree);
@@ -583,7 +583,7 @@ proptest! {
         } else {
             // Dropped: at least one threshold (or the iterator condition)
             // must have failed.
-            let footprint = analysis.refs()[0].state.footprint().unwrap();
+            let footprint = analysis.refs()[0].state.footprint();
             prop_assert!(
                 execs < n_exec
                     || footprint < n_loc
