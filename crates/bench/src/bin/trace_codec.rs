@@ -37,7 +37,6 @@
 
 use foray_bench::harness::{int, ns, Args, Bound, Spec};
 use foray_serve::json::{obj, Json};
-use foray_workloads::Params;
 use minic_trace::file::{self, FormatVersion};
 use minic_trace::{Record, TraceReader};
 use std::hint::black_box;
@@ -100,7 +99,7 @@ fn main() {
         std::process::exit(1);
     }
     let workloads: Vec<foray_workloads::Workload> = if names.contains(&"all") {
-        foray_workloads::all(Params { scale: args.scale })
+        args.corpus()
     } else {
         names.iter().map(|name| args.resolve(name)).collect()
     };

@@ -25,7 +25,7 @@
 //! at the repository root.
 
 use foray_serve::json::{obj, Json};
-use foray_workloads::{Params, Workload};
+use foray_workloads::Workload;
 use std::io::Write as _;
 use std::path::Path;
 use std::time::Duration;
@@ -124,13 +124,21 @@ impl Args {
         Ok(args)
     }
 
-    /// The workload `name` at `--scale`. An unknown name prints an error
-    /// and exits 1.
+    /// The workload `name` at `--scale`. An unknown name or a scale above
+    /// [`foray_workloads::MAX_SCALE`] prints an error and exits 1.
     pub fn resolve(&self, name: &str) -> Workload {
-        foray_workloads::by_name(name, Params { scale: self.scale }).unwrap_or_else(|| {
-            eprintln!("error: unknown workload `{name}`");
-            std::process::exit(1)
-        })
+        or_exit(self.build(Some(name))).remove(0)
+    }
+
+    /// Every workload at `--scale`, for `--workloads all`; a scale above
+    /// [`foray_workloads::MAX_SCALE`] prints an error and exits 1.
+    pub fn corpus(&self) -> Vec<Workload> {
+        or_exit(self.build(None))
+    }
+
+    /// [`foray_workloads::build`] at `--scale`.
+    fn build(&self, name: Option<&str>) -> Result<Vec<Workload>, String> {
+        foray_workloads::build(name, self.scale)
     }
 
     /// This run's record: the bench, the host, the parameters and `rows`.
@@ -185,6 +193,14 @@ impl Args {
             std::process::exit(3);
         }
     }
+}
+
+/// The built workloads, or on an error the error printed and exit 1.
+fn or_exit(built: Result<Vec<Workload>, String>) -> Vec<Workload> {
+    built.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// The host's CPU count as the record gives it: the available
@@ -276,6 +292,17 @@ mod tests {
         ] {
             assert_eq!(parse(argv).err().as_deref(), Some(want), "{argv:?}");
         }
+    }
+
+    #[test]
+    fn a_scale_above_the_largest_is_refused_before_building() {
+        let args = parse(&["--scale", "9"]).unwrap();
+        let too_large = "scale 9 is above the largest workload scale, 8";
+        assert_eq!(args.build(None).unwrap_err(), too_large);
+        assert_eq!(args.build(Some("fftc")).unwrap_err(), too_large);
+        let args = parse(&["--scale", "1"]).unwrap();
+        assert_eq!(args.build(Some("adpcmc")).unwrap()[0].name, "adpcmc");
+        assert_eq!(args.build(Some("nope")).unwrap_err(), "unknown workload `nope`");
     }
 
     #[test]

@@ -109,14 +109,12 @@ pub fn run_suite_with(params: Params, workers: usize) -> Vec<BenchRun> {
         .collect()
 }
 
-/// The corpus design space: every workload at `params`, every energy
-/// preset, and a standard SPM capacity grid — the space `foray-gen dse`
+/// The corpus design space: every workload at `params` in
+/// [`foray_spm::SpmDesignSpace::standard`] — the space `foray-gen dse`
 /// explores by default. (CI's `dse-smoke` job runs the CLI on a
 /// five-capacity grid, without 8192.)
 pub fn dse_space(params: Params) -> foray_spm::SpmDesignSpace {
-    foray_spm::SpmDesignSpace::new()
-        .capacities(&[256, 512, 1024, 2048, 4096, 8192])
-        .preset_models()
+    foray_spm::SpmDesignSpace::standard()
         .workloads(all(params).iter().map(|w| w.batch_job(ForayGen::new())))
 }
 

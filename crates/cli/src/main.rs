@@ -1,42 +1,16 @@
 //! `foray-gen` — command-line front door to the FORAY-GEN reproduction.
 //!
-//! ```text
-//! foray-gen model <prog.mc> [--nexec N] [--nloc N] [--inputs v,v,...] [--executable]
-//!     extract and print the FORAY model (Phase I); --executable emits it
-//!     as a runnable mini-C program (re-profiling it is a fixpoint)
-//! foray-gen report <prog.mc> [...]
-//!     model + static comparison + memory-behaviour breakdown + hints
-//! foray-gen trace <prog.mc> [--format text|binary] [-o FILE]
-//!     profile and dump the raw trace (Fig. 4(c) format)
-//! foray-gen trace record (<prog.mc> | --workload NAME) -o FILE.ftrace
-//!         [--trace-format v1|v2]
-//!     profile straight into a framed foray-trace file (v2 by default:
-//!     delta-compressed blocks with CRC32s and a checkpoint index)
-//!     — the trace is streamed block by block, never materialized in
-//!     memory
-//! foray-gen trace analyze <FILE.ftrace> [--from-loop N]
-//!     re-analyze a recorded trace file; prints the same FORAY model the
-//!     in-RAM `model` command prints, byte for byte. `--from-loop N`
-//!     seeks to loop N via the v2 checkpoint index and analyzes the
-//!     trace suffix from its first checkpoint on
-//! foray-gen annotate <prog.mc>
-//!     print the checkpoint-instrumented source (Fig. 4(b))
-//! foray-gen spm <prog.mc> [--capacity BYTES]
-//!     Phase II: buffer candidates, selection, transformed model
-//! foray-gen dse [--workloads all|a,b] [--capacities LIST] [--models LIST]
-//!     parallel SPM design-space exploration over the workload corpus,
-//!     with Pareto-front reporting (text and --json)
-//! foray-gen serve (--socket PATH | --tcp HOST:PORT) [--workers N] ...
-//!     forayd: long-running analysis daemon with a content-addressed
-//!     result cache, speaking line-delimited JSON
-//! foray-gen client (--socket PATH | --tcp HOST:PORT) ACTION [...]
-//!     talk to a running daemon: submit / wait / poll / stats / ping /
-//!     shutdown
-//! ```
+//! Run it with no arguments for the commands and their flags ([`USAGE`]).
+//! Every flag is one entry of [`FLAGS`], which parses its value and names
+//! the commands that read it; a flag the command does not read is a usage
+//! error.
 //!
 //! Exit codes: 0 success, 1 usage error, 2 compile error, 3 runtime error.
 
 use foray::{AnalyzerConfig, Engine, FilterConfig, ForayGen, ForayModel, SampleSpec};
+use foray_serve::{JobKind, Response, ServeAddr, ServeConfig};
+use foray_spm::{EnergyModel, SpmDesignSpace};
+use minic_trace::FormatVersion;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -67,7 +41,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   foray-gen model    <prog.mc> [--nexec N] [--nloc N] [--inputs v,v,..] [--executable]
   foray-gen report   <prog.mc> [--nexec N] [--nloc N] [--inputs v,v,..]
-  foray-gen trace    <prog.mc> [--format text|binary] [-o FILE] [--inputs v,v,..]
+  foray-gen trace    <prog.mc> [-o FILE] [--inputs v,v,..]
   foray-gen trace record  (<prog.mc> | --workload NAME [--scale N]) -o FILE.ftrace
                           [--trace-format v1|v2]
   foray-gen trace analyze <FILE.ftrace> [--nexec N] [--nloc N] [--from-loop N]
@@ -85,11 +59,11 @@ const USAGE: &str = "usage:
                            | wait JOB [--timeout-ms N] | poll JOB
                            | stats | ping | shutdown
 
-program sources (model/report/trace/spm):
+program sources (model/report/trace/annotate/spm):
   <prog.mc>        a mini-C source file, or
   --workload NAME  a built-in corpus workload (jpegc, lamec, susanc, fftc,
                    gsmc, adpcmc, histoc) with its canonical inputs;
-                   --scale N sizes it
+                   --scale N sizes it (1 to 8)
 
 trace file flags:
   --trace-format v1|v2  container version for `trace record` (default: v2,
@@ -152,196 +126,398 @@ impl From<foray::PipelineError> for CliError {
     }
 }
 
-struct Options {
-    file: String,
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
+}
+
+/// A command. `trace record`, `trace analyze` and each `client` action
+/// are commands of their own, since each reads its own flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Model,
+    Report,
+    Trace,
+    Record,
+    Analyze,
+    Annotate,
+    Spm,
+    Dse,
+    Serve,
+    Submit,
+    Wait,
+    Poll,
+    Stats,
+    Ping,
+    Shutdown,
+}
+
+impl Cmd {
+    /// Every command, with its words on the command line.
+    const NAMES: [(Cmd, &'static str); 15] = [
+        (Cmd::Model, "model"),
+        (Cmd::Report, "report"),
+        (Cmd::Trace, "trace"),
+        (Cmd::Record, "trace record"),
+        (Cmd::Analyze, "trace analyze"),
+        (Cmd::Annotate, "annotate"),
+        (Cmd::Spm, "spm"),
+        (Cmd::Dse, "dse"),
+        (Cmd::Serve, "serve"),
+        (Cmd::Submit, "client submit"),
+        (Cmd::Wait, "client wait"),
+        (Cmd::Poll, "client poll"),
+        (Cmd::Stats, "client stats"),
+        (Cmd::Ping, "client ping"),
+        (Cmd::Shutdown, "client shutdown"),
+    ];
+
+    fn name(self) -> &'static str {
+        Cmd::NAMES.iter().find(|(cmd, _)| *cmd == self).expect("every command is named").1
+    }
+
+    fn named(name: &str) -> Option<Cmd> {
+        Cmd::NAMES.iter().find(|(_, n)| *n == name).map(|(cmd, _)| *cmd)
+    }
+
+    /// Whether the command takes a positional argument: a program file, a
+    /// trace file or a job id.
+    fn takes_arg(self) -> bool {
+        !matches!(self, Cmd::Dse | Cmd::Serve | Cmd::Stats | Cmd::Ping | Cmd::Shutdown)
+    }
+}
+
+/// Every command's options, as [`FLAGS`] sets them.
+#[derive(Debug)]
+struct Opts {
+    /// The positional argument: a program or trace file, or a job id.
+    arg: Option<String>,
     workload: Option<String>,
     scale: u32,
-    n_exec: u64,
-    n_loc: u64,
-    inputs: Vec<i64>,
-    format: String,
-    output: Option<String>,
-    capacity: u32,
-    executable: bool,
-    engine: Engine,
+    filter: FilterConfig,
+    inputs: Option<Vec<i64>>,
     sample: SampleSpec,
-    trace_format: minic_trace::FormatVersion,
+    engine: Engine,
+    executable: bool,
+    output: Option<String>,
+    trace_format: FormatVersion,
     from_loop: Option<u32>,
+    capacity: u32,
+    workloads: Vec<String>,
+    /// `dse`'s capacities and models; the workloads come from `workloads`.
+    space: SpmDesignSpace,
+    jobs: usize,
+    json: Option<String>,
+    check: bool,
+    addr: Option<ServeAddr>,
+    serve: ServeConfig,
+    trace: Option<String>,
+    kind: JobKind,
+    priority: u8,
+    no_wait: bool,
+    timeout_ms: Option<u64>,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, CliError> {
-    let mut opts = Options {
-        file: String::new(),
-        workload: None,
-        scale: 1,
-        n_exec: 20,
-        n_loc: 10,
-        inputs: Vec::new(),
-        format: "text".to_owned(),
-        output: None,
-        capacity: 4096,
-        executable: false,
-        engine: Engine::default(),
-        sample: SampleSpec::default(),
-        trace_format: minic_trace::FormatVersion::default(),
-        from_loop: None,
-    };
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nexec" => opts.n_exec = parse_num(&need(&mut it, "--nexec")?)?,
-            "--nloc" => opts.n_loc = parse_num(&need(&mut it, "--nloc")?)?,
-            "--capacity" => opts.capacity = parse_num(&need(&mut it, "--capacity")?)? as u32,
-            "--executable" => opts.executable = true,
-            "--format" => opts.format = need(&mut it, "--format")?,
-            "--engine" => {
-                let name = need(&mut it, "--engine")?;
-                opts.engine = Engine::parse(&name).ok_or_else(|| {
-                    CliError::Usage(format!("unknown engine `{name}` (use `tree` or `vm`)"))
-                })?;
-            }
-            "--sample" => {
-                let spec = need(&mut it, "--sample")?;
-                opts.sample = SampleSpec::parse(&spec)
-                    .map_err(|e| CliError::Usage(format!("bad --sample: {e}")))?;
-            }
-            "--trace-format" => {
-                let name = need(&mut it, "--trace-format")?;
-                opts.trace_format = minic_trace::FormatVersion::parse(&name).ok_or_else(|| {
-                    CliError::Usage(format!("unknown trace format `{name}` (use `v1` or `v2`)"))
-                })?;
-            }
-            "--from-loop" => {
-                let n = parse_num(&need(&mut it, "--from-loop")?)?;
-                opts.from_loop = Some(u32::try_from(n).map_err(|_| {
-                    CliError::Usage(format!("--from-loop {n} does not fit a loop id"))
-                })?);
-            }
-            "--workload" => opts.workload = Some(need(&mut it, "--workload")?),
-            "--scale" => opts.scale = parse_num(&need(&mut it, "--scale")?)?.max(1) as u32,
-            "-o" | "--output" => opts.output = Some(need(&mut it, "-o")?),
-            "--inputs" => {
-                let list = need(&mut it, "--inputs")?;
-                opts.inputs = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad input value `{s}`")))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            other if other.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown flag `{other}`")));
-            }
-            file => {
-                if opts.file.is_empty() {
-                    opts.file = file.to_owned();
-                } else {
-                    return Err(CliError::Usage(format!("unexpected argument `{file}`")));
-                }
-            }
-        }
-    }
-    Ok(opts)
-}
-
-/// Resolves the program to run: a source file, or a `--workload` from the
-/// corpus (installing the workload's canonical inputs unless the user gave
-/// `--inputs`). Mutates `opts.inputs` so [`pipeline`] sees the result.
-fn resolve_source(opts: &mut Options) -> Result<String, CliError> {
-    match &opts.workload {
-        Some(name) => {
-            if !opts.file.is_empty() {
-                return Err(CliError::Usage(format!(
-                    "give either a program file or --workload, not both (got `{}`)",
-                    opts.file
-                )));
-            }
-            let params = foray_workloads::Params { scale: opts.scale };
-            let w = foray_workloads::by_name(name, params)
-                .ok_or_else(|| CliError::Usage(format!("unknown workload `{name}`")))?;
-            if opts.inputs.is_empty() {
-                opts.inputs = w.inputs.clone();
-            }
-            Ok(w.source)
-        }
-        None => {
-            if opts.file.is_empty() {
-                return Err(CliError::Usage("missing program file (or --workload)".to_owned()));
-            }
-            read_source(&opts.file)
+impl Default for Opts {
+    fn default() -> Self {
+        Opts {
+            arg: None,
+            workload: None,
+            scale: 1,
+            filter: FilterConfig::default(),
+            inputs: None,
+            sample: SampleSpec::default(),
+            engine: Engine::default(),
+            executable: false,
+            output: None,
+            trace_format: FormatVersion::default(),
+            from_loop: None,
+            capacity: 4096,
+            workloads: vec!["all".to_owned()],
+            space: SpmDesignSpace::standard(),
+            jobs: 0,
+            json: None,
+            check: false,
+            addr: None,
+            serve: ServeConfig::default(),
+            trace: None,
+            kind: JobKind::default(),
+            priority: 0,
+            no_wait: false,
+            timeout_ms: None,
         }
     }
 }
 
-fn parse_num(s: &str) -> Result<u64, CliError> {
-    s.parse().map_err(|_| CliError::Usage(format!("bad number `{s}`")))
+/// How a flag sets [`Opts`]: alone, or from the value that follows it
+/// (an `Err` says what is wrong with the value).
+enum Set {
+    Switch(fn(&mut Opts)),
+    Value(fn(&mut Opts, &str) -> Result<(), String>),
+}
+use Set::{Switch, Value};
+
+/// One flag: its spellings, the commands that read it, and how it sets
+/// [`Opts`].
+struct Flag(&'static [&'static str], &'static [Cmd], Set);
+
+/// Commands that build a program from a file or `--workload`.
+const SOURCED: &[Cmd] =
+    &[Cmd::Model, Cmd::Report, Cmd::Trace, Cmd::Record, Cmd::Annotate, Cmd::Spm, Cmd::Submit];
+/// Commands that size a `--workload`, or `dse`'s corpus.
+const SCALED: &[Cmd] = &[
+    Cmd::Model,
+    Cmd::Report,
+    Cmd::Trace,
+    Cmd::Record,
+    Cmd::Annotate,
+    Cmd::Spm,
+    Cmd::Submit,
+    Cmd::Dse,
+];
+/// Commands that also run the program.
+const RUN: &[Cmd] = &[Cmd::Model, Cmd::Report, Cmd::Trace, Cmd::Record, Cmd::Spm, Cmd::Submit];
+/// Commands that sample the accesses they analyze or record.
+const SAMPLED: &[Cmd] =
+    &[Cmd::Model, Cmd::Report, Cmd::Trace, Cmd::Record, Cmd::Analyze, Cmd::Spm, Cmd::Submit];
+/// Commands that extract a model through the `--nexec`/`--nloc` filter.
+const FILTERED: &[Cmd] = &[Cmd::Model, Cmd::Report, Cmd::Analyze, Cmd::Spm, Cmd::Submit];
+/// Commands that write a trace.
+const TRACE: &[Cmd] = &[Cmd::Trace, Cmd::Record];
+const DSE: &[Cmd] = &[Cmd::Dse];
+const SERVE: &[Cmd] = &[Cmd::Serve];
+const SUBMIT: &[Cmd] = &[Cmd::Submit];
+/// Commands that take a daemon address.
+const DAEMON: &[Cmd] =
+    &[Cmd::Serve, Cmd::Submit, Cmd::Wait, Cmd::Poll, Cmd::Stats, Cmd::Ping, Cmd::Shutdown];
+
+/// Every flag of every command: the one place each flag's value is parsed
+/// and checked.
+const FLAGS: &[Flag] = &[
+    Flag(&["--workload"], SOURCED, Value(|o, v| set(&mut o.workload, Some(v.into())))),
+    Flag(&["--scale"], SCALED, Value(|o, v| set(&mut o.scale, num::<u32>(v)?.max(1)))),
+    Flag(&["--inputs"], RUN, Value(|o, v| set(&mut o.inputs, Some(ints(v)?)))),
+    Flag(&["--engine"], RUN, Value(|o, v| set(&mut o.engine, engine(v)?))),
+    Flag(&["--sample"], SAMPLED, Value(|o, v| set(&mut o.sample, SampleSpec::parse(v)?))),
+    Flag(&["--nexec"], FILTERED, Value(|o, v| set(&mut o.filter.n_exec, num(v)?))),
+    Flag(&["--nloc"], FILTERED, Value(|o, v| set(&mut o.filter.n_loc, num(v)?))),
+    Flag(&["--executable"], &[Cmd::Model], Switch(|o| o.executable = true)),
+    Flag(&["-o", "--output"], TRACE, Value(|o, v| set(&mut o.output, Some(v.into())))),
+    Flag(&["--trace-format"], &[Cmd::Record], Value(|o, v| set(&mut o.trace_format, version(v)?))),
+    Flag(&["--from-loop"], &[Cmd::Analyze], Value(|o, v| set(&mut o.from_loop, Some(num(v)?)))),
+    Flag(&["--capacity"], &[Cmd::Spm], Value(|o, v| set(&mut o.capacity, num(v)?))),
+    Flag(&["--workloads"], DSE, Value(|o, v| set(&mut o.workloads, list(v, |s| Ok(s.into()))?))),
+    Flag(&["--capacities"], DSE, Value(|o, v| set(&mut o.space.capacities, list(v, num)?))),
+    Flag(&["--models"], DSE, Value(|o, v| set(&mut o.space.models, list(v, energy_model)?))),
+    Flag(&["--jobs"], DSE, Value(|o, v| set(&mut o.jobs, num(v)?))),
+    Flag(&["--json"], DSE, Value(|o, v| set(&mut o.json, Some(v.into())))),
+    Flag(&["--check"], DSE, Switch(|o| o.check = true)),
+    Flag(&["--socket"], DAEMON, Value(|o, v| set_addr(o, ServeAddr::Unix(v.into())))),
+    Flag(&["--tcp"], DAEMON, Value(|o, v| set_addr(o, ServeAddr::Tcp(v.into())))),
+    Flag(&["--workers"], SERVE, Value(|o, v| set(&mut o.serve.workers, num::<usize>(v)?.max(1)))),
+    Flag(
+        &["--queue"],
+        SERVE,
+        Value(|o, v| set(&mut o.serve.queue_capacity, num::<usize>(v)?.max(1))),
+    ),
+    Flag(&["--cache"], SERVE, Value(|o, v| set(&mut o.serve.cache_entries, num(v)?))),
+    Flag(&["--spill"], SERVE, Value(|o, v| set(&mut o.serve.spill_dir, Some(v.into())))),
+    Flag(&["--trace"], SUBMIT, Value(|o, v| set(&mut o.trace, Some(v.into())))),
+    Flag(&["--kind"], SUBMIT, Value(|o, v| set(&mut o.kind, kind(v)?))),
+    Flag(&["--priority"], SUBMIT, Value(|o, v| set(&mut o.priority, priority(v)?))),
+    Flag(&["--no-wait"], SUBMIT, Switch(|o| o.no_wait = true)),
+    Flag(&["--timeout-ms"], &[Cmd::Wait], Value(|o, v| set(&mut o.timeout_ms, Some(num(v)?)))),
+];
+
+fn set<T>(field: &mut T, value: T) -> Result<(), String> {
+    *field = value;
+    Ok(())
 }
 
-fn read_source(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError::Usage(format!("cannot read `{path}`: {e}")))
+fn num<T: std::str::FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| "not a number, or out of range".to_owned())
 }
 
-fn pipeline(opts: &Options) -> ForayGen {
-    ForayGen::new()
-        .filter(FilterConfig { n_exec: opts.n_exec, n_loc: opts.n_loc })
-        .inputs(opts.inputs.clone())
-        .analyzer(AnalyzerConfig { sample: opts.sample, ..AnalyzerConfig::default() })
-        .engine(opts.engine)
+/// A comma-separated list of at least one item, each parsed by `item`.
+fn list<T>(v: &str, item: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    let items: Vec<T> = v
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(item)
+        .collect::<Result<_, _>>()?;
+    if items.is_empty() {
+        return Err("needs at least one value".to_owned());
+    }
+    Ok(items)
 }
 
-fn sim_config(opts: &Options) -> minic_sim::SimConfig {
-    minic_sim::SimConfig { engine: opts.engine, ..minic_sim::SimConfig::default() }
+fn ints(v: &str) -> Result<Vec<i64>, String> {
+    v.split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| s.trim().parse().map_err(|_| format!("bad input value `{s}`")))
+        .collect()
+}
+
+fn engine(v: &str) -> Result<Engine, String> {
+    Engine::parse(v).ok_or_else(|| "use `tree` or `vm`".to_owned())
+}
+
+fn version(v: &str) -> Result<FormatVersion, String> {
+    FormatVersion::parse(v).ok_or_else(|| "use `v1` or `v2`".to_owned())
+}
+
+fn kind(v: &str) -> Result<JobKind, String> {
+    JobKind::parse(v).ok_or_else(|| "use model/report/dse".to_owned())
+}
+
+fn priority(v: &str) -> Result<u8, String> {
+    match num::<u8>(v)? {
+        p if p <= foray_serve::MAX_PRIORITY => Ok(p),
+        _ => Err(format!("out of range 0-{}", foray_serve::MAX_PRIORITY)),
+    }
+}
+
+/// A `--models` entry: a preset name, or a user-supplied point as
+/// `custom:MAIN_NJ:SPM_NJ:BASE_BYTES:SLOPE` (named `custom`).
+fn energy_model(spec: &str) -> Result<(String, EnergyModel), String> {
+    if let Some(params) = spec.strip_prefix("custom:") {
+        let parts: Vec<&str> = params.split(':').collect();
+        let [main, spm, bytes, slope] = parts.as_slice() else {
+            return Err(format!(
+                "bad custom model `{spec}` (want custom:MAIN_NJ:SPM_NJ:BASE_BYTES:SLOPE)"
+            ));
+        };
+        let model = EnergyModel {
+            main_access_nj: num(main)?,
+            spm_base_nj: num(spm)?,
+            spm_base_bytes: num(bytes)?,
+            spm_size_slope: num(slope)?,
+        };
+        return Ok(("custom".to_owned(), model));
+    }
+    match EnergyModel::preset(spec) {
+        Some(m) => Ok((spec.to_owned(), m)),
+        None => Err(format!(
+            "unknown energy model `{spec}` (presets: {})",
+            foray_spm::energy::PRESET_NAMES.join(", ")
+        )),
+    }
+}
+
+const ONE_ADDR: &str = "give exactly one of --socket PATH or --tcp HOST:PORT";
+
+fn set_addr(o: &mut Opts, addr: ServeAddr) -> Result<(), String> {
+    match o.addr.replace(addr) {
+        None => Ok(()),
+        Some(_) => Err(ONE_ADDR.to_owned()),
+    }
+}
+
+/// The daemon address `--socket` or `--tcp` gave.
+fn addr(o: &Opts) -> Result<&ServeAddr, CliError> {
+    o.addr.as_ref().ok_or_else(|| usage(ONE_ADDR))
+}
+
+/// Parses a command line: the command, then its options through the one
+/// loop over [`FLAGS`]. A flag the command does not read is a usage
+/// error, found before the command opens or writes anything.
+fn parse(args: &[String]) -> Result<(Cmd, Opts), CliError> {
+    let Some(first) = args.first() else { return Err(usage("missing command")) };
+    let (mut o, mut seen, mut words) = (Opts::default(), Vec::new(), Vec::new());
+    let mut it = args[1..].iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            words.push(arg.as_str());
+            continue;
+        }
+        let Some(flag) = FLAGS.iter().find(|f| f.0.contains(&arg.as_str())) else {
+            return Err(usage(format!("unknown flag `{arg}`")));
+        };
+        match flag.2 {
+            Switch(set) => set(&mut o),
+            Value(set) => {
+                let v = it.next().ok_or_else(|| usage(format!("{arg} needs a value")))?;
+                set(&mut o, v).map_err(|e| usage(format!("bad {arg} `{v}`: {e}")))?;
+            }
+        }
+        seen.push((arg, flag));
+    }
+    // Two-word commands (`trace record`, `client submit`) first.
+    let cmd = if let Some(cmd) = words.first().and_then(|w| Cmd::named(&format!("{first} {w}"))) {
+        words.remove(0);
+        cmd
+    } else if let Some(cmd) = Cmd::named(first) {
+        cmd
+    } else if first == "client" {
+        let action = words.first().map_or("none".to_owned(), |w| format!("`{w}`"));
+        return Err(usage(format!(
+            "client action {action}: use submit, wait, poll, stats, ping or shutdown"
+        )));
+    } else {
+        return Err(usage(format!("unknown command `{first}`")));
+    };
+    if let Some(extra) = words.get(usize::from(cmd.takes_arg())) {
+        return Err(usage(format!("unexpected argument `{extra}`")));
+    }
+    o.arg = words.first().map(|w| (*w).to_owned());
+    if let Some((arg, _)) = seen.iter().find(|(_, f)| !f.1.contains(&cmd)) {
+        return Err(usage(format!("`{}` does not take {arg}", cmd.name())));
+    }
+    Ok((cmd, o))
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let Some(cmd) = args.first() else {
-        return Err(CliError::Usage("missing command".to_owned()));
-    };
-    if cmd == "dse" {
-        // Corpus-driven: no program file argument, own flag set.
-        return cmd_dse(&parse_dse_options(&args[1..])?);
-    }
-    if cmd == "serve" {
-        // The daemon: own flag set, no program file argument.
-        return cmd_serve(&parse_serve_options(&args[1..])?);
-    }
-    if cmd == "client" {
-        return cmd_client(&args[1..]);
-    }
-    if cmd == "trace" {
-        // The file-pipeline sub-subcommands; bare `trace` keeps its legacy
-        // dump behaviour below.
-        match args.get(1).map(String::as_str) {
-            Some("record") => {
-                let mut opts = parse_options(&args[2..])?;
-                let src = resolve_source(&mut opts)?;
-                return cmd_trace_record(&src, &opts);
-            }
-            Some("analyze") => return cmd_trace_analyze(&parse_options(&args[2..])?),
-            _ => {}
-        }
-    }
-    let mut opts = parse_options(&args[1..])?;
-    let src = resolve_source(&mut opts)?;
-    match cmd.as_str() {
-        "model" => cmd_model(&src, &opts),
-        "report" => cmd_report(&src, &opts),
-        "trace" => cmd_trace(&src, &opts),
-        "annotate" => cmd_annotate(&src),
-        "spm" => cmd_spm(&src, &opts),
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
+    let (cmd, o) = parse(args)?;
+    match cmd {
+        Cmd::Model => cmd_model(program(&o)?, &o),
+        Cmd::Report => cmd_report(program(&o)?, &o),
+        Cmd::Trace => cmd_trace(program(&o)?, &o),
+        Cmd::Record => cmd_trace_record(program(&o)?, &o),
+        Cmd::Annotate => cmd_annotate(&program(&o)?.0),
+        Cmd::Spm => cmd_spm(program(&o)?, &o),
+        Cmd::Analyze => cmd_trace_analyze(&o),
+        Cmd::Dse => cmd_dse(&o),
+        Cmd::Serve => cmd_serve(&o),
+        _ => cmd_client(cmd, &o),
     }
 }
 
-fn cmd_model(src: &str, opts: &Options) -> Result<(), CliError> {
-    let out = pipeline(opts).run_source(src)?;
-    if opts.executable {
+/// Resolves the program to run and its `input()` data: a source file
+/// with `--inputs`, or a `--workload` from the corpus with its canonical
+/// inputs unless `--inputs` names some.
+fn program(o: &Opts) -> Result<(String, Vec<i64>), CliError> {
+    match (&o.workload, &o.arg) {
+        (Some(_), Some(file)) => {
+            Err(usage(format!("give either a program file or --workload, not both (got `{file}`)")))
+        }
+        (Some(name), None) => {
+            let w = foray_workloads::build(Some(name), o.scale).map_err(usage)?.remove(0);
+            Ok((w.source, o.inputs.clone().filter(|v| !v.is_empty()).unwrap_or(w.inputs)))
+        }
+        (None, Some(file)) => Ok((read_source(file)?, o.inputs.clone().unwrap_or_default())),
+        (None, None) => Err(usage("missing program file (or --workload)")),
+    }
+}
+
+fn read_source(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| usage(format!("cannot read `{path}`: {e}")))
+}
+
+fn frontend(src: &str) -> Result<minic::Program, CliError> {
+    minic::frontend(src).map_err(|e| CliError::Compile(e.to_string()))
+}
+
+fn pipeline(o: &Opts, inputs: Vec<i64>) -> ForayGen {
+    ForayGen::new()
+        .filter(o.filter)
+        .inputs(inputs)
+        .analyzer(AnalyzerConfig { sample: o.sample, ..AnalyzerConfig::default() })
+        .engine(o.engine)
+}
+
+fn cmd_model((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+    let out = pipeline(o, inputs).run_source(&src)?;
+    if o.executable {
         print!("{}", foray::codegen::emit_minic(&out.model));
     } else {
         print!("{}", out.code);
@@ -350,31 +526,21 @@ fn cmd_model(src: &str, opts: &Options) -> Result<(), CliError> {
 }
 
 fn cmd_annotate(src: &str) -> Result<(), CliError> {
-    let prog = minic::frontend(src).map_err(|e| CliError::Compile(e.to_string()))?;
-    print!("{}", minic::pretty(&prog));
+    print!("{}", minic::pretty(&frontend(src)?));
     Ok(())
 }
 
-/// Bare `trace`: dump the program's trace to `-o FILE` or stdout as it
-/// runs, through the same [`profile_into`] as `trace record`, which is
-/// the one command that writes a framed `foray-trace` file.
-fn cmd_trace(src: &str, opts: &Options) -> Result<(), CliError> {
-    use minic_trace::{binary::BinaryWriter, text::TextWriter};
-    let format = opts.format.as_str();
-    if !matches!(format, "text" | "binary") {
-        return Err(CliError::Usage(format!("unknown trace format `{format}`")));
-    }
-    let prog = minic::frontend(src).map_err(|e| CliError::Compile(e.to_string()))?;
-    let out: Box<dyn Write> = match &opts.output {
+/// Bare `trace`: dump the program's trace in the paper's Fig. 4(c) text
+/// to `-o FILE` or stdout as it runs, through the same [`profile_into`]
+/// as `trace record`, which writes the binary `foray-trace` file.
+fn cmd_trace((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+    let prog = frontend(&src)?;
+    let out: Box<dyn Write> = match &o.output {
         Some(path) => Box::new(std::fs::File::create(path)?),
         None => Box::new(std::io::stdout().lock()),
     };
-    let out = std::io::BufWriter::new(out);
-    if format == "text" {
-        latched(profile_into(&prog, opts, TextWriter::new(out))?.0.io_error())
-    } else {
-        latched(profile_into(&prog, opts, BinaryWriter::new(out))?.0.io_error())
-    }
+    let writer = minic_trace::text::TextWriter::new(std::io::BufWriter::new(out));
+    latched(profile_into(&prog, inputs, o, writer)?.0.io_error())
 }
 
 /// Profiles `prog` into `writer` behind the `--sample` filter — the one
@@ -384,13 +550,15 @@ fn cmd_trace(src: &str, opts: &Options) -> Result<(), CliError> {
 /// for later readers to trip over.
 fn profile_into<S: minic_trace::TraceSink>(
     prog: &minic::Program,
-    opts: &Options,
+    inputs: Vec<i64>,
+    o: &Opts,
     writer: S,
 ) -> Result<(S, u64, u64), CliError> {
-    let mut sink = minic_trace::SampleSink::new(opts.sample, writer);
-    if let Err(e) = minic_sim::run_with_sink(prog, &sim_config(opts), &opts.inputs, &mut sink) {
+    let mut sink = minic_trace::SampleSink::new(o.sample, writer);
+    let config = minic_sim::SimConfig { engine: o.engine, ..minic_sim::SimConfig::default() };
+    if let Err(e) = minic_sim::run_with_sink(prog, &config, &inputs, &mut sink) {
         drop(sink);
-        if let Some(path) = &opts.output {
+        if let Some(path) = &o.output {
             std::fs::remove_file(path).ok();
         }
         return Err(CliError::Runtime(e.to_string()));
@@ -411,23 +579,23 @@ fn latched(error: Option<&std::io::Error>) -> Result<(), CliError> {
 /// riding the simulation as the sink (behind a `--sample` filter), so the
 /// `foray-trace` file (`--trace-format`, v2 by default) is written block
 /// by block without ever materializing the record stream.
-fn cmd_trace_record(src: &str, opts: &Options) -> Result<(), CliError> {
-    let Some(path) = &opts.output else {
-        return Err(CliError::Usage("trace record needs -o FILE.ftrace".to_owned()));
+fn cmd_trace_record((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+    let Some(path) = &o.output else {
+        return Err(usage("trace record needs -o FILE.ftrace"));
     };
-    let prog = minic::frontend(src).map_err(|e| CliError::Compile(e.to_string()))?;
+    let prog = frontend(&src)?;
     let file = std::io::BufWriter::new(std::fs::File::create(path)?);
-    let writer = minic_trace::TraceWriter::with_format(file, opts.trace_format);
-    let (writer, seen, kept) = profile_into(&prog, opts, writer)?;
+    let writer = minic_trace::TraceWriter::with_format(file, o.trace_format);
+    let (writer, seen, kept) = profile_into(&prog, inputs, o, writer)?;
     latched(writer.io_error())?;
     let records = writer.records_written();
     let bytes = std::fs::metadata(path)?.len();
     println!(
         "recorded {records} records to {path} ({bytes} bytes, foray-trace/{})",
-        opts.trace_format
+        o.trace_format
     );
     if seen != kept {
-        println!("sampled {kept} of {seen} accesses (--sample {})", opts.sample);
+        println!("sampled {kept} of {seen} accesses (--sample {})", o.sample);
     }
     Ok(())
 }
@@ -444,49 +612,42 @@ fn cmd_trace_record(src: &str, opts: &Options) -> Result<(), CliError> {
 /// [`minic_trace::TraceFile`] and the v2 checkpoint index seeks straight
 /// to loop `N`'s region; only the trace suffix from its first checkpoint
 /// is decoded and analyzed.
-fn cmd_trace_analyze(opts: &Options) -> Result<(), CliError> {
-    if opts.workload.is_some() {
-        return Err(CliError::Usage("trace analyze reads a FILE.ftrace, not --workload".into()));
-    }
-    if opts.file.is_empty() {
-        return Err(CliError::Usage("trace analyze needs a FILE.ftrace argument".to_owned()));
-    }
-    let config = AnalyzerConfig { sample: opts.sample, ..AnalyzerConfig::default() };
-    let analysis = if let Some(loop_id) = opts.from_loop {
-        let file = minic_trace::TraceFile::open(&opts.file)
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
+fn cmd_trace_analyze(o: &Opts) -> Result<(), CliError> {
+    let Some(path) = &o.arg else {
+        return Err(usage("trace analyze needs a FILE.ftrace argument"));
+    };
+    let config = AnalyzerConfig { sample: o.sample, ..AnalyzerConfig::default() };
+    let analysis = if let Some(loop_id) = o.from_loop {
+        let file =
+            minic_trace::TraceFile::open(path).map_err(|e| CliError::Runtime(e.to_string()))?;
         if file.index().is_none() {
             return Err(CliError::Runtime(format!(
-                "`{}` is a foray-trace/{} file without a checkpoint index; \
+                "`{path}` is a foray-trace/{} file without a checkpoint index; \
                  --from-loop needs a v2 file recorded with the index",
-                opts.file,
                 file.version()
             )));
         }
         let Some(records) = file.records_from_loop(minic::LoopId(loop_id)) else {
             return Err(CliError::Runtime(format!(
-                "loop {loop_id} never runs in `{}` (not covered by the checkpoint index)",
-                opts.file
+                "loop {loop_id} never runs in `{path}` (not covered by the checkpoint index)"
             )));
         };
         foray::analyze_source_with(records, config)
     } else {
-        let file = std::fs::File::open(&opts.file)
-            .map_err(|e| CliError::Usage(format!("cannot read `{}`: {e}", opts.file)))?;
+        let file =
+            std::fs::File::open(path).map_err(|e| usage(format!("cannot read `{path}`: {e}")))?;
         let reader = minic_trace::TraceReader::new(std::io::BufReader::new(file))
             .map_err(|e| CliError::Runtime(e.to_string()))?;
         foray::analyze_source_with(reader, config)
     }
     .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let model =
-        ForayModel::extract(&analysis, &FilterConfig { n_exec: opts.n_exec, n_loc: opts.n_loc });
-    print!("{}", foray::codegen::emit(&model));
+    print!("{}", foray::codegen::emit(&ForayModel::extract(&analysis, &o.filter)));
     Ok(())
 }
 
-fn cmd_report(src: &str, opts: &Options) -> Result<(), CliError> {
-    let out = pipeline(opts).run_source(src)?;
-    let mut prog = minic::parse(src).map_err(|e| CliError::Compile(e.to_string()))?;
+fn cmd_report((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+    let out = pipeline(o, inputs).run_source(&src)?;
+    let mut prog = minic::parse(&src).map_err(|e| CliError::Compile(e.to_string()))?;
     minic::check(&mut prog).map_err(|e| CliError::Compile(e.to_string()))?;
     let st = foray_baseline::analyze_program(&prog);
     let loops: std::collections::HashSet<minic::LoopId> =
@@ -560,10 +721,10 @@ fn cmd_report(src: &str, opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_spm(src: &str, opts: &Options) -> Result<(), CliError> {
-    let out = pipeline(opts).run_source(src)?;
+fn cmd_spm((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+    let out = pipeline(o, inputs).run_source(&src)?;
     let flow = foray_spm::SpmFlow::default();
-    let report = flow.run(&out.model, opts.capacity);
+    let report = flow.run(&out.model, o.capacity);
     println!("== buffer candidates ==");
     for c in &report.candidates {
         println!(
@@ -578,7 +739,7 @@ fn cmd_spm(src: &str, opts: &Options) -> Result<(), CliError> {
     println!();
     println!(
         "== selection (capacity {} bytes): {} buffers, {} bytes, {:.1} nJ saved ==",
-        opts.capacity,
+        o.capacity,
         report.selection.chosen.len(),
         report.selection.used_bytes,
         report.selection.savings_nj
@@ -589,308 +750,46 @@ fn cmd_spm(src: &str, opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-struct DseOptions {
-    workloads: Vec<String>,
-    capacities: Vec<u32>,
-    models: Vec<String>,
-    jobs: usize,
-    scale: u32,
-    json: Option<String>,
-    check: bool,
-}
-
-fn parse_dse_options(args: &[String]) -> Result<DseOptions, CliError> {
-    let mut opts = DseOptions {
-        workloads: vec!["all".to_owned()],
-        capacities: vec![256, 512, 1024, 2048, 4096, 8192],
-        models: foray_spm::energy::PRESET_NAMES.iter().map(|s| (*s).to_owned()).collect(),
-        jobs: 0,
-        scale: 1,
-        json: None,
-        check: false,
-    };
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-    };
-    let list = |s: &str| -> Vec<String> {
-        s.split(',').map(str::trim).filter(|p| !p.is_empty()).map(str::to_owned).collect()
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workloads" => opts.workloads = list(&need(&mut it, "--workloads")?),
-            "--models" => opts.models = list(&need(&mut it, "--models")?),
-            "--capacities" => {
-                opts.capacities = list(&need(&mut it, "--capacities")?)
-                    .iter()
-                    .map(|s| parse_num(s).map(|n| n as u32))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--jobs" => opts.jobs = parse_num(&need(&mut it, "--jobs")?)? as usize,
-            "--scale" => opts.scale = parse_num(&need(&mut it, "--scale")?)?.max(1) as u32,
-            "--json" => opts.json = Some(need(&mut it, "--json")?),
-            "--check" => opts.check = true,
-            other => return Err(CliError::Usage(format!("unknown dse argument `{other}`"))),
-        }
-    }
-    if opts.capacities.is_empty() {
-        return Err(CliError::Usage("--capacities needs at least one value".to_owned()));
-    }
-    if opts.workloads.is_empty() {
-        return Err(CliError::Usage("--workloads needs at least one name".to_owned()));
-    }
-    if opts.models.is_empty() {
-        return Err(CliError::Usage("--models needs at least one name".to_owned()));
-    }
-    Ok(opts)
-}
-
-/// Resolves a `--models` entry: a preset name, or a user-supplied point as
-/// `custom:MAIN_NJ:SPM_NJ:BASE_BYTES:SLOPE` (named `custom`).
-fn parse_energy_model(spec: &str) -> Result<(String, foray_spm::EnergyModel), CliError> {
-    if let Some(params) = spec.strip_prefix("custom:") {
-        let parts: Vec<&str> = params.split(':').collect();
-        let [main, spm, bytes, slope] = parts.as_slice() else {
-            return Err(CliError::Usage(format!(
-                "bad custom model `{spec}` (want custom:MAIN_NJ:SPM_NJ:BASE_BYTES:SLOPE)"
-            )));
-        };
-        let f = |s: &str| {
-            s.parse::<f64>().map_err(|_| CliError::Usage(format!("bad number `{s}` in `{spec}`")))
-        };
-        return Ok((
-            "custom".to_owned(),
-            foray_spm::EnergyModel {
-                main_access_nj: f(main)?,
-                spm_base_nj: f(spm)?,
-                spm_base_bytes: parse_num(bytes)? as u32,
-                spm_size_slope: f(slope)?,
-            },
-        ));
-    }
-    match foray_spm::EnergyModel::preset(spec) {
-        Some(m) => Ok((spec.to_owned(), m)),
-        None => Err(CliError::Usage(format!(
-            "unknown energy model `{spec}` (presets: {})",
-            foray_spm::energy::PRESET_NAMES.join(", ")
-        ))),
-    }
-}
-
-fn cmd_dse(opts: &DseOptions) -> Result<(), CliError> {
-    let params = foray_workloads::Params { scale: opts.scale };
-    let workloads: Vec<foray_workloads::Workload> = if opts.workloads.iter().any(|w| w == "all") {
-        foray_workloads::all(params)
+fn cmd_dse(o: &Opts) -> Result<(), CliError> {
+    let workloads = if o.workloads.iter().any(|w| w == "all") {
+        foray_workloads::build(None, o.scale).map_err(usage)?
     } else {
-        opts.workloads
-            .iter()
-            .map(|name| {
-                foray_workloads::by_name(name, params)
-                    .ok_or_else(|| CliError::Usage(format!("unknown workload `{name}`")))
-            })
-            .collect::<Result<_, _>>()?
+        let mut built = Vec::new();
+        for name in &o.workloads {
+            built.append(&mut foray_workloads::build(Some(name), o.scale).map_err(usage)?);
+        }
+        built
     };
-    let mut space = foray_spm::SpmDesignSpace::new()
-        .capacities(&opts.capacities)
-        .workloads(workloads.iter().map(|w| w.batch_job(ForayGen::new())));
-    for spec in &opts.models {
-        let (name, model) = parse_energy_model(spec)?;
-        space = space.model(name, model);
-    }
-    let result = space.explore(opts.jobs).map_err(|e| CliError::Runtime(e.to_string()))?;
+    let space = o.space.clone().workloads(workloads.iter().map(|w| w.batch_job(ForayGen::new())));
+    let result = space.explore(o.jobs).map_err(|e| CliError::Runtime(e.to_string()))?;
     print!("{}", result.render_text());
-    if let Some(path) = &opts.json {
+    if let Some(path) = &o.json {
         std::fs::write(path, result.to_json())?;
     }
-    if opts.check {
+    if o.check {
         result.check().map_err(CliError::Runtime)?;
     }
     Ok(())
 }
 
-struct ServeOptions {
-    addr: foray_serve::ServeAddr,
-    workers: usize,
-    queue: usize,
-    cache: usize,
-    spill: Option<String>,
-}
-
-/// Parses `--socket PATH | --tcp HOST:PORT` into a serve address
-/// (shared by `serve` and `client`).
-fn parse_addr(
-    socket: Option<String>,
-    tcp: Option<String>,
-) -> Result<foray_serve::ServeAddr, CliError> {
-    match (socket, tcp) {
-        (Some(p), None) => Ok(foray_serve::ServeAddr::Unix(p.into())),
-        (None, Some(a)) => Ok(foray_serve::ServeAddr::Tcp(a)),
-        _ => {
-            Err(CliError::Usage("give exactly one of --socket PATH or --tcp HOST:PORT".to_owned()))
-        }
-    }
-}
-
-fn parse_serve_options(args: &[String]) -> Result<ServeOptions, CliError> {
-    let (mut socket, mut tcp, mut spill) = (None, None, None);
-    let (mut workers, mut queue, mut cache) = (1usize, 64usize, 128usize);
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(need(&mut it, "--socket")?),
-            "--tcp" => tcp = Some(need(&mut it, "--tcp")?),
-            "--workers" => workers = parse_num(&need(&mut it, "--workers")?)?.max(1) as usize,
-            "--queue" => queue = parse_num(&need(&mut it, "--queue")?)?.max(1) as usize,
-            "--cache" => cache = parse_num(&need(&mut it, "--cache")?)? as usize,
-            "--spill" => spill = Some(need(&mut it, "--spill")?),
-            other => return Err(CliError::Usage(format!("unknown serve flag `{other}`"))),
-        }
-    }
-    Ok(ServeOptions { addr: parse_addr(socket, tcp)?, workers, queue, cache, spill })
-}
-
-fn cmd_serve(opts: &ServeOptions) -> Result<(), CliError> {
-    let server = foray_serve::Server::new(foray_serve::ServeConfig {
-        workers: opts.workers,
-        queue_capacity: opts.queue,
-        cache_entries: opts.cache,
-        spill_dir: opts.spill.clone().map(Into::into),
-        ..foray_serve::ServeConfig::default()
-    });
-    eprintln!("forayd listening on {}", opts.addr);
-    foray_serve::serve(server, &opts.addr)?;
+fn cmd_serve(o: &Opts) -> Result<(), CliError> {
+    let addr = addr(o)?;
+    eprintln!("forayd listening on {addr}");
+    foray_serve::serve(foray_serve::Server::new(o.serve.clone()), addr)?;
     eprintln!("forayd drained and exited");
     Ok(())
 }
 
-struct ClientOptions {
-    addr: foray_serve::ServeAddr,
-    action: String,
-    /// Positional after the action: job id (wait/poll) or program file
-    /// (submit).
-    arg: Option<String>,
-    workload: Option<String>,
-    trace: Option<String>,
-    kind: foray_serve::JobKind,
-    scale: u32,
-    n_exec: u64,
-    n_loc: u64,
-    sample: SampleSpec,
-    engine: Engine,
-    inputs: Option<Vec<i64>>,
-    priority: u8,
-    no_wait: bool,
-    timeout_ms: Option<u64>,
-}
-
-fn parse_client_options(args: &[String]) -> Result<ClientOptions, CliError> {
-    let (mut socket, mut tcp) = (None, None);
-    let mut o = ClientOptions {
-        addr: foray_serve::ServeAddr::Tcp(String::new()), // placeholder
-        action: String::new(),
-        arg: None,
-        workload: None,
-        trace: None,
-        kind: foray_serve::JobKind::Model,
-        scale: 1,
-        n_exec: 20,
-        n_loc: 10,
-        sample: SampleSpec::default(),
-        engine: Engine::default(),
-        inputs: None,
-        priority: 0,
-        no_wait: false,
-        timeout_ms: None,
-    };
-    let mut it = args.iter();
-    let need = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-        it.next().cloned().ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(need(&mut it, "--socket")?),
-            "--tcp" => tcp = Some(need(&mut it, "--tcp")?),
-            "--workload" => o.workload = Some(need(&mut it, "--workload")?),
-            "--trace" => o.trace = Some(need(&mut it, "--trace")?),
-            "--kind" => {
-                let name = need(&mut it, "--kind")?;
-                o.kind = foray_serve::JobKind::parse(&name).ok_or_else(|| {
-                    CliError::Usage(format!("unknown kind `{name}` (use model/report/dse)"))
-                })?;
-            }
-            "--scale" => o.scale = parse_num(&need(&mut it, "--scale")?)?.max(1) as u32,
-            "--nexec" => o.n_exec = parse_num(&need(&mut it, "--nexec")?)?,
-            "--nloc" => o.n_loc = parse_num(&need(&mut it, "--nloc")?)?,
-            "--sample" => {
-                let spec = need(&mut it, "--sample")?;
-                o.sample = SampleSpec::parse(&spec)
-                    .map_err(|e| CliError::Usage(format!("bad --sample: {e}")))?;
-            }
-            "--engine" => {
-                let name = need(&mut it, "--engine")?;
-                o.engine = Engine::parse(&name).ok_or_else(|| {
-                    CliError::Usage(format!("unknown engine `{name}` (use `tree` or `vm`)"))
-                })?;
-            }
-            "--inputs" => {
-                let list = need(&mut it, "--inputs")?;
-                o.inputs = Some(
-                    list.split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(|s| {
-                            s.trim()
-                                .parse()
-                                .map_err(|_| CliError::Usage(format!("bad input value `{s}`")))
-                        })
-                        .collect::<Result<_, _>>()?,
-                );
-            }
-            "--priority" => {
-                let n = parse_num(&need(&mut it, "--priority")?)?;
-                if n > u64::from(foray_serve::MAX_PRIORITY) {
-                    return Err(CliError::Usage(format!("--priority {n} is out of range 0-9")));
-                }
-                o.priority = n as u8;
-            }
-            "--no-wait" => o.no_wait = true,
-            "--timeout-ms" => o.timeout_ms = Some(parse_num(&need(&mut it, "--timeout-ms")?)?),
-            other if other.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown client flag `{other}`")));
-            }
-            word => {
-                if o.action.is_empty() {
-                    o.action = word.to_owned();
-                } else if o.arg.is_none() {
-                    o.arg = Some(word.to_owned());
-                } else {
-                    return Err(CliError::Usage(format!("unexpected argument `{word}`")));
-                }
-            }
-        }
-    }
-    if o.action.is_empty() {
-        return Err(CliError::Usage(
-            "client needs an action: submit, wait, poll, stats, ping, shutdown".to_owned(),
-        ));
-    }
-    o.addr = parse_addr(socket, tcp)?;
-    Ok(o)
-}
-
-/// Builds the submit spec from client flags: exactly one input among
-/// `--workload`, a program file, and `--trace`.
-fn client_job_spec(o: &ClientOptions) -> Result<foray_serve::JobSpec, CliError> {
+/// Builds the submit spec: exactly one input among `--workload`, a
+/// program file and `--trace`.
+fn job_spec(o: &Opts) -> Result<foray_serve::JobSpec, CliError> {
     let input = match (&o.workload, &o.arg, &o.trace) {
         (Some(w), None, None) => foray_serve::JobInput::Workload(w.clone()),
         (None, Some(file), None) => foray_serve::JobInput::Source(read_source(file)?),
         (None, None, Some(t)) => foray_serve::JobInput::Trace(t.clone()),
         _ => {
-            return Err(CliError::Usage(
-                "submit needs exactly one of --workload NAME, a program file, or --trace FILE"
-                    .to_owned(),
+            return Err(usage(
+                "submit needs exactly one of --workload NAME, a program file, or --trace FILE",
             ))
         }
     };
@@ -899,82 +798,54 @@ fn client_job_spec(o: &ClientOptions) -> Result<foray_serve::JobSpec, CliError> 
         input,
         scale: o.scale,
         engine: o.engine,
-        n_exec: o.n_exec,
-        n_loc: o.n_loc,
+        n_exec: o.filter.n_exec,
+        n_loc: o.filter.n_loc,
         sample: o.sample,
         inputs: o.inputs.clone(),
         priority: o.priority,
     })
 }
 
-/// Maps a typed daemon failure to an exit-3 runtime error.
-fn client_fail(e: foray_serve::ProtoError) -> CliError {
-    CliError::Runtime(e.to_string())
+fn cmd_client(cmd: Cmd, o: &Opts) -> Result<(), CliError> {
+    let mut client = foray_serve::Client::connect(addr(o)?)?;
+    let job = || o.arg.as_deref().ok_or_else(|| usage(format!("{} needs a job id", cmd.name())));
+    let reply = match cmd {
+        Cmd::Submit if !o.no_wait => {
+            // The payload goes to stdout *verbatim* so callers can
+            // byte-compare runs (the serve-smoke CI job diffs these).
+            let (_hit, payload) =
+                client.run(&job_spec(o)?)?.map_err(|e| CliError::Runtime(e.to_string()))?;
+            print!("{payload}");
+            return Ok(());
+        }
+        Cmd::Submit => client.submit(&job_spec(o)?)?,
+        Cmd::Wait => client.wait(job()?, o.timeout_ms)?,
+        Cmd::Poll => client.poll(job()?)?,
+        Cmd::Stats => client.stats()?,
+        Cmd::Ping => client.ping()?,
+        _ => client.shutdown()?,
+    };
+    print!("{}", reply_text(cmd, reply)?);
+    Ok(())
 }
 
-fn cmd_client(args: &[String]) -> Result<(), CliError> {
-    let o = parse_client_options(args)?;
-    let mut client = foray_serve::Client::connect(&o.addr)?;
-    use foray_serve::Response;
-    match o.action.as_str() {
-        "submit" => {
-            let spec = client_job_spec(&o)?;
-            if o.no_wait {
-                match client.submit(&spec)? {
-                    Response::Submitted { job, hit, key } => println!("{job} hit={hit} key={key}"),
-                    Response::Error(e) => return Err(client_fail(e)),
-                    other => return Err(CliError::Runtime(format!("unexpected reply: {other:?}"))),
-                }
-            } else {
-                // The payload goes to stdout *verbatim* so callers can
-                // byte-compare runs (the serve-smoke CI job diffs these).
-                match client.run(&spec)? {
-                    Ok((_hit, payload)) => print!("{payload}"),
-                    Err(e) => return Err(client_fail(e)),
-                }
-            }
+/// What a client command prints for the daemon's reply: the reply the
+/// command asked for, rendered. The daemon's typed error, or any other
+/// reply, is a runtime error.
+fn reply_text(cmd: Cmd, reply: Response) -> Result<String, CliError> {
+    Ok(match (cmd, reply) {
+        (Cmd::Submit, Response::Submitted { job, hit, key }) => {
+            format!("{job} hit={hit} key={key}\n")
         }
-        "wait" => {
-            let job =
-                o.arg.clone().ok_or_else(|| CliError::Usage("wait needs a job id".to_owned()))?;
-            match client.wait(&job, o.timeout_ms)? {
-                Response::Result { result, .. } => print!("{result}"),
-                Response::Error(e) => return Err(client_fail(e)),
-                other => return Err(CliError::Runtime(format!("unexpected reply: {other:?}"))),
-            }
-        }
-        "poll" => {
-            let job =
-                o.arg.clone().ok_or_else(|| CliError::Usage("poll needs a job id".to_owned()))?;
-            match client.poll(&job)? {
-                Response::Status { state, .. } => println!("{state}"),
-                Response::Error(e) => return Err(client_fail(e)),
-                other => return Err(CliError::Runtime(format!("unexpected reply: {other:?}"))),
-            }
-        }
-        "stats" => match client.stats()? {
-            // The raw stats line *is* the machine-readable output.
-            r @ Response::Stats(_) => println!("{}", r.render()),
-            Response::Error(e) => return Err(client_fail(e)),
-            other => return Err(CliError::Runtime(format!("unexpected reply: {other:?}"))),
-        },
-        "ping" => match client.ping()? {
-            Response::Pong => println!("pong"),
-            Response::Error(e) => return Err(client_fail(e)),
-            other => return Err(CliError::Runtime(format!("unexpected reply: {other:?}"))),
-        },
-        "shutdown" => match client.shutdown()? {
-            Response::ShutdownStarted => println!("draining"),
-            Response::Error(e) => return Err(client_fail(e)),
-            other => return Err(CliError::Runtime(format!("unexpected reply: {other:?}"))),
-        },
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown client action `{other}` (use submit/wait/poll/stats/ping/shutdown)"
-            )))
-        }
-    }
-    Ok(())
+        (Cmd::Wait, Response::Result { result, .. }) => result,
+        (Cmd::Poll, Response::Status { state, .. }) => format!("{state}\n"),
+        // The raw stats line *is* the machine-readable output.
+        (Cmd::Stats, r @ Response::Stats(_)) => format!("{}\n", r.render()),
+        (Cmd::Ping, Response::Pong) => "pong\n".to_owned(),
+        (Cmd::Shutdown, Response::ShutdownStarted) => "draining\n".to_owned(),
+        (_, Response::Error(e)) => return Err(CliError::Runtime(e.to_string())),
+        (_, other) => return Err(CliError::Runtime(format!("unexpected reply: {other:?}"))),
+    })
 }
 
 #[cfg(test)]
@@ -993,17 +864,6 @@ mod tests {
     fn model_command_runs() {
         let path = write_temp("model", PROG);
         let args = vec!["model".to_owned(), path];
-        assert!(run(&args).is_ok());
-    }
-
-    #[test]
-    fn options_parse() {
-        let path = write_temp("opts", PROG);
-        let args: Vec<String> =
-            ["report", &path, "--nexec", "5", "--nloc", "5", "--inputs", "1,2,3"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
         assert!(run(&args).is_ok());
     }
 
@@ -1030,14 +890,13 @@ mod tests {
         let args: Vec<String> =
             ["model", path.as_str(), "--sample", "every:2"].iter().map(|s| s.to_string()).collect();
         assert!(run(&args).is_ok());
-        let parsed = parse_options(&args[1..]).unwrap();
-        assert_eq!(parsed.sample, SampleSpec::EveryNth { n: 2 });
+        assert_eq!(parse(&args).unwrap().1.sample, SampleSpec::EveryNth { n: 2 });
         // Default is full analysis; malformed specs are usage errors.
-        assert_eq!(parse_options(&["x.mc".to_owned()]).unwrap().sample, SampleSpec::Full);
+        assert_eq!(parse(&owned(&["model", "x.mc"])).unwrap().1.sample, SampleSpec::Full);
         for bad in ["coinflip", "every:0", "every"] {
             assert!(
                 matches!(
-                    parse_options(&["x.mc".to_owned(), "--sample".to_owned(), bad.to_owned()]),
+                    parse(&owned(&["model", "x.mc", "--sample", bad])),
                     Err(CliError::Usage(_))
                 ),
                 "--sample {bad} should be rejected"
@@ -1081,15 +940,14 @@ mod tests {
                 .map(|s| s.to_string())
                 .collect();
             assert!(run(&args).is_ok(), "--engine {engine}");
-            let parsed = parse_options(&args[1..]).unwrap();
-            assert_eq!(parsed.engine.as_str(), engine);
+            assert_eq!(parse(&args).unwrap().1.engine.as_str(), engine);
         }
         assert!(matches!(
-            parse_options(&["x.mc".to_owned(), "--engine".to_owned(), "jit".to_owned()]),
+            parse(&owned(&["model", "x.mc", "--engine", "jit"])),
             Err(CliError::Usage(_))
         ));
         // Default is the VM.
-        assert_eq!(parse_options(&["x.mc".to_owned()]).unwrap().engine, Engine::Vm);
+        assert_eq!(parse(&owned(&["model", "x.mc"])).unwrap().1.engine, Engine::Vm);
     }
 
     #[test]
@@ -1139,11 +997,10 @@ mod tests {
             std::fs::remove_file(&ftrace).ok();
         }
         // The default is v2; bad names are usage errors.
-        assert_eq!(parse_options(&[]).unwrap().trace_format, minic_trace::FormatVersion::V2);
-        assert!(matches!(
-            parse_options(&["--trace-format".to_owned(), "v3".to_owned()]),
-            Err(CliError::Usage(_))
-        ));
+        let record = owned(&["trace", "record", "x.mc", "-o", "x.ftrace"]);
+        assert_eq!(parse(&record).unwrap().1.trace_format, FormatVersion::V2);
+        let v3 = owned(&["trace", "record", "x.mc", "-o", "x.ftrace", "--trace-format", "v3"]);
+        assert!(matches!(parse(&v3), Err(CliError::Usage(_))));
     }
 
     #[test]
@@ -1159,7 +1016,7 @@ mod tests {
         let ftrace_s = ftrace.to_string_lossy().into_owned();
         for argv in [
             owned(&["trace", "record", &prog, "-o", &ftrace_s]),
-            owned(&["trace", &prog, "--format", "text", "-o", &ftrace_s]),
+            owned(&["trace", &prog, "-o", &ftrace_s]),
         ] {
             assert!(matches!(run(&argv), Err(CliError::Runtime(_))), "{argv:?}");
             assert!(!ftrace.exists(), "{argv:?}: partial file must be removed on runtime error");
@@ -1268,9 +1125,9 @@ mod tests {
     #[test]
     fn trace_to_file_in_both_formats() {
         use minic_trace::TraceSink as _;
-        // `trace` streams its dump, and `trace record` its framed file;
-        // the bytes must equal the whole record vector, thinned, then
-        // encoded.
+        // `trace` streams its text dump, and `trace record` its binary
+        // `.ftrace` file; the bytes must equal the whole record vector,
+        // thinned, then encoded.
         let path = write_temp("trace", PROG);
         let prog = minic::frontend(PROG).unwrap();
         let (_, records) = minic_sim::run(&prog, &minic_sim::SimConfig::default(), &[]).unwrap();
@@ -1282,32 +1139,20 @@ mod tests {
             assert_eq!(thinned.len() < records.len(), sample != "full", "{sample}");
             let mut framed = Vec::new();
             minic_trace::file::write_to_with(&mut framed, &thinned, Default::default()).unwrap();
-            for (fmt, want) in [
-                ("text", minic_trace::text::to_text(&thinned).into_bytes()),
-                ("binary", minic_trace::binary::to_bytes(&thinned)),
-                ("framed", framed),
-            ] {
+            for (fmt, want) in
+                [("text", minic_trace::text::to_text(&thinned).into_bytes()), ("framed", framed)]
+            {
                 let out = std::env::temp_dir().join(format!("foray_cli_trace.{fmt}"));
                 let out_s = out.to_string_lossy().into_owned();
                 let args = if fmt == "framed" {
                     owned(&["trace", "record", &path, "-o", &out_s, "--sample", sample])
                 } else {
-                    owned(&["trace", &path, "--format", fmt, "-o", &out_s, "--sample", sample])
+                    owned(&["trace", &path, "-o", &out_s, "--sample", sample])
                 };
                 assert!(run(&args).is_ok(), "{args:?}");
                 assert_eq!(std::fs::read(&out).unwrap(), want, "{args:?}");
                 std::fs::remove_file(&out).ok();
             }
-        }
-        // An unknown format (`framed` included: `trace record` writes
-        // those) is a usage error that creates no file.
-        for fmt in ["xml", "framed"] {
-            let out = std::env::temp_dir().join(format!("foray_cli_trace_bad.{fmt}"));
-            std::fs::remove_file(&out).ok();
-            let out_s = out.to_string_lossy().into_owned();
-            let args = owned(&["trace", &path, "--format", fmt, "-o", &out_s]);
-            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{args:?}");
-            assert!(!out.exists(), "a rejected --format must not create its -o file");
         }
     }
 
@@ -1355,54 +1200,19 @@ mod tests {
     }
 
     #[test]
-    fn dse_options_parse_with_defaults_and_overrides() {
-        let defaults = parse_dse_options(&[]).unwrap();
-        assert_eq!(defaults.workloads, vec!["all"]);
-        assert_eq!(defaults.capacities, vec![256, 512, 1024, 2048, 4096, 8192]);
-        assert_eq!(defaults.models.len(), foray_spm::energy::PRESET_NAMES.len());
-        assert_eq!(defaults.jobs, 0);
-        assert!(!defaults.check);
-        let args: Vec<String> = [
-            "--workloads",
-            "fftc,adpcmc",
-            "--capacities",
-            "512,256",
-            "--models",
-            "small-spm",
-            "--jobs",
-            "3",
-            "--check",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let opts = parse_dse_options(&args).unwrap();
-        assert_eq!(opts.workloads, vec!["fftc", "adpcmc"]);
-        assert_eq!(opts.capacities, vec![512, 256]);
-        assert_eq!(opts.models, vec!["small-spm"]);
-        assert_eq!(opts.jobs, 3);
-        assert!(opts.check);
-        assert!(matches!(
-            parse_dse_options(&["--capacities".to_owned(), "abc".to_owned()]),
-            Err(CliError::Usage(_))
-        ));
-        // dse takes no file argument.
-        assert!(matches!(parse_dse_options(&["x.mc".to_owned()]), Err(CliError::Usage(_))));
-    }
-
-    #[test]
     fn energy_model_specs_resolve() {
         for name in foray_spm::energy::PRESET_NAMES {
-            let (n, m) = parse_energy_model(name).unwrap();
+            let (n, m) = energy_model(name).unwrap();
             assert_eq!(&n, name);
             assert_eq!(m, foray_spm::EnergyModel::preset(name).unwrap());
         }
-        let (n, m) = parse_energy_model("custom:3.0:0.2:512:0.15").unwrap();
+        let (n, m) = energy_model("custom:3.0:0.2:512:0.15").unwrap();
         assert_eq!(n, "custom");
         assert_eq!(m.main_access_nj, 3.0);
         assert_eq!(m.spm_base_bytes, 512);
-        assert!(matches!(parse_energy_model("nope"), Err(CliError::Usage(_))));
-        assert!(matches!(parse_energy_model("custom:1:2"), Err(CliError::Usage(_))));
+        assert!(energy_model("nope").is_err());
+        assert!(energy_model("custom:1:2").is_err());
+        assert!(energy_model("custom:1:2:x:4").is_err());
     }
 
     #[test]
@@ -1437,103 +1247,200 @@ mod tests {
         args.iter().map(|s| (*s).to_owned()).collect()
     }
 
-    #[test]
-    fn serve_options_parse() {
-        let o = parse_serve_options(&owned(&[
-            "--socket",
-            "/tmp/f.sock",
-            "--workers",
-            "3",
-            "--queue",
-            "9",
-            "--cache",
-            "7",
-            "--spill",
-            "/tmp/spill",
-        ]))
-        .unwrap();
-        assert_eq!(o.addr, foray_serve::ServeAddr::Unix("/tmp/f.sock".into()));
-        assert_eq!((o.workers, o.queue, o.cache), (3, 9, 7));
-        assert_eq!(o.spill.as_deref(), Some("/tmp/spill"));
-        let o = parse_serve_options(&owned(&["--tcp", "127.0.0.1:0"])).unwrap();
-        assert_eq!(o.addr, foray_serve::ServeAddr::Tcp("127.0.0.1:0".into()));
-        assert_eq!((o.workers, o.queue, o.cache), (1, 64, 128), "defaults");
-        // Address is mandatory and exclusive.
-        assert!(parse_serve_options(&[]).is_err_and(|e| matches!(e, CliError::Usage(_))));
-        assert!(parse_serve_options(&owned(&["--socket", "/tmp/a", "--tcp", "h:1",]))
-            .is_err_and(|e| matches!(e, CliError::Usage(_))));
-        assert!(parse_serve_options(&owned(&["--workers"]))
-            .is_err_and(|e| matches!(e, CliError::Usage(_))));
+    /// A value each value flag accepts.
+    fn value_for(flag: &str) -> &'static str {
+        match flag {
+            "--engine" => "vm",
+            "--sample" => "every:2",
+            "--kind" => "report",
+            "--models" => "small-spm",
+            _ => "1",
+        }
     }
 
     #[test]
-    fn client_options_parse_and_build_specs() {
-        let o = parse_client_options(&owned(&[
-            "--socket",
-            "/tmp/f.sock",
-            "submit",
-            "--workload",
-            "fftc",
-            "--scale",
-            "2",
-            "--kind",
-            "report",
-            "--sample",
-            "every:4",
-            "--engine",
-            "tree",
-            "--priority",
-            "5",
-            "--no-wait",
-        ]))
-        .unwrap();
-        assert_eq!(o.action, "submit");
-        let spec = client_job_spec(&o).unwrap();
-        assert_eq!(spec.input, foray_serve::JobInput::Workload("fftc".to_owned()));
-        assert_eq!(spec.kind, foray_serve::JobKind::Report);
-        assert_eq!(spec.scale, 2);
-        assert_eq!(spec.engine, Engine::Tree);
-        assert_eq!(spec.priority, 5);
-        assert!(o.no_wait);
+    fn every_flag_a_command_does_not_read_is_a_usage_error() {
+        let out = std::env::temp_dir().join("foray_cli_test_flag_table.out");
+        let out_s = out.to_string_lossy().into_owned();
+        let prog = write_temp("flag_table", PROG);
+        for (cmd, name) in Cmd::NAMES {
+            for flag in FLAGS {
+                let mut argv: Vec<String> = name.split(' ').map(str::to_owned).collect();
+                if cmd.takes_arg() {
+                    argv.push(prog.clone());
+                }
+                if matches!(cmd, Cmd::Trace | Cmd::Record) && !flag.0.contains(&"-o") {
+                    argv.extend(owned(&["-o", &out_s]));
+                }
+                argv.push(flag.0[0].to_owned());
+                if let Value(_) = flag.2 {
+                    argv.push(value_for(flag.0[0]).to_owned());
+                }
+                if flag.1.contains(&cmd) {
+                    assert!(parse(&argv).is_ok(), "{argv:?}");
+                    continue;
+                }
+                std::fs::remove_file(&out).ok();
+                let err = if matches!(cmd, Cmd::Trace | Cmd::Record) {
+                    let err = run(&argv).unwrap_err();
+                    assert!(!out.exists(), "{argv:?} created its -o file");
+                    err
+                } else {
+                    parse(&argv).unwrap_err()
+                };
+                let CliError::Usage(msg) = err else { panic!("{argv:?}: {err:?}") };
+                assert_eq!(msg, format!("`{name}` does not take {}", flag.0[0]), "{argv:?}");
+            }
+        }
+        // Flags that no command reads, stray arguments, and scales above
+        // the largest: fftc at scale 40 would abort on its allocation and
+        // the corpus at scale 9 would run for minutes, so a usage error
+        // here also shows that nothing was built.
+        for argv in [
+            &["model", "--workload", "fftc", "--scale", "40"][..],
+            &["dse", "--scale", "9"],
+            &["model", "examples/figure4.mc", "--capacity", "5", "--from-loop", "3"],
+            &["model", "x.mc", "--trace-format", "v1", "--format", "binary"],
+            &["annotate", "examples/figure4.mc", "--nexec", "3", "--sample", "every:2"],
+            &["annotate", "x.mc", "--engine", "tree"],
+            &["trace", "x.mc", "--format", "binary", "-o", &out_s],
+            &["trace", "x.mc", "-o", &out_s, "--jobs", "3"],
+            &["trace", "record", "x.mc", "-o", &out_s, "--format", "text"],
+            &["dse", "x.mc"],
+            &["serve", "--socket", "/tmp/f.sock", "extra"],
+            &["client", "--socket", "/tmp/f.sock"],
+            &["client", "--socket", "/tmp/f.sock", "bogus"],
+            &["client", "--socket", "/tmp/f.sock", "ping", "extra"],
+            &["model", "x.mc", "y.mc"],
+            &["model", "x.mc", "--nexec"],
+            &["serve", "--socket", "/tmp/a", "--tcp", "h:1"],
+            &["client", "--socket", "/tmp/f.sock", "submit", "--priority", "10"],
+            &["model", "x.mc", "--scale", "4294967296"],
+            &["dse", "--capacities", "abc"],
+            &["dse", "--capacities", ","],
+        ] {
+            std::fs::remove_file(&out).ok();
+            assert!(matches!(run(&owned(argv)), Err(CliError::Usage(_))), "{argv:?}");
+            assert!(!out.exists(), "{argv:?} created its -o file");
+        }
+    }
 
-        let o = parse_client_options(&owned(&[
-            "--socket",
-            "/tmp/f.sock",
-            "wait",
-            "j3",
-            "--timeout-ms",
-            "250",
-        ]))
-        .unwrap();
-        assert_eq!((o.action.as_str(), o.arg.as_deref()), ("wait", Some("j3")));
-        assert_eq!(o.timeout_ms, Some(250));
-
-        // Exactly one input for submit.
-        let o = parse_client_options(&owned(&[
-            "--socket",
-            "/tmp/f.sock",
-            "submit",
-            "--workload",
-            "fftc",
-            "--trace",
-            "/t.ftrace",
-        ]))
-        .unwrap();
-        assert!(client_job_spec(&o).is_err_and(|e| matches!(e, CliError::Usage(_))));
-        let o = parse_client_options(&owned(&["--socket", "/tmp/f.sock", "submit"])).unwrap();
-        assert!(client_job_spec(&o).is_err_and(|e| matches!(e, CliError::Usage(_))));
-
-        // Missing action / out-of-range priority are usage errors.
-        assert!(parse_client_options(&owned(&["--socket", "/tmp/f.sock"]))
-            .is_err_and(|e| matches!(e, CliError::Usage(_))));
-        assert!(parse_client_options(&owned(&[
-            "--socket",
-            "/tmp/f.sock",
-            "submit",
-            "--priority",
-            "10",
-        ]))
-        .is_err_and(|e| matches!(e, CliError::Usage(_))));
+    #[test]
+    fn documented_command_lines_parse_to_their_values() {
+        // Every command line in README, CI and the verify skill, with the
+        // options it set before the flag table; the rest keep their
+        // defaults.
+        fn check(line: &str, cmd: Cmd, want: Opts) {
+            let argv: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            let (got_cmd, got) = parse(&argv).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            assert_eq!((got_cmd, format!("{got:?}")), (cmd, format!("{want:?}")), "{line}");
+        }
+        macro_rules! case {
+            ($line:expr, $cmd:ident $(, $($field:ident).+ : $value:expr)*) => {{
+                let mut want = Opts::default();
+                $(want.$($field).+ = $value;)*
+                check($line, Cmd::$cmd, want);
+            }};
+        }
+        let s = |v: &str| Some(v.to_owned());
+        let fig4 = || s("examples/figure4.mc");
+        let six = FilterConfig { n_exec: 6, n_loc: 6 };
+        let sock = || Some(ServeAddr::Unix("/tmp/forayd.sock".into()));
+        let grid = || vec![256, 512, 1024, 2048, 4096];
+        let models = |names: &[&str]| -> Vec<(String, EnergyModel)> {
+            names.iter().map(|m| (m.to_string(), EnergyModel::preset(m).unwrap())).collect()
+        };
+        case!("model examples/figure4.mc --nexec 6 --nloc 6", Model, arg: fig4(), filter: six);
+        case!("report examples/figure4.mc --nexec 6 --nloc 6", Report, arg: fig4(), filter: six);
+        case!("annotate examples/figure4.mc", Annotate, arg: fig4());
+        case!("trace examples/figure4.mc", Trace, arg: fig4());
+        case!("trace examples/figure4.mc -o F", Trace, arg: fig4(), output: s("F"));
+        case!("spm examples/figure4.mc --capacity 1024 --nexec 6 --nloc 6", Spm,
+            arg: fig4(), filter: six, capacity: 1024);
+        case!("trace record examples/figure4.mc -o fig4.ftrace", Record,
+            arg: fig4(), output: s("fig4.ftrace"));
+        case!("trace analyze fig4.ftrace --nexec 6 --nloc 6", Analyze,
+            arg: s("fig4.ftrace"), filter: six);
+        case!("report --workload fftc --sample every:8", Report,
+            workload: s("fftc"), sample: SampleSpec::EveryNth { n: 8 });
+        case!("model prog.mc --sample warmup:100", Model,
+            arg: s("prog.mc"), sample: SampleSpec::Warmup { skip: 100 });
+        case!("trace record --workload fftc --sample reservoir:256 -o thin.ftrace", Record,
+            workload: s("fftc"), output: s("thin.ftrace"),
+            sample: SampleSpec::parse("reservoir:256").unwrap());
+        case!("trace record --workload fftc -o fftc.ftrace", Record,
+            workload: s("fftc"), output: s("fftc.ftrace"));
+        case!("trace record --workload fftc --trace-format v2 -o fftc.ftrace", Record,
+            workload: s("fftc"), output: s("fftc.ftrace"));
+        case!("trace record --workload fftc --trace-format v1 -o fftc-v1.ftrace", Record,
+            workload: s("fftc"), output: s("fftc-v1.ftrace"), trace_format: FormatVersion::V1);
+        case!("trace record --workload fftc --engine vm -o fftc-vm.ftrace", Record,
+            workload: s("fftc"), output: s("fftc-vm.ftrace"));
+        case!("trace record --workload fftc --engine tree -o fftc-tree.ftrace", Record,
+            workload: s("fftc"), output: s("fftc-tree.ftrace"), engine: Engine::Tree);
+        case!("trace analyze fftc.ftrace", Analyze, arg: s("fftc.ftrace"));
+        case!("trace analyze fftc-cut.ftrace --from-loop 0", Analyze,
+            arg: s("fftc-cut.ftrace"), from_loop: Some(0));
+        case!("model --workload fftc", Model, workload: s("fftc"));
+        case!("model --workload fftc --scale 0", Model, workload: s("fftc"));
+        case!("model --workload histoc --engine vm", Model, workload: s("histoc"));
+        case!("model --workload histoc --engine tree", Model,
+            workload: s("histoc"), engine: Engine::Tree);
+        case!("report x.mc --nexec 5 --nloc 5 --inputs 1,2,3", Report, arg: s("x.mc"),
+            filter: FilterConfig { n_exec: 5, n_loc: 5 }, inputs: Some(vec![1, 2, 3]));
+        case!("dse --workloads all --capacities 256,512,1024,2048,4096 --jobs 4 \
+               --json dse-pareto.json --check", Dse,
+            space.capacities: grid(), jobs: 4, json: s("dse-pareto.json"), check: true);
+        case!("dse --workloads all --capacities 256,512,1024,2048,4096 --models \
+               small-spm,large-spm --jobs 4 --json pareto.json --check", Dse,
+            space.capacities: grid(), space.models: models(&["small-spm", "large-spm"]),
+            jobs: 4, json: s("pareto.json"), check: true);
+        case!("dse --workloads fftc,adpcmc --capacities 512,256 --models small-spm --jobs 3 \
+               --check", Dse,
+            workloads: vec!["fftc".into(), "adpcmc".into()], space.capacities: vec![512, 256],
+            space.models: models(&["small-spm"]), jobs: 3, check: true);
+        case!("dse --scale 2 --jobs 2 --json PATH --check", Dse,
+            scale: 2, jobs: 2, json: s("PATH"), check: true);
+        case!("serve --socket /tmp/forayd.sock --workers 2", Serve,
+            addr: sock(), serve.workers: 2);
+        case!("serve --socket /tmp/f.sock --workers 3 --queue 9 --cache 7 --spill /tmp/spill",
+            Serve, addr: Some(ServeAddr::Unix("/tmp/f.sock".into())), serve.workers: 3,
+            serve.queue_capacity: 9, serve.cache_entries: 7, serve.spill_dir: Some("/tmp/spill".into()));
+        case!("serve --tcp 127.0.0.1:0", Serve, addr: Some(ServeAddr::Tcp("127.0.0.1:0".into())));
+        case!("client --socket /tmp/forayd.sock ping", Ping, addr: sock());
+        case!("client --socket /tmp/forayd.sock stats", Stats, addr: sock());
+        case!("client --socket /tmp/forayd.sock shutdown", Shutdown, addr: sock());
+        case!("client --socket /tmp/forayd.sock submit --workload fftc", Submit,
+            addr: sock(), workload: s("fftc"));
+        case!("client --socket /tmp/forayd.sock submit --workload lamec --scale 40", Submit,
+            addr: sock(), workload: s("lamec"), scale: 40);
+        case!("client --socket /tmp/forayd.sock submit --workload fftc --scale 2 --kind report \
+               --sample every:4 --engine tree --priority 5 --no-wait", Submit,
+            addr: sock(), workload: s("fftc"), scale: 2, kind: JobKind::Report,
+            sample: SampleSpec::EveryNth { n: 4 }, engine: Engine::Tree, priority: 5, no_wait: true);
+        case!("client --socket /tmp/forayd.sock wait j3 --timeout-ms 250", Wait,
+            addr: sock(), arg: s("j3"), timeout_ms: Some(250));
+        // The defaults themselves.
+        let (_, o) = parse(&owned(&["dse"])).unwrap();
+        assert_eq!(o.space.capacities, vec![256, 512, 1024, 2048, 4096, 8192]);
+        assert_eq!(o.space.models, models(foray_spm::energy::PRESET_NAMES));
+        assert_eq!((o.jobs, o.check, o.workloads), (0, false, vec!["all".to_owned()]));
+        let ServeConfig { workers, queue_capacity, cache_entries, .. } = o.serve;
+        assert_eq!((workers, queue_capacity, cache_entries), (1, 64, 128));
+        // A submit spec needs exactly one input.
+        let spec = |argv: &[&str]| job_spec(&parse(&owned(argv)).unwrap().1);
+        let s = spec(&["client", "--tcp", "h:1", "submit", "--workload", "fftc", "--kind", "dse"]);
+        let s = s.unwrap();
+        assert_eq!(
+            (s.input, s.kind),
+            (foray_serve::JobInput::Workload("fftc".into()), JobKind::Dse)
+        );
+        for argv in [
+            &["client", "--tcp", "h:1", "submit", "--workload", "fftc", "--trace", "/t.ftrace"][..],
+            &["client", "--tcp", "h:1", "submit"],
+        ] {
+            assert!(matches!(spec(argv), Err(CliError::Usage(_))), "{argv:?}");
+        }
     }
 
     #[test]

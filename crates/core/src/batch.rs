@@ -41,60 +41,13 @@ impl BatchJob {
     }
 }
 
-/// Parses a `FORAY_TEST_THREADS`-style worker-count override.
-///
-/// # Errors
-///
-/// A human-readable message when the value cannot name a worker count
-/// (non-numeric, or zero — zero means "auto" only as the *absence* of the
-/// variable, never as its value).
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(foray::parse_thread_override("4"), Ok(4));
-/// assert!(foray::parse_thread_override("0").is_err());
-/// assert!(foray::parse_thread_override("many").is_err());
-/// ```
-pub fn parse_thread_override(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(0) => {
-            Err(format!("`{value}` requests zero workers (use >= 1, or unset to auto-detect)"))
-        }
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("`{value}` is not a worker count")),
-    }
-}
-
-/// Resolves a requested worker count: `0` means auto-detect — the
-/// `FORAY_TEST_THREADS` environment override if set (the CI knob for
-/// exercising the pool under constrained parallelism), otherwise
+/// Resolves a requested worker count: `0` means auto-detect,
 /// [`std::thread::available_parallelism`].
-///
-/// An unusable `FORAY_TEST_THREADS` value (garbage, or `0`) is *not*
-/// silently ignored: it falls back to available parallelism with a
-/// once-per-process warning on stderr, so CI matrix typos surface instead
-/// of quietly running at the wrong width.
 pub fn resolve_workers(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    let auto = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1);
-    if let Ok(v) = std::env::var("FORAY_TEST_THREADS") {
-        match parse_thread_override(&v) {
-            Ok(n) => return n,
-            Err(msg) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring FORAY_TEST_THREADS={v:?}: {msg}; \
-                         falling back to {auto} workers (available parallelism)"
-                    );
-                });
-            }
-        }
-    }
-    auto
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1)
 }
 
 /// Applies `f` to every item across `workers` threads (`0` = auto-detect,
@@ -271,27 +224,8 @@ mod tests {
 
     #[test]
     fn auto_workers_track_the_environment() {
-        let auto = resolve_workers(0);
-        let override_k =
-            std::env::var("FORAY_TEST_THREADS").ok().and_then(|v| parse_thread_override(&v).ok());
-        match override_k {
-            Some(n) => assert_eq!(auto, n, "env override is honored verbatim"),
-            None => {
-                let avail =
-                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1);
-                assert_eq!(auto, avail, "auto is the machine's full parallelism");
-            }
-        }
-    }
-
-    #[test]
-    fn thread_override_parses_strictly() {
-        assert_eq!(parse_thread_override("4"), Ok(4));
-        assert_eq!(parse_thread_override(" 2 "), Ok(2), "whitespace is tolerated");
-        for bad in ["0", "", "banana", "-1", "1.5"] {
-            let err = parse_thread_override(bad).unwrap_err();
-            assert!(err.contains(&format!("`{bad}`")), "error names the value: {err}");
-        }
+        let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1);
+        assert_eq!(resolve_workers(0), avail, "auto is the machine's available parallelism");
     }
 
     #[test]

@@ -72,10 +72,7 @@ pub use analyzer::{
     analyze, analyze_source, analyze_source_with, analyze_with, Analysis, Analyzer, AnalyzerConfig,
     AnalyzerCounters, LookupStrategy, RefClass, RefRecord,
 };
-pub use batch::{
-    analyze_batch, analyze_trace_files, map_ordered, parse_thread_override, resolve_workers,
-    BatchJob,
-};
+pub use batch::{analyze_batch, analyze_trace_files, map_ordered, resolve_workers, BatchJob};
 pub use digest::StableHasher;
 pub use hints::InlineHint;
 pub use looptree::{LoopTree, NodeId, ROOT};

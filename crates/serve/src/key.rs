@@ -28,7 +28,6 @@
 use crate::protocol::{JobInput, JobKind, JobSpec};
 use crate::{ErrorCode, ProtoError};
 use foray::StableHasher;
-use foray_workloads::{by_name, Params, MAX_SCALE};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -51,9 +50,9 @@ pub struct ResolvedJob {
 /// Resolves a [`JobSpec`] to its cache key.
 ///
 /// This is where submit-time validation happens: unknown workload names,
-/// workload scales above [`MAX_SCALE`] and unreadable trace files are
-/// rejected here with typed [`ErrorCode::BadRequest`] errors, before
-/// anything is queued.
+/// workload scales above [`foray_workloads::MAX_SCALE`] and unreadable
+/// trace files are rejected here with typed [`ErrorCode::BadRequest`]
+/// errors, before anything is queued.
 ///
 /// # Errors
 ///
@@ -186,15 +185,9 @@ fn workload_program(
     name: &str,
     scale: u32,
 ) -> Result<(&'static str, String, Vec<i64>), ProtoError> {
-    if scale > MAX_SCALE {
-        return Err(ProtoError::new(
-            ErrorCode::BadRequest,
-            format!("scale {scale} is above the largest workload scale, {MAX_SCALE}"),
-        ));
-    }
-    let w = by_name(name, Params { scale }).ok_or_else(|| {
-        ProtoError::new(ErrorCode::BadRequest, format!("unknown workload `{name}`"))
-    })?;
+    let w = foray_workloads::build(Some(name), scale)
+        .map_err(|e| ProtoError::new(ErrorCode::BadRequest, e))?
+        .remove(0);
     Ok((w.name, canonicalize(w.source).into_owned(), w.inputs))
 }
 
@@ -268,6 +261,7 @@ mod tests {
     use super::*;
     use crate::protocol::JobKind;
     use foray::{Engine, SampleSpec};
+    use foray_workloads::{by_name, Params, MAX_SCALE};
     use std::fs;
 
     fn spec(input: JobInput) -> JobSpec {
@@ -425,7 +419,10 @@ mod tests {
             huge.scale = scale;
             let e = resolve(&huge).unwrap_err();
             assert_eq!(e.code, ErrorCode::BadRequest, "{name} at scale {scale}");
+            assert_eq!(e.message, format!("scale {scale} is above the largest workload scale, 8"));
         }
+        let e = resolve(&spec(JobInput::Workload("nope".into()))).unwrap_err();
+        assert_eq!(e.message, "unknown workload `nope`");
         let mut inline = spec(JobInput::Source("void main() { }".into()));
         inline.scale = 40;
         assert!(resolve(&inline).is_ok(), "source inputs ignore scale");

@@ -542,9 +542,7 @@ fn compute(job: &ResolvedJob) -> Result<String, String> {
                 _ => "inline",
             };
             let batch = foray::BatchJob::new(name, source).pipeline(pipeline(inputs));
-            let result = foray_spm::SpmDesignSpace::new()
-                .capacities(&[256, 512, 1024, 2048, 4096, 8192])
-                .preset_models()
+            let result = foray_spm::SpmDesignSpace::standard()
                 .workloads([batch])
                 .explore(1)
                 .map_err(|e| e.to_string())?;

@@ -12,9 +12,9 @@
 //!   record tagged with the site's synthetic instruction address;
 //! * builtin ("system library") routines emit traffic from the library
 //!   instruction range (Table III's middle column);
-//! * optionally, calls emit synthetic argument-passing stack traffic
-//!   (references the paper notes exist in real traces and are purged by
-//!   Step 4's heuristic).
+//! * calls emit synthetic argument-passing stack traffic (references the
+//!   paper notes exist in real traces and are purged by Step 4's
+//!   heuristic).
 
 use crate::mem::{Heap, Memory};
 use crate::value::Value;
@@ -29,6 +29,12 @@ use std::rc::Rc;
 /// Stack pointer floor; descending below this is a stack overflow.
 pub(crate) const STACK_LIMIT: u32 = 0x7f00_0000;
 
+/// Maximum user call depth; a deeper call is a stack overflow. It is
+/// conservative so the tree-walker's own recursion fits in a 2 MiB thread
+/// stack (the VM uses an explicit call stack but honors the same limit
+/// for trace equality).
+pub const MAX_CALL_DEPTH: usize = 128;
+
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
@@ -36,25 +42,13 @@ pub struct SimConfig {
     /// tree-walker, dispatched ops on the VM, where a fused op counts once
     /// — either way, a guard against non-terminating programs).
     pub max_steps: u64,
-    /// Emit synthetic argument-passing stack traffic around user calls.
-    pub model_call_overhead: bool,
-    /// Maximum user call depth. The default (128) is conservative so the
-    /// tree-walker's own recursion fits in a 2 MiB thread stack (the VM
-    /// uses an explicit call stack but honors the same limit for trace
-    /// equality).
-    pub max_call_depth: usize,
     /// Which execution engine to run (default: the compiled VM).
     pub engine: crate::Engine,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            max_steps: 500_000_000,
-            model_call_overhead: true,
-            max_call_depth: 128,
-            engine: crate::Engine::default(),
-        }
+        SimConfig { max_steps: 500_000_000, engine: crate::Engine::default() }
     }
 }
 
@@ -519,7 +513,7 @@ impl<'p, S: TraceSink> Interp<'p, S> {
     }
 
     fn call_user(&mut self, func_idx: usize, args: Vec<Value>) -> RunResult<Value> {
-        if self.frames.len() >= self.config.max_call_depth {
+        if self.frames.len() >= MAX_CALL_DEPTH {
             return Err(RuntimeError::StackOverflow);
         }
         let func = &self.prog.functions[func_idx];
@@ -527,7 +521,7 @@ impl<'p, S: TraceSink> Interp<'p, S> {
 
         // Model the compiler's argument-passing stack traffic: the caller
         // stores each argument word, the callee loads it back.
-        if self.config.model_call_overhead && !args.is_empty() {
+        if !args.is_empty() {
             let bytes = 4 * args.len() as u32;
             if self.sp.saturating_sub(bytes) < STACK_LIMIT {
                 return Err(RuntimeError::StackOverflow);

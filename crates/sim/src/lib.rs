@@ -47,7 +47,7 @@ pub mod value;
 pub mod vm;
 
 pub use bytecode::{CompiledProgram, Op, TyKind, TypeId, TypeTable, VmValue};
-pub use interp::{Interp, RuntimeError, SimConfig, SimOutcome};
+pub use interp::{Interp, RuntimeError, SimConfig, SimOutcome, MAX_CALL_DEPTH};
 pub use lower::compile;
 pub use mem::{Heap, HeapBlock, Memory};
 pub use value::Value;
@@ -392,18 +392,24 @@ mod tests {
     }
 
     #[test]
-    fn call_overhead_is_optional() {
-        let src = "int f(int a, int b) { return a + b; } void main() { print_int(f(1, 2)); }";
-        let prog = minic::frontend(src).unwrap();
-        let with = run(&prog, &SimConfig::default(), &[]).unwrap().0;
-        let without =
-            run(&prog, &SimConfig { model_call_overhead: false, ..SimConfig::default() }, &[])
-                .unwrap()
-                .0;
-        assert_eq!(with.printed, vec![3]);
-        assert_eq!(without.printed, vec![3]);
-        // 2 arg writes + 2 arg reads.
-        assert_eq!(with.accesses - without.accesses, 4);
+    fn calls_emit_argument_traffic() {
+        // The caller stores each argument word and the callee loads it
+        // back, at the callee's frame instruction slots.
+        let (outcome, trace) =
+            run_src("int f(int a, int b) { return a + b; } void main() { print_int(f(1, 2)); }");
+        assert_eq!(outcome.printed, vec![3]);
+        let frame: Vec<_> = trace
+            .iter()
+            .filter_map(|r| match r {
+                Record::Access(a) if a.instr.0 >= layout::FRAME_CODE_BASE => {
+                    Some((a.instr, a.kind))
+                }
+                _ => None,
+            })
+            .collect();
+        let slot = |i| layout::frame_instr(0, i);
+        let (w, r) = (AccessKind::Write, AccessKind::Read);
+        assert_eq!(frame, [(slot(0), w), (slot(1), w), (slot(2), r), (slot(3), r)]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! scale 1 and 2, plus property tests over random inputs).
 
 use crate::bytecode::{CompiledProgram, Op, Push, TyKind, TypeId, VmValue};
-use crate::interp::{int_binop, RuntimeError, SimConfig, SimOutcome, STACK_LIMIT};
+use crate::interp::{int_binop, RuntimeError, SimConfig, SimOutcome, MAX_CALL_DEPTH, STACK_LIMIT};
 use crate::mem::{Heap, Memory};
 use minic::ast::{BinOp, CheckpointKind, LoopId, UnOp};
 use minic_trace::layout;
@@ -374,7 +374,7 @@ impl<'c, S: TraceSink> Vm<'c, S> {
     /// Enters `func` with the top `nargs` stack values as arguments;
     /// returns the entry pc.
     fn call(&mut self, func: usize, nargs: usize, ret_pc: u32) -> RunResult<usize> {
-        if self.frames.len() >= self.config.max_call_depth {
+        if self.frames.len() >= MAX_CALL_DEPTH {
             return Err(RuntimeError::StackOverflow);
         }
         let code = self.code;
@@ -385,7 +385,7 @@ impl<'c, S: TraceSink> Vm<'c, S> {
         // The compiler's argument-passing stack traffic: caller stores,
         // callee loads (identical addresses and instruction slots to the
         // oracle).
-        if self.config.model_call_overhead && nargs > 0 {
+        if nargs > 0 {
             let bytes = 4 * nargs as u32;
             if self.sp.saturating_sub(bytes) < STACK_LIMIT {
                 return Err(RuntimeError::StackOverflow);

@@ -79,6 +79,14 @@ impl SpmDesignSpace {
         SpmDesignSpace::default()
     }
 
+    /// The default design space, without workloads: the capacity grid
+    /// 256 to 8192 bytes in doublings, and every preset model. It is the
+    /// space `foray-gen dse` explores without `--capacities` and
+    /// `--models`, and the one a `forayd` `dse` job explores.
+    pub fn standard() -> SpmDesignSpace {
+        SpmDesignSpace::new().capacities(&[256, 512, 1024, 2048, 4096, 8192]).preset_models()
+    }
+
     /// Sets the capacity grid (bytes).
     pub fn capacities(mut self, capacities: &[u32]) -> SpmDesignSpace {
         self.capacities = capacities.to_vec();

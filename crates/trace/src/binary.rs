@@ -1,25 +1,21 @@
-//! Compact binary trace format.
+//! The fixed-width record codec inside `foray-trace/v1` blocks.
 //!
-//! Traces get long (the paper's runs reach tens of millions of accesses), so
-//! a fixed-width binary encoding is provided alongside the paper-style text
-//! format: a 1-byte tag followed by little-endian fields.
+//! Each record is a 1-byte tag followed by little-endian fields:
 //!
 //! ```text
 //! 0x01 loop:u32 kind:u8              checkpoint   (6 bytes)
 //! 0x02 instr:u32 addr:u32 kind:u8    access       (10 bytes)
 //! ```
 //!
-//! Decoding is **zero-copy**: [`RecordReader`] walks a `&[u8]` in place and
-//! yields [`Record`]s without any intermediate `Vec<Record>` or per-record
-//! heap allocation — the building block under the framed
-//! [`foray-trace/v1`](crate::file) container. Failures are reported as a
-//! typed [`DecodeError`] carrying the byte offset and reason.
+//! The codec is private to the container: [`crate::file`] frames these
+//! records into blocks and decodes them in place from the block payload.
+//! Failures are reported as a typed [`DecodeError`] carrying the byte
+//! offset and reason.
 
 use crate::record::{Access, AccessKind, InstrAddr, MemAddr, Record};
-use crate::sink::TraceSink;
 use minic::{CheckpointKind, LoopId};
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 
 const TAG_CHECKPOINT: u8 = 0x01;
 const TAG_ACCESS: u8 = 0x02;
@@ -29,7 +25,7 @@ const ACCESS_BYTES: usize = 10;
 
 /// Upper bound on the encoded size of any single record — the size of a
 /// caller-provided scratch buffer for [`encode_record_into`].
-pub const MAX_RECORD_BYTES: usize = ACCESS_BYTES;
+pub(crate) const MAX_RECORD_BYTES: usize = ACCESS_BYTES;
 
 fn kind_byte(kind: CheckpointKind) -> u8 {
     match kind {
@@ -83,13 +79,24 @@ impl fmt::Display for DecodeReason {
 ///
 /// # Examples
 ///
-/// ```
-/// use minic_trace::binary::{self, DecodeReason};
+/// A `foray-trace/v1` file whose first record tag, after the 16-byte file
+/// header and the 8-byte block header, is overwritten:
 ///
-/// let err = binary::from_bytes(&[0xff]).unwrap_err();
-/// assert_eq!(err.offset, 0);
-/// assert_eq!(err.reason, DecodeReason::BadTag(0xff));
-/// assert_eq!(err.to_string(), "trace byte 0: bad record tag 0xff");
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use minic_trace::file::{self, FormatVersion, TraceFile};
+/// use minic_trace::{AccessKind, DecodeReason, ReadError, Record};
+///
+/// let mut bytes = Vec::new();
+/// let recs = [Record::access(0x400000, 0x1000_0000, AccessKind::Read)];
+/// file::write_to_with(&mut bytes, &recs, FormatVersion::V1)?;
+/// bytes[24] = 0xff;
+/// let first = TraceFile::from_bytes(bytes)?.records().next();
+/// let Some(Err(ReadError::Decode(err))) = first else { unreachable!() };
+/// assert_eq!((err.offset, err.reason), (24, DecodeReason::BadTag(0xff)));
+/// assert_eq!(err.to_string(), "trace byte 24: bad record tag 0xff");
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeError {
@@ -113,31 +120,10 @@ impl From<DecodeError> for io::Error {
     }
 }
 
-/// Encoded size of one record, in bytes.
-pub fn encoded_len(rec: &Record) -> usize {
-    match rec {
-        Record::Checkpoint { .. } => CHECKPOINT_BYTES,
-        Record::Access(_) => ACCESS_BYTES,
-    }
-}
-
 /// Encodes one record into a caller-provided fixed scratch buffer,
 /// returning the number of bytes written — the allocation-free core of
-/// every encoder in this module.
-///
-/// # Examples
-///
-/// ```
-/// use minic_trace::binary::{encode_record_into, MAX_RECORD_BYTES};
-/// use minic_trace::{AccessKind, Record};
-///
-/// let mut scratch = [0u8; MAX_RECORD_BYTES];
-/// let rec = Record::access(0x4002a0, 0x7fff5934, AccessKind::Write);
-/// let n = encode_record_into(&rec, &mut scratch);
-/// assert_eq!(n, 10);
-/// assert_eq!(scratch[0], 0x02);
-/// ```
-pub fn encode_record_into(rec: &Record, buf: &mut [u8; MAX_RECORD_BYTES]) -> usize {
+/// [`encode_record`].
+pub(crate) fn encode_record_into(rec: &Record, buf: &mut [u8; MAX_RECORD_BYTES]) -> usize {
     match rec {
         Record::Checkpoint { loop_id, kind } => {
             buf[0] = TAG_CHECKPOINT;
@@ -160,44 +146,10 @@ pub fn encode_record_into(rec: &Record, buf: &mut [u8; MAX_RECORD_BYTES]) -> usi
 
 /// Appends one encoded record to `out` (no temporary allocation; the bytes
 /// go through a stack scratch buffer).
-pub fn encode_record(rec: &Record, out: &mut Vec<u8>) {
+pub(crate) fn encode_record(rec: &Record, out: &mut Vec<u8>) {
     let mut scratch = [0u8; MAX_RECORD_BYTES];
     let n = encode_record_into(rec, &mut scratch);
     out.extend_from_slice(&scratch[..n]);
-}
-
-/// Encodes a whole trace, reserving the exact output size up front.
-pub fn to_bytes(records: &[Record]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(records.iter().map(encoded_len).sum());
-    for r in records {
-        encode_record(r, &mut out);
-    }
-    out
-}
-
-/// Decodes a whole binary trace into an owned vector.
-///
-/// Prefer [`RecordReader`] when the records are consumed once in order —
-/// it performs no intermediate allocation.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] with byte offset and reason on bad tags, bad
-/// kind bytes, or truncation.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), minic_trace::DecodeError> {
-/// use minic_trace::{binary, AccessKind, Record};
-/// let recs = vec![Record::access(0x400000, 0x1000_0000, AccessKind::Read)];
-/// let bytes = binary::to_bytes(&recs);
-/// assert_eq!(binary::from_bytes(&bytes)?, recs);
-/// # Ok(())
-/// # }
-/// ```
-pub fn from_bytes(bytes: &[u8]) -> Result<Vec<Record>, DecodeError> {
-    RecordReader::new(bytes).collect()
 }
 
 /// Decodes the record starting at `bytes[0]`, reporting errors at absolute
@@ -234,113 +186,6 @@ pub(crate) fn decode_one(bytes: &[u8], base: u64) -> Result<(Record, usize), Dec
     }
 }
 
-/// Zero-copy streaming decoder over a byte slice.
-///
-/// Decodes records in place — no intermediate `Vec<Record>`, no per-record
-/// heap allocation. After the first error the iterator is fused (further
-/// calls yield `None`).
-///
-/// # Examples
-///
-/// ```
-/// use minic_trace::{binary, AccessKind, Record};
-///
-/// let recs =
-///     vec![Record::checkpoint(4, minic::CheckpointKind::LoopBegin), Record::access(0x4002a0, 0x7fff5934, AccessKind::Write)];
-/// let bytes = binary::to_bytes(&recs);
-/// let decoded: Result<Vec<Record>, _> = binary::RecordReader::new(&bytes).collect();
-/// assert_eq!(decoded.unwrap(), recs);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RecordReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    failed: bool,
-}
-
-impl<'a> RecordReader<'a> {
-    /// Wraps a byte slice holding concatenated binary records.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        RecordReader { bytes, pos: 0, failed: false }
-    }
-
-    /// Byte offset of the next record to decode.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    /// The undecoded tail of the input.
-    pub fn remaining(&self) -> &'a [u8] {
-        &self.bytes[self.pos..]
-    }
-}
-
-impl Iterator for RecordReader<'_> {
-    type Item = Result<Record, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.pos == self.bytes.len() {
-            return None;
-        }
-        match decode_one(&self.bytes[self.pos..], self.pos as u64) {
-            Ok((rec, len)) => {
-                self.pos += len;
-                Some(Ok(rec))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Writes binary records to any [`Write`]; pass `&mut writer` to keep
-/// ownership.
-#[derive(Debug)]
-pub struct BinaryWriter<W: Write> {
-    out: W,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> BinaryWriter<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        BinaryWriter { out, error: None }
-    }
-
-    /// First latched I/O error, if any (see [`crate::text::TextWriter`]).
-    pub fn io_error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> TraceSink for BinaryWriter<W> {
-    fn record(&mut self, rec: &Record) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut scratch = [0u8; MAX_RECORD_BYTES];
-        let n = encode_record_into(rec, &mut scratch);
-        if let Err(e) = self.out.write_all(&scratch[..n]) {
-            self.error = Some(e);
-        }
-    }
-
-    fn finish(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,84 +200,70 @@ mod tests {
         ]
     }
 
+    fn encode(records: &[Record]) -> Vec<u8> {
+        let mut out = Vec::new();
+        records.iter().for_each(|r| encode_record(r, &mut out));
+        out
+    }
+
+    /// Decodes a whole payload the way a v1 block is walked: record by
+    /// record from offset 0, stopping at the first error.
+    fn decode(bytes: &[u8]) -> Result<Vec<Record>, DecodeError> {
+        let (mut out, mut pos) = (Vec::new(), 0);
+        while pos < bytes.len() {
+            let (rec, len) = decode_one(&bytes[pos..], pos as u64)?;
+            out.push(rec);
+            pos += len;
+        }
+        Ok(out)
+    }
+
     #[test]
     fn round_trip() {
         let recs = sample();
-        assert_eq!(from_bytes(&to_bytes(&recs)).unwrap(), recs);
-    }
-
-    #[test]
-    fn record_reader_round_trip_and_offsets() {
-        let recs = sample();
-        let bytes = to_bytes(&recs);
-        let mut reader = RecordReader::new(&bytes);
-        assert_eq!(reader.offset(), 0);
-        let decoded: Vec<Record> = reader.by_ref().map(Result::unwrap).collect();
-        assert_eq!(decoded, recs);
-        assert_eq!(reader.offset(), bytes.len());
-        assert!(reader.remaining().is_empty());
-    }
-
-    #[test]
-    fn writer_round_trip() {
-        let mut buf = Vec::new();
-        {
-            let mut w = BinaryWriter::new(&mut buf);
-            for r in sample() {
-                w.record(&r);
-            }
-            w.finish();
-            assert!(w.io_error().is_none());
-        }
-        assert_eq!(from_bytes(&buf).unwrap(), sample());
+        assert_eq!(decode(&encode(&recs)).unwrap(), recs);
     }
 
     #[test]
     fn rejects_truncation_and_bad_tags() {
-        let bytes = to_bytes(&sample());
-        let err = from_bytes(&bytes[..bytes.len() - 1]).unwrap_err();
+        let bytes = encode(&sample());
+        let err = decode(&bytes[..bytes.len() - 1]).unwrap_err();
         assert!(matches!(err.reason, DecodeReason::Truncated { .. }));
         // The stream ends inside the final 6-byte checkpoint.
         assert_eq!(err.offset, bytes.len() as u64 - CHECKPOINT_BYTES as u64);
-        let err = from_bytes(&[0xff]).unwrap_err();
+        let err = decode(&[0xff]).unwrap_err();
         assert_eq!(err, DecodeError { offset: 0, reason: DecodeReason::BadTag(0xff) });
-        let err = from_bytes(&[TAG_CHECKPOINT, 0, 0, 0, 0, 9]).unwrap_err();
+        let err = decode(&[TAG_CHECKPOINT, 0, 0, 0, 0, 9]).unwrap_err();
         assert_eq!(err.reason, DecodeReason::BadCheckpointKind(9));
-        let bytes = to_bytes(&[Record::access(1, 2, AccessKind::Read)]);
-        let mut corrupt = bytes.clone();
+        let mut corrupt = encode(&[Record::access(1, 2, AccessKind::Read)]);
         corrupt[9] = 7;
-        assert_eq!(from_bytes(&corrupt).unwrap_err().reason, DecodeReason::BadAccessKind(7));
+        assert_eq!(decode(&corrupt).unwrap_err().reason, DecodeReason::BadAccessKind(7));
     }
 
     #[test]
     fn error_offsets_point_at_the_failing_record() {
         // Two good checkpoints (12 bytes), then garbage.
-        let mut bytes = to_bytes(&sample()[..2]);
+        let mut bytes = encode(&sample()[..2]);
         bytes.push(0xee);
-        let err = from_bytes(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert_eq!(err.offset, 12);
         assert_eq!(err.reason, DecodeReason::BadTag(0xee));
-        // The zero-copy reader fuses after the error.
-        let mut r = RecordReader::new(&bytes);
-        assert!(r.next().unwrap().is_ok());
-        assert!(r.next().unwrap().is_ok());
-        assert!(r.next().unwrap().is_err());
-        assert!(r.next().is_none());
     }
 
     #[test]
     fn encoding_is_compact_and_sized_exactly() {
-        let recs = sample();
-        let bytes = to_bytes(&recs);
         // 2 accesses * 10 bytes + 3 checkpoints * 6 bytes.
-        assert_eq!(bytes.len(), 2 * 10 + 3 * 6);
-        assert_eq!(bytes.len(), recs.iter().map(encoded_len).sum::<usize>());
-        assert_eq!(bytes.capacity(), bytes.len(), "to_bytes reserves exactly");
+        assert_eq!(encode(&sample()).len(), 2 * 10 + 3 * 6);
+        for rec in sample() {
+            let mut scratch = [0u8; MAX_RECORD_BYTES];
+            let n = encode_record_into(&rec, &mut scratch);
+            assert_eq!(decode_one(&scratch[..n], 0).unwrap(), (rec, n));
+        }
     }
 
     #[test]
     fn decode_errors_convert_to_io_errors() {
-        let e: io::Error = from_bytes(&[0xff]).unwrap_err().into();
+        let e: io::Error = decode(&[0xff]).unwrap_err().into();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("bad record tag"));
     }

@@ -1,10 +1,9 @@
 //! The `foray-trace` on-disk trace container (versions 1 and 2).
 //!
-//! The raw [binary codec](crate::binary) is a bare record concatenation: it
-//! cannot be identified on disk, versioned, or validated without decoding
-//! every byte. This module frames record streams into a self-describing
-//! file format so traces can be recorded once and re-analyzed many times
-//! (the paper's offline mode at scales where re-profiling is the
+//! The container is the one binary trace format: it frames record streams
+//! into a self-describing file that can be identified on disk, versioned
+//! and validated, so traces can be recorded once and re-analyzed many
+//! times (the paper's offline mode at scales where re-profiling is the
 //! bottleneck). Two format versions share the 16-byte header:
 //!
 //! ```text
@@ -25,8 +24,8 @@
 //! footer  8     total record count, u64 LE (after the N = 0 terminator)
 //! ```
 //!
-//! **Version 2** (the default) compresses each block with the
-//! [length-tagged delta codec](crate::v2), adds a CRC32 per payload, and appends
+//! **Version 2** (the default) compresses each block with a
+//! length-tagged delta codec, adds a CRC32 per payload, and appends
 //! a [checkpoint index](crate::index) before the footer so readers can
 //! seek to a loop region without replaying the prefix:
 //!

@@ -3,17 +3,16 @@
 //! The paper's flow (Algorithm 1) profiles an annotated program on an
 //! instruction-set simulator that emits a *trace file*: memory access events
 //! `(instruction address, access address, read/write)` interleaved with loop
-//! *checkpoints*. This crate defines those records, two serializations (the
-//! paper-compatible text format of Fig. 4(c) and a compact binary format),
-//! streaming readers/writers, the versioned `foray-trace` on-disk
+//! *checkpoints*. This crate defines those records, the paper-compatible
+//! text format of Fig. 4(c), the versioned binary `foray-trace` on-disk
 //! container ([`mod@file`]: fixed-width v1, and the default compressed +
-//! CRC-checked + [indexed](mod@index) v2 whose [`mod@v2`] codec
-//! packs records as length-tagged deltas), the shared address-space layout, and the two
+//! CRC-checked + [indexed](mod@index) v2, which packs records as
+//! length-tagged deltas), the shared address-space layout, and the two
 //! halves of the stream contract: [`TraceSink`] (push — lets the analyzer
 //! run *online* during profiling, the constant-space mode the paper
 //! highlights at the end of Section 4) and [`RecordSource`] (pull —
-//! replays slices, zero-copy byte decoders, and trace files into any
-//! sink). See `docs/ARCHITECTURE.md` at the repository root for the full
+//! replays slices and trace files into any sink). See
+//! `docs/ARCHITECTURE.md` at the repository root for the full
 //! stream contract and the on-disk format specification.
 //!
 //! # Examples
@@ -37,7 +36,7 @@
 
 #![warn(missing_docs)]
 
-pub mod binary;
+mod binary;
 pub mod crc;
 pub mod file;
 pub mod index;
@@ -48,9 +47,9 @@ pub mod sink;
 pub mod source;
 pub mod stats;
 pub mod text;
-pub mod v2;
+mod v2;
 
-pub use binary::{DecodeError, DecodeReason, RecordReader};
+pub use binary::{DecodeError, DecodeReason};
 pub use file::{FormatVersion, ReadError, TraceFile, TraceReader, TraceWriter};
 pub use index::{CheckpointIndex, IndexEntry};
 pub use record::{Access, AccessKind, InstrAddr, MemAddr, Record};

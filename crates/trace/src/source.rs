@@ -3,7 +3,7 @@
 //!
 //! [`TraceSink`] is the *push* half of the trace contract (the simulator
 //! pushes records during profiling); `RecordSource` is the *pull* half —
-//! in-memory slices, zero-copy byte decoders, and on-disk trace files all
+//! in-memory slices and on-disk trace files (opened or streamed) all
 //! replay through the same interface, so every consumer built on
 //! `TraceSink` (the analyzer, statistics, tees, writers) works identically
 //! on any of them.
@@ -26,21 +26,16 @@ use std::convert::Infallible;
 ///
 /// # Examples
 ///
-/// A slice, raw bytes, and a trace file all drive the same sink:
+/// A slice and a trace file drive the same sink:
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use minic_trace::{binary, file, AccessKind, CountingSink, Record, RecordSource};
+/// use minic_trace::{file, AccessKind, CountingSink, Record, RecordSource};
 ///
 /// let recs = vec![Record::access(0x400000, 0x1000_0000, AccessKind::Read)];
 ///
 /// let mut counter = CountingSink::new();
 /// recs.as_slice().stream_into(&mut counter)?; // Error = Infallible
-/// assert_eq!(counter.total(), 1);
-///
-/// let bytes = binary::to_bytes(&recs);
-/// let mut counter = CountingSink::new();
-/// binary::RecordReader::new(&bytes).stream_into(&mut counter)?;
 /// assert_eq!(counter.total(), 1);
 ///
 /// let mut framed = Vec::new();
@@ -64,34 +59,6 @@ pub trait RecordSource {
     /// Stops at the source's first decode/read failure; records already
     /// replayed stay consumed by the sink.
     fn stream_into<S: TraceSink + ?Sized>(self, sink: &mut S) -> Result<u64, Self::Error>;
-}
-
-/// Drains a fallible record iterator into a sink — the shared body of the
-/// decoder-backed [`RecordSource`] impls. Public so new sources outside
-/// this crate can reuse it.
-pub fn drain_iter<E, S>(
-    iter: impl Iterator<Item = Result<Record, E>>,
-    sink: &mut S,
-) -> Result<u64, E>
-where
-    S: TraceSink + ?Sized,
-{
-    let mut n = 0u64;
-    for rec in iter {
-        sink.record(&rec?);
-        n += 1;
-    }
-    sink.finish();
-    Ok(n)
-}
-
-/// The zero-copy in-place byte decoder is a source.
-impl RecordSource for crate::binary::RecordReader<'_> {
-    type Error = crate::binary::DecodeError;
-
-    fn stream_into<S: TraceSink + ?Sized>(self, sink: &mut S) -> Result<u64, Self::Error> {
-        drain_iter(self, sink)
-    }
 }
 
 /// Both file readers are sources: the constant-memory
@@ -145,7 +112,6 @@ impl RecordSource for &TraceFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::RecordReader;
     use crate::file;
     use crate::record::AccessKind;
     use crate::sink::{CountingSink, VecSink};
@@ -172,11 +138,6 @@ mod tests {
     #[test]
     fn decoder_and_file_sources_agree_with_the_slice() {
         let recs = sample();
-        let bytes = crate::binary::to_bytes(&recs);
-        let mut a = VecSink::new();
-        RecordReader::new(&bytes).stream_into(&mut a).unwrap();
-        assert_eq!(a.records, recs);
-
         let mut framed = Vec::new();
         file::write_to(&mut framed, &recs).unwrap();
         let tf = file::TraceFile::from_bytes(framed.clone()).unwrap();
@@ -191,12 +152,18 @@ mod tests {
 
     #[test]
     fn errors_propagate_from_the_source() {
-        let mut bytes = crate::binary::to_bytes(&sample());
-        bytes.push(0xff);
+        // A v1 file whose last record's tag is overwritten: the tag follows
+        // the 16-byte file header, the 8-byte block header, two 6-byte
+        // checkpoints and one 10-byte access.
+        let mut framed = Vec::new();
+        file::write_to_with(&mut framed, &sample(), file::FormatVersion::V1).unwrap();
+        let tag_at = file::HEADER_BYTES + 8 + 2 * 6 + 10;
+        framed[tag_at] = 0xff;
         let mut sink = CountingSink::new();
-        let err = RecordReader::new(&bytes).stream_into(&mut sink).unwrap_err();
-        assert_eq!(err.offset, (bytes.len() - 1) as u64);
+        let err = file::TraceReader::new(framed.as_slice()).unwrap().stream_into(&mut sink);
+        let Err(ReadError::Decode(err)) = err else { panic!("want a decode error, got {err:?}") };
+        assert_eq!(err.offset, tag_at as u64);
         // Records before the corruption were still delivered.
-        assert_eq!(sink.total(), 4);
+        assert_eq!(sink.total(), 3);
     }
 }

@@ -1,4 +1,4 @@
-//! The compressed record codec behind the `foray-trace/v2` container.
+//! The compressed record codec inside `foray-trace/v2` blocks.
 //!
 //! Memory traces are highly compressible: each static reference advances
 //! by a small affine stride (the very property the analyzer recovers),
@@ -45,34 +45,33 @@
 //! what makes v2 blocks independently decodable — the checkpoint index
 //! can drop a reader into the middle of a file without replaying the
 //! prefix. Typical corpus records shrink from the fixed 10 bytes
-//! (access) / 6 bytes (checkpoint) of the [v1 codec](crate::binary) to
-//! 2 / 1 bytes.
+//! (access) / 6 bytes (checkpoint) of the v1 codec to 2 / 1 bytes.
 //!
-//! Failures are reported with the same typed
-//! [`DecodeError`] as v1, offset at the record's packed byte.
+//! The codec is private to the container ([`crate::file`]). Failures are
+//! reported with the same typed [`DecodeError`] as v1, offset at the
+//! record's packed byte.
 //!
 //! # Examples
 //!
+//! A strided walk through the public container: after the first access,
+//! which pays for the absolute values, each access is 2 bytes (a
+//! same-instr packed byte and a one-byte stride delta) against v1's 10.
+//!
 //! ```
-//! use minic_trace::v2::{self, V2State};
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! use minic_trace::file::{self, FormatVersion, TraceFile};
 //! use minic_trace::{AccessKind, Record};
 //!
-//! let recs = vec![
-//!     Record::access(0x400000, 0x1000_0000, AccessKind::Read),
-//!     Record::access(0x400000, 0x1000_0004, AccessKind::Read), // stride 4
-//! ];
-//! let mut out = Vec::new();
-//! let mut enc = V2State::default();
-//! for r in &recs {
-//!     v2::encode_record(&mut enc, r, &mut out);
-//! }
-//! // First access pays for the absolute values; the second is 2 bytes
-//! // (same-instr flag + one-byte stride delta).
-//! let mut dec = V2State::default();
-//! let (first, n) = v2::decode_one(&out, 0, &mut dec).unwrap();
-//! assert_eq!(first, recs[0]);
-//! let (second, m) = v2::decode_one(&out[n..], n as u64, &mut dec).unwrap();
-//! assert_eq!((second, m), (recs[1], 2));
+//! let recs: Vec<Record> =
+//!     (0..1000).map(|i| Record::access(0x400000, 0x1000_0000 + 4 * i, AccessKind::Read)).collect();
+//! let (mut v1, mut v2) = (Vec::new(), Vec::new());
+//! file::write_to_with(&mut v1, &recs, FormatVersion::V1)?;
+//! file::write_to_with(&mut v2, &recs, FormatVersion::V2)?;
+//! assert!(v2.len() * 4 < v1.len());
+//! let decoded: Result<Vec<Record>, _> = TraceFile::from_bytes(v2)?.records().collect();
+//! assert_eq!(decoded?, recs);
+//! # Ok(())
+//! # }
 //! ```
 
 use crate::binary::{DecodeError, DecodeReason};
@@ -92,7 +91,7 @@ const FLAG_SAME_LOOP: u8 = 0x10;
 
 /// Upper bound on the encoded size of any single v2 record: the packed
 /// byte plus two worst-case 4-byte fields.
-pub const MAX_RECORD_BYTES: usize = 9;
+pub(crate) const MAX_RECORD_BYTES: usize = 9;
 
 /// Delta state shared by the encoder and decoder.
 ///
@@ -102,7 +101,7 @@ pub const MAX_RECORD_BYTES: usize = 9;
 /// (`V2State::default()`) at every block boundary so blocks stay
 /// independently decodable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct V2State {
+pub(crate) struct V2State {
     prev_instr: u32,
     prev_loop: u32,
     addr_table: [u32; 256],
@@ -194,7 +193,7 @@ fn checkpoint_kind_from_bits(bits: u8) -> Option<CheckpointKind> {
 }
 
 /// Appends one record in v2 encoding, updating the delta state.
-pub fn encode_record(state: &mut V2State, rec: &Record, out: &mut Vec<u8>) {
+pub(crate) fn encode_record(state: &mut V2State, rec: &Record, out: &mut Vec<u8>) {
     match rec {
         Record::Checkpoint { loop_id, kind } => {
             let packed = TYPE_CHECKPOINT | (checkpoint_kind_bits(*kind) << 2);
@@ -232,17 +231,6 @@ pub fn encode_record(state: &mut V2State, rec: &Record, out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a whole record slice as one v2 stream (fresh delta state, as at
-/// a block boundary).
-pub fn to_bytes(records: &[Record]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(records.len() * 3);
-    let mut state = V2State::default();
-    for r in records {
-        encode_record(&mut state, r, &mut out);
-    }
-    out
-}
-
 /// Decodes the record starting at `bytes[0]`, reporting errors at absolute
 /// offset `base` and updating the delta state. Returns the record and its
 /// encoded length.
@@ -255,7 +243,7 @@ pub fn to_bytes(records: &[Record]) -> Vec<u8> {
 /// [`DecodeReason::BadCheckpointKind`] on an out-of-range kind, and
 /// [`DecodeReason::Truncated`] when the stream ends mid-record.
 #[inline]
-pub fn decode_one(
+pub(crate) fn decode_one(
     bytes: &[u8],
     base: u64,
     state: &mut V2State,
@@ -643,35 +631,29 @@ pub(crate) fn decode_fold<B>(
     (acc, err)
 }
 
-/// Decodes a whole block payload (fresh delta state, as at a block
-/// boundary), appending to `out` and reporting errors at `base` plus the
-/// record's offset within `bytes`.
-///
-/// # Errors
-///
-/// The first [`DecodeError`] in the stream; records decoded before it
-/// remain appended to `out`.
-pub fn decode_block(bytes: &[u8], base: u64, out: &mut Vec<Record>) -> Result<(), DecodeError> {
-    let mut state = V2State::default();
-    let mut pos = 0usize;
-    let ((), err) = decode_fold(bytes, &mut pos, base, &mut state, (), |(), rec| out.push(rec));
-    err.map_or(Ok(()), Err)
-}
-
-/// Decodes a whole v2 stream (fresh delta state) into an owned vector.
-///
-/// # Errors
-///
-/// The first [`DecodeError`] in the stream.
-pub fn from_bytes(bytes: &[u8]) -> Result<Vec<Record>, DecodeError> {
-    let mut out = Vec::new();
-    decode_block(bytes, 0, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encodes a record slice as one v2 stream (fresh delta state, as at a
+    /// block boundary).
+    fn encode(records: &[Record]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut state = V2State::default();
+        records.iter().for_each(|r| encode_record(&mut state, r, &mut out));
+        out
+    }
+
+    /// Decodes a whole v2 stream through the bulk path a block payload
+    /// takes (fresh delta state), stopping at the first error.
+    fn decode(bytes: &[u8]) -> Result<Vec<Record>, DecodeError> {
+        let (mut state, mut pos) = (V2State::default(), 0);
+        let (out, err) = decode_fold(bytes, &mut pos, 0, &mut state, Vec::new(), |mut out, rec| {
+            out.push(rec);
+            out
+        });
+        err.map_or(Ok(out), Err)
+    }
 
     fn sample() -> Vec<Record> {
         vec![
@@ -687,7 +669,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let recs = sample();
-        assert_eq!(from_bytes(&to_bytes(&recs)).unwrap(), recs);
+        assert_eq!(decode(&encode(&recs)).unwrap(), recs);
     }
 
     #[test]
@@ -695,12 +677,12 @@ mod tests {
         let recs: Vec<Record> = (0..100)
             .map(|i| Record::access(0x400000, 0x1000_0000 + 4 * i, AccessKind::Read))
             .collect();
-        let bytes = to_bytes(&recs);
+        let bytes = encode(&recs);
         // First record pays for the absolute values (tag + 3-byte instr
         // delta + 4-byte addr delta); every subsequent one is a
         // same-instr tag + 1-byte stride delta.
         assert_eq!(bytes.len(), 8 + 99 * 2);
-        assert_eq!(from_bytes(&bytes).unwrap(), recs);
+        assert_eq!(decode(&bytes).unwrap(), recs);
     }
 
     #[test]
@@ -715,12 +697,12 @@ mod tests {
                 Record::access(0x400000 + 4 * (i % 3), bases[r] + 4 * (i / 3), AccessKind::Read)
             })
             .collect();
-        let bytes = to_bytes(&recs);
+        let bytes = encode(&recs);
         // After the first round trip through the three references, every
         // record is tag + small instr delta + 1-byte per-instr stride:
         // 3 bytes, not the 5-6 a single global predecessor would need.
         assert!(bytes.len() <= 30 + 87 * 3, "interleaved encoding too large: {}", bytes.len());
-        assert_eq!(from_bytes(&bytes).unwrap(), recs);
+        assert_eq!(decode(&bytes).unwrap(), recs);
     }
 
     #[test]
@@ -730,11 +712,11 @@ mod tests {
             Record::checkpoint(7, CheckpointKind::BodyBegin),
             Record::checkpoint(7, CheckpointKind::BodyEnd),
         ];
-        let bytes = to_bytes(&recs);
+        let bytes = encode(&recs);
         // First checkpoint: tag + 1-byte loop id. The next two reuse the
         // loop id via the same-loop flag: one byte each.
         assert_eq!(bytes.len(), 2 + 1 + 1);
-        assert_eq!(from_bytes(&bytes).unwrap(), recs);
+        assert_eq!(decode(&bytes).unwrap(), recs);
     }
 
     #[test]
@@ -745,7 +727,7 @@ mod tests {
             Record::access(u32::MAX, u32::MAX, AccessKind::Read),
             Record::checkpoint(u32::MAX, CheckpointKind::LoopBegin),
         ];
-        assert_eq!(from_bytes(&to_bytes(&recs)).unwrap(), recs);
+        assert_eq!(decode(&encode(&recs)).unwrap(), recs);
     }
 
     #[test]
@@ -790,36 +772,36 @@ mod tests {
 
     #[test]
     fn rejects_bad_tags_truncation_and_contradictory_lengths() {
-        let err = from_bytes(&[0x00]).unwrap_err();
+        let err = decode(&[0x00]).unwrap_err();
         assert_eq!(err.reason, DecodeReason::BadTag(0x00));
-        let err = from_bytes(&[0x03]).unwrap_err();
+        let err = decode(&[0x03]).unwrap_err();
         assert_eq!(err.reason, DecodeReason::BadTag(0x03));
         // Checkpoint with the reserved top bit set.
-        let err = from_bytes(&[0x81, 0]).unwrap_err();
+        let err = decode(&[0x81, 0]).unwrap_err();
         assert_eq!(err.reason, DecodeReason::BadTag(0x81));
         // A same-loop checkpoint carrying loop-id length bits.
-        let err = from_bytes(&[0x31]).unwrap_err();
+        let err = decode(&[0x31]).unwrap_err();
         assert_eq!(err.reason, DecodeReason::BadTag(0x31));
         // Checkpoint kind 3 is out of range.
-        let err = from_bytes(&[TYPE_CHECKPOINT | (3 << 2), 0]).unwrap_err();
+        let err = decode(&[TYPE_CHECKPOINT | (3 << 2), 0]).unwrap_err();
         assert_eq!(err.reason, DecodeReason::BadCheckpointKind(3));
         // A same-instr access carrying instr-delta length bits.
-        let err = from_bytes(&[0x4a, 0]).unwrap_err();
+        let err = decode(&[0x4a, 0]).unwrap_err();
         assert_eq!(err.reason, DecodeReason::BadTag(0x4a));
         // Access cut off inside its address delta.
-        let err = from_bytes(&[TYPE_ACCESS, 0]).unwrap_err();
+        let err = decode(&[TYPE_ACCESS, 0]).unwrap_err();
         assert!(matches!(err.reason, DecodeReason::Truncated { .. }), "{:?}", err.reason);
         // Checkpoint cut off inside a 4-byte loop id.
-        let err = from_bytes(&[TYPE_CHECKPOINT | (3 << 5), 1, 2, 3]).unwrap_err();
+        let err = decode(&[TYPE_CHECKPOINT | (3 << 5), 1, 2, 3]).unwrap_err();
         assert!(matches!(err.reason, DecodeReason::Truncated { .. }), "{:?}", err.reason);
     }
 
     #[test]
     fn error_offsets_point_at_the_failing_record() {
-        let mut bytes = to_bytes(&sample()[..2]);
+        let mut bytes = encode(&sample()[..2]);
         let good = bytes.len();
         bytes.push(0x00);
-        let err = from_bytes(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert_eq!(err.offset, good as u64);
     }
 
@@ -838,8 +820,8 @@ mod tests {
         for r in b {
             encode_record(&mut s, r, &mut right);
         }
-        let mut decoded = from_bytes(&left).unwrap();
-        decoded.extend(from_bytes(&right).unwrap());
+        let mut decoded = decode(&left).unwrap();
+        decoded.extend(decode(&right).unwrap());
         assert_eq!(decoded, recs);
     }
 }

@@ -116,10 +116,9 @@ impl Workload {
     }
 }
 
-/// The largest [`Params::scale`] a service should build a workload at.
-/// `fftc`'s transform size doubles per step: its source is about 4.9 MB
-/// at scale 8 and 24 MB at scale 10, and at scale 40 its allocation
-/// aborts the process.
+/// The largest scale [`build`] accepts. `fftc`'s transform size doubles
+/// per step: its source is about 4.9 MB at scale 8 and 24 MB at scale 10,
+/// and at scale 40 its allocation aborts the process.
 pub const MAX_SCALE: u32 = 8;
 
 /// Builds one workload at the given size.
@@ -149,6 +148,29 @@ pub fn by_name(name: &str, params: Params) -> Option<Workload> {
     REGISTRY.iter().find(|(n, _)| *n == name).map(|(_, build)| build(params))
 }
 
+/// Builds the workload called `name` at `scale`, or with `None` every
+/// workload in registry order: the entry point for a scale that comes
+/// from a command line or a request. A scale above [`MAX_SCALE`] is
+/// refused before anything is built; [`all`] and [`by_name`] build at any
+/// scale.
+///
+/// # Errors
+///
+/// The message for a scale above [`MAX_SCALE`], else for an unregistered
+/// name; `forayd` and the command lines show it as it is.
+pub fn build(name: Option<&str>, scale: u32) -> Result<Vec<Workload>, String> {
+    if scale > MAX_SCALE {
+        return Err(format!("scale {scale} is above the largest workload scale, {MAX_SCALE}"));
+    }
+    let params = Params { scale };
+    match name {
+        None => Ok(all(params)),
+        Some(name) => by_name(name, params)
+            .map(|w| vec![w])
+            .ok_or_else(|| format!("unknown workload `{name}`")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,6 +192,18 @@ mod tests {
             }
         }
         assert!(by_name("nope", Params::default()).is_none());
+    }
+
+    #[test]
+    fn build_checks_the_scale_before_the_name() {
+        let one = build(Some("adpcmc"), MAX_SCALE).unwrap();
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].source, by_name("adpcmc", Params { scale: MAX_SCALE }).unwrap().source);
+        assert_eq!(build(None, 1).unwrap().len(), REGISTRY.len());
+        let too_large = "scale 9 is above the largest workload scale, 8";
+        assert_eq!(build(Some("nope"), MAX_SCALE + 1).unwrap_err(), too_large);
+        assert!(build(None, u32::MAX).is_err());
+        assert_eq!(build(Some("nope"), 1).unwrap_err(), "unknown workload `nope`");
     }
 
     #[test]

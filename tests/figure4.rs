@@ -110,10 +110,15 @@ fn paper_format_trace_round_trips_through_offline_analysis() {
 
 #[test]
 fn binary_format_round_trips_too() {
+    use minic_trace::file::{self, FormatVersion, TraceFile};
     let prog = minic::frontend(FIGURE_4A).unwrap();
     let (_, records) = minic_sim::run(&prog, &minic_sim::SimConfig::default(), &[]).unwrap();
-    let bytes = minic_trace::binary::to_bytes(&records);
-    assert_eq!(minic_trace::binary::from_bytes(&bytes).unwrap(), records);
+    for format in [FormatVersion::V1, FormatVersion::V2] {
+        let mut bytes = Vec::new();
+        file::write_to_with(&mut bytes, &records, format).unwrap();
+        let decoded: Result<Vec<_>, _> = TraceFile::from_bytes(bytes).unwrap().records().collect();
+        assert_eq!(decoded.unwrap(), records, "{format}");
+    }
 }
 
 #[test]

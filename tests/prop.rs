@@ -19,7 +19,7 @@ use foray::{
 };
 use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
 use minic::{CheckpointKind, LoopId};
-use minic_trace::{AccessKind, InstrAddr, Record, SampleState};
+use minic_trace::{AccessKind, FormatVersion, InstrAddr, Record, SampleState, TraceFile};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -159,9 +159,14 @@ proptest! {
 
     #[test]
     fn binary_codec_round_trips(records in proptest::collection::vec(arb_record(), 0..200)) {
-        let bytes = minic_trace::binary::to_bytes(&records);
-        let parsed = minic_trace::binary::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(parsed, records);
+        // Both `.ftrace` versions, over arbitrary `u32` addresses.
+        for format in [FormatVersion::V1, FormatVersion::V2] {
+            let mut bytes = Vec::new();
+            minic_trace::file::write_to_with(&mut bytes, &records, format).unwrap();
+            let file = TraceFile::from_bytes(bytes).unwrap();
+            let parsed: Result<Vec<Record>, _> = file.records().collect();
+            prop_assert_eq!(parsed.unwrap(), records.clone());
+        }
     }
 }
 

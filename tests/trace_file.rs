@@ -6,8 +6,8 @@
 //! pins that promise on three fronts:
 //!
 //! * property tests: arbitrary record streams → `TraceWriter` (random
-//!   block sizes, both formats) → `TraceFile` / `TraceReader` / raw
-//!   `RecordReader` → identical records and identical `Analysis`;
+//!   block sizes, both formats) → `TraceFile` / `TraceReader` →
+//!   identical records and identical `Analysis`;
 //! * corruption: truncation at every structural boundary, bad magic,
 //!   future and unknown versions, flipped v1 payload bytes, flipped
 //!   v2 payload/CRC/index bytes, and index entries that disagree with
@@ -23,7 +23,6 @@
 use foray::{analyze, AnalyzerConfig, FilterConfig, ForayGen, ForayModel};
 use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
 use minic::LoopId;
-use minic_trace::binary::RecordReader;
 use minic_trace::crc::crc32;
 use minic_trace::file::{self, FormatVersion, TraceReader, TraceWriter, HEADER_BYTES};
 use minic_trace::index::ENTRY_BYTES;
@@ -125,10 +124,6 @@ proptest! {
         let tf = TraceFile::from_bytes(frame_with(format, &records, block_bytes)).unwrap();
         let sequential = foray::analyze_source(&tf).unwrap();
         prop_assert_eq!(&sequential, &in_ram);
-        // The raw zero-copy decoder (no framing) agrees too.
-        let raw = minic_trace::binary::to_bytes(&records);
-        let from_raw = foray::analyze_source(RecordReader::new(&raw)).unwrap();
-        prop_assert_eq!(&from_raw, &in_ram);
     }
 
     #[test]
@@ -358,7 +353,7 @@ fn workload_traces_replay_byte_identically_from_disk() {
 
     // The batch fan-out sees the same analyses, in path order, for any
     // worker count — v1 and v2 files mixed in one batch.
-    for workers in [1usize, 3, 0] {
+    for workers in [1usize, 2, 3, 0] {
         let results = foray::analyze_trace_files(&paths, workers, &AnalyzerConfig::default());
         assert_eq!(results.len(), expected.len());
         for ((result, want), path) in results.into_iter().zip(&expected).zip(&paths) {

@@ -38,20 +38,19 @@ fn observe(
     (result, sink.into_records())
 }
 
-/// Asserts full observable equality of one program run under both engines
-/// (with `config`'s other settings): the same trace bytes, or on an error
-/// the same prefix before it, and then the same outcome or the same error
-/// variant and message. Returns the agreed records and result.
+/// Asserts full observable equality of one program run under both engines:
+/// the same records, or on an error the same prefix before it, and then
+/// the same outcome or the same error variant and message. Returns the
+/// agreed records and result.
 fn assert_programs_agree(
     name: &str,
     prog: &Program,
-    config: &SimConfig,
     inputs: &[i64],
 ) -> (Vec<Record>, Result<SimOutcome, RuntimeError>) {
-    let (tree, tr) = observe(prog, &SimConfig { engine: Engine::Tree, ..config.clone() }, inputs);
-    let (vm, vr) = observe(prog, &SimConfig { engine: Engine::Vm, ..config.clone() }, inputs);
-    // Byte-identity covers access records *and* checkpoints.
-    if minic_trace::binary::to_bytes(&tr) != minic_trace::binary::to_bytes(&vr) {
+    let (tree, tr) = observe(prog, &config(Engine::Tree), inputs);
+    let (vm, vr) = observe(prog, &config(Engine::Vm), inputs);
+    // Identity covers access records *and* checkpoints.
+    if tr != vr {
         let at = tr.iter().zip(&vr).position(|(a, b)| a != b).map_or_else(
             || format!("lengths {} vs {}", tr.len(), vr.len()),
             |i| format!("record {i}: {:?} vs {:?}", tr[i], vr[i]),
@@ -83,7 +82,7 @@ fn assert_programs_agree(
 /// 0 when both engines fail alike.
 fn assert_engines_agree(name: &str, src: &str, inputs: &[i64]) -> usize {
     let prog = minic::frontend(src).expect("program compiles");
-    match assert_programs_agree(name, &prog, &SimConfig::default(), inputs) {
+    match assert_programs_agree(name, &prog, inputs) {
         (records, Ok(_)) => records.len(),
         (_, Err(_)) => 0,
     }
@@ -111,14 +110,6 @@ fn pipeline_end_to_end_identical() {
         assert_eq!(tree.code, vm.code, "{}: emitted model code", w.name);
         assert_eq!(tree.hints.len(), vm.hints.len(), "{}: inline hints", w.name);
     }
-}
-
-#[test]
-fn call_overhead_off_is_also_identical() {
-    let w = foray_workloads::by_name("gsmc", Params::default()).unwrap();
-    let cfg = SimConfig { model_call_overhead: false, ..SimConfig::default() };
-    let (_, result) = assert_programs_agree("gsmc", &w.frontend().unwrap(), &cfg, &w.inputs);
-    result.expect("gsmc runs");
 }
 
 #[test]
@@ -152,7 +143,7 @@ fn error_paths_match_the_oracle() {
     let fault = |name: &str, src: &str| {
         let mut prog = minic::parse(src).expect("parses");
         minic::check(&mut prog).expect("checks");
-        let (records, result) = assert_programs_agree(name, &prog, &SimConfig::default(), &[]);
+        let (records, result) = assert_programs_agree(name, &prog, &[]);
         result.expect_err(name);
         records
     };
@@ -168,7 +159,7 @@ fn error_paths_match_the_oracle() {
 fn step_limit_guards_both_engines() {
     let prog = minic::frontend("void main() { while (1) { } }").unwrap();
     for engine in [Engine::Tree, Engine::Vm] {
-        let cfg = SimConfig { max_steps: 10_000, engine, ..SimConfig::default() };
+        let cfg = SimConfig { max_steps: 10_000, engine };
         assert_eq!(
             minic_sim::run(&prog, &cfg, &[]),
             Err(RuntimeError::StepLimitExceeded),

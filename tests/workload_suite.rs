@@ -272,4 +272,6 @@ fn batch_report_is_byte_identical_across_runs() {
     assert_eq!(first, second, "thread scheduling leaked into the batch report");
     let serial = render_batch(&foray::analyze_batch(&jobs, 1));
     assert_eq!(first, serial, "the pooled batch differs from the one-worker batch");
+    let two = render_batch(&foray::analyze_batch(&jobs, 2));
+    assert_eq!(two, serial, "the two-worker batch differs from the one-worker batch");
 }
