@@ -1306,18 +1306,12 @@ mod tests {
             &["trace", "x.mc", "--format", "binary", "-o", &out_s],
             &["trace", "x.mc", "-o", &out_s, "--jobs", "3"],
             &["trace", "record", "x.mc", "-o", &out_s, "--format", "text"],
-            &["dse", "x.mc"],
             &["serve", "--socket", "/tmp/f.sock", "extra"],
-            &["client", "--socket", "/tmp/f.sock"],
             &["client", "--socket", "/tmp/f.sock", "bogus"],
             &["client", "--socket", "/tmp/f.sock", "ping", "extra"],
             &["model", "x.mc", "y.mc"],
             &["model", "x.mc", "--nexec"],
-            &["serve", "--socket", "/tmp/a", "--tcp", "h:1"],
-            &["client", "--socket", "/tmp/f.sock", "submit", "--priority", "10"],
             &["model", "x.mc", "--scale", "4294967296"],
-            &["dse", "--capacities", "abc"],
-            &["dse", "--capacities", ","],
         ] {
             std::fs::remove_file(&out).ok();
             assert!(matches!(run(&owned(argv)), Err(CliError::Usage(_))), "{argv:?}");
@@ -1325,31 +1319,37 @@ mod tests {
         }
     }
 
+    /// Checks that `argv` parses to `cmd` with the options `want`.
+    fn check(argv: &[&str], cmd: Cmd, want: Opts) {
+        let (got_cmd, got) = parse(&owned(argv)).unwrap_or_else(|e| panic!("{argv:?}: {e:?}"));
+        assert_eq!((got_cmd, format!("{got:?}")), (cmd, format!("{want:?}")), "{argv:?}");
+    }
+
+    /// `case!(line, Cmd, field: value, ..)`: `line`, split at spaces,
+    /// parses to `Cmd` with those fields set and every other option at its
+    /// default.
+    macro_rules! case {
+        ($line:expr, $cmd:ident $(, $($field:ident).+ : $value:expr)*) => {{
+            let mut want = Opts::default();
+            $(want.$($field).+ = $value;)*
+            check(&$line.split(' ').collect::<Vec<_>>(), Cmd::$cmd, want);
+        }};
+    }
+
+    fn models(names: &[&str]) -> Vec<(String, EnergyModel)> {
+        names.iter().map(|m| (m.to_string(), EnergyModel::preset(m).unwrap())).collect()
+    }
+
     #[test]
     fn documented_command_lines_parse_to_their_values() {
         // Every command line in README, CI and the verify skill, with the
         // options it set before the flag table; the rest keep their
         // defaults.
-        fn check(line: &str, cmd: Cmd, want: Opts) {
-            let argv: Vec<String> = line.split(' ').map(str::to_owned).collect();
-            let (got_cmd, got) = parse(&argv).unwrap_or_else(|e| panic!("{line}: {e:?}"));
-            assert_eq!((got_cmd, format!("{got:?}")), (cmd, format!("{want:?}")), "{line}");
-        }
-        macro_rules! case {
-            ($line:expr, $cmd:ident $(, $($field:ident).+ : $value:expr)*) => {{
-                let mut want = Opts::default();
-                $(want.$($field).+ = $value;)*
-                check($line, Cmd::$cmd, want);
-            }};
-        }
         let s = |v: &str| Some(v.to_owned());
         let fig4 = || s("examples/figure4.mc");
         let six = FilterConfig { n_exec: 6, n_loc: 6 };
         let sock = || Some(ServeAddr::Unix("/tmp/forayd.sock".into()));
         let grid = || vec![256, 512, 1024, 2048, 4096];
-        let models = |names: &[&str]| -> Vec<(String, EnergyModel)> {
-            names.iter().map(|m| (m.to_string(), EnergyModel::preset(m).unwrap())).collect()
-        };
         case!("model examples/figure4.mc --nexec 6 --nloc 6", Model, arg: fig4(), filter: six);
         case!("report examples/figure4.mc --nexec 6 --nloc 6", Report, arg: fig4(), filter: six);
         case!("annotate examples/figure4.mc", Annotate, arg: fig4());
@@ -1386,8 +1386,6 @@ mod tests {
         case!("model --workload histoc --engine vm", Model, workload: s("histoc"));
         case!("model --workload histoc --engine tree", Model,
             workload: s("histoc"), engine: Engine::Tree);
-        case!("report x.mc --nexec 5 --nloc 5 --inputs 1,2,3", Report, arg: s("x.mc"),
-            filter: FilterConfig { n_exec: 5, n_loc: 5 }, inputs: Some(vec![1, 2, 3]));
         case!("dse --workloads all --capacities 256,512,1024,2048,4096 --jobs 4 \
                --json dse-pareto.json --check", Dse,
             space.capacities: grid(), jobs: 4, json: s("dse-pareto.json"), check: true);
@@ -1395,18 +1393,10 @@ mod tests {
                small-spm,large-spm --jobs 4 --json pareto.json --check", Dse,
             space.capacities: grid(), space.models: models(&["small-spm", "large-spm"]),
             jobs: 4, json: s("pareto.json"), check: true);
-        case!("dse --workloads fftc,adpcmc --capacities 512,256 --models small-spm --jobs 3 \
-               --check", Dse,
-            workloads: vec!["fftc".into(), "adpcmc".into()], space.capacities: vec![512, 256],
-            space.models: models(&["small-spm"]), jobs: 3, check: true);
         case!("dse --scale 2 --jobs 2 --json PATH --check", Dse,
             scale: 2, jobs: 2, json: s("PATH"), check: true);
         case!("serve --socket /tmp/forayd.sock --workers 2", Serve,
             addr: sock(), serve.workers: 2);
-        case!("serve --socket /tmp/f.sock --workers 3 --queue 9 --cache 7 --spill /tmp/spill",
-            Serve, addr: Some(ServeAddr::Unix("/tmp/f.sock".into())), serve.workers: 3,
-            serve.queue_capacity: 9, serve.cache_entries: 7, serve.spill_dir: Some("/tmp/spill".into()));
-        case!("serve --tcp 127.0.0.1:0", Serve, addr: Some(ServeAddr::Tcp("127.0.0.1:0".into())));
         case!("client --socket /tmp/forayd.sock ping", Ping, addr: sock());
         case!("client --socket /tmp/forayd.sock stats", Stats, addr: sock());
         case!("client --socket /tmp/forayd.sock shutdown", Shutdown, addr: sock());
@@ -1414,33 +1404,93 @@ mod tests {
             addr: sock(), workload: s("fftc"));
         case!("client --socket /tmp/forayd.sock submit --workload lamec --scale 40", Submit,
             addr: sock(), workload: s("lamec"), scale: 40);
-        case!("client --socket /tmp/forayd.sock submit --workload fftc --scale 2 --kind report \
-               --sample every:4 --engine tree --priority 5 --no-wait", Submit,
-            addr: sock(), workload: s("fftc"), scale: 2, kind: JobKind::Report,
-            sample: SampleSpec::EveryNth { n: 4 }, engine: Engine::Tree, priority: 5, no_wait: true);
-        case!("client --socket /tmp/forayd.sock wait j3 --timeout-ms 250", Wait,
-            addr: sock(), arg: s("j3"), timeout_ms: Some(250));
-        // The defaults themselves.
+    }
+
+    /// Asserts that each command line is a usage error.
+    fn usage_error(argvs: &[&[&str]]) {
+        for argv in argvs {
+            assert!(matches!(run(&owned(argv)), Err(CliError::Usage(_))), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn options_parse() {
+        let path = write_temp("opts", PROG);
+        let argv = ["report", &path, "--nexec", "5", "--nloc", "5", "--inputs", "1,2,3"];
+        let want = Opts {
+            arg: Some(path.clone()),
+            filter: FilterConfig { n_exec: 5, n_loc: 5 },
+            inputs: Some(vec![1, 2, 3]),
+            ..Opts::default()
+        };
+        check(&argv, Cmd::Report, want);
+        assert!(run(&owned(&argv)).is_ok());
+    }
+
+    #[test]
+    fn dse_options_parse_with_defaults_and_overrides() {
         let (_, o) = parse(&owned(&["dse"])).unwrap();
+        assert_eq!(o.workloads, vec!["all"]);
         assert_eq!(o.space.capacities, vec![256, 512, 1024, 2048, 4096, 8192]);
         assert_eq!(o.space.models, models(foray_spm::energy::PRESET_NAMES));
-        assert_eq!((o.jobs, o.check, o.workloads), (0, false, vec!["all".to_owned()]));
+        assert_eq!((o.jobs, o.check), (0, false));
+        case!("dse --workloads fftc,adpcmc --capacities 512,256 --models small-spm --jobs 3 \
+               --check", Dse,
+            workloads: vec!["fftc".into(), "adpcmc".into()], space.capacities: vec![512, 256],
+            space.models: models(&["small-spm"]), jobs: 3, check: true);
+        // Bad or empty lists are usage errors, and dse takes no file argument.
+        usage_error(&[
+            &["dse", "--capacities", "abc"],
+            &["dse", "--capacities", ","],
+            &["dse", "x.mc"],
+        ]);
+    }
+
+    #[test]
+    fn serve_options_parse() {
+        case!("serve --socket /tmp/f.sock --workers 3 --queue 9 --cache 7 --spill /tmp/spill",
+            Serve, addr: Some(ServeAddr::Unix("/tmp/f.sock".into())), serve.workers: 3,
+            serve.queue_capacity: 9, serve.cache_entries: 7, serve.spill_dir: Some("/tmp/spill".into()));
+        case!("serve --tcp 127.0.0.1:0", Serve, addr: Some(ServeAddr::Tcp("127.0.0.1:0".into())));
+        let (_, o) = parse(&owned(&["serve", "--tcp", "127.0.0.1:0"])).unwrap();
         let ServeConfig { workers, queue_capacity, cache_entries, .. } = o.serve;
-        assert_eq!((workers, queue_capacity, cache_entries), (1, 64, 128));
-        // A submit spec needs exactly one input.
+        assert_eq!((workers, queue_capacity, cache_entries), (1, 64, 128), "defaults");
+        // The address is mandatory and exclusive, and a value flag needs its
+        // value: each fails before the daemon starts.
+        usage_error(&[
+            &["serve"],
+            &["serve", "--socket", "/tmp/a", "--tcp", "h:1"],
+            &["serve", "--socket", "/tmp/a", "--workers"],
+        ]);
+    }
+
+    #[test]
+    fn client_options_parse_and_build_specs() {
+        let s = |v: &str| Some(v.to_owned());
+        let sock = || Some(ServeAddr::Unix("/tmp/f.sock".into()));
+        let submit = "client --socket /tmp/f.sock submit --workload fftc --scale 2 --kind report \
+                      --sample every:4 --engine tree --priority 5 --no-wait";
+        case!(submit, Submit,
+            addr: sock(), workload: s("fftc"), scale: 2, kind: JobKind::Report,
+            sample: SampleSpec::EveryNth { n: 4 }, engine: Engine::Tree, priority: 5, no_wait: true);
+        case!("client --socket /tmp/f.sock wait j3 --timeout-ms 250", Wait,
+            addr: sock(), arg: s("j3"), timeout_ms: Some(250));
+        // The spec carries the options, and needs exactly one input.
         let spec = |argv: &[&str]| job_spec(&parse(&owned(argv)).unwrap().1);
-        let s = spec(&["client", "--tcp", "h:1", "submit", "--workload", "fftc", "--kind", "dse"]);
-        let s = s.unwrap();
-        assert_eq!(
-            (s.input, s.kind),
-            (foray_serve::JobInput::Workload("fftc".into()), JobKind::Dse)
-        );
+        let s = spec(&submit.split(' ').collect::<Vec<_>>()).unwrap();
+        assert_eq!(s.input, foray_serve::JobInput::Workload("fftc".to_owned()));
+        assert_eq!((s.kind, s.scale, s.engine, s.priority), (JobKind::Report, 2, Engine::Tree, 5));
         for argv in [
             &["client", "--tcp", "h:1", "submit", "--workload", "fftc", "--trace", "/t.ftrace"][..],
             &["client", "--tcp", "h:1", "submit"],
         ] {
             assert!(matches!(spec(argv), Err(CliError::Usage(_))), "{argv:?}");
         }
+        // A missing action and an out-of-range priority are usage errors.
+        usage_error(&[
+            &["client", "--socket", "/tmp/f.sock"],
+            &["client", "--socket", "/tmp/f.sock", "submit", "--priority", "10"],
+        ]);
     }
 
     #[test]
