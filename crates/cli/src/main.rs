@@ -617,9 +617,13 @@ fn cmd_trace_analyze(o: &Opts) -> Result<(), CliError> {
         return Err(usage("trace analyze needs a FILE.ftrace argument"));
     };
     let config = AnalyzerConfig { sample: o.sample, ..AnalyzerConfig::default() };
+    let runtime = |e: minic_trace::ReadError| CliError::Runtime(e.to_string());
+    let mut file =
+        std::fs::File::open(path).map_err(|e| usage(format!("cannot read `{path}`: {e}")))?;
     let analysis = if let Some(loop_id) = o.from_loop {
-        let file =
-            minic_trace::TraceFile::open(path).map_err(|e| CliError::Runtime(e.to_string()))?;
+        let mut bytes = Vec::new();
+        std::io::Read::read_to_end(&mut file, &mut bytes).map_err(|e| runtime(e.into()))?;
+        let file = minic_trace::TraceFile::from_bytes(bytes).map_err(runtime)?;
         if file.index().is_none() {
             return Err(CliError::Runtime(format!(
                 "`{path}` is a foray-trace/{} file without a checkpoint index; \
@@ -634,13 +638,11 @@ fn cmd_trace_analyze(o: &Opts) -> Result<(), CliError> {
         };
         foray::analyze_source_with(records, config)
     } else {
-        let file =
-            std::fs::File::open(path).map_err(|e| usage(format!("cannot read `{path}`: {e}")))?;
-        let reader = minic_trace::TraceReader::new(std::io::BufReader::new(file))
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
+        let reader =
+            minic_trace::TraceReader::new(std::io::BufReader::new(file)).map_err(runtime)?;
         foray::analyze_source_with(reader, config)
     }
-    .map_err(|e| CliError::Runtime(e.to_string()))?;
+    .map_err(runtime)?;
     print!("{}", foray::codegen::emit(&ForayModel::extract(&analysis, &o.filter)));
     Ok(())
 }
@@ -807,7 +809,9 @@ fn job_spec(o: &Opts) -> Result<foray_serve::JobSpec, CliError> {
 }
 
 fn cmd_client(cmd: Cmd, o: &Opts) -> Result<(), CliError> {
-    let mut client = foray_serve::Client::connect(addr(o)?)?;
+    let addr = addr(o)?;
+    let mut client = foray_serve::Client::connect(addr)
+        .map_err(|e| CliError::Runtime(format!("cannot connect to {addr}: {e}")))?;
     let job = || o.arg.as_deref().ok_or_else(|| usage(format!("{} needs a job id", cmd.name())));
     let reply = match cmd {
         Cmd::Submit if !o.no_wait => {

@@ -173,8 +173,27 @@ fn usage_and_compile_errors_map_to_distinct_exit_codes() {
     let unknown = foray_gen(&["model", fixture.to_str().unwrap(), "--jobs", "3"]);
     assert_eq!(unknown.status.code(), Some(1), "an unknown flag is a usage error");
 
+    let missing = std::env::temp_dir().join("foray_cli_smoke_missing.ftrace");
+    let missing = missing.to_str().unwrap();
+    for from_loop in [&[][..], &["--from-loop", "0"]] {
+        let out = foray_gen(&[&["trace", "analyze", missing][..], from_loop].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "a missing trace is a usage error: {stderr}");
+        assert!(stderr.contains(&format!("cannot read `{missing}`")), "{stderr}");
+    }
+
     let broken = std::env::temp_dir().join("foray_cli_smoke_broken.mc");
     std::fs::write(&broken, "void main() {").unwrap();
     let compile = foray_gen(&["model", broken.to_str().unwrap()]);
     assert_eq!(compile.status.code(), Some(2), "parse failure is a compile error");
+}
+
+#[test]
+fn client_without_a_daemon_names_the_connect_step_and_address() {
+    let socket = std::env::temp_dir().join("foray_cli_smoke_no_daemon.sock");
+    let socket = socket.to_str().unwrap();
+    let out = foray_gen(&["client", "--socket", socket, "ping"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains(&format!("cannot connect to unix:{socket}: ")), "{stderr}");
 }

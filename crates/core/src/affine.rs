@@ -184,22 +184,32 @@ impl AffineState {
         if !self.non_analyzable {
             let d = it - self.itp[0];
             match self.coeffs[0] {
-                Some(c) => {
-                    let indc = self.indp + c * d;
-                    if indc != ind {
-                        self.mispredict(Iters::Inner(it), ind, indc);
-                    }
-                }
-                None if d == 0 => {
-                    if self.indp != ind {
-                        self.mispredict(Iters::Inner(it), ind, self.indp);
-                    }
-                }
+                Some(c) => self.predict_inner(it, ind, self.indp + c * d),
+                None if d == 0 => self.predict_inner(it, ind, self.indp),
                 None => self.solve(Iters::Inner(it), 0, 0, ind),
             }
         }
         self.itp[0] = it;
         self.indp = ind;
+    }
+
+    /// Step 5's check and Step 6 for an innermost-only execution predicted
+    /// at `indc`. A collapsed window (`M == 0`) is repaired here: `M` only
+    /// falls in Step 6 (from `N ≥ 1` on this path) and `S` only gains bits,
+    /// so `M == 0` means `S_2..S_N` are set, and Step 6 then only counts,
+    /// re-bases `CONST` and may set `S_1`, leaving `M` at 0.
+    #[inline(always)]
+    fn predict_inner(&mut self, it: i64, ind: i64, indc: i64) {
+        if indc == ind {
+            return;
+        }
+        if self.m == 0 {
+            self.mispredictions += 1;
+            self.konst += ind - indc;
+            self.s[0] |= it == self.itp[0];
+        } else {
+            self.mispredict(Iters::Inner(it), ind, indc);
+        }
     }
 
     /// Counts one execution and its address.
@@ -237,7 +247,9 @@ impl AffineState {
     }
 
     /// Step 6: re-base CONST and shrink the partial window to the
-    /// iterators that changed in *every* misprediction so far.
+    /// iterators that changed in *every* misprediction so far. An
+    /// innermost-only execution whose window has already collapsed takes
+    /// the inline repair in `predict_inner` instead.
     #[cold]
     fn mispredict(&mut self, iters: Iters<'_>, ind: i64, indc: i64) {
         self.mispredictions += 1;
@@ -473,6 +485,38 @@ mod tests {
         assert!(st.is_full());
         assert_eq!(st.mispredictions(), 0);
         assert_eq!(st.footprint(), 64);
+    }
+
+    /// Feeds `steps` (innermost iterator, address; the outer iterators stay
+    /// at `outer`) through `observe_inner` and through `observe`, and
+    /// checks the two states stay equal, `S` included.
+    fn inner_matches_full(outer: &[i64], first: (i64, u32), steps: &[(i64, u32)]) -> AffineState {
+        let iters = |it: i64| [&[it][..], outer].concat();
+        let n = 1 + outer.len() as u32;
+        let mut full = AffineState::first(n, &iters(first.0), first.1);
+        let mut inner = full.clone();
+        for &(it, addr) in steps {
+            full.observe(&iters(it), addr);
+            inner.observe_inner(it, addr);
+            assert_eq!(inner, full, "diverged at iterator {it}, address {addr:#x}");
+        }
+        inner
+    }
+
+    #[test]
+    fn collapsed_window_repair_matches_the_full_step_6() {
+        // C1 = 4 is solved, then a jump with the innermost iterator moving
+        // collapses M to 0 with S_1 unset; the same iterator re-executing
+        // at a new address must set S_1, as the full Step 6 does.
+        let st = inner_matches_full(&[7], (0, 100), &[(1, 104), (2, 500), (2, 900), (3, 1000)]);
+        assert_eq!(st.window(), 0);
+        assert_eq!(st.mispredictions(), 3);
+        // With C1 unknown, a repeated iterator at new addresses takes the
+        // `d == 0` arm: once through the cold Step 6, then the repair.
+        let st = inner_matches_full(&[0, 3], (0, 100), &[(0, 200), (0, 300), (0, 300), (0, 40)]);
+        assert_eq!(st.window(), 0);
+        assert_eq!(st.mispredictions(), 3);
+        assert_eq!(st.coefficients(), &[None, None, None]);
     }
 
     #[test]

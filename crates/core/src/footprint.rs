@@ -5,12 +5,23 @@
 //! access, the single largest line item on the analyzer hot path. Real
 //! reference footprints are extremely local (affine references walk
 //! arrays), so this set stores membership as 64-address bitmap pages keyed
-//! by `addr >> 6`, with the most recent page cached inline: a strided
-//! reference pays a register `OR` per access and only touches the page
-//! store on a *page transition*. The store itself exploits the same
-//! locality twice over: pages near the reference's first flushed page live
-//! in a dense `Vec<u64>` span (a transition is two indexed loads), and
-//! only pages beyond `DENSE_SPAN` fall back to a hash map.
+//! by `addr >> 6`. Every page lives in exactly one of three stores:
+//!
+//! * the **dense span**, a `Vec<u64>` of up to `DENSE_SPAN` consecutive
+//!   pages, updated in place: an access inside it is one indexed `OR`;
+//! * the **far page**, a one-page cache for the latest page outside the
+//!   span, so a reference running past the span touches the hash map only
+//!   when it changes page;
+//! * the **spill**, a hash map holding every other page outside the span.
+//!
+//! A reference's first page is its far page, so a one-page footprint (a
+//! scalar, a fixed address) never allocates; the next page outside the far
+//! page anchors the span. The span grows toward a page up to `DENSE_SPAN`
+//! pages above its base, or re-anchors below its base while the whole span
+//! still fits; a page beyond that becomes the far page, and the previous
+//! far page moves to the spill. Growing or re-anchoring adopts the far page
+//! and every spilled page the span now covers, which keeps the three stores
+//! disjoint.
 //!
 //! The representation is observationally identical to a `HashSet<u32>`:
 //! only cardinality ([`Footprint::len`]), membership, unioning, and
@@ -21,34 +32,46 @@ use crate::fasthash::FastMap;
 
 /// Widest page span (in 64-address pages) the dense vector may cover —
 /// 64 Ki addresses, an 8 KiB bitmap when fully grown. References that
-/// stray farther from their anchor spill to the hash map.
+/// stray farther from their anchor use the far page and the spill.
 const DENSE_SPAN: usize = 1024;
 
 /// Extra downward slack (in pages) taken when the span re-anchors below
 /// `base`, so descending walks prepend in chunks instead of per page.
 const DOWN_SLACK: usize = 64;
 
-/// A set of `u32` addresses as 64-bit bitmap pages with a one-page inline
-/// cache (see the module docs).
-#[derive(Debug, Clone, Default)]
+/// Marks "no far page"; page indices stop at `u32::MAX >> 6`.
+const NO_PAGE: u32 = u32::MAX;
+
+/// A set of `u32` addresses as 64-bit bitmap pages in a dense span, one far
+/// page and a spill map (see the module docs).
+#[derive(Debug, Clone)]
 pub struct Footprint {
     /// First page of the dense span (meaningful once `dense` is
-    /// non-empty; anchored by the first page flush).
+    /// non-empty).
     base: u32,
-    /// Bitmaps for pages `base .. base + dense.len()`. An entry may be a
-    /// stale *subset* of the true page (the rest lives in `cur_bits` or
-    /// arrived in `spill` before a re-anchor); every reader ORs sources.
+    /// Bitmaps for pages `base .. base + dense.len()`.
     dense: Vec<u64>,
-    /// Pages outside the dense span. Monotone under insert, so a stale
-    /// entry is always a subset of the dense/cached bits for that page.
+    /// The far page ([`NO_PAGE`] if none); never inside the span.
+    far_page: u32,
+    /// The far page's bitmap.
+    far_bits: u64,
+    /// Every other page outside the span.
     spill: FastMap<u32, u64>,
-    /// Cached page index (bits live in `cur_bits`, a superset of any
-    /// stored entry for the same page).
-    cur_page: u32,
-    /// Cached page bitmap.
-    cur_bits: u64,
     /// Exact cardinality, maintained on insert.
     len: u64,
+}
+
+impl Default for Footprint {
+    fn default() -> Footprint {
+        Footprint {
+            base: 0,
+            dense: Vec::new(),
+            far_page: NO_PAGE,
+            far_bits: 0,
+            spill: FastMap::default(),
+            len: 0,
+        }
+    }
 }
 
 impl Footprint {
@@ -57,83 +80,119 @@ impl Footprint {
         Footprint::default()
     }
 
-    /// Inserts an address. O(1); touches the page store only on a page
-    /// transition.
+    /// Inserts an address. O(1); touches the hash map only when a page
+    /// outside the span replaces the far page.
     #[inline]
     pub fn insert(&mut self, addr: u32) {
         let page = addr >> 6;
-        if page != self.cur_page {
-            self.switch_page(page);
-        }
+        let i = page.wrapping_sub(self.base) as usize;
+        let bits = if i < self.dense.len() {
+            &mut self.dense[i]
+        } else if page == self.far_page {
+            &mut self.far_bits
+        } else {
+            self.place(page)
+        };
         let mask = 1u64 << (addr & 63);
-        if self.cur_bits & mask == 0 {
-            self.cur_bits |= mask;
+        if *bits & mask == 0 {
+            *bits |= mask;
             self.len += 1;
         }
     }
 
-    /// Flushes the cached page and loads `page` into the cache.
+    /// The store for `page`, which is neither in the span nor the far page:
+    /// the span, if it can cover `page`, else the far page, whose previous
+    /// page moves to the spill.
     #[cold]
-    fn switch_page(&mut self, page: u32) {
-        if self.cur_bits != 0 {
-            let cur = self.cur_page;
-            let bits = self.cur_bits;
-            *self.slot(cur) = bits;
+    fn place(&mut self, page: u32) -> &mut u64 {
+        if let Some(i) = self.cover(page) {
+            return &mut self.dense[i];
         }
-        self.cur_page = page;
-        self.cur_bits = self.load(page);
+        if self.far_page != NO_PAGE {
+            self.spill.insert(self.far_page, self.far_bits);
+        }
+        self.far_page = page;
+        self.far_bits = self.spill.remove(&page).unwrap_or(0);
+        &mut self.far_bits
     }
 
-    /// The store location for `page`, growing or re-anchoring the dense
-    /// span when the page is within `DENSE_SPAN` of it.
-    fn slot(&mut self, page: u32) -> &mut u64 {
-        if self.dense.is_empty() {
-            // First flush anchors the span.
+    /// Grows or re-anchors the span to cover `page` (outside it) and
+    /// returns its index there; `None` if `page` is out of reach, or is the
+    /// first page, which goes to the far page.
+    fn cover(&mut self, page: u32) -> Option<usize> {
+        let i = if self.dense.is_empty() {
+            if self.far_page == NO_PAGE {
+                return None;
+            }
             self.base = page;
             self.dense.resize(8.min(DENSE_SPAN), 0);
-            return &mut self.dense[0];
-        }
-        if page >= self.base {
-            let idx = (page - self.base) as usize;
-            if idx < self.dense.len() {
-                return &mut self.dense[idx];
+            0
+        } else if page >= self.base {
+            let i = (page - self.base) as usize;
+            if i >= DENSE_SPAN {
+                return None;
             }
-            if idx < DENSE_SPAN {
-                let want = (idx + 1).next_power_of_two().min(DENSE_SPAN);
-                self.dense.resize(want, 0);
-                return &mut self.dense[idx];
-            }
+            self.dense.resize((i + 1).next_power_of_two().min(DENSE_SPAN), 0);
+            i
         } else {
             let shift = (self.base - page) as usize;
-            if shift + self.dense.len() <= DENSE_SPAN {
-                // Re-anchor downward with slack so a descending walk
-                // prepends in chunks, not per page.
-                let slack =
-                    (DENSE_SPAN - shift - self.dense.len()).min(DOWN_SLACK).min(page as usize);
-                let grow = shift + slack;
-                self.dense.splice(0..0, std::iter::repeat_n(0, grow));
-                self.base -= grow as u32;
-                return &mut self.dense[slack];
+            if shift + self.dense.len() > DENSE_SPAN {
+                return None;
             }
-        }
-        self.spill.entry(page).or_insert(0)
+            // Re-anchor downward with slack so a descending walk prepends
+            // in chunks, not per page.
+            let slack = (DENSE_SPAN - shift - self.dense.len()).min(DOWN_SLACK).min(page as usize);
+            self.dense.splice(0..0, std::iter::repeat_n(0, shift + slack));
+            self.base -= (shift + slack) as u32;
+            slack
+        };
+        self.adopt();
+        Some(i)
     }
 
-    /// The full stored bitmap for `page` (dense ∪ spill; the cache is the
-    /// caller's concern).
-    fn load(&self, page: u32) -> u64 {
-        let mut bits = 0;
-        if page >= self.base {
-            if let Some(&d) = self.dense.get((page - self.base) as usize) {
-                bits = d;
-            }
+    /// Moves the far page and every spilled page the span covers into it.
+    fn adopt(&mut self) {
+        let span = self.base..self.base + self.dense.len() as u32;
+        if span.contains(&self.far_page) {
+            self.dense[(self.far_page - span.start) as usize] = self.far_bits;
+            self.far_page = NO_PAGE;
+            self.far_bits = 0;
         }
         if !self.spill.is_empty() {
-            if let Some(&s) = self.spill.get(&page) {
-                bits |= s;
-            }
+            let dense = &mut self.dense;
+            self.spill.retain(|&page, &mut bits| {
+                let inside = span.contains(&page);
+                if inside {
+                    dense[(page - span.start) as usize] = bits;
+                }
+                !inside
+            });
         }
-        bits
+    }
+
+    /// The bitmap of `page`, from whichever store holds it.
+    fn page_bits(&self, page: u32) -> u64 {
+        let i = page.wrapping_sub(self.base) as usize;
+        if i < self.dense.len() {
+            self.dense[i]
+        } else if page == self.far_page {
+            self.far_bits
+        } else {
+            self.spill.get(&page).copied().unwrap_or(0)
+        }
+    }
+
+    /// Every non-empty page with its bitmap, each page once.
+    fn pages(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let base = self.base;
+        let far = (self.far_page != NO_PAGE).then_some((self.far_page, self.far_bits));
+        self.dense
+            .iter()
+            .enumerate()
+            .map(move |(i, &bits)| (base + i as u32, bits))
+            .chain(self.spill.iter().map(|(&page, &bits)| (page, bits)))
+            .chain(far)
+            .filter(|&(_, bits)| bits != 0)
     }
 
     /// Number of distinct addresses inserted.
@@ -148,21 +207,12 @@ impl Footprint {
 
     /// Membership test.
     pub fn contains(&self, addr: u32) -> bool {
-        let page = addr >> 6;
-        let bits = if page == self.cur_page { self.cur_bits } else { self.load(page) };
-        bits & (1u64 << (addr & 63)) != 0
-    }
-
-    /// The canonical page map: every source ORed in, empty pages dropped.
-    fn merged(&self) -> FastMap<u32, u64> {
-        let mut m = FastMap::default();
-        self.union_into(&mut m);
-        m
+        self.page_bits(addr >> 6) & (1u64 << (addr & 63)) != 0
     }
 
     /// Iterates all member addresses (unordered across pages).
-    pub fn iter(&self) -> impl Iterator<Item = u32> {
-        self.merged().into_iter().flat_map(|(page, bits)| {
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.pages().flat_map(|(page, bits)| {
             (0u32..64).filter(move |b| bits & (1u64 << b) != 0).map(move |b| (page << 6) | b)
         })
     }
@@ -170,18 +220,8 @@ impl Footprint {
     /// ORs this set's pages into a page-map accumulator — the bulk union
     /// the Table III report rows build per reference class.
     pub fn union_into(&self, acc: &mut FastMap<u32, u64>) {
-        for (i, &bits) in self.dense.iter().enumerate() {
-            if bits != 0 {
-                *acc.entry(self.base + i as u32).or_insert(0) |= bits;
-            }
-        }
-        for (&page, &bits) in &self.spill {
-            if bits != 0 {
-                *acc.entry(page).or_insert(0) |= bits;
-            }
-        }
-        if self.cur_bits != 0 {
-            *acc.entry(self.cur_page).or_insert(0) |= self.cur_bits;
+        for (page, bits) in self.pages() {
+            *acc.entry(page).or_insert(0) |= bits;
         }
     }
 
@@ -193,9 +233,10 @@ impl Footprint {
 
 impl PartialEq for Footprint {
     fn eq(&self, other: &Footprint) -> bool {
-        // Cache states may differ between observationally equal sets
-        // (different last-touched pages), so compare canonical forms.
-        self.len == other.len && self.merged() == other.merged()
+        // Equal sets may keep a page in different stores (the span anchors
+        // where each set's second page fell). Equal sizes plus every page
+        // of `self` matching in `other` make the sets equal.
+        self.len == other.len && self.pages().all(|(page, bits)| other.page_bits(page) == bits)
     }
 }
 
@@ -204,6 +245,7 @@ impl Eq for Footprint {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn insert_len_contains_roundtrip() {
@@ -224,8 +266,8 @@ mod tests {
 
     #[test]
     fn page_zero_is_a_real_page() {
-        // The cache starts at page 0 with no bits; inserting to another
-        // page first must not materialize a phantom page-0 entry.
+        // Page 0 is an ordinary page: inserting to another page first must
+        // not materialize a phantom page-0 entry.
         let mut fp = Footprint::new();
         fp.insert(1000);
         assert_eq!(fp.iter().count(), 1);
@@ -238,8 +280,8 @@ mod tests {
 
     #[test]
     fn equality_ignores_cache_state() {
-        // Same members, different insertion order => different cached
-        // pages, equal sets.
+        // Same members, different insertion order => different far pages
+        // and span anchors, equal sets.
         let mut a = Footprint::new();
         let mut b = Footprint::new();
         for addr in [10u32, 1000, 10] {
@@ -272,9 +314,9 @@ mod tests {
 
     #[test]
     fn spilled_and_reanchored_pages_agree_with_a_hash_set() {
-        // Far jumps force spill entries, descending runs force downward
-        // re-anchors, and revisits hit pages that live in both stores
-        // (spill entries going stale as subsets of later dense bits).
+        // Far jumps force far-page switches and spill entries, descending
+        // runs force downward re-anchors, and revisits reload spilled
+        // pages as the far page.
         let mut fp = Footprint::new();
         let mut reference = std::collections::HashSet::new();
         let mut ins = |fp: &mut Footprint, addr: u32| {
@@ -301,6 +343,124 @@ mod tests {
         let mut acc = FastMap::default();
         fp.union_into(&mut acc);
         assert_eq!(Footprint::union_len(&acc), want.len() as u64);
+    }
+
+    /// Address of byte `off` of page `n` above an arbitrary anchor region.
+    fn at(n: u32, off: u32) -> u32 {
+        ((0x4_0000 + n) << 6) | off
+    }
+
+    /// Checks `fp` against `want` through every reader, and that each page
+    /// lives in exactly one store.
+    fn assert_same_set(fp: &Footprint, want: &HashSet<u32>) {
+        assert_eq!(fp.len(), want.len() as u64);
+        let mut got: Vec<u32> = fp.iter().collect();
+        got.sort_unstable();
+        let mut sorted: Vec<u32> = want.iter().copied().collect();
+        sorted.sort_unstable();
+        assert_eq!(got, sorted);
+        for &addr in &sorted {
+            assert!(fp.contains(addr), "{addr:#x} must be a member");
+            let next = addr.wrapping_add(1);
+            assert_eq!(fp.contains(next), want.contains(&next), "{next:#x}");
+        }
+        let mut acc = FastMap::default();
+        fp.union_into(&mut acc);
+        assert_eq!(Footprint::union_len(&acc), want.len() as u64);
+        // The same set built in another order lays its pages out
+        // differently and is still equal; one more member breaks that.
+        let mut other = Footprint::new();
+        for &addr in sorted.iter().rev() {
+            other.insert(addr);
+        }
+        assert_eq!(fp, &other);
+        assert_eq!(&other, fp);
+        other.insert((0..).find(|a| !want.contains(a)).unwrap());
+        assert_ne!(fp, &other);
+        // One store per page.
+        let span = fp.base..fp.base + fp.dense.len() as u32;
+        assert!(!span.contains(&fp.far_page), "far page {} inside the span", fp.far_page);
+        for &page in fp.spill.keys() {
+            assert!(!span.contains(&page), "spilled page {page} inside the span");
+            assert_ne!(page, fp.far_page, "page {page} both far and spilled");
+        }
+    }
+
+    /// Inserts into both sets.
+    fn insert(fp: &mut Footprint, want: &mut HashSet<u32>, addr: u32) {
+        fp.insert(addr);
+        want.insert(addr);
+    }
+
+    #[test]
+    fn span_growth_adopts_spilled_and_far_pages() {
+        let (mut fp, mut want) = (Footprint::new(), HashSet::new());
+        insert(&mut fp, &mut want, at(200, 5)); // the first page: far
+        insert(&mut fp, &mut want, at(100, 0)); // anchors the span at 100
+        insert(&mut fp, &mut want, at(5000, 0)); // out of reach: page 200 spills
+        assert_eq!(fp.spill.get(&(0x4_0000 + 200)), Some(&(1 << 5)));
+        assert_same_set(&fp, &want);
+        insert(&mut fp, &mut want, at(300, 0)); // grows the span over 200
+        assert!(fp.spill.is_empty(), "page 200 is adopted");
+        assert_same_set(&fp, &want);
+        insert(&mut fp, &mut want, at(200, 5)); // counted once
+        insert(&mut fp, &mut want, at(200, 6));
+        assert_same_set(&fp, &want);
+
+        let (mut fp, mut want) = (Footprint::new(), HashSet::new());
+        insert(&mut fp, &mut want, at(150, 2)); // far
+        insert(&mut fp, &mut want, at(100, 0)); // anchors the span at 100
+        insert(&mut fp, &mut want, at(120, 0)); // grows to 100..132
+        assert_eq!(fp.far_page, 0x4_0000 + 150);
+        insert(&mut fp, &mut want, at(140, 0)); // grows to 100..164
+        assert_eq!(fp.far_page, NO_PAGE, "page 150 is adopted");
+        insert(&mut fp, &mut want, at(150, 2)); // counted once
+        assert_same_set(&fp, &want);
+    }
+
+    #[test]
+    fn downward_reanchor_adopts_the_far_page() {
+        let (mut fp, mut want) = (Footprint::new(), HashSet::new());
+        insert(&mut fp, &mut want, at(100, 9)); // far
+        insert(&mut fp, &mut want, at(110, 0)); // anchors the span at 110
+        assert_eq!(fp.far_page, 0x4_0000 + 100);
+        assert_same_set(&fp, &want);
+        insert(&mut fp, &mut want, at(105, 0)); // re-anchors below 100
+        assert_eq!(fp.far_page, NO_PAGE, "page 100 is adopted");
+        assert_same_set(&fp, &want);
+        insert(&mut fp, &mut want, at(100, 9));
+        insert(&mut fp, &mut want, at(100, 63));
+        assert_same_set(&fp, &want);
+    }
+
+    #[test]
+    fn far_page_switch_and_revisit() {
+        let (mut fp, mut want) = (Footprint::new(), HashSet::new());
+        insert(&mut fp, &mut want, at(0, 1));
+        insert(&mut fp, &mut want, at(1, 1)); // anchors the span at 1
+        for round in 0..3 {
+            for far in [3000, 9000, 3000, 20_000] {
+                insert(&mut fp, &mut want, at(far, round));
+                insert(&mut fp, &mut want, at(far, 40));
+                assert_same_set(&fp, &want);
+            }
+            insert(&mut fp, &mut want, at(0, round + 7)); // the first far page, spilled
+            assert_same_set(&fp, &want);
+        }
+    }
+
+    #[test]
+    fn sequential_sweep_runs_past_the_span() {
+        let (mut fp, mut want) = (Footprint::new(), HashSet::new());
+        let end = (DENSE_SPAN as u32 + 100) * 64;
+        for pass in 0..2 {
+            for off in (0..end).step_by(4) {
+                insert(&mut fp, &mut want, at(0, 0) + off + pass);
+            }
+            assert_eq!(fp.dense.len(), DENSE_SPAN);
+            assert!(!fp.spill.is_empty());
+            assert_same_set(&fp, &want);
+        }
     }
 
     #[test]

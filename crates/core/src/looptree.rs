@@ -18,7 +18,9 @@
 //!
 //! The tree also stamps every iterator change with a tick, so the analyzer
 //! can tell in O(1) whether any loop enclosing the current node moved since
-//! a reference last ran (see `LoopTree::inner_iter_since`).
+//! a reference last ran (see `LoopTree::inner_iter_since`), and it remembers
+//! the node the last body-end left, so a loop's back edge (body-end, then
+//! body-begin of the same loop) lands without walking the path.
 
 use minic::{CheckpointKind, LoopId};
 
@@ -109,10 +111,15 @@ pub struct LoopTree {
     /// Iterator changes so far; bumped once per LoopBegin or BodyBegin.
     tick: u64,
     stamps: Vec<Stamp>,
+    /// The node the last body-end popped out of (the root before any).
+    /// Nodes are never removed and never change parent or loop id, so a
+    /// stale value is only a missed shortcut, never a wrong landing.
+    exited: NodeId,
 }
 
 /// Two trees are equal when their structure, statistics and walker
-/// position are; the change stamps are walk bookkeeping and stay out.
+/// position are; the change stamps and `exited` are walk bookkeeping and
+/// stay out.
 impl PartialEq for LoopTree {
     fn eq(&self, other: &Self) -> bool {
         self.nodes == other.nodes && self.current == other.current
@@ -135,6 +142,7 @@ impl LoopTree {
             current: ROOT,
             tick: 0,
             stamps: vec![Stamp::default()],
+            exited: ROOT,
         }
     }
 
@@ -284,7 +292,20 @@ impl LoopTree {
                 self.land(child);
             }
             CheckpointKind::BodyBegin => {
-                let target = self.find_for_body(loop_id);
+                // The back edge: `find_for_body` checks the current node's
+                // own id first, then its child for `loop_id`. When the
+                // current node is not that loop and `exited` is that loop
+                // under it, the child is `exited` (a node's children have
+                // distinct loop ids).
+                let e = self.node(self.exited);
+                let target = if e.loop_id == Some(loop_id)
+                    && e.parent == Some(self.current)
+                    && self.node(self.current).loop_id != Some(loop_id)
+                {
+                    self.exited
+                } else {
+                    self.find_for_body(loop_id)
+                };
                 let node = &mut self.nodes[target.0 as usize];
                 node.iter += 1;
                 node.total_iters += 1;
@@ -303,6 +324,7 @@ impl LoopTree {
                 while let Some(nid) = cur {
                     if self.node(nid).loop_id == Some(loop_id) {
                         self.current = self.node(nid).parent.unwrap_or(ROOT);
+                        self.exited = nid;
                         return;
                     }
                     cur = self.node(nid).parent;
@@ -329,6 +351,9 @@ impl LoopTree {
     /// child of the current node, or (for robustness against malformed
     /// streams) the nearest ancestor satisfying either — otherwise a fresh
     /// child of the current node.
+    // Out of line: the checkpoint path is inlined into the VM's sink call,
+    // and the back edge above takes most body-begins.
+    #[inline(never)]
     fn find_for_body(&mut self, loop_id: LoopId) -> NodeId {
         let mut cur = Some(self.current);
         while let Some(nid) = cur {
@@ -529,6 +554,23 @@ mod tests {
         assert_eq!(tree.len(), 2);
         let n = tree.node(ROOT).child(LoopId(0)).unwrap();
         assert_eq!(tree.node(n).entries, 3);
+    }
+
+    #[test]
+    fn back_edge_of_a_self_nested_loop_lands_on_the_outer_node() {
+        // After BE0 the walker is on the outer L0 node and `exited` is the
+        // inner one, which has loop id 0 and the current node as parent;
+        // the current node is itself L0, so the body-begin lands there.
+        let mut tree = LoopTree::new();
+        feed(&mut tree, &[(0, LB), (0, LB), (0, BB), (0, BE)]);
+        let outer = tree.node(ROOT).child(LoopId(0)).unwrap();
+        let inner = tree.node(outer).child(LoopId(0)).unwrap();
+        assert_eq!(tree.current(), outer);
+        feed(&mut tree, &[(0, BB)]);
+        assert_eq!(tree.current(), outer);
+        assert_eq!(tree.node(outer).iter, 0);
+        assert_eq!(tree.node(inner).iter, 0, "the inner node ran one body");
+        assert_eq!(tree.node(inner).total_iters, 1);
     }
 
     #[test]

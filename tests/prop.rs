@@ -249,16 +249,120 @@ fn arb_event() -> impl Strategy<Value = Event> {
     ]
 }
 
-/// Expands events into records, walking a loop tree alongside so affine
-/// addresses follow the iterators the analyzer will see.
+/// One node of [`NaiveTree`], with the fields `foray::looptree::Node`
+/// exposes.
+#[derive(Debug, Clone, PartialEq)]
+struct NaiveNode {
+    parent: Option<usize>,
+    loop_id: Option<LoopId>,
+    depth: u32,
+    iter: i64,
+    entries: u64,
+    total_iters: u64,
+    max_trip: u64,
+}
+
+impl NaiveNode {
+    fn new(parent: Option<usize>, loop_id: Option<LoopId>, depth: u32) -> Self {
+        NaiveNode { parent, loop_id, depth, iter: -1, entries: 0, total_iters: 0, max_trip: 0 }
+    }
+}
+
+/// Algorithm 2 written straight from the landing table in
+/// docs/ARCHITECTURE.md ("Unbalanced checkpoint streams"), sharing no code
+/// with `foray::LoopTree`: nodes in creation order (index 0 is the root),
+/// children found by scanning every node, no shortcuts.
+struct NaiveTree {
+    nodes: Vec<NaiveNode>,
+    current: usize,
+}
+
+impl NaiveTree {
+    fn new() -> Self {
+        NaiveTree { nodes: vec![NaiveNode::new(None, None, 0)], current: 0 }
+    }
+
+    fn find_child(&self, parent: usize, loop_id: LoopId) -> Option<usize> {
+        self.nodes.iter().position(|n| n.parent == Some(parent) && n.loop_id == Some(loop_id))
+    }
+
+    /// The child of the current node for `loop_id`, created on first sight.
+    fn child_of_current(&mut self, loop_id: LoopId) -> usize {
+        let parent = self.current;
+        self.find_child(parent, loop_id).unwrap_or_else(|| {
+            let depth = self.nodes[parent].depth + 1;
+            self.nodes.push(NaiveNode::new(Some(parent), Some(loop_id), depth));
+            self.nodes.len() - 1
+        })
+    }
+
+    /// The current node and its ancestors, innermost first.
+    fn path(&self) -> Vec<usize> {
+        std::iter::successors(Some(self.current), |&n| self.nodes[n].parent).collect()
+    }
+
+    fn checkpoint(&mut self, loop_id: LoopId, kind: CheckpointKind) {
+        match kind {
+            LoopBegin => {
+                let c = self.child_of_current(loop_id);
+                self.nodes[c].iter = -1;
+                self.nodes[c].entries += 1;
+                self.current = c;
+            }
+            BodyBegin => {
+                // The first node walking up that is `loop_id` or has a child
+                // for it: that node or that child; else a new child of the
+                // current node, counted as one entry.
+                let found = self.path().into_iter().find_map(|n| {
+                    if self.nodes[n].loop_id == Some(loop_id) {
+                        Some(n)
+                    } else {
+                        self.find_child(n, loop_id)
+                    }
+                });
+                let target = found.unwrap_or_else(|| {
+                    let c = self.child_of_current(loop_id);
+                    self.nodes[c].entries += 1;
+                    c
+                });
+                let node = &mut self.nodes[target];
+                node.iter += 1;
+                node.total_iters += 1;
+                node.max_trip = node.max_trip.max(node.iter as u64 + 1);
+                self.current = target;
+            }
+            BodyEnd => {
+                // The parent of the nearest node on the path that is
+                // `loop_id`; off the path, the walker stays.
+                if let Some(n) =
+                    self.path().into_iter().find(|&n| self.nodes[n].loop_id == Some(loop_id))
+                {
+                    self.current = self.nodes[n].parent.expect("a loop node has a parent");
+                }
+            }
+        }
+    }
+
+    /// The current node's loop iterators, innermost first.
+    fn iterators(&self) -> Vec<i64> {
+        self.path()
+            .into_iter()
+            .filter(|&n| self.nodes[n].loop_id.is_some())
+            .map(|n| self.nodes[n].iter)
+            .collect()
+    }
+}
+
+/// Expands events into records, walking the naive loop tree alongside so
+/// affine addresses follow the iterators the analyzer will see.
 struct StreamBuilder {
-    tree: LoopTree,
+    tree: NaiveTree,
     records: Vec<Record>,
 }
 
 impl StreamBuilder {
     fn checkpoint(&mut self, loop_id: u32, kind: CheckpointKind) {
-        self.tree.on_checkpoint(LoopId(loop_id), kind);
+        self.tree.checkpoint(LoopId(loop_id), kind);
         self.records.push(Record::checkpoint(loop_id, kind));
     }
 
@@ -268,7 +372,7 @@ impl StreamBuilder {
         let base = 0x1000_0000i64 + 0x1_0000 * i64::from(site);
         let addr = match mode {
             0..=2 => {
-                let iters = self.tree.iterators(self.tree.current());
+                let iters = self.tree.iterators();
                 let coeff = |j: usize| 4 * ((i64::from(site) * 5 + j as i64 * 3) % 7) - 12;
                 base + iters.iter().enumerate().map(|(j, it)| coeff(j) * it).sum::<i64>()
             }
@@ -283,7 +387,7 @@ impl StreamBuilder {
 }
 
 fn build_stream(events: &[Event]) -> Vec<Record> {
-    let mut b = StreamBuilder { tree: LoopTree::new(), records: Vec::new() };
+    let mut b = StreamBuilder { tree: NaiveTree::new(), records: Vec::new() };
     for e in events {
         match e {
             Event::Checkpoint(l, k) => b.checkpoint(*l, [LoopBegin, BodyBegin, BodyEnd][*k]),
@@ -328,25 +432,25 @@ struct NaiveRef {
     writes: u64,
 }
 
-/// Algorithms 2 and 3 from public parts only: its own loop tree, the full
-/// iterator vector at every accepted access, and one `AffineState` per
+/// Algorithms 2 and 3 from public parts only: the naive loop tree, the
+/// full iterator vector at every accepted access, and one `AffineState` per
 /// `(node, instruction)`.
-fn naive_analysis(records: &[Record], sample: SampleSpec) -> (LoopTree, Vec<NaiveRef>, u64) {
-    let mut tree = LoopTree::new();
+fn naive_analysis(records: &[Record], sample: SampleSpec) -> (NaiveTree, Vec<NaiveRef>, u64) {
+    let mut tree = NaiveTree::new();
     let mut sampler = SampleState::new(sample);
     let mut refs: Vec<NaiveRef> = Vec::new();
     let mut index: HashMap<(NodeId, InstrAddr), usize> = HashMap::new();
     let mut accesses = 0;
     for r in records {
         match r {
-            Record::Checkpoint { loop_id, kind } => tree.on_checkpoint(*loop_id, *kind),
+            Record::Checkpoint { loop_id, kind } => tree.checkpoint(*loop_id, *kind),
             Record::Access(a) => {
                 if !sampler.accept(a) {
                     continue;
                 }
                 accesses += 1;
-                let node = tree.current();
-                let iters = tree.iterators(node);
+                let node = NodeId(tree.current as u32);
+                let iters = tree.iterators();
                 let i = match index.get(&(node, a.instr)) {
                     Some(&i) => {
                         refs[i].state.observe(&iters, a.addr.0);
@@ -370,6 +474,27 @@ fn naive_analysis(records: &[Record], sample: SampleSpec) -> (LoopTree, Vec<Naiv
     (tree, refs, accesses)
 }
 
+/// Asserts `tree` equals the naive one node by node, through the public
+/// accessors.
+fn assert_same_tree(tree: &LoopTree, naive: &NaiveTree) -> Result<(), TestCaseError> {
+    prop_assert_eq!(tree.len(), naive.nodes.len());
+    for (i, want) in naive.nodes.iter().enumerate() {
+        let node = tree.node(NodeId(i as u32));
+        let got = NaiveNode {
+            parent: node.parent.map(|p| p.0 as usize),
+            loop_id: node.loop_id,
+            depth: node.depth,
+            iter: node.iter,
+            entries: node.entries,
+            total_iters: node.total_iters,
+            max_trip: node.max_trip,
+        };
+        prop_assert_eq!(&got, want, "node {}", i);
+    }
+    prop_assert_eq!(tree.current(), NodeId(naive.current as u32));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -388,7 +513,7 @@ proptest! {
                 let config = AnalyzerConfig { sample, lookup };
                 let got = analyze_with(&records, config);
                 prop_assert_eq!(got.accesses(), accesses);
-                prop_assert_eq!(got.tree(), &tree);
+                assert_same_tree(got.tree(), &tree)?;
                 let got: Vec<NaiveRef> = got
                     .refs()
                     .iter()
