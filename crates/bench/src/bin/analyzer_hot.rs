@@ -147,7 +147,7 @@ fn main() {
         args.iters
     );
 
-    let hash_config = AnalyzerConfig { lookup: LookupStrategy::Hash, ..AnalyzerConfig::default() };
+    let hash_config = AnalyzerConfig { lookup: LookupStrategy::Hash };
     let (nest_1x, nest_16x, depth_1, depth_6) = (nest(64), nest(1024), deep(1), deep(6));
     let mut rows = [
         Row::new("bare", &records),

@@ -6,35 +6,61 @@
 //! error.
 //!
 //! Exit codes: 0 success, 1 usage error, 2 compile error, 3 runtime error.
+//! A reader that closes stdout early (`foray-gen report … | head -1`) ends
+//! the command quietly with 0.
 
-use foray::{AnalyzerConfig, Engine, FilterConfig, ForayGen, ForayModel, SampleSpec};
+use foray::{Engine, FilterConfig, ForayGen, ForayModel};
 use foray_serve::{JobKind, Response, ServeAddr, ServeConfig};
 use foray_spm::{EnergyModel, SpmDesignSpace};
 use minic_trace::FormatVersion;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}\n");
-            eprintln!("{USAGE}");
-            ExitCode::from(1)
+    let mut out = Stdout { out: std::io::BufWriter::new(std::io::stdout().lock()), closed: false };
+    let ran = run(&args, &mut out);
+    // Flushed before any error line, so the two streams keep their order.
+    let flushed = out.flush().map_err(CliError::Io);
+    let (code, msg) = match ran.and(flushed) {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(CliError::Io(e)) if e.kind() == ErrorKind::BrokenPipe && out.closed => {
+            return ExitCode::SUCCESS
         }
-        Err(CliError::Compile(msg)) => {
-            eprintln!("compile error: {msg}");
-            ExitCode::from(2)
-        }
-        Err(CliError::Runtime(msg)) => {
-            eprintln!("runtime error: {msg}");
-            ExitCode::from(3)
-        }
-        Err(CliError::Io(e)) => {
-            eprintln!("i/o error: {e}");
-            ExitCode::from(3)
-        }
+        Err(CliError::Usage(msg)) => (1, format!("error: {msg}\n\n{USAGE}")),
+        Err(CliError::Compile(msg)) => (2, format!("compile error: {msg}")),
+        Err(CliError::Runtime(msg)) => (3, format!("runtime error: {msg}")),
+        Err(CliError::Io(e)) => (3, format!("i/o error: {e}")),
+    };
+    // A closed stderr must not turn the exit code into a panic.
+    let _ = writeln!(std::io::stderr(), "{msg}");
+    ExitCode::from(code)
+}
+
+/// Stdout, locked and buffered once for the whole command. It notes a
+/// write that found the pipe closed, so `main` can tell a reader that
+/// stopped early from a failed socket or file.
+struct Stdout {
+    out: std::io::BufWriter<std::io::StdoutLock<'static>>,
+    closed: bool,
+}
+
+impl Stdout {
+    fn note<T>(&mut self, result: std::io::Result<T>) -> std::io::Result<T> {
+        self.closed |= result.as_ref().is_err_and(|e| e.kind() == ErrorKind::BrokenPipe);
+        result
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let written = self.out.write(buf);
+        self.note(written)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let flushed = self.out.flush();
+        self.note(flushed)
     }
 }
 
@@ -54,7 +80,7 @@ const USAGE: &str = "usage:
   foray-gen client   (--socket PATH | --tcp HOST:PORT) ACTION [flags]
                      ACTION: submit (--workload NAME [--scale N] | <prog.mc> |
                              --trace FILE.ftrace) [--kind model|report|dse]
-                             [--nexec N] [--nloc N] [--sample S] [--engine E]
+                             [--nexec N] [--nloc N] [--engine E]
                              [--inputs v,v,..] [--priority 0-9] [--no-wait]
                            | wait JOB [--timeout-ms N] | poll JOB
                            | stats | ping | shutdown
@@ -72,11 +98,6 @@ trace file flags:
   --from-loop N  for `trace analyze`: seek to loop N via the v2 checkpoint
               index and analyze from its first checkpoint (needs a v2
               file written with the index)
-
-sampling (model/report/spm/trace, trace record, trace analyze):
-  --sample S  deterministic access sampling: every:N | warmup:N |
-              reservoir:N[:SEED] | full (default); checkpoints always pass,
-              and the same program + spec always yields the same model
 
 profiling flags (model/report/trace/spm):
   --engine E  execution engine: `vm` (compiled bytecode, default) or `tree`
@@ -195,7 +216,6 @@ struct Opts {
     scale: u32,
     filter: FilterConfig,
     inputs: Option<Vec<i64>>,
-    sample: SampleSpec,
     engine: Engine,
     executable: bool,
     output: Option<String>,
@@ -225,7 +245,6 @@ impl Default for Opts {
             scale: 1,
             filter: FilterConfig::default(),
             inputs: None,
-            sample: SampleSpec::default(),
             engine: Engine::default(),
             executable: false,
             output: None,
@@ -276,9 +295,6 @@ const SCALED: &[Cmd] = &[
 ];
 /// Commands that also run the program.
 const RUN: &[Cmd] = &[Cmd::Model, Cmd::Report, Cmd::Trace, Cmd::Record, Cmd::Spm, Cmd::Submit];
-/// Commands that sample the accesses they analyze or record.
-const SAMPLED: &[Cmd] =
-    &[Cmd::Model, Cmd::Report, Cmd::Trace, Cmd::Record, Cmd::Analyze, Cmd::Spm, Cmd::Submit];
 /// Commands that extract a model through the `--nexec`/`--nloc` filter.
 const FILTERED: &[Cmd] = &[Cmd::Model, Cmd::Report, Cmd::Analyze, Cmd::Spm, Cmd::Submit];
 /// Commands that write a trace.
@@ -297,7 +313,6 @@ const FLAGS: &[Flag] = &[
     Flag(&["--scale"], SCALED, Value(|o, v| set(&mut o.scale, num::<u32>(v)?.max(1)))),
     Flag(&["--inputs"], RUN, Value(|o, v| set(&mut o.inputs, Some(ints(v)?)))),
     Flag(&["--engine"], RUN, Value(|o, v| set(&mut o.engine, engine(v)?))),
-    Flag(&["--sample"], SAMPLED, Value(|o, v| set(&mut o.sample, SampleSpec::parse(v)?))),
     Flag(&["--nexec"], FILTERED, Value(|o, v| set(&mut o.filter.n_exec, num(v)?))),
     Flag(&["--nloc"], FILTERED, Value(|o, v| set(&mut o.filter.n_loc, num(v)?))),
     Flag(&["--executable"], &[Cmd::Model], Switch(|o| o.executable = true)),
@@ -466,19 +481,20 @@ fn parse(args: &[String]) -> Result<(Cmd, Opts), CliError> {
     Ok((cmd, o))
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
+/// Runs a command line, writing what it prints to `stdout`.
+fn run(args: &[String], stdout: &mut dyn Write) -> Result<(), CliError> {
     let (cmd, o) = parse(args)?;
     match cmd {
-        Cmd::Model => cmd_model(program(&o)?, &o),
-        Cmd::Report => cmd_report(program(&o)?, &o),
-        Cmd::Trace => cmd_trace(program(&o)?, &o),
-        Cmd::Record => cmd_trace_record(program(&o)?, &o),
-        Cmd::Annotate => cmd_annotate(&program(&o)?.0),
-        Cmd::Spm => cmd_spm(program(&o)?, &o),
-        Cmd::Analyze => cmd_trace_analyze(&o),
-        Cmd::Dse => cmd_dse(&o),
+        Cmd::Model => cmd_model(program(&o)?, &o, stdout),
+        Cmd::Report => cmd_report(program(&o)?, &o, stdout),
+        Cmd::Trace => cmd_trace(program(&o)?, &o, stdout),
+        Cmd::Record => cmd_trace_record(program(&o)?, &o, stdout),
+        Cmd::Annotate => cmd_annotate(&program(&o)?.0, stdout),
+        Cmd::Spm => cmd_spm(program(&o)?, &o, stdout),
+        Cmd::Analyze => cmd_trace_analyze(&o, stdout),
+        Cmd::Dse => cmd_dse(&o, stdout),
         Cmd::Serve => cmd_serve(&o),
-        _ => cmd_client(cmd, &o),
+        _ => cmd_client(cmd, &o, stdout),
     }
 }
 
@@ -508,63 +524,64 @@ fn frontend(src: &str) -> Result<minic::Program, CliError> {
 }
 
 fn pipeline(o: &Opts, inputs: Vec<i64>) -> ForayGen {
-    ForayGen::new()
-        .filter(o.filter)
-        .inputs(inputs)
-        .analyzer(AnalyzerConfig { sample: o.sample, ..AnalyzerConfig::default() })
-        .engine(o.engine)
+    ForayGen::new().filter(o.filter).inputs(inputs).engine(o.engine)
 }
 
-fn cmd_model((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+fn cmd_model(
+    (src, inputs): (String, Vec<i64>),
+    o: &Opts,
+    stdout: &mut dyn Write,
+) -> Result<(), CliError> {
     let out = pipeline(o, inputs).run_source(&src)?;
     if o.executable {
-        print!("{}", foray::codegen::emit_minic(&out.model));
+        write!(stdout, "{}", foray::codegen::emit_minic(&out.model))?;
     } else {
-        print!("{}", out.code);
+        write!(stdout, "{}", out.code)?;
     }
     Ok(())
 }
 
-fn cmd_annotate(src: &str) -> Result<(), CliError> {
-    print!("{}", minic::pretty(&frontend(src)?));
+fn cmd_annotate(src: &str, stdout: &mut dyn Write) -> Result<(), CliError> {
+    write!(stdout, "{}", minic::pretty(&frontend(src)?))?;
     Ok(())
 }
 
 /// Bare `trace`: dump the program's trace in the paper's Fig. 4(c) text
 /// to `-o FILE` or stdout as it runs, through the same [`profile_into`]
 /// as `trace record`, which writes the binary `foray-trace` file.
-fn cmd_trace((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+fn cmd_trace(
+    (src, inputs): (String, Vec<i64>),
+    o: &Opts,
+    stdout: &mut dyn Write,
+) -> Result<(), CliError> {
     let prog = frontend(&src)?;
-    let out: Box<dyn Write> = match &o.output {
-        Some(path) => Box::new(std::fs::File::create(path)?),
-        None => Box::new(std::io::stdout().lock()),
+    let out: Box<dyn Write + '_> = match &o.output {
+        Some(path) => Box::new(std::io::BufWriter::new(std::fs::File::create(path)?)),
+        None => Box::new(stdout),
     };
-    let writer = minic_trace::text::TextWriter::new(std::io::BufWriter::new(out));
-    latched(profile_into(&prog, inputs, o, writer)?.0.io_error())
+    let writer = minic_trace::text::TextWriter::new(out);
+    latched(profile_into(&prog, inputs, o, writer)?.io_error())
 }
 
-/// Profiles `prog` into `writer` behind the `--sample` filter — the one
-/// way `trace` and `trace record` write a trace — and returns the writer
-/// with the accesses seen and kept. On a runtime error the writer never
-/// reaches `finish`, so the partial `-o` file is removed instead of left
-/// for later readers to trip over.
+/// Profiles `prog` into `writer` — the one way `trace` and `trace record`
+/// write a trace — and returns the writer. On a runtime error the writer
+/// never reaches `finish`, so the partial `-o` file is removed instead of
+/// left for later readers to trip over.
 fn profile_into<S: minic_trace::TraceSink>(
     prog: &minic::Program,
     inputs: Vec<i64>,
     o: &Opts,
-    writer: S,
-) -> Result<(S, u64, u64), CliError> {
-    let mut sink = minic_trace::SampleSink::new(o.sample, writer);
+    mut writer: S,
+) -> Result<S, CliError> {
     let config = minic_sim::SimConfig { engine: o.engine, ..minic_sim::SimConfig::default() };
-    if let Err(e) = minic_sim::run_with_sink(prog, &config, &inputs, &mut sink) {
-        drop(sink);
+    if let Err(e) = minic_sim::run_with_sink(prog, &config, &inputs, &mut writer) {
+        drop(writer);
         if let Some(path) = &o.output {
             std::fs::remove_file(path).ok();
         }
         return Err(CliError::Runtime(e.to_string()));
     }
-    let (seen, kept) = (sink.seen(), sink.kept());
-    Ok((sink.into_inner(), seen, kept))
+    Ok(writer)
 }
 
 /// A trace writer's latched I/O error, if any, as the CLI's error.
@@ -576,27 +593,29 @@ fn latched(error: Option<&std::io::Error>) -> Result<(), CliError> {
 }
 
 /// `trace record`: profile the program with a [`minic_trace::TraceWriter`]
-/// riding the simulation as the sink (behind a `--sample` filter), so the
-/// `foray-trace` file (`--trace-format`, v2 by default) is written block
-/// by block without ever materializing the record stream.
-fn cmd_trace_record((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+/// riding the simulation as the sink, so the `foray-trace` file
+/// (`--trace-format`, v2 by default) is written block by block without
+/// ever materializing the record stream.
+fn cmd_trace_record(
+    (src, inputs): (String, Vec<i64>),
+    o: &Opts,
+    stdout: &mut dyn Write,
+) -> Result<(), CliError> {
     let Some(path) = &o.output else {
         return Err(usage("trace record needs -o FILE.ftrace"));
     };
     let prog = frontend(&src)?;
     let file = std::io::BufWriter::new(std::fs::File::create(path)?);
     let writer = minic_trace::TraceWriter::with_format(file, o.trace_format);
-    let (writer, seen, kept) = profile_into(&prog, inputs, o, writer)?;
+    let writer = profile_into(&prog, inputs, o, writer)?;
     latched(writer.io_error())?;
     let records = writer.records_written();
     let bytes = std::fs::metadata(path)?.len();
-    println!(
+    writeln!(
+        stdout,
         "recorded {records} records to {path} ({bytes} bytes, foray-trace/{})",
         o.trace_format
-    );
-    if seen != kept {
-        println!("sampled {kept} of {seen} accesses (--sample {})", o.sample);
-    }
+    )?;
     Ok(())
 }
 
@@ -612,11 +631,10 @@ fn cmd_trace_record((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), C
 /// [`minic_trace::TraceFile`] and the v2 checkpoint index seeks straight
 /// to loop `N`'s region; only the trace suffix from its first checkpoint
 /// is decoded and analyzed.
-fn cmd_trace_analyze(o: &Opts) -> Result<(), CliError> {
+fn cmd_trace_analyze(o: &Opts, stdout: &mut dyn Write) -> Result<(), CliError> {
     let Some(path) = &o.arg else {
         return Err(usage("trace analyze needs a FILE.ftrace argument"));
     };
-    let config = AnalyzerConfig { sample: o.sample, ..AnalyzerConfig::default() };
     let runtime = |e: minic_trace::ReadError| CliError::Runtime(e.to_string());
     let mut file =
         std::fs::File::open(path).map_err(|e| usage(format!("cannot read `{path}`: {e}")))?;
@@ -636,18 +654,22 @@ fn cmd_trace_analyze(o: &Opts) -> Result<(), CliError> {
                 "loop {loop_id} never runs in `{path}` (not covered by the checkpoint index)"
             )));
         };
-        foray::analyze_source_with(records, config)
+        foray::analyze_source(records)
     } else {
         let reader =
             minic_trace::TraceReader::new(std::io::BufReader::new(file)).map_err(runtime)?;
-        foray::analyze_source_with(reader, config)
+        foray::analyze_source(reader)
     }
     .map_err(runtime)?;
-    print!("{}", foray::codegen::emit(&ForayModel::extract(&analysis, &o.filter)));
+    write!(stdout, "{}", foray::codegen::emit(&ForayModel::extract(&analysis, &o.filter)))?;
     Ok(())
 }
 
-fn cmd_report((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+fn cmd_report(
+    (src, inputs): (String, Vec<i64>),
+    o: &Opts,
+    stdout: &mut dyn Write,
+) -> Result<(), CliError> {
     let out = pipeline(o, inputs).run_source(&src)?;
     let mut prog = minic::parse(&src).map_err(|e| CliError::Compile(e.to_string()))?;
     minic::check(&mut prog).map_err(|e| CliError::Compile(e.to_string()))?;
@@ -657,102 +679,114 @@ fn cmd_report((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliErro
     let cmp = foray::CaptureComparison::compute(&out.model, &loops, &st.affine_instrs());
     let mem = foray::MemoryBehavior::compute(&out.analysis, &out.model);
 
-    println!("== FORAY model ==");
-    print!("{}", out.code);
-    println!();
-    println!("== reconstructed loop tree (Algorithm 2) ==");
-    print!("{}", out.analysis.tree().render());
-    println!();
-    println!("== capture ==");
-    println!(
+    writeln!(stdout, "== FORAY model ==")?;
+    write!(stdout, "{}", out.code)?;
+    writeln!(stdout)?;
+    writeln!(stdout, "== reconstructed loop tree (Algorithm 2) ==")?;
+    write!(stdout, "{}", out.analysis.tree().render())?;
+    writeln!(stdout)?;
+    writeln!(stdout, "== capture ==")?;
+    writeln!(
+        stdout,
         "model: {} loops, {} references; statically visible: {} loops, {} references",
         cmp.model_loops, cmp.model_refs, cmp.static_loops, cmp.static_refs
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "not in FORAY form in the source: {:.0}% of loops, {:.0}% of references",
         cmp.pct_loops_not_static(),
         cmp.pct_refs_not_static()
-    );
+    )?;
     if let Some(g) = cmp.gain() {
-        println!("analyzable-reference gain over static analysis: {g:.1}x");
+        writeln!(stdout, "analyzable-reference gain over static analysis: {g:.1}x")?;
     }
-    println!();
-    println!("== memory behaviour ==");
-    println!(
+    writeln!(stdout)?;
+    writeln!(stdout, "== memory behaviour ==")?;
+    writeln!(
+        stdout,
         "accesses: {} total, {} in model ({:.0}%), {} in system library ({:.0}%)",
         mem.total_accesses,
         mem.model_accesses,
         foray::MemoryBehavior::pct(mem.model_accesses, mem.total_accesses),
         mem.lib_accesses,
         foray::MemoryBehavior::pct(mem.lib_accesses, mem.total_accesses),
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "footprint: {} addresses total, {} in model ({:.0}%)",
         mem.total_footprint,
         mem.model_footprint,
         foray::MemoryBehavior::pct(mem.model_footprint, mem.total_footprint),
-    );
-    println!();
-    println!("== back-annotation (Phase III) ==");
+    )?;
+    writeln!(stdout)?;
+    writeln!(stdout, "== back-annotation (Phase III) ==")?;
     for note in foray::srcmap::annotate(&out.model, &out.program) {
         match note.site {
-            Some(s) => println!(
+            Some(s) => writeln!(
+                stdout,
                 "{} -> {} in {}() at {} ({})",
                 note.array,
                 s.base.as_deref().unwrap_or("?"),
                 s.function,
                 s.loc,
                 s.text
-            ),
-            None => println!("{} -> (synthetic traffic, no source site)", note.array),
+            )?,
+            None => writeln!(stdout, "{} -> (synthetic traffic, no source site)", note.array)?,
         }
     }
     if !out.hints.is_empty() {
-        println!();
-        println!("== inlining hints ==");
+        writeln!(stdout)?;
+        writeln!(stdout, "== inlining hints ==")?;
         for h in &out.hints {
-            println!(
+            writeln!(
+                stdout,
                 "duplicate `{}`: loop {} runs in {} contexts ({})",
                 h.function,
                 h.loop_id,
                 h.contexts.len(),
                 h.context_paths.join(" | ")
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_spm((src, inputs): (String, Vec<i64>), o: &Opts) -> Result<(), CliError> {
+fn cmd_spm(
+    (src, inputs): (String, Vec<i64>),
+    o: &Opts,
+    stdout: &mut dyn Write,
+) -> Result<(), CliError> {
     let out = pipeline(o, inputs).run_source(&src)?;
     let flow = foray_spm::SpmFlow::default();
     let report = flow.run(&out.model, o.capacity);
-    println!("== buffer candidates ==");
+    writeln!(stdout, "== buffer candidates ==")?;
     for c in &report.candidates {
-        println!(
+        writeln!(
+            stdout,
             "{} level {}: {} bytes, reuse x{:.1}, savings {:.1} nJ",
             c.array,
             c.level,
             c.size_bytes,
             c.reuse_factor(),
             c.savings_nj(flow.energy())
-        );
+        )?;
     }
-    println!();
-    println!(
+    writeln!(stdout)?;
+    writeln!(
+        stdout,
         "== selection (capacity {} bytes): {} buffers, {} bytes, {:.1} nJ saved ==",
         o.capacity,
         report.selection.chosen.len(),
         report.selection.used_bytes,
         report.selection.savings_nj
-    );
-    println!();
-    println!("== transformed FORAY model ==");
-    print!("{}", report.code);
+    )?;
+    writeln!(stdout)?;
+    writeln!(stdout, "== transformed FORAY model ==")?;
+    write!(stdout, "{}", report.code)?;
     Ok(())
 }
 
-fn cmd_dse(o: &Opts) -> Result<(), CliError> {
+fn cmd_dse(o: &Opts, stdout: &mut dyn Write) -> Result<(), CliError> {
     let workloads = if o.workloads.iter().any(|w| w == "all") {
         foray_workloads::build(None, o.scale).map_err(usage)?
     } else {
@@ -764,7 +798,7 @@ fn cmd_dse(o: &Opts) -> Result<(), CliError> {
     };
     let space = o.space.clone().workloads(workloads.iter().map(|w| w.batch_job(ForayGen::new())));
     let result = space.explore(o.jobs).map_err(|e| CliError::Runtime(e.to_string()))?;
-    print!("{}", result.render_text());
+    write!(stdout, "{}", result.render_text())?;
     if let Some(path) = &o.json {
         std::fs::write(path, result.to_json())?;
     }
@@ -776,9 +810,10 @@ fn cmd_dse(o: &Opts) -> Result<(), CliError> {
 
 fn cmd_serve(o: &Opts) -> Result<(), CliError> {
     let addr = addr(o)?;
-    eprintln!("forayd listening on {addr}");
+    // A closed stderr must not stop the daemon from starting.
+    let _ = writeln!(std::io::stderr(), "forayd listening on {addr}");
     foray_serve::serve(foray_serve::Server::new(o.serve.clone()), addr)?;
-    eprintln!("forayd drained and exited");
+    let _ = writeln!(std::io::stderr(), "forayd drained and exited");
     Ok(())
 }
 
@@ -802,13 +837,12 @@ fn job_spec(o: &Opts) -> Result<foray_serve::JobSpec, CliError> {
         engine: o.engine,
         n_exec: o.filter.n_exec,
         n_loc: o.filter.n_loc,
-        sample: o.sample,
         inputs: o.inputs.clone(),
         priority: o.priority,
     })
 }
 
-fn cmd_client(cmd: Cmd, o: &Opts) -> Result<(), CliError> {
+fn cmd_client(cmd: Cmd, o: &Opts, stdout: &mut dyn Write) -> Result<(), CliError> {
     let addr = addr(o)?;
     let mut client = foray_serve::Client::connect(addr)
         .map_err(|e| CliError::Runtime(format!("cannot connect to {addr}: {e}")))?;
@@ -819,7 +853,7 @@ fn cmd_client(cmd: Cmd, o: &Opts) -> Result<(), CliError> {
             // byte-compare runs (the serve-smoke CI job diffs these).
             let (_hit, payload) =
                 client.run(&job_spec(o)?)?.map_err(|e| CliError::Runtime(e.to_string()))?;
-            print!("{payload}");
+            write!(stdout, "{payload}")?;
             return Ok(());
         }
         Cmd::Submit => client.submit(&job_spec(o)?)?,
@@ -829,7 +863,7 @@ fn cmd_client(cmd: Cmd, o: &Opts) -> Result<(), CliError> {
         Cmd::Ping => client.ping()?,
         _ => client.shutdown()?,
     };
-    print!("{}", reply_text(cmd, reply)?);
+    write!(stdout, "{}", reply_text(cmd, reply)?)?;
     Ok(())
 }
 
@@ -855,6 +889,11 @@ fn reply_text(cmd: Cmd, reply: Response) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs a command line with what it prints discarded.
+    fn run(args: &[String]) -> Result<(), CliError> {
+        super::run(args, &mut std::io::sink())
+    }
 
     fn write_temp(name: &str, content: &str) -> String {
         let path = std::env::temp_dir().join(format!("foray_cli_test_{name}.mc"));
@@ -886,53 +925,6 @@ mod tests {
             let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
             assert!(matches!(run(&args), Err(CliError::Usage(_))), "{argv:?}");
         }
-    }
-
-    #[test]
-    fn sample_flag_parses_and_runs() {
-        let path = write_temp("sample", PROG);
-        let args: Vec<String> =
-            ["model", path.as_str(), "--sample", "every:2"].iter().map(|s| s.to_string()).collect();
-        assert!(run(&args).is_ok());
-        assert_eq!(parse(&args).unwrap().1.sample, SampleSpec::EveryNth { n: 2 });
-        // Default is full analysis; malformed specs are usage errors.
-        assert_eq!(parse(&owned(&["model", "x.mc"])).unwrap().1.sample, SampleSpec::Full);
-        for bad in ["coinflip", "every:0", "every"] {
-            assert!(
-                matches!(
-                    parse(&owned(&["model", "x.mc", "--sample", bad])),
-                    Err(CliError::Usage(_))
-                ),
-                "--sample {bad} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn sampled_record_matches_embedded_sampling() {
-        // Recording a thinned trace and analyzing it in full must equal
-        // analyzing the full trace with the same spec embedded — the
-        // decisions are per-reference, so thinning commutes with analysis.
-        let prog = write_temp("sample_rec", PROG);
-        let ftrace = std::env::temp_dir().join("foray_cli_test_sampled.ftrace");
-        let ftrace_s = ftrace.to_string_lossy().into_owned();
-        let record: Vec<String> =
-            ["trace", "record", prog.as_str(), "-o", &ftrace_s, "--sample", "every:3"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        assert!(run(&record).is_ok());
-        let file = minic_trace::TraceFile::open(&ftrace).unwrap();
-        let thinned = foray::analyze_source(&file).unwrap();
-        let embedded = ForayGen::new()
-            .analyzer(AnalyzerConfig {
-                sample: SampleSpec::EveryNth { n: 3 },
-                ..AnalyzerConfig::default()
-            })
-            .run_source(PROG)
-            .unwrap();
-        assert_eq!(thinned, embedded.analysis);
-        std::fs::remove_file(&ftrace).ok();
     }
 
     #[test]
@@ -1128,35 +1120,27 @@ mod tests {
 
     #[test]
     fn trace_to_file_in_both_formats() {
-        use minic_trace::TraceSink as _;
         // `trace` streams its text dump, and `trace record` its binary
         // `.ftrace` file; the bytes must equal the whole record vector,
-        // thinned, then encoded.
+        // encoded.
         let path = write_temp("trace", PROG);
         let prog = minic::frontend(PROG).unwrap();
         let (_, records) = minic_sim::run(&prog, &minic_sim::SimConfig::default(), &[]).unwrap();
-        for sample in ["full", "every:3"] {
-            let spec = SampleSpec::parse(sample).unwrap();
-            let mut thin = minic_trace::SampleSink::new(spec, minic_trace::VecSink::new());
-            records.iter().for_each(|r| thin.record(r));
-            let thinned = thin.into_inner().into_records();
-            assert_eq!(thinned.len() < records.len(), sample != "full", "{sample}");
-            let mut framed = Vec::new();
-            minic_trace::file::write_to_with(&mut framed, &thinned, Default::default()).unwrap();
-            for (fmt, want) in
-                [("text", minic_trace::text::to_text(&thinned).into_bytes()), ("framed", framed)]
-            {
-                let out = std::env::temp_dir().join(format!("foray_cli_trace.{fmt}"));
-                let out_s = out.to_string_lossy().into_owned();
-                let args = if fmt == "framed" {
-                    owned(&["trace", "record", &path, "-o", &out_s, "--sample", sample])
-                } else {
-                    owned(&["trace", &path, "-o", &out_s, "--sample", sample])
-                };
-                assert!(run(&args).is_ok(), "{args:?}");
-                assert_eq!(std::fs::read(&out).unwrap(), want, "{args:?}");
-                std::fs::remove_file(&out).ok();
-            }
+        let mut framed = Vec::new();
+        minic_trace::file::write_to_with(&mut framed, &records, Default::default()).unwrap();
+        for (fmt, want) in
+            [("text", minic_trace::text::to_text(&records).into_bytes()), ("framed", framed)]
+        {
+            let out = std::env::temp_dir().join(format!("foray_cli_trace.{fmt}"));
+            let out_s = out.to_string_lossy().into_owned();
+            let args = if fmt == "framed" {
+                owned(&["trace", "record", &path, "-o", &out_s])
+            } else {
+                owned(&["trace", &path, "-o", &out_s])
+            };
+            assert!(run(&args).is_ok(), "{args:?}");
+            assert_eq!(std::fs::read(&out).unwrap(), want, "{args:?}");
+            std::fs::remove_file(&out).ok();
         }
     }
 
@@ -1255,7 +1239,6 @@ mod tests {
     fn value_for(flag: &str) -> &'static str {
         match flag {
             "--engine" => "vm",
-            "--sample" => "every:2",
             "--kind" => "report",
             "--models" => "small-spm",
             _ => "1",
@@ -1296,16 +1279,18 @@ mod tests {
                 assert_eq!(msg, format!("`{name}` does not take {}", flag.0[0]), "{argv:?}");
             }
         }
-        // Flags that no command reads, stray arguments, and scales above
-        // the largest: fftc at scale 40 would abort on its allocation and
-        // the corpus at scale 9 would run for minutes, so a usage error
+        // Flags that no command reads, a retired flag (spelt in two parts,
+        // so the tree holds no live use of it), stray arguments, and scales
+        // above the largest: fftc at scale 40 would abort on its allocation
+        // and the corpus at scale 9 would run for minutes, so a usage error
         // here also shows that nothing was built.
+        let retired = format!("--{}", "sample");
         for argv in [
             &["model", "--workload", "fftc", "--scale", "40"][..],
             &["dse", "--scale", "9"],
             &["model", "examples/figure4.mc", "--capacity", "5", "--from-loop", "3"],
             &["model", "x.mc", "--trace-format", "v1", "--format", "binary"],
-            &["annotate", "examples/figure4.mc", "--nexec", "3", "--sample", "every:2"],
+            &["model", "x.mc", retired.as_str(), "every:8"],
             &["annotate", "x.mc", "--engine", "tree"],
             &["trace", "x.mc", "--format", "binary", "-o", &out_s],
             &["trace", "x.mc", "-o", &out_s, "--jobs", "3"],
@@ -1320,6 +1305,28 @@ mod tests {
             std::fs::remove_file(&out).ok();
             assert!(matches!(run(&owned(argv)), Err(CliError::Usage(_))), "{argv:?}");
             assert!(!out.exists(), "{argv:?} created its -o file");
+        }
+        let err = parse(&owned(&["model", "x.mc", &retired, "every:8"])).unwrap_err();
+        assert!(matches!(&err, CliError::Usage(m) if *m == format!("unknown flag `{retired}`")));
+    }
+
+    /// The spellings of a text's `-x` and `--word` flags, in order.
+    fn flag_tokens(text: &str) -> Vec<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|t| {
+                t.starts_with('-') && t.trim_start_matches('-').starts_with(char::is_alphabetic)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_names_every_flag_and_no_other() {
+        let named = flag_tokens(USAGE);
+        for flag in FLAGS {
+            assert!(named.contains(&flag.0[0]), "USAGE does not name {}", flag.0[0]);
+        }
+        for token in named {
+            assert!(FLAGS.iter().any(|f| f.0.contains(&token)), "USAGE names unknown {token}");
         }
     }
 
@@ -1365,13 +1372,6 @@ mod tests {
             arg: fig4(), output: s("fig4.ftrace"));
         case!("trace analyze fig4.ftrace --nexec 6 --nloc 6", Analyze,
             arg: s("fig4.ftrace"), filter: six);
-        case!("report --workload fftc --sample every:8", Report,
-            workload: s("fftc"), sample: SampleSpec::EveryNth { n: 8 });
-        case!("model prog.mc --sample warmup:100", Model,
-            arg: s("prog.mc"), sample: SampleSpec::Warmup { skip: 100 });
-        case!("trace record --workload fftc --sample reservoir:256 -o thin.ftrace", Record,
-            workload: s("fftc"), output: s("thin.ftrace"),
-            sample: SampleSpec::parse("reservoir:256").unwrap());
         case!("trace record --workload fftc -o fftc.ftrace", Record,
             workload: s("fftc"), output: s("fftc.ftrace"));
         case!("trace record --workload fftc --trace-format v2 -o fftc.ftrace", Record,
@@ -1386,6 +1386,7 @@ mod tests {
         case!("trace analyze fftc-cut.ftrace --from-loop 0", Analyze,
             arg: s("fftc-cut.ftrace"), from_loop: Some(0));
         case!("model --workload fftc", Model, workload: s("fftc"));
+        case!("report --workload gsmc --scale 2", Report, workload: s("gsmc"), scale: 2);
         case!("model --workload fftc --scale 0", Model, workload: s("fftc"));
         case!("model --workload histoc --engine vm", Model, workload: s("histoc"));
         case!("model --workload histoc --engine tree", Model,
@@ -1473,10 +1474,10 @@ mod tests {
         let s = |v: &str| Some(v.to_owned());
         let sock = || Some(ServeAddr::Unix("/tmp/f.sock".into()));
         let submit = "client --socket /tmp/f.sock submit --workload fftc --scale 2 --kind report \
-                      --sample every:4 --engine tree --priority 5 --no-wait";
+                      --engine tree --priority 5 --no-wait";
         case!(submit, Submit,
             addr: sock(), workload: s("fftc"), scale: 2, kind: JobKind::Report,
-            sample: SampleSpec::EveryNth { n: 4 }, engine: Engine::Tree, priority: 5, no_wait: true);
+            engine: Engine::Tree, priority: 5, no_wait: true);
         case!("client --socket /tmp/f.sock wait j3 --timeout-ms 250", Wait,
             addr: sock(), arg: s("j3"), timeout_ms: Some(250));
         // The spec carries the options, and needs exactly one input.

@@ -197,3 +197,28 @@ fn client_without_a_daemon_names_the_connect_step_and_address() {
     assert_eq!(out.status.code(), Some(3), "{stderr}");
     assert!(stderr.contains(&format!("cannot connect to unix:{socket}: ")), "{stderr}");
 }
+
+#[test]
+fn a_closed_pipe_ends_the_command_quietly_and_keeps_error_exits() {
+    // The read end is dropped before the child starts, so every write the
+    // child makes to the pipe fails at once with a broken pipe.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let report = Command::new(env!("CARGO_BIN_EXE_foray-gen"))
+        .args(["report", "--workload", "gsmc", "--scale", "2"])
+        .stdout(writer.try_clone().unwrap())
+        .output()
+        .expect("foray-gen binary runs");
+    let stderr = String::from_utf8_lossy(&report.stderr);
+    assert_eq!(report.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // With stderr closed too, a usage error still exits 1, not 101.
+    let analyze = Command::new(env!("CARGO_BIN_EXE_foray-gen"))
+        .args(["trace", "analyze", "/nonexistent.ftrace", "--from-loop", "0"])
+        .stdout(writer.try_clone().unwrap())
+        .stderr(writer)
+        .status()
+        .expect("foray-gen binary runs");
+    assert_eq!(analyze.code(), Some(1));
+}

@@ -177,6 +177,11 @@ impl AffineState {
     /// equal their `ITP`: only the innermost iterator, `it`, may have
     /// changed, so Steps 2–6 run on lane 0 alone. This is the analyzer's
     /// per-access hot path.
+    // Forced inline into `Analyzer::on_access`: left to the compiler it
+    // stayed out of line once that function lost a branch, and dense
+    // analysis of fftc read about 4% slower (`analyzer_hot`, 2-core x86-64
+    // host).
+    #[inline(always)]
     pub(crate) fn observe_inner(&mut self, it: i64, addr: u32) {
         debug_assert!(self.n > 0, "the innermost iterator needs a loop");
         self.count(addr);

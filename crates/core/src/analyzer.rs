@@ -11,9 +11,7 @@ use crate::affine::AffineState;
 use crate::fasthash::FastMap;
 use crate::looptree::{LoopTree, NodeId};
 use minic::{CheckpointKind, LoopId};
-use minic_trace::{
-    layout, Access, AccessKind, InstrAddr, Record, RecordSource, SampleSpec, SampleState, TraceSink,
-};
+use minic_trace::{layout, Access, AccessKind, InstrAddr, Record, RecordSource, TraceSink};
 use std::collections::HashMap;
 
 /// How the analyzer finds the reference record for an incoming access.
@@ -193,7 +191,7 @@ impl Default for Cursor {
 /// never enter an [`Analysis`], output bytes or cache keys.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyzerCounters {
-    /// Accesses analyzed (sampled-out accesses excluded).
+    /// Accesses analyzed: every access in the stream.
     pub accesses: u64,
     /// Accesses whose reference was looked up in the table: predictor
     /// misses under [`LookupStrategy::Dense`], every access under
@@ -225,19 +223,10 @@ impl AnalyzerCounters {
 }
 
 /// Analyzer configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AnalyzerConfig {
     /// Reference lookup strategy.
     pub lookup: LookupStrategy,
-    /// Deterministic access-sampling policy (default: analyze every
-    /// access); see [`minic_trace::sample`].
-    pub sample: SampleSpec,
-}
-
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig { lookup: LookupStrategy::Dense, sample: SampleSpec::Full }
-    }
 }
 
 /// Classification of a static reference by its instruction-address range.
@@ -294,7 +283,6 @@ pub struct Analyzer {
     dense: DenseTables,
     by_key: HashMap<(NodeId, InstrAddr), u32>,
     config: AnalyzerConfig,
-    sample: SampleState,
     iters_buf: Vec<i64>,
     /// Whether `iters_buf` holds the current node's iterator vector. Every
     /// checkpoint invalidates it; it is collected again on demand, at most
@@ -311,8 +299,7 @@ impl Analyzer {
 
     /// Creates an analyzer with an explicit configuration.
     pub fn with_config(config: AnalyzerConfig) -> Self {
-        let sample = SampleState::new(config.sample);
-        Analyzer { config, sample, ..Analyzer::default() }
+        Analyzer { config, ..Analyzer::default() }
     }
 
     /// Feeds a whole pre-recorded trace (offline mode).
@@ -342,12 +329,6 @@ impl Analyzer {
     // x86-64 host).
     #[inline(never)]
     fn on_access(&mut self, a: &Access) {
-        // Sampling lives here, not in a wrapping sink, so online profiling
-        // and every offline replay make the same per-reference decisions
-        // (rejected accesses create no reference).
-        if !self.sample.accept(a) {
-            return;
-        }
         self.counters.accesses += 1;
         let node = self.tree.current();
         // The successor predictor: a hit names the reference without a
@@ -617,10 +598,7 @@ mod tests {
     fn all_lookup_strategies_agree() {
         let trace = figure4_trace();
         let dense = analyze_with(&trace, AnalyzerConfig::default());
-        let hash = analyze_with(
-            &trace,
-            AnalyzerConfig { lookup: LookupStrategy::Hash, ..AnalyzerConfig::default() },
-        );
+        let hash = analyze_with(&trace, AnalyzerConfig { lookup: LookupStrategy::Hash });
         assert_eq!(dense, hash, "Hash diverged from Dense");
     }
 
@@ -638,10 +616,7 @@ mod tests {
             t.push(Record::checkpoint(0, BE));
         }
         let dense = analyze_with(&t, AnalyzerConfig::default());
-        let hash = analyze_with(
-            &t,
-            AnalyzerConfig { lookup: LookupStrategy::Hash, ..AnalyzerConfig::default() },
-        );
+        let hash = analyze_with(&t, AnalyzerConfig { lookup: LookupStrategy::Hash });
         assert_eq!(dense, hash);
         assert_eq!(dense.refs().len(), 5);
     }
@@ -664,10 +639,7 @@ mod tests {
             }
         }
         let dense = analyze_with(&t, AnalyzerConfig::default());
-        let hash = analyze_with(
-            &t,
-            AnalyzerConfig { lookup: LookupStrategy::Hash, ..AnalyzerConfig::default() },
-        );
+        let hash = analyze_with(&t, AnalyzerConfig { lookup: LookupStrategy::Hash });
         assert_eq!(dense, hash);
         assert_eq!(dense.refs().len(), 2, "one reference per inlined context");
     }

@@ -136,21 +136,19 @@ impl StableHasher {
 }
 
 impl AnalyzerConfig {
-    /// Feeds every analyzer-configuration field **that can change the
-    /// analysis output bytes** into `h`: `sample`, the deterministic
-    /// sampling policy (hashed as its canonical `--sample` spelling, which
-    /// round-trips through [`minic_trace::SampleSpec::parse`]).
+    /// Feeds the analyzer's share of a cache key into `h`: two constants,
+    /// `analyzer.track_footprint` as `true` and `analyzer.sample` as
+    /// `full`. Footprint tracking and access sampling were once settings;
+    /// both are gone, and feeding their old defaults keeps every cache key
+    /// byte-identical to the keys computed while they existed.
     ///
-    /// `lookup` is excluded on purpose: every lookup strategy is proven
-    /// to produce the same analysis (the analyzer's lookup-equivalence
-    /// tests), so keying on it would only fragment a result cache.
-    ///
-    /// `analyzer.track_footprint` is fed as the constant `true`, which
-    /// keeps every cache key byte-identical to the keys computed when
-    /// footprint tracking was a setting.
+    /// `lookup`, the one setting left, is excluded on purpose: every
+    /// lookup strategy is proven to produce the same analysis (the
+    /// analyzer's lookup-equivalence tests), so keying on it would only
+    /// fragment a result cache.
     pub fn stable_digest(&self, h: &mut StableHasher) {
         h.field_bool("analyzer.track_footprint", true);
-        h.field_str("analyzer.sample", &self.sample.to_string());
+        h.field_str("analyzer.sample", "full");
     }
 }
 
@@ -166,7 +164,6 @@ impl FilterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minic_trace::SampleSpec;
 
     #[test]
     fn digests_are_stable_across_hashers() {
@@ -215,15 +212,10 @@ mod tests {
         };
         // The lookup strategy is determinism-covered: no cache
         // fragmentation.
-        assert_eq!(
-            hex(&base),
-            hex(&AnalyzerConfig { lookup: crate::LookupStrategy::Hash, ..base.clone() })
-        );
-        // Sampling changes which accesses the analyzer sees: must miss.
-        assert_ne!(
-            hex(&base),
-            hex(&AnalyzerConfig { sample: SampleSpec::EveryNth { n: 2 }, ..base })
-        );
+        assert_eq!(hex(&base), hex(&AnalyzerConfig { lookup: crate::LookupStrategy::Hash }));
+        // The constant fields keep the digest the default configuration
+        // had while footprint tracking and sampling were settings.
+        assert_eq!(hex(&base), "213566a3e78fbd87");
     }
 
     #[test]

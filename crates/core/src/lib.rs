@@ -77,7 +77,6 @@ pub use digest::StableHasher;
 pub use hints::InlineHint;
 pub use looptree::{LoopTree, NodeId, ROOT};
 pub use minic_sim::Engine;
-pub use minic_trace::SampleSpec;
 pub use model::{AffineTerm, FilterConfig, ForayModel, ModelDiff, ModelLoop, ModelRef};
 pub use pipeline::{ForayGen, ForayGenOutput, PipelineError};
 pub use report::{CaptureComparison, LoopBreakdown, LoopKind, MemoryBehavior};

@@ -5,7 +5,7 @@
 //! (the paper's constant-space mode — no trace is materialized unless asked
 //! for).
 
-use crate::analyzer::{Analysis, Analyzer, AnalyzerConfig};
+use crate::analyzer::{Analysis, Analyzer};
 use crate::codegen;
 use crate::hints::{inline_hints, InlineHint};
 use crate::model::{FilterConfig, ForayModel};
@@ -113,7 +113,6 @@ pub struct ForayGenOutput {
 #[derive(Debug, Clone, Default)]
 pub struct ForayGen {
     filter: FilterConfig,
-    analyzer: AnalyzerConfig,
     sim: SimConfig,
     inputs: Vec<i64>,
 }
@@ -128,12 +127,6 @@ impl ForayGen {
     /// Sets the Step 4 filter thresholds.
     pub fn filter(mut self, filter: FilterConfig) -> Self {
         self.filter = filter;
-        self
-    }
-
-    /// Sets the analyzer configuration.
-    pub fn analyzer(mut self, config: AnalyzerConfig) -> Self {
-        self.analyzer = config;
         self
     }
 
@@ -185,7 +178,7 @@ impl ForayGen {
     /// Profiles the program once with the online analyzer as the
     /// simulation's only sink.
     fn profile_analysis(&self, prog: &Program) -> Result<(Analysis, SimOutcome), PipelineError> {
-        let mut analyzer = Analyzer::with_config(self.analyzer.clone());
+        let mut analyzer = Analyzer::new();
         let sim = minic_sim::run_with_sink(prog, &self.sim, &self.inputs, &mut analyzer)?;
         Ok((analyzer.into_analysis(), sim))
     }
@@ -319,18 +312,6 @@ mod tests {
         for (a, b) in offline.refs().iter().zip(online.analysis.refs()) {
             assert_eq!(a.state, b.state);
         }
-    }
-
-    #[test]
-    fn sampled_pipeline_thins_the_analysis_not_the_trace() {
-        use minic_trace::SampleSpec;
-        let config =
-            AnalyzerConfig { sample: SampleSpec::EveryNth { n: 2 }, ..AnalyzerConfig::default() };
-        let full = ForayGen::new().run_source(FIG4).unwrap();
-        let out = ForayGen::new().analyzer(config).run_source(FIG4).unwrap();
-        // Sampling halves the analyzed accesses but not the trace itself.
-        assert!(out.analysis.accesses() < out.sim.accesses);
-        assert_eq!(out.sim, full.sim);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * the profiling engine (tree and VM are byte-identical by construction,
 //!   but the guarantee is locked by tests, not proven here, so the engine
 //!   stays key material — a deliberate, documented over-approximation);
-//! * the Step 4 filter thresholds and the output-relevant analyzer fields
-//!   (see `AnalyzerConfig::stable_digest`);
+//! * the Step 4 filter thresholds and the analyzer's constant fields,
+//!   kept only so keys stay stable (see `AnalyzerConfig::stable_digest`);
 //! * the `input()` data fed to the program.
 //!
 //! **Deliberately excluded:** worker counts, lookup strategy, and
@@ -123,7 +123,7 @@ fn program_fields(kind: JobKind, trace: Option<&str>, source: Option<&str>) -> S
 fn finish_key(mut h: StableHasher, spec: &JobSpec) -> String {
     h.field_str("engine", spec.engine.as_str());
     foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc }.stable_digest(&mut h);
-    analyzer_config_for(spec).stable_digest(&mut h);
+    foray::AnalyzerConfig::default().stable_digest(&mut h);
     h.finish_hex()
 }
 
@@ -214,13 +214,6 @@ pub(crate) fn program(spec: &JobSpec) -> Result<(String, Vec<i64>), ProtoError> 
     Ok((source, spec.inputs.clone().unwrap_or(canonical_inputs)))
 }
 
-/// The analyzer configuration a job runs with (sampling is the only
-/// output-relevant knob the protocol exposes; everything else stays at
-/// the crate defaults).
-pub(crate) fn analyzer_config_for(spec: &JobSpec) -> foray::AnalyzerConfig {
-    foray::AnalyzerConfig { sample: spec.sample, ..foray::AnalyzerConfig::default() }
-}
-
 /// The content digest of a trace held in memory: equal to the streamed
 /// [`trace_digest`] of a file with these bytes.
 pub(crate) fn content_digest(bytes: &[u8]) -> String {
@@ -260,7 +253,7 @@ fn canonicalize<'a>(source: impl Into<Cow<'a, str>>) -> Cow<'a, str> {
 mod tests {
     use super::*;
     use crate::protocol::JobKind;
-    use foray::{Engine, SampleSpec};
+    use foray::Engine;
     use foray_workloads::{by_name, Params, MAX_SCALE};
     use std::fs;
 
@@ -339,10 +332,6 @@ mod tests {
         let mut eng = base.clone();
         eng.engine = Engine::Tree;
         assert_ne!(key(&eng), k0, "engine is (deliberately) key material");
-
-        let mut samp = base.clone();
-        samp.sample = SampleSpec::EveryNth { n: 2 };
-        assert_ne!(key(&samp), k0);
 
         let mut filt = base.clone();
         filt.n_exec = 21;

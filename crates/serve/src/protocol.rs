@@ -18,10 +18,12 @@
 //! Every failure is a *typed* error object
 //! (`{"ok":false,"error":CODE,"message":...}`) — a malformed line earns an
 //! error response, never a dropped connection. Only a line longer than
-//! [`crate::MAX_LINE_BYTES`] also closes its connection.
+//! [`crate::MAX_LINE_BYTES`] also closes its connection. A field its
+//! command does not read is a `bad_request` that names the field, never
+//! silently ignored.
 
 use crate::json::{obj, Json};
-use foray::{Engine, SampleSpec};
+use foray::Engine;
 use std::fmt;
 
 /// What the service computes for a job.
@@ -91,8 +93,6 @@ pub struct JobSpec {
     pub n_exec: u64,
     /// Step 4 filter: minimum distinct locations.
     pub n_loc: u64,
-    /// Deterministic sampling policy.
-    pub sample: SampleSpec,
     /// `input()` data override (`None`: the workload's canonical inputs,
     /// or empty for inline source).
     pub inputs: Option<Vec<i64>>,
@@ -109,7 +109,6 @@ impl Default for JobSpec {
             engine: Engine::default(),
             n_exec: 20,
             n_loc: 10,
-            sample: SampleSpec::Full,
             inputs: None,
             priority: 0,
         }
@@ -133,7 +132,6 @@ impl JobSpec {
         fields.push(("engine", Json::Str(self.engine.as_str().into())));
         fields.push(("nexec", Json::Int(self.n_exec as i64)));
         fields.push(("nloc", Json::Int(self.n_loc as i64)));
-        fields.push(("sample", Json::Str(self.sample.to_string())));
         if let Some(inputs) = &self.inputs {
             fields.push(("inputs", Json::Arr(inputs.iter().map(|&v| Json::Int(v)).collect())));
         }
@@ -441,9 +439,25 @@ impl Response {
     }
 }
 
+/// Every command, with the request fields it reads besides `cmd`.
+const COMMANDS: [(&str, &[&str]); 6] = [
+    (
+        "submit",
+        &[
+            "workload", "source", "trace", "kind", "scale", "engine", "nexec", "nloc", "inputs",
+            "priority",
+        ],
+    ),
+    ("wait", &["job", "timeout_ms"]),
+    ("poll", &["job"]),
+    ("stats", &[]),
+    ("ping", &[]),
+    ("shutdown", &[]),
+];
+
 /// Parses one request line into a [`Request`], with typed errors for every
-/// way a line can be wrong (bad JSON, bad shape, unknown command, bad
-/// field values).
+/// way a line can be wrong (bad JSON, bad shape, unknown command, a field
+/// the command does not read, bad field values).
 ///
 /// # Errors
 ///
@@ -451,13 +465,28 @@ impl Response {
 /// or [`ErrorCode::UnknownCommand`].
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let v = Json::parse(line).map_err(|e| ProtoError::new(ErrorCode::BadJson, e.to_string()))?;
-    if !matches!(v, Json::Obj(_)) {
+    let Json::Obj(fields) = &v else {
         return Err(ProtoError::new(ErrorCode::BadRequest, "a request must be a JSON object"));
-    }
+    };
     let cmd = v
         .get("cmd")
         .and_then(Json::as_str)
         .ok_or_else(|| ProtoError::new(ErrorCode::BadRequest, "missing string field `cmd`"))?;
+    let Some((_, reads)) = COMMANDS.iter().find(|(name, _)| *name == cmd) else {
+        let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        return Err(ProtoError::new(
+            ErrorCode::UnknownCommand,
+            format!("unknown command `{cmd}` (use {})", names.join("/")),
+        ));
+    };
+    if let Some((field, _)) =
+        fields.iter().find(|(k, _)| k != "cmd" && !reads.contains(&k.as_str()))
+    {
+        return Err(ProtoError::new(
+            ErrorCode::BadRequest,
+            format!("`{cmd}` does not take field `{field}`"),
+        ));
+    }
     let job_field = |v: &Json| {
         v.get("job")
             .and_then(Json::as_str)
@@ -481,11 +510,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         "poll" => Ok(Request::Poll { job: job_field(&v)? }),
         "stats" => Ok(Request::Stats),
         "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(ProtoError::new(
-            ErrorCode::UnknownCommand,
-            format!("unknown command `{other}` (use submit/wait/poll/stats/ping/shutdown)"),
-        )),
+        _ => Ok(Request::Shutdown),
     }
 }
 
@@ -527,10 +552,6 @@ fn parse_job_spec(v: &Json) -> Result<JobSpec, ProtoError> {
         spec.n_loc =
             n.as_u64().ok_or_else(|| bad("`nloc` must be a non-negative integer".into()))?;
     }
-    if let Some(s) = v.get("sample") {
-        let text = s.as_str().ok_or_else(|| bad("`sample` must be a string".into()))?;
-        spec.sample = SampleSpec::parse(text).map_err(|e| bad(format!("bad sample spec: {e}")))?;
-    }
     if let Some(i) = v.get("inputs") {
         let Json::Arr(items) = i else { return Err(bad("`inputs` must be an array".into())) };
         let values = items
@@ -560,7 +581,7 @@ mod tests {
         assert_eq!(*spec, JobSpec::default());
         let r = parse_request(
             "{\"cmd\":\"submit\",\"source\":\"void main() { }\",\"kind\":\"report\",\
-             \"engine\":\"tree\",\"nexec\":5,\"nloc\":3,\"sample\":\"every:2\",\
+             \"engine\":\"tree\",\"nexec\":5,\"nloc\":3,\
              \"inputs\":[1,-2],\"priority\":9,\"scale\":4}",
         )
         .unwrap();
@@ -569,7 +590,6 @@ mod tests {
         assert_eq!(spec.kind, JobKind::Report);
         assert_eq!(spec.engine, Engine::Tree);
         assert_eq!((spec.n_exec, spec.n_loc), (5, 3));
-        assert_eq!(spec.sample, SampleSpec::EveryNth { n: 2 });
         assert_eq!(spec.inputs, Some(vec![1, -2]));
         assert_eq!(spec.priority, 9);
         assert_eq!(spec.scale, 4);
@@ -603,6 +623,21 @@ mod tests {
         );
         assert_eq!(
             code("{\"cmd\":\"submit\",\"workload\":\"a\",\"sample\":\"coin\"}"),
+            ErrorCode::BadRequest
+        );
+        // A field the command does not read is refused by name, whatever
+        // its value.
+        let message = |line: &str| parse_request(line).unwrap_err().message;
+        assert_eq!(
+            message("{\"cmd\":\"submit\",\"workload\":\"a\",\"sample\":\"coin\"}"),
+            "`submit` does not take field `sample`"
+        );
+        assert_eq!(
+            message("{\"cmd\":\"ping\",\"job\":\"j1\"}"),
+            "`ping` does not take field `job`"
+        );
+        assert_eq!(
+            code("{\"cmd\":\"poll\",\"job\":\"j1\",\"timeout_ms\":5}"),
             ErrorCode::BadRequest
         );
         assert_eq!(code("{\"cmd\":\"wait\"}"), ErrorCode::BadRequest);
@@ -662,7 +697,6 @@ mod tests {
                 engine: Engine::Tree,
                 n_exec: 1,
                 n_loc: 2,
-                sample: SampleSpec::Warmup { skip: 7 },
                 inputs: Some(vec![-1, 0, 9]),
                 priority: 4,
             },

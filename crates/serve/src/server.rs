@@ -23,7 +23,7 @@
 
 use crate::cache::ResultCache;
 use crate::json::{obj, Json};
-use crate::key::{analyzer_config_for, content_digest, job_key, program, trace_key, ResolvedJob};
+use crate::key::{content_digest, job_key, program, trace_key, ResolvedJob};
 use crate::protocol::{
     parse_request, ErrorCode, JobInput, JobKind, JobSpec, ProtoError, Request, Response,
     StatsSnapshot,
@@ -510,15 +510,13 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 fn compute(job: &ResolvedJob) -> Result<String, String> {
     let spec = &job.spec;
     let filter = foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc };
-    let pipeline = |inputs: Vec<i64>| {
-        let acfg = analyzer_config_for(spec);
-        ForayGen::new().filter(filter).analyzer(acfg).engine(spec.engine).inputs(inputs)
-    };
+    let pipeline =
+        |inputs: Vec<i64>| ForayGen::new().filter(filter).engine(spec.engine).inputs(inputs);
     match spec.kind {
         JobKind::Model | JobKind::Report => {
             let (analysis, model, code) = match &spec.input {
                 JobInput::Trace(path) => {
-                    let analysis = analyze_submitted_trace(job, path, analyzer_config_for(spec))?;
+                    let analysis = analyze_submitted_trace(job, path)?;
                     let model = ForayModel::extract(&analysis, &filter);
                     let code = foray::codegen::emit(&model);
                     (analysis, model, code)
@@ -554,18 +552,14 @@ fn compute(job: &ResolvedJob) -> Result<String, String> {
 /// Reads a trace job's file once and analyzes those bytes, provided they
 /// are the bytes the job's key was taken from. A file rewritten since
 /// submit fails the job, so nothing is cached under the old key.
-fn analyze_submitted_trace(
-    job: &ResolvedJob,
-    path: &str,
-    acfg: foray::AnalyzerConfig,
-) -> Result<foray::Analysis, String> {
+fn analyze_submitted_trace(job: &ResolvedJob, path: &str) -> Result<foray::Analysis, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("trace `{path}`: {e}"))?;
     if trace_key(&job.spec, &content_digest(&bytes)) != job.key {
         return Err(format!("trace `{path}` changed since submit"));
     }
     let file =
         minic_trace::TraceFile::from_bytes(bytes).map_err(|e| format!("trace `{path}`: {e}"))?;
-    foray::analyze_source_with(&file, acfg).map_err(|e| format!("trace `{path}`: {e}"))
+    foray::analyze_source(&file).map_err(|e| format!("trace `{path}`: {e}"))
 }
 
 /// Renders the `report` payload: `foray-serve-report/v1`, one compact

@@ -42,7 +42,6 @@ pub mod file;
 pub mod index;
 pub mod layout;
 pub mod record;
-pub mod sample;
 pub mod sink;
 pub mod source;
 pub mod stats;
@@ -53,7 +52,6 @@ pub use binary::{DecodeError, DecodeReason};
 pub use file::{FormatVersion, ReadError, TraceFile, TraceReader, TraceWriter};
 pub use index::{CheckpointIndex, IndexEntry};
 pub use record::{Access, AccessKind, InstrAddr, MemAddr, Record};
-pub use sample::{SampleSink, SampleSpec, SampleState, DEFAULT_SAMPLE_SEED};
 pub use sink::{CountingSink, NullSink, TeeSink, TraceSink, VecSink};
 pub use source::RecordSource;
 pub use stats::TraceStats;

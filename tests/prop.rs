@@ -3,7 +3,6 @@
 //! * Algorithm 3 recovers randomly generated affine access patterns
 //!   *exactly*;
 //! * both trace codecs round-trip arbitrary record streams;
-//! * the identity sampling specs (`every:1`, `warmup:0`) change nothing;
 //! * the streaming analyzer equals a naive Algorithm 2 + 3 reference on
 //!   hostile (unbalanced, deep, multi-context) checkpoint streams;
 //! * the interpreter agrees with a Rust-side reference evaluator on random
@@ -15,11 +14,10 @@
 use foray::looptree::{LoopTree, NodeId};
 use foray::{
     analyze, analyze_with, AffineState, AnalyzerConfig, FilterConfig, ForayModel, LookupStrategy,
-    SampleSpec,
 };
 use minic::CheckpointKind::{BodyBegin, BodyEnd, LoopBegin};
 use minic::{CheckpointKind, LoopId};
-use minic_trace::{AccessKind, FormatVersion, InstrAddr, Record, SampleState, TraceFile};
+use minic_trace::{AccessKind, FormatVersion, InstrAddr, Record, TraceFile};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -166,44 +164,6 @@ proptest! {
             let file = TraceFile::from_bytes(bytes).unwrap();
             let parsed: Result<Vec<Record>, _> = file.records().collect();
             prop_assert_eq!(parsed.unwrap(), records.clone());
-        }
-    }
-}
-
-// ---------- identity sampling ----------
-
-/// Arbitrary records with instruction addresses drawn from a small pool,
-/// so references accumulate real multi-access state.
-fn arb_site_record() -> impl Strategy<Value = Record> {
-    prop_oneof![
-        (0u32..8, 0usize..3).prop_map(|(l, k)| {
-            let kind = [LoopBegin, BodyBegin, BodyEnd][k];
-            Record::checkpoint(l, kind)
-        }),
-        (0u32..12, any::<u32>(), any::<bool>()).prop_map(|(site, a, w)| {
-            Record::access(
-                0x40_0000 + 4 * site,
-                a,
-                if w { AccessKind::Write } else { AccessKind::Read },
-            )
-        }),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn identity_sampling_specs_change_nothing(
-        records in proptest::collection::vec(arb_site_record(), 0..300),
-    ) {
-        let full = analyze(&records);
-        for sample in [SampleSpec::EveryNth { n: 1 }, SampleSpec::Warmup { skip: 0 }] {
-            let sampled = analyze_with(
-                &records,
-                AnalyzerConfig { sample, ..AnalyzerConfig::default() },
-            );
-            prop_assert_eq!(&sampled, &full, "{:?}", sample);
         }
     }
 }
@@ -433,11 +393,10 @@ struct NaiveRef {
 }
 
 /// Algorithms 2 and 3 from public parts only: the naive loop tree, the
-/// full iterator vector at every accepted access, and one `AffineState` per
+/// full iterator vector at every access, and one `AffineState` per
 /// `(node, instruction)`.
-fn naive_analysis(records: &[Record], sample: SampleSpec) -> (NaiveTree, Vec<NaiveRef>, u64) {
+fn naive_analysis(records: &[Record]) -> (NaiveTree, Vec<NaiveRef>, u64) {
     let mut tree = NaiveTree::new();
-    let mut sampler = SampleState::new(sample);
     let mut refs: Vec<NaiveRef> = Vec::new();
     let mut index: HashMap<(NodeId, InstrAddr), usize> = HashMap::new();
     let mut accesses = 0;
@@ -445,9 +404,6 @@ fn naive_analysis(records: &[Record], sample: SampleSpec) -> (NaiveTree, Vec<Nai
         match r {
             Record::Checkpoint { loop_id, kind } => tree.checkpoint(*loop_id, *kind),
             Record::Access(a) => {
-                if !sampler.accept(a) {
-                    continue;
-                }
                 accesses += 1;
                 let node = NodeId(tree.current as u32);
                 let iters = tree.iterators();
@@ -501,32 +457,29 @@ proptest! {
     /// The analyzer's access path (successor predictor, innermost-only
     /// observe behind the loop tree's change stamps, lazily collected
     /// iterator vector) must equal the naive reference exactly, under both
-    /// lookup strategies, with and without sampling.
+    /// lookup strategies.
     #[test]
     fn analyzer_equals_naive_reference_on_hostile_streams(
         events in proptest::collection::vec(arb_event(), 0..40),
     ) {
         let records = build_stream(&events);
-        for sample in [SampleSpec::Full, SampleSpec::EveryNth { n: 3 }] {
-            let (tree, expect, accesses) = naive_analysis(&records, sample);
-            for lookup in [LookupStrategy::Dense, LookupStrategy::Hash] {
-                let config = AnalyzerConfig { sample, lookup };
-                let got = analyze_with(&records, config);
-                prop_assert_eq!(got.accesses(), accesses);
-                assert_same_tree(got.tree(), &tree)?;
-                let got: Vec<NaiveRef> = got
-                    .refs()
-                    .iter()
-                    .map(|r| NaiveRef {
-                        instr: r.instr,
-                        node: r.node,
-                        state: r.state.clone(),
-                        reads: r.reads,
-                        writes: r.writes,
-                    })
-                    .collect();
-                prop_assert_eq!(got, expect, "{} with {:?}", sample, lookup);
-            }
+        let (tree, expect, accesses) = naive_analysis(&records);
+        for lookup in [LookupStrategy::Dense, LookupStrategy::Hash] {
+            let got = analyze_with(&records, AnalyzerConfig { lookup });
+            prop_assert_eq!(got.accesses(), accesses);
+            assert_same_tree(got.tree(), &tree)?;
+            let got: Vec<NaiveRef> = got
+                .refs()
+                .iter()
+                .map(|r| NaiveRef {
+                    instr: r.instr,
+                    node: r.node,
+                    state: r.state.clone(),
+                    reads: r.reads,
+                    writes: r.writes,
+                })
+                .collect();
+            prop_assert_eq!(&got, &expect, "{:?}", lookup);
         }
     }
 }
