@@ -798,14 +798,16 @@ fn cmd_dse(o: &Opts, stdout: &mut dyn Write) -> Result<(), CliError> {
     };
     let space = o.space.clone().workloads(workloads.iter().map(|w| w.batch_job(ForayGen::new())));
     let result = space.explore(o.jobs).map_err(|e| CliError::Runtime(e.to_string()))?;
-    write!(stdout, "{}", result.render_text())?;
+    // The JSON file and `--check` must not depend on a reader that keeps
+    // stdout open to the end.
+    let printed = write!(stdout, "{}", result.render_text());
     if let Some(path) = &o.json {
         std::fs::write(path, result.to_json())?;
     }
     if o.check {
         result.check().map_err(CliError::Runtime)?;
     }
-    Ok(())
+    Ok(printed?)
 }
 
 fn cmd_serve(o: &Opts) -> Result<(), CliError> {
@@ -893,6 +895,19 @@ mod tests {
     /// Runs a command line with what it prints discarded.
     fn run(args: &[String]) -> Result<(), CliError> {
         super::run(args, &mut std::io::sink())
+    }
+
+    /// A stdout whose reader has gone: every write fails.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     fn write_temp(name: &str, content: &str) -> String {
@@ -1227,6 +1242,11 @@ mod tests {
         assert!(run(&args).is_ok());
         let written = std::fs::read_to_string(&json).unwrap();
         assert!(written.contains("\"schema\": \"foray-dse/v1\""));
+        // A reader that closed stdout still gets the JSON file written.
+        std::fs::remove_file(&json).unwrap();
+        let err = super::run(&args, &mut ClosedPipe).unwrap_err();
+        assert!(matches!(&err, CliError::Io(e) if e.kind() == ErrorKind::BrokenPipe), "{err:?}");
+        assert_eq!(std::fs::read_to_string(&json).unwrap(), written);
         assert!(run(&["dse".to_owned(), "--workloads".to_owned(), "nope".to_owned()])
             .is_err_and(|e| matches!(e, CliError::Usage(_))));
     }
