@@ -1398,10 +1398,11 @@ mod tests {
             workload: s("fftc"), output: s("fftc.ftrace"));
         case!("trace record --workload fftc --trace-format v1 -o fftc-v1.ftrace", Record,
             workload: s("fftc"), output: s("fftc-v1.ftrace"), trace_format: FormatVersion::V1);
-        case!("trace record --workload fftc --engine vm -o fftc-vm.ftrace", Record,
-            workload: s("fftc"), output: s("fftc-vm.ftrace"));
-        case!("trace record --workload fftc --engine tree -o fftc-tree.ftrace", Record,
-            workload: s("fftc"), output: s("fftc-tree.ftrace"), engine: Engine::Tree);
+        case!("trace record --workload histoc --scale 2 --engine vm -o histoc-vm.ftrace", Record,
+            workload: s("histoc"), scale: 2, output: s("histoc-vm.ftrace"));
+        case!("trace record --workload histoc --scale 2 --engine tree -o histoc-tree.ftrace",
+            Record, workload: s("histoc"), scale: 2, output: s("histoc-tree.ftrace"),
+            engine: Engine::Tree);
         case!("trace analyze fftc.ftrace", Analyze, arg: s("fftc.ftrace"));
         case!("trace analyze fftc-cut.ftrace --from-loop 0", Analyze,
             arg: s("fftc-cut.ftrace"), from_loop: Some(0));

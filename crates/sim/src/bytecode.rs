@@ -269,6 +269,16 @@ pub enum Op {
     /// `[ptr idx] -> [ptr']` — pointer element arithmetic for `base[idx]`;
     /// errors like the oracle if `base` is not a pointer.
     IndexPtr,
+    /// `[idx] -> [ptr]` — `a[e]`'s element pointer on a global array `a`:
+    /// `PushPtr { addr, pointee }` before the index and `IndexPtr` after it,
+    /// fused. The base is a constant that emits no record and cannot fault,
+    /// so taking it after the index changes nothing observable.
+    IndexGlobal {
+        /// Absolute address of the array.
+        addr: u32,
+        /// Element type.
+        pointee: TypeId,
+    },
     /// `[ptr] -> [v]` — load through a pointer, emitting a read record.
     LoadThru {
         /// Access-site index.
@@ -280,32 +290,54 @@ pub enum Op {
         /// Access-site index.
         site: u32,
     },
-    /// `[ptr] -> [v]` — `LoadSlot(slot); IndexPtr; LoadThru { site }`
-    /// fused: the index is the frame slot's value.
-    LoadIndexedSlot {
-        /// Frame slot holding the index.
-        slot: u32,
-        /// Access-site index.
-        site: u32,
-    },
     /// `[ptr v] -> []` — store through a pointer, emitting a write record.
     StoreThru {
         /// Access-site index.
         site: u32,
     },
-    /// `[v ptr idx] -> []` — `IndexPtr; Swap; StoreThru { site }` fused
-    /// (`base[idx] = v`).
-    StoreIndexed {
+    /// `[idx] -> [v]` — `IndexGlobal { addr, pointee }; LoadThru { site }`
+    /// fused (`a[e]` read on a global array).
+    LoadGlobalIndexed {
+        /// Absolute address of the array.
+        addr: u32,
+        /// Element type.
+        pointee: TypeId,
         /// Access-site index.
         site: u32,
     },
-    /// `[v ptr] -> []` — `LoadSlot(slot); IndexPtr; Swap; StoreThru { site }`
-    /// fused: the index is the frame slot's value.
-    StoreIndexedSlot {
-        /// Frame slot holding the index.
-        slot: u32,
+    /// `[] -> [v]` — `LoadSlot(slot); IndexGlobal { addr, pointee };
+    /// LoadThru { site }` fused (`a[i]` read on a global array).
+    LoadGlobalIndexedSlot {
+        /// Absolute address of the array.
+        addr: u32,
+        /// Element type.
+        pointee: TypeId,
         /// Access-site index.
         site: u32,
+        /// Frame slot holding the index (fused only when it fits `u16`).
+        slot: u16,
+    },
+    /// `[v idx] -> []` — `IndexGlobal { addr, pointee }; Swap; StoreThru {
+    /// site }` fused (`a[e] = v` on a global array).
+    StoreGlobalIndexed {
+        /// Absolute address of the array.
+        addr: u32,
+        /// Element type.
+        pointee: TypeId,
+        /// Access-site index.
+        site: u32,
+    },
+    /// `[v] -> []` — `LoadSlot(slot); IndexGlobal { addr, pointee }; Swap;
+    /// StoreThru { site }` fused (`a[i] = v` on a global array).
+    StoreGlobalIndexedSlot {
+        /// Absolute address of the array.
+        addr: u32,
+        /// Element type.
+        pointee: TypeId,
+        /// Access-site index.
+        site: u32,
+        /// Frame slot holding the index (fused only when it fits `u16`).
+        slot: u16,
     },
     /// `[ptr] -> [old|new|]` — `++`/`--` through a pointer (read + write
     /// records).
@@ -338,6 +370,36 @@ pub enum Op {
         /// Frame slot supplying the right-hand side.
         slot: u32,
     },
+    /// `[] -> [frame[slot] op imm]` — `LoadSlot(slot); PushInt(imm);
+    /// Binary(op)` fused (`i + 1`).
+    SlotBinaryImm {
+        /// The operator.
+        op: BinOp,
+        /// Frame slot supplying the left-hand side.
+        slot: u32,
+        /// The literal right-hand side.
+        imm: i64,
+    },
+    /// `[] -> [frame[lhs] op frame[rhs]]` — `LoadSlot(lhs); LoadSlot(rhs);
+    /// Binary(op)` fused (`i * n`).
+    SlotBinarySlot {
+        /// The operator.
+        op: BinOp,
+        /// Frame slot supplying the left-hand side.
+        lhs: u32,
+        /// Frame slot supplying the right-hand side.
+        rhs: u32,
+    },
+    /// `[] -> [imm op frame[slot]]` — `PushInt(imm); LoadSlot(slot);
+    /// Binary(op)` fused (`768 * s`).
+    ImmBinarySlot {
+        /// The operator.
+        op: BinOp,
+        /// The literal left-hand side.
+        imm: i64,
+        /// Frame slot supplying the right-hand side.
+        slot: u32,
+    },
     /// `[a] -> []` — `BinaryImm { op, imm }; JumpIfFalse(target)` fused:
     /// jump unless `a op imm`. `op` is a comparison.
     BranchImm {
@@ -358,9 +420,8 @@ pub enum Op {
         /// Jump target.
         target: u32,
     },
-    /// `[] -> []` — `LoadSlot(slot); BinaryImm { op, imm };
-    /// JumpIfFalse(target)` fused: jump unless `frame[slot] op imm`. `op`
-    /// is a comparison.
+    /// `[] -> []` — `SlotBinaryImm { op, slot, imm }; JumpIfFalse(target)`
+    /// fused: jump unless `frame[slot] op imm`. `op` is a comparison.
     BranchSlotImm {
         /// The comparison.
         op: BinOp,
@@ -386,6 +447,28 @@ pub enum Op {
     },
     /// `[v] -> [0|1]` — C truthiness (second operand of `&&`/`||`).
     Truthy,
+    /// `[] -> []` — a `for` loop's back edge: `Checkpoint { loop_id, kind:
+    /// BodyEnd }; IncDecSlot { slot, delta, push: Nothing, .. }; Jump(cond)`
+    /// fused, where the slot is an `int` and `ops[cond]` is the loop's
+    /// `BranchSlotImm { op, slot, imm, .. }` followed by `Checkpoint {
+    /// loop_id, kind: BodyBegin }`. Emits BodyEnd and steps the slot with
+    /// `i32` wrapping; then, while `frame[slot] op imm` holds, emits
+    /// BodyBegin and jumps to `target` (`cond + 2`), and otherwise falls
+    /// through to the loop's exit. It compares only, so it cannot fault.
+    ForLatch {
+        /// Loop identity (fused only when it fits `u16`).
+        loop_id: u16,
+        /// The counter's frame slot (fused only when it fits `u16`).
+        slot: u16,
+        /// +1 or -1.
+        delta: i8,
+        /// The loop condition's comparison.
+        op: BinOp,
+        /// The loop condition's literal right-hand side.
+        imm: i32,
+        /// The first op of the loop body.
+        target: u32,
+    },
     /// `[] -> []` — unconditional jump.
     Jump(u32),
     /// `[v] -> []` — jump when falsy.

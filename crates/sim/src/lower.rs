@@ -18,7 +18,7 @@
 //! right — because trace byte-identity with the oracle depends on side
 //! effects (access records) happening in the same sequence.
 
-use crate::bytecode::{CompiledFunction, CompiledProgram, Op, Push, TypeId, TypeTable};
+use crate::bytecode::{CompiledFunction, CompiledProgram, Op, Push, TyKind, TypeId, TypeTable};
 use crate::interp::RuntimeError;
 use minic::ast::*;
 use minic_trace::layout;
@@ -209,10 +209,22 @@ impl<'p> Lowerer<'p> {
     fn fusion(&self, op: Op) -> Option<(usize, Op)> {
         Some(match op {
             Op::Binary(op) => {
-                if let Some(&[Op::PushInt(a), Op::PushInt(b)]) = self.tail(2) {
-                    if let Some(v) = const_fold(op, a, b) {
-                        return Some((2, Op::PushInt(v)));
+                match self.tail(2) {
+                    Some(&[Op::PushInt(a), Op::PushInt(b)]) => {
+                        if let Some(v) = const_fold(op, a, b) {
+                            return Some((2, Op::PushInt(v)));
+                        }
                     }
+                    Some(&[Op::LoadSlot(slot), Op::PushInt(imm)]) => {
+                        return Some((2, Op::SlotBinaryImm { op, slot, imm }));
+                    }
+                    Some(&[Op::LoadSlot(lhs), Op::LoadSlot(rhs)]) => {
+                        return Some((2, Op::SlotBinarySlot { op, lhs, rhs }));
+                    }
+                    Some(&[Op::PushInt(imm), Op::LoadSlot(slot)]) => {
+                        return Some((2, Op::ImmBinarySlot { op, imm, slot }));
+                    }
+                    _ => {}
                 }
                 match *self.tail(1)? {
                     [Op::PushInt(imm)] => (1, Op::BinaryImm { op, imm }),
@@ -220,32 +232,37 @@ impl<'p> Lowerer<'p> {
                     _ => return None,
                 }
             }
-            Op::JumpIfFalse(target) => match (self.tail(2), self.tail(1)?) {
-                (Some(&[Op::LoadSlot(slot), Op::BinaryImm { op, imm }]), _)
-                    if op.is_comparison() =>
-                {
-                    (2, Op::BranchSlotImm { op, slot, imm: i32::try_from(imm).ok()?, target })
+            Op::JumpIfFalse(target) => match *self.tail(1)? {
+                [Op::SlotBinaryImm { op, slot, imm }] if op.is_comparison() => {
+                    (1, Op::BranchSlotImm { op, slot, imm: i32::try_from(imm).ok()?, target })
                 }
-                (_, &[Op::BinaryImm { op, imm }]) if op.is_comparison() => {
+                [Op::BinaryImm { op, imm }] if op.is_comparison() => {
                     (1, Op::BranchImm { op, imm: i32::try_from(imm).ok()?, target })
                 }
-                (_, &[Op::BinarySlot { op, slot }]) if op.is_comparison() => {
+                [Op::BinarySlot { op, slot }] if op.is_comparison() => {
                     (1, Op::BranchSlot { op, slot, target })
                 }
                 _ => return None,
             },
             Op::LoadThru { site } => match (self.tail(2), self.tail(1)?) {
-                (Some(&[Op::LoadSlot(slot), Op::IndexPtr]), _) => {
-                    (2, Op::LoadIndexedSlot { slot, site })
+                (Some(&[Op::LoadSlot(slot), Op::IndexGlobal { addr, pointee }]), _) => {
+                    let slot = u16::try_from(slot).ok()?;
+                    (2, Op::LoadGlobalIndexedSlot { addr, pointee, site, slot })
                 }
                 (_, &[Op::IndexPtr]) => (1, Op::LoadIndexed { site }),
+                (_, &[Op::IndexGlobal { addr, pointee }]) => {
+                    (1, Op::LoadGlobalIndexed { addr, pointee, site })
+                }
                 _ => return None,
             },
             Op::StoreThru { site } => match (self.tail(3), self.tail(2)?) {
-                (Some(&[Op::LoadSlot(slot), Op::IndexPtr, Op::Swap]), _) => {
-                    (3, Op::StoreIndexedSlot { slot, site })
+                (Some(&[Op::LoadSlot(slot), Op::IndexGlobal { addr, pointee }, Op::Swap]), _) => {
+                    let slot = u16::try_from(slot).ok()?;
+                    (3, Op::StoreGlobalIndexedSlot { addr, pointee, site, slot })
                 }
-                (_, &[Op::IndexPtr, Op::Swap]) => (2, Op::StoreIndexed { site }),
+                (_, &[Op::IndexGlobal { addr, pointee }, Op::Swap]) => {
+                    (2, Op::StoreGlobalIndexed { addr, pointee, site })
+                }
                 _ => return None,
             },
             Op::StoreSlot { slot, ty } => match self.tail(1)? {
@@ -267,6 +284,35 @@ impl<'p> Lowerer<'p> {
                 (1, last)
             }
             _ => return None,
+        })
+    }
+
+    /// The `for` back edge to `cond`, fused into an [`Op::ForLatch`] with
+    /// the body's closing checkpoint and the step before it when the loop
+    /// has that shape. Only `Stmt::For` asks: a `break` or `continue` jump
+    /// is emitted before its target is known.
+    fn latch(&self, cond: u32) -> Option<Op> {
+        let &[Op::Checkpoint { loop_id, kind: CheckpointKind::BodyEnd }, step] = self.tail(2)?
+        else {
+            return None;
+        };
+        let Op::IncDecSlot { slot, ty, delta, push: Push::Nothing } = step else { return None };
+        let at = cond as usize;
+        let &[Op::BranchSlotImm { op, slot: tested, imm, .. }, begin] = self.ops.get(at..at + 2)?
+        else {
+            return None;
+        };
+        let body_begin = Op::Checkpoint { loop_id, kind: CheckpointKind::BodyBegin };
+        if begin != body_begin || tested != slot || self.types.kind(ty) != TyKind::Int {
+            return None;
+        }
+        Some(Op::ForLatch {
+            loop_id: u16::try_from(loop_id).ok()?,
+            slot: u16::try_from(slot).ok()?,
+            delta,
+            op,
+            imm,
+            target: cond + 2,
         })
     }
 
@@ -443,21 +489,30 @@ impl<'p> Lowerer<'p> {
                 self.loops.push(LoopCtx::default());
                 self.lower_block(body);
                 let ctx = self.loops.pop().expect("loop ctx");
-                let step_label = self.here();
+                // C semantics: continue runs the step. Only then is the
+                // step a label, which keeps `BodyEnd` out of the latch.
+                if !ctx.continue_jumps.is_empty() {
+                    let step_label = self.here();
+                    for &j in &ctx.continue_jumps {
+                        self.patch(j, step_label);
+                    }
+                }
                 if let Some(s) = step {
                     self.lower_stmt(s);
                 }
-                self.emit(Op::Jump(cond_label));
+                match self.latch(cond_label) {
+                    Some(latch) => {
+                        self.ops.truncate(self.ops.len() - 2);
+                        self.ops.push(latch);
+                    }
+                    None => self.emit(Op::Jump(cond_label)),
+                }
                 let end = self.here();
                 if let Some(j) = jf {
                     self.patch(j, end);
                 }
                 for j in ctx.break_jumps {
                     self.patch(j, end);
-                }
-                for j in ctx.continue_jumps {
-                    // C semantics: continue runs the step.
-                    self.patch(j, step_label);
                 }
                 self.scopes.pop();
             }
@@ -580,9 +635,7 @@ impl<'p> Lowerer<'p> {
     fn lower_place_ptr(&mut self, e: &'p Expr) -> Option<u32> {
         match e {
             Expr::Index { base, index, site, .. } => {
-                self.lower_expr(base);
-                self.lower_expr(index);
-                self.emit(Op::IndexPtr);
+                self.lower_index(base, index);
                 Some(site.0)
             }
             Expr::Deref { ptr, site, .. } => {
@@ -592,6 +645,30 @@ impl<'p> Lowerer<'p> {
             other => {
                 self.emit_trap(non_lvalue(other));
                 None
+            }
+        }
+    }
+
+    /// Lowers `base[index]`'s element pointer. A global array's base rides
+    /// in the op after the index ([`Op::IndexGlobal`]) instead of a
+    /// `PushPtr` before it.
+    fn lower_index(&mut self, base: &'p Expr, index: &'p Expr) {
+        let global = match base {
+            Expr::Var { name, .. } => match self.resolve(name) {
+                VarRef::GlobalArray { addr, elem } => Some((addr, elem)),
+                _ => None,
+            },
+            _ => None,
+        };
+        match global {
+            Some((addr, pointee)) => {
+                self.lower_expr(index);
+                self.emit(Op::IndexGlobal { addr, pointee });
+            }
+            None => {
+                self.lower_expr(base);
+                self.lower_expr(index);
+                self.emit(Op::IndexPtr);
             }
         }
     }
@@ -738,11 +815,7 @@ impl<'p> Lowerer<'p> {
                 }
             },
             // `&a[i]` / `&*p`: compute the place without accessing it.
-            Expr::Index { base, index, .. } => {
-                self.lower_expr(base);
-                self.lower_expr(index);
-                self.emit(Op::IndexPtr);
-            }
+            Expr::Index { base, index, .. } => self.lower_index(base, index),
             Expr::Deref { ptr, .. } => {
                 self.lower_expr(ptr);
                 self.emit(Op::CheckPtr);
@@ -830,22 +903,31 @@ mod tests {
             "PushInt", "StoreSlot",          // int i;
             "PushInt", "StoreSlot",          // i = 0
             "BranchSlotImm",                 // i < 16
-            "PushPtr", "LoadIndexedSlot",    // b[i]
-            "PushPtr", "StoreIndexedSlot",   // a[i] =
-            "IncDecSlot",                    // i++;
-            "Jump",                          // back edge
+            "LoadGlobalIndexedSlot",         // b[i]
+            "StoreGlobalIndexedSlot",        // a[i] =
+            "ForLatch",                      // i++ and the back edge
             "PushInt", "Ret",                // fall off the end
         ]);
         let Op::BranchSlotImm { op: BinOp::Lt, slot: 0, imm: 16, target: exit } = shape[4] else {
             panic!("{ops:#?}")
         };
-        assert!(matches!(shape[6], Op::LoadIndexedSlot { slot: 0, .. }));
-        assert!(matches!(shape[8], Op::StoreIndexedSlot { slot: 0, .. }));
-        assert!(matches!(shape[9], Op::IncDecSlot { slot: 0, delta: 1, push: Push::Nothing, .. }));
-        // `main` starts at op 0 of `ops`: the back edge lands on the
-        // condition, and the exit is the implicit `return 0`.
-        let Op::Jump(back) = shape[10] else { unreachable!() };
-        assert_eq!(ops[back as usize], shape[4]);
+        let (a, b) = (layout::GLOBAL_BASE, layout::GLOBAL_BASE + 64);
+        assert!(matches!(shape[5], Op::LoadGlobalIndexedSlot { addr, slot: 0, .. } if addr == b));
+        assert!(matches!(shape[6], Op::StoreGlobalIndexedSlot { addr, slot: 0, .. } if addr == a));
+        let Op::ForLatch { loop_id: 0, slot: 0, delta: 1, op: BinOp::Lt, imm: 16, target } =
+            shape[7]
+        else {
+            panic!("{ops:#?}")
+        };
+        // `main` starts at op 0 of `ops`: the latch lands on the body's
+        // first op, past the condition and `BodyBegin`; the latch took the
+        // body's `BodyEnd`; and the exit is the implicit `return 0`.
+        let body = target as usize;
+        assert_eq!(ops[body - 2], shape[4]);
+        assert_eq!(ops[body - 1], Op::Checkpoint { loop_id: 0, kind: CheckpointKind::BodyBegin });
+        assert_eq!(ops[body], shape[5]);
+        let end = |op: &Op| matches!(op, Op::Checkpoint { kind: CheckpointKind::BodyEnd, .. });
+        assert!(!ops.iter().any(end), "{ops:#?}");
         assert_eq!(ops[exit as usize..], [Op::PushInt(0), Op::Ret]);
     }
 
@@ -853,19 +935,43 @@ mod tests {
     fn a_label_inside_a_window_blocks_fusion() {
         let vars = "int c; int i; int j; int s;";
         let count = |ops: &[Op], f: fn(&Op) -> bool| ops.iter().filter(|op| f(op)).count();
-        // The `?:`'s end label lands on `IndexPtr`: only `IndexPtr; LoadThru` fuse.
+        // The `?:`'s end label lands on the indexed load: `LoadSlot(j)` stays apart.
         let ops = main_ops("int a[4];", &format!("{vars} s = a[c ? i : j];"));
-        assert_eq!(count(&ops, |op| matches!(op, Op::LoadIndexed { .. })), 1, "{ops:#?}");
-        assert_eq!(count(&ops, |op| matches!(op, Op::LoadIndexedSlot { .. })), 0, "{ops:#?}");
+        let load = |op: &Op| matches!(op, Op::LoadGlobalIndexed { .. });
+        assert_eq!(count(&ops, load), 1, "{ops:#?}");
+        let slot_load = |op: &Op| matches!(op, Op::LoadGlobalIndexedSlot { .. });
+        assert_eq!(count(&ops, slot_load), 0, "{ops:#?}");
         // Its end label lands on the compare: only `BinaryImm; JumpIfFalse` fuse.
         let ops = main_ops("", &format!("{vars} if ((c ? i : j) < 5) {{ s = 1; }}"));
         assert_eq!(count(&ops, |op| matches!(op, Op::BranchImm { .. })), 1, "{ops:#?}");
         assert_eq!(count(&ops, |op| matches!(op, Op::BranchSlotImm { .. })), 0, "{ops:#?}");
+        // ... and on the `LoadSlot`: the literal stays out of `ImmBinarySlot`.
+        let ops = main_ops("", &format!("{vars} s = (c ? 5 : 7) * i;"));
+        assert_eq!(count(&ops, |op| matches!(op, Op::BinarySlot { .. })), 1, "{ops:#?}");
+        assert_eq!(count(&ops, |op| matches!(op, Op::ImmBinarySlot { .. })), 0, "{ops:#?}");
         // A jump lands on the statement's `Pop`, which must stay.
         let ops = main_ops("", &format!("{vars} c ? i++ : j++;"));
         assert_eq!(count(&ops, |op| matches!(op, Op::Pop)), 1, "{ops:#?}");
         let post = |op: &Op| matches!(op, Op::IncDecSlot { push: Push::Old, .. });
         assert_eq!(count(&ops, post), 2, "{ops:#?}");
+        // A `continue` jumps to the step: `BodyEnd` stays out of the latch,
+        // and the step and back edge stay as they are.
+        let ops = main_ops(
+            "",
+            &format!("{vars} for (i = 0; i < 4; i++) {{ if (c) {{ continue; }} s++; }}"),
+        );
+        assert_eq!(count(&ops, |op| matches!(op, Op::ForLatch { .. })), 0, "{ops:#?}");
+        let back_edge = |w: &[Op]| {
+            matches!(
+                w,
+                [
+                    Op::Checkpoint { kind: CheckpointKind::BodyEnd, .. },
+                    Op::IncDecSlot { push: Push::Nothing, .. },
+                    Op::Jump(_)
+                ]
+            )
+        };
+        assert!(ops.windows(3).any(back_edge), "{ops:#?}");
     }
 
     #[test]

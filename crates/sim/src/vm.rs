@@ -187,6 +187,11 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                     let p = self.index(base, idx)?;
                     self.stack.push(p);
                 }
+                Op::IndexGlobal { addr, pointee } => {
+                    let idx = self.pop().as_int();
+                    self.stack
+                        .push(VmValue::Ptr { addr: self.element(addr, pointee, idx), pointee });
+                }
                 Op::LoadThru { site } => {
                     let p = self.pop();
                     let v = self.load(site, p)?;
@@ -198,30 +203,30 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                     let v = self.load(site, self.index(base, idx)?)?;
                     self.stack.push(v);
                 }
-                Op::LoadIndexedSlot { slot, site } => {
-                    let idx = self.slot(slot).as_int();
-                    let base = self.pop();
-                    let v = self.load(site, self.index(base, idx)?)?;
-                    self.stack.push(v);
-                }
                 Op::StoreThru { site } => {
                     let v = self.pop();
                     let p = self.pop();
                     self.store(site, p, v)?;
                 }
-                Op::StoreIndexed { site } => {
+                Op::LoadGlobalIndexed { addr, pointee, site } => {
                     let idx = self.pop().as_int();
-                    let base = self.pop();
-                    let p = self.index(base, idx)?;
-                    let v = self.pop();
-                    self.store(site, p, v)?;
+                    let v = self.load_at(site, self.element(addr, pointee, idx), pointee);
+                    self.stack.push(v);
                 }
-                Op::StoreIndexedSlot { slot, site } => {
-                    let idx = self.slot(slot).as_int();
-                    let base = self.pop();
-                    let p = self.index(base, idx)?;
+                Op::LoadGlobalIndexedSlot { addr, pointee, site, slot } => {
+                    let idx = self.slot(slot.into()).as_int();
+                    let v = self.load_at(site, self.element(addr, pointee, idx), pointee);
+                    self.stack.push(v);
+                }
+                Op::StoreGlobalIndexed { addr, pointee, site } => {
+                    let idx = self.pop().as_int();
                     let v = self.pop();
-                    self.store(site, p, v)?;
+                    self.store_at(site, self.element(addr, pointee, idx), pointee, v);
+                }
+                Op::StoreGlobalIndexedSlot { addr, pointee, site, slot } => {
+                    let idx = self.slot(slot.into()).as_int();
+                    let v = self.pop();
+                    self.store_at(site, self.element(addr, pointee, idx), pointee, v);
                 }
                 Op::IncDecThru { site, delta, push } => {
                     let p = self.pop();
@@ -261,6 +266,18 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                     let v = self.binary(op, l, r)?;
                     self.stack.push(v);
                 }
+                Op::SlotBinaryImm { op, slot, imm } => {
+                    let v = self.binary(op, self.slot(slot), VmValue::Int(imm))?;
+                    self.stack.push(v);
+                }
+                Op::SlotBinarySlot { op, lhs, rhs } => {
+                    let v = self.binary(op, self.slot(lhs), self.slot(rhs))?;
+                    self.stack.push(v);
+                }
+                Op::ImmBinarySlot { op, imm, slot } => {
+                    let v = self.binary(op, VmValue::Int(imm), self.slot(slot))?;
+                    self.stack.push(v);
+                }
                 Op::BranchImm { op, imm, target } => {
                     let l = self.pop();
                     if !self.binary(op, l, VmValue::Int(imm.into()))?.is_truthy() {
@@ -295,6 +312,16 @@ impl<'c, S: TraceSink> Vm<'c, S> {
                 Op::Truthy => {
                     let v = self.pop();
                     self.stack.push(VmValue::Int(v.is_truthy() as i64));
+                }
+                Op::ForLatch { loop_id, slot, delta, op, imm, target } => {
+                    let loop_id = LoopId(loop_id.into());
+                    self.emit_checkpoint(loop_id, CheckpointKind::BodyEnd);
+                    let v = (self.slot(slot.into()).as_int() as i32).wrapping_add(delta.into());
+                    self.slots[self.cur_base + usize::from(slot)] = VmValue::Int(v.into());
+                    if int_binop(op, v.into(), imm.into()).is_ok_and(|holds| holds != 0) {
+                        self.emit_checkpoint(loop_id, CheckpointKind::BodyBegin);
+                        pc = target as usize;
+                    }
                 }
                 Op::Jump(t) => pc = t as usize,
                 Op::JumpIfFalse(t) => {
@@ -473,6 +500,13 @@ impl<'c, S: TraceSink> Vm<'c, S> {
         }
     }
 
+    /// The address of element `idx` of the `pointee` array at `addr`.
+    #[inline(always)]
+    fn element(&self, addr: u32, pointee: TypeId, idx: i64) -> u32 {
+        let size = self.code.types.size(pointee) as i64;
+        addr.wrapping_add(idx.wrapping_mul(size) as u32)
+    }
+
     /// `base[idx]`'s element pointer; the oracle's error if `base` is not a
     /// pointer.
     #[inline(always)]
@@ -480,8 +514,7 @@ impl<'c, S: TraceSink> Vm<'c, S> {
         let VmValue::Ptr { addr, pointee } = base else {
             return Err(self.deref_non_pointer(base));
         };
-        let size = self.code.types.size(pointee) as i64;
-        Ok(VmValue::Ptr { addr: addr.wrapping_add(idx.wrapping_mul(size) as u32), pointee })
+        Ok(VmValue::Ptr { addr: self.element(addr, pointee, idx), pointee })
     }
 
     /// Loads through `p`, emitting a read record at `site`.
@@ -490,8 +523,14 @@ impl<'c, S: TraceSink> Vm<'c, S> {
         let VmValue::Ptr { addr, pointee } = p else {
             return Err(self.deref_non_pointer(p));
         };
+        Ok(self.load_at(site, addr, pointee))
+    }
+
+    /// Loads a `pointee` at `addr`, emitting a read record at `site`.
+    #[inline(always)]
+    fn load_at(&mut self, site: u32, addr: u32, pointee: TypeId) -> VmValue {
         self.emit_access(layout::user_instr(site), addr, AccessKind::Read);
-        Ok(self.read_typed(addr, pointee))
+        self.read_typed(addr, pointee)
     }
 
     /// Stores `v` through `p`, emitting a write record at `site`.
@@ -500,9 +539,16 @@ impl<'c, S: TraceSink> Vm<'c, S> {
         let VmValue::Ptr { addr, pointee } = p else {
             return Err(self.deref_non_pointer(p));
         };
+        self.store_at(site, addr, pointee, v);
+        Ok(())
+    }
+
+    /// Stores `v` as a `pointee` at `addr`, emitting a write record at
+    /// `site`.
+    #[inline(always)]
+    fn store_at(&mut self, site: u32, addr: u32, pointee: TypeId, v: VmValue) {
         self.emit_access(layout::user_instr(site), addr, AccessKind::Write);
         write_typed(&mut self.mem, addr, self.code.types.kind(pointee), v.as_int());
-        Ok(())
     }
 
     #[inline(always)]

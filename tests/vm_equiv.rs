@@ -139,6 +139,13 @@ fn error_paths_match_the_oracle() {
         ("deref-incdec-stmt", "int g; void main() { int x; g = 1; x = g; --*x; }"),
         ("compound-slot-div-zero", "int g; void main() { int s; s = g++; s /= g - 1; }"),
         ("compound-slot-rem-zero", "int g; void main() { int s; g = 2; s = g; s %= s - g; }"),
+        ("imm-left-div-zero", "int g; void main() { int s; int j; g = 1; s = 5 / j; }"),
+        ("slot-slot-div-zero", "int g; void main() { int s; int j; g = 1; s = s / j; }"),
+        ("slot-imm-rem-zero", "int g; void main() { int s; g = 1; s = s % 0; }"),
+        (
+            "global-index-fault",
+            "int g; int a[4]; void main() { int i; g = 1; g = a[1 / (i - i)]; }",
+        ),
     ];
     let fault = |name: &str, src: &str| {
         let mut prog = minic::parse(src).expect("parses");
@@ -227,7 +234,9 @@ fn scope_and_shadowing_semantics_match() {
 }
 
 /// Statements that put each fused shape (compare-and-branch, indexed load
-/// and store, statement `++`/`--`, compound store) next to a jump label.
+/// and store, statement `++`/`--`, compound store, the `for` latch,
+/// global-array bases, and arithmetic on a slot and a literal or a second
+/// slot) next to a jump label.
 /// `{k}` is a small literal and `{K}` an immediate at or past the edge of
 /// `i32`.
 const FUSION_EDGES: &[&str] = &[
@@ -261,6 +270,25 @@ const FUSION_EDGES: &[&str] = &[
     "s += --s + j;",
     "s /= j - {k};",
     "s %= {k};",
+    // `for` latches: counting down, a condition on another slot, a `char`
+    // counter, a counter that wraps past 2147483647, a body that writes
+    // its own counter, an empty body, and nested latches.
+    "for (i = {k} + 3; i >= {k}; i--) { s += a[i & 15]; }",
+    "for (i = 0; j < {k}; i++) { j++; s += i; }",
+    "{ char ch; for (ch = 250; ch != {k}; ch++) { s += ch; } }",
+    "for (i = 2147483647 - {k}; i > {k}; i++) { s++; }",
+    "for (i = 0; i < {k}; i++) { i += 2; s -= i; }",
+    "for (i = 0; i < {k}; i++) { }",
+    "for (i = 0; i < 3; i++) { for (j = {k}; j > 0; j--) { s += b[(i + j) & 15]; } }",
+    // Global arrays indexed by expressions with side effects, and a local
+    // array shadowing a global one.
+    "s += a[g++ & 15]; a[g++ & 15] = s;",
+    "a[f({k}) & 15] = a[j & 15];",
+    "{ int a[4]; a[i & 3] = {k}; s += a[j & 3] + a[0]; }",
+    // Immediate-left and slot-operand arithmetic.
+    "s += {k} * i + {k} / j;",
+    "s -= {K} - i;",
+    "s += i * j - (j + {K}) + (i < {k}) + s % j;",
 ];
 
 /// Literals at and past the edge of `i32` (`0 - n` folds to a negative
