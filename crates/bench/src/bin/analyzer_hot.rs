@@ -176,7 +176,7 @@ fn main() {
     let (by_dense, by_hash) = last.expect("iters >= 1");
     assert_eq!(by_dense, by_hash, "dense lookup must be byte-identical to hash");
 
-    let table = foray_bench::render_table(
+    let table = foray::report::render_table(
         &["mode", "records", "accesses", "time", "ns/record", "ns/access"],
         &rows
             .iter()

@@ -7,8 +7,8 @@
 //! cargo run -p foray-bench --bin filter_sweep
 //! ```
 
+use foray::report::render_table;
 use foray::{FilterConfig, ForayGen, ForayModel};
-use foray_bench::render_table;
 use foray_workloads::{all, Params};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

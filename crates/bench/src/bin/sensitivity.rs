@@ -7,7 +7,7 @@
 //! cargo run -p foray-bench --bin sensitivity [seeds]
 //! ```
 
-use foray_bench::render_table;
+use foray::report::render_table;
 use foray_workloads::{all, input, Params};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -112,7 +112,7 @@ fn main() {
 
     let speedup = cold.as_secs_f64() / cached.as_secs_f64();
     let paths = [("cold", cold), ("cached", cached)];
-    let table = foray_bench::render_table(
+    let table = foray::report::render_table(
         &["path", "rtt", "speedup"],
         &paths
             .iter()

@@ -95,7 +95,7 @@ fn main() {
 
     println!("sim_exec: {} at scale {} (best of {} iters)", w.name, args.scale, args.iters);
     let rows = [Engine::Tree, Engine::Vm].map(|e| measure(&w, e, args.iters));
-    let table = foray_bench::render_table(
+    let table = foray::report::render_table(
         &["engine", "records", "steps", "profile", "Mrec/s", "pipeline"],
         &rows
             .iter()

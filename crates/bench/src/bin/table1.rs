@@ -5,8 +5,8 @@
 //! cargo run -p foray-bench --bin table1 [scale]
 //! ```
 
-use foray::LoopBreakdown;
-use foray_bench::{render_table, run_suite};
+use foray::report::{pct, render_table};
+use foray_bench::run_suite;
 use foray_workloads::Params;
 
 fn main() {
@@ -21,9 +21,9 @@ fn main() {
             run.workload.name.to_string(),
             t.lines.to_string(),
             t.total_loops.to_string(),
-            format!("{:.0}%", LoopBreakdown::pct(t.for_loops, t.total_loops)),
-            format!("{:.0}%", LoopBreakdown::pct(t.while_loops, t.total_loops)),
-            format!("{:.0}%", LoopBreakdown::pct(t.do_loops, t.total_loops)),
+            format!("{:.0}%", pct(t.for_loops as u64, t.total_loops as u64)),
+            format!("{:.0}%", pct(t.while_loops as u64, t.total_loops as u64)),
+            format!("{:.0}%", pct(t.do_loops as u64, t.total_loops as u64)),
         ]);
         totals.0 += t.total_loops;
         totals.1 += t.for_loops;
@@ -35,6 +35,6 @@ fn main() {
     let non_for = totals.2 + totals.3;
     println!(
         "non-for loops overall: {:.0}% (paper reports 23% on average)",
-        LoopBreakdown::pct(non_for, totals.0)
+        pct(non_for as u64, totals.0 as u64)
     );
 }

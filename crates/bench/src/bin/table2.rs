@@ -8,7 +8,8 @@
 //! cargo run -p foray-bench --bin table2 [scale]
 //! ```
 
-use foray_bench::{render_table, run_suite};
+use foray::report::render_table;
+use foray_bench::run_suite;
 use foray_workloads::Params;
 
 fn main() {

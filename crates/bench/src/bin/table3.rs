@@ -6,7 +6,8 @@
 //! cargo run -p foray-bench --bin table3 [scale]
 //! ```
 
-use foray_bench::{human, pct, render_table, run_suite};
+use foray::report::{pct, render_table};
+use foray_bench::{human, run_suite};
 use foray_workloads::Params;
 
 fn main() {
@@ -22,17 +23,17 @@ fn main() {
             t.total_refs.to_string(),
             human(t.total_accesses),
             t.total_footprint.to_string(),
-            pct(t.model_refs, t.total_refs),
-            pct(t.model_accesses, t.total_accesses),
-            pct(t.model_footprint, t.total_footprint),
-            pct(t.lib_refs, t.total_refs),
-            pct(t.lib_accesses, t.total_accesses),
-            pct(t.lib_footprint, t.total_footprint),
-            pct(t.other_footprint, t.total_footprint),
+            format!("{:.0}%", pct(t.model_refs, t.total_refs)),
+            format!("{:.0}%", pct(t.model_accesses, t.total_accesses)),
+            format!("{:.0}%", pct(t.model_footprint, t.total_footprint)),
+            format!("{:.0}%", pct(t.lib_refs, t.total_refs)),
+            format!("{:.0}%", pct(t.lib_accesses, t.total_accesses)),
+            format!("{:.0}%", pct(t.lib_footprint, t.total_footprint)),
+            format!("{:.0}%", pct(t.other_footprint, t.total_footprint)),
         ]);
-        sums.0 += 100.0 * t.model_refs as f64 / t.total_refs.max(1) as f64;
-        sums.1 += 100.0 * t.model_accesses as f64 / t.total_accesses.max(1) as f64;
-        sums.2 += 100.0 * t.model_footprint as f64 / t.total_footprint.max(1) as f64;
+        sums.0 += pct(t.model_refs, t.total_refs);
+        sums.1 += pct(t.model_accesses, t.total_accesses);
+        sums.2 += pct(t.model_footprint, t.total_footprint);
         sums.3 += 1;
     }
     println!("Table III. Memory behaviour of the FORAY models (scale {scale})\n");

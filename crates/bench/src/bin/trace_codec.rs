@@ -28,12 +28,12 @@
 //! [`MIN_SIZE_RATIO`] and v2 corpus-total decode throughput is at least
 //! [`MIN_DECODE_SPEEDUP`] times v1's: CI's gates on the format. The bounds
 //! hold for the whole corpus at the default scale; one workload alone can
-//! read below them. The measured point is ~3.8x smaller files at 0.75x of
-//! v1's records/s (the median of 20 `--quick --scale 2` runs on a 2-core
-//! x86-64 host, ranging 0.68–0.83x; v2 pays CRC verification and delta
-//! reconstruction per record) — ~5x cheaper per *file byte*, so replay
-//! from any storage slower than ~2 GB/s is bounded by v1's I/O, not v2's
-//! decode, and ends ~3x sooner.
+//! read below them. The measured point is ~3.8x smaller files at 0.7–0.8x
+//! of v1's records/s (10 `--quick --scale 2` runs on a 2-core x86-64 host
+//! read 0.71–0.79x; v2 pays CRC verification and delta reconstruction per
+//! record) — ~5x cheaper per *file byte*, so replay from any storage
+//! slower than ~2 GB/s is bounded by v1's I/O, not v2's decode, and ends
+//! ~3x sooner.
 
 use foray_bench::harness::{int, ns, Args, Bound, Spec};
 use foray_serve::json::{obj, Json};
@@ -160,7 +160,7 @@ fn main() {
         v2_decode: rows.iter().map(|r| r.v2_decode).sum(),
     };
 
-    let table = foray_bench::render_table(
+    let table = foray::report::render_table(
         &[
             "workload",
             "records",

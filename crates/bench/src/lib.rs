@@ -118,21 +118,6 @@ pub fn dse_space(params: Params) -> foray_spm::SpmDesignSpace {
         .workloads(all(params).iter().map(|w| w.batch_job(ForayGen::new())))
 }
 
-/// Renders an aligned text table (the suite-wide style; see
-/// [`foray::report::render_table`]).
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    foray::report::render_table(headers, rows)
-}
-
-/// Formats a percentage like the paper's tables (integer percent).
-pub fn pct(part: u64, whole: u64) -> String {
-    if whole == 0 {
-        "0%".to_owned()
-    } else {
-        format!("{:.0}%", 100.0 * part as f64 / whole as f64)
-    }
-}
-
 /// Human-friendly access counts (`8.3M` style, as in Table III).
 pub fn human(n: u64) -> String {
     if n >= 10_000_000 {
@@ -152,7 +137,7 @@ mod tests {
 
     #[test]
     fn render_alignment() {
-        let t = render_table(
+        let t = foray::report::render_table(
             &["name", "n"],
             &[vec!["a".into(), "1".into()], vec!["long".into(), "100".into()]],
         );
@@ -164,8 +149,9 @@ mod tests {
 
     #[test]
     fn pct_and_human() {
-        assert_eq!(pct(1, 4), "25%");
-        assert_eq!(pct(0, 0), "0%");
+        // The paper tables' percent cells.
+        assert_eq!(format!("{:.0}%", foray::report::pct(1, 4)), "25%");
+        assert_eq!(format!("{:.0}%", foray::report::pct(0, 0)), "0%");
         assert_eq!(human(8_300_000), "8.3M");
         assert_eq!(human(123_456), "123k");
         assert_eq!(human(42), "42");

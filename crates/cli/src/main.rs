@@ -707,16 +707,16 @@ fn cmd_report(
         "accesses: {} total, {} in model ({:.0}%), {} in system library ({:.0}%)",
         mem.total_accesses,
         mem.model_accesses,
-        foray::MemoryBehavior::pct(mem.model_accesses, mem.total_accesses),
+        foray::report::pct(mem.model_accesses, mem.total_accesses),
         mem.lib_accesses,
-        foray::MemoryBehavior::pct(mem.lib_accesses, mem.total_accesses),
+        foray::report::pct(mem.lib_accesses, mem.total_accesses),
     )?;
     writeln!(
         stdout,
         "footprint: {} addresses total, {} in model ({:.0}%)",
         mem.total_footprint,
         mem.model_footprint,
-        foray::MemoryBehavior::pct(mem.model_footprint, mem.total_footprint),
+        foray::report::pct(mem.model_footprint, mem.total_footprint),
     )?;
     writeln!(stdout)?;
     writeln!(stdout, "== back-annotation (Phase III) ==")?;

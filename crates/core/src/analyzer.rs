@@ -466,11 +466,6 @@ impl Analysis {
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
-
-    /// References of a given class.
-    pub fn refs_of(&self, class: RefClass) -> impl Iterator<Item = &RefRecord> {
-        self.refs.iter().filter(move |r| r.class == class)
-    }
 }
 
 /// Analyzes a complete record slice in one call (offline convenience).
@@ -676,7 +671,6 @@ mod tests {
         let analysis = analyze(&t);
         let classes: Vec<RefClass> = analysis.refs().iter().map(|r| r.class).collect();
         assert_eq!(classes, vec![RefClass::Library, RefClass::Frame, RefClass::User]);
-        assert_eq!(analysis.refs_of(RefClass::Library).count(), 1);
     }
 
     #[test]

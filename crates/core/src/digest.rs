@@ -103,12 +103,6 @@ impl StableHasher {
         self.unit(&value.to_le_bytes());
     }
 
-    /// Writes a labelled signed-integer field.
-    pub fn field_i64(&mut self, label: &str, value: i64) {
-        self.unit(label.as_bytes());
-        self.unit(&value.to_le_bytes());
-    }
-
     /// Writes a labelled boolean field.
     pub fn field_bool(&mut self, label: &str, value: bool) {
         self.field_u64(label, u64::from(value));

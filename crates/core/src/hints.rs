@@ -9,7 +9,7 @@
 //! (its Fig. 9 example).
 
 use crate::looptree::{LoopTree, NodeId};
-use minic::{LoopId, Program, Stmt};
+use minic::{LoopId, Program};
 use std::collections::HashMap;
 
 /// One inlining hint: a loop observed in several calling contexts.
@@ -29,62 +29,20 @@ pub struct InlineHint {
 pub fn loop_owners(prog: &Program) -> HashMap<LoopId, String> {
     let mut owners = HashMap::new();
     for f in &prog.functions {
-        let mut collect = |s: &Stmt| {
+        f.visit_stmts(&mut |s| {
             if let Some(id) = s.loop_id() {
                 owners.insert(id, f.name.clone());
             }
-        };
-        for s in &f.body.stmts {
-            visit(s, &mut collect);
-        }
+        });
     }
     owners
-}
-
-fn visit(stmt: &Stmt, f: &mut impl FnMut(&Stmt)) {
-    f(stmt);
-    match stmt {
-        Stmt::If { then_blk, else_blk, .. } => {
-            for s in &then_blk.stmts {
-                visit(s, f);
-            }
-            if let Some(e) = else_blk {
-                for s in &e.stmts {
-                    visit(s, f);
-                }
-            }
-        }
-        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => {
-            for s in &body.stmts {
-                visit(s, f);
-            }
-        }
-        Stmt::For { init, step, body, .. } => {
-            if let Some(s) = init {
-                visit(s, f);
-            }
-            if let Some(s) = step {
-                visit(s, f);
-            }
-            for s in &body.stmts {
-                visit(s, f);
-            }
-        }
-        Stmt::Block(b) => {
-            for s in &b.stmts {
-                visit(s, f);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Derives inlining hints: loops of non-`main` functions that appear at
 /// more than one loop-tree position.
 ///
-/// # Examples
-///
-/// See `examples/inline_hints.rs`, which reproduces the paper's Fig. 9.
+/// `figures fig9` (the `foray-bench` bin) prints the hint for the paper's
+/// Fig. 9 program.
 pub fn inline_hints(prog: &Program, tree: &LoopTree) -> Vec<InlineHint> {
     let owners = loop_owners(prog);
     let mut by_loop: HashMap<LoopId, Vec<NodeId>> = HashMap::new();

@@ -80,15 +80,6 @@ impl Node {
     pub fn children(&self) -> impl Iterator<Item = (LoopId, NodeId)> + '_ {
         self.children.iter().copied()
     }
-
-    /// Mean iterations per entry (0 if never entered).
-    pub fn mean_trip(&self) -> f64 {
-        if self.entries == 0 {
-            0.0
-        } else {
-            self.total_iters as f64 / self.entries as f64
-        }
-    }
 }
 
 /// Iterator-change stamps of one node, parallel to the node arena.
@@ -417,20 +408,6 @@ impl LoopTree {
             self.render_node(child, depth + 1, out);
         }
     }
-
-    /// Loop ids that appear at more than one tree position — the raw signal
-    /// behind the paper's inlining hints.
-    pub fn multi_context_loops(&self) -> Vec<(LoopId, usize)> {
-        let mut counts: std::collections::HashMap<LoopId, usize> = std::collections::HashMap::new();
-        for n in &self.nodes {
-            if let Some(l) = n.loop_id {
-                *counts.entry(l).or_default() += 1;
-            }
-        }
-        let mut out: Vec<(LoopId, usize)> = counts.into_iter().filter(|(_, c)| *c > 1).collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -512,7 +489,8 @@ mod tests {
             ],
         );
         assert_eq!(tree.len(), 5); // root, 0, 1, and two instances of 2
-        assert_eq!(tree.multi_context_loops(), vec![(LoopId(2), 2)]);
+        let loop2 = tree.iter().filter(|(_, n)| n.loop_id == Some(LoopId(2))).count();
+        assert_eq!(loop2, 2, "loop 2 has a node in each context");
         assert_eq!(tree.distinct_loop_ids(), vec![LoopId(0), LoopId(1), LoopId(2)]);
     }
 
@@ -627,6 +605,6 @@ mod tests {
         assert_eq!(tree.iter().count(), 2);
         // Between loop-begin and the first body-begin the iterator reads -1.
         assert_eq!(tree.iterators(tree.current()), vec![-1]);
-        assert_eq!((tree.node(tree.current()).mean_trip() * 10.0) as i64, 0);
+        assert_eq!(tree.node(tree.current()).total_iters, 0);
     }
 }

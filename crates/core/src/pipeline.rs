@@ -162,19 +162,6 @@ impl ForayGen {
         self.run_instrumented(prog)
     }
 
-    /// Runs the flow on an already checked program, instrumenting it if
-    /// needed.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::Runtime`] if profiling faults.
-    pub fn run_program(&self, mut prog: Program) -> Result<ForayGenOutput, PipelineError> {
-        if !minic::is_instrumented(&prog) {
-            minic::instrument(&mut prog);
-        }
-        self.run_instrumented(prog)
-    }
-
     /// Profiles the program once with the online analyzer as the
     /// simulation's only sink.
     fn profile_analysis(&self, prog: &Program) -> Result<(Analysis, SimOutcome), PipelineError> {
@@ -255,6 +242,14 @@ mod tests {
         // itself affine in the outer iterator): 2 model refs, full windows.
         let full_refs: Vec<_> = out.model.refs.iter().filter(|r| !r.is_partial()).collect();
         assert_eq!(full_refs.len(), 2);
+        // The two contexts' outer strides differ: 40 bytes per iteration
+        // under x (offset 10*x over ints), 8 under y (offset 2*y).
+        let mut outer: Vec<i64> = full_refs
+            .iter()
+            .map(|r| r.terms.iter().find(|t| t.level == 2).expect("outer term").coeff)
+            .collect();
+        outer.sort_unstable();
+        assert_eq!(outer, vec![8, 40]);
     }
 
     #[test]

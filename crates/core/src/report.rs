@@ -78,15 +78,6 @@ impl LoopBreakdown {
         }
         row
     }
-
-    /// Percentage of executed loops of a kind (0–100).
-    pub fn pct(count: usize, total: usize) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * count as f64 / total as f64
-        }
-    }
 }
 
 /// Table III row: memory behaviour split between FORAY model, system
@@ -157,15 +148,6 @@ impl MemoryBehavior {
         row.other_footprint = Footprint::union_len(&other_fp);
         row
     }
-
-    /// Percentage helper (0–100).
-    pub fn pct(part: u64, whole: u64) -> f64 {
-        if whole == 0 {
-            0.0
-        } else {
-            100.0 * part as f64 / whole as f64
-        }
-    }
 }
 
 /// Table II row: dynamic (FORAY-GEN) capture vs static reach.
@@ -214,12 +196,12 @@ impl CaptureComparison {
 
     /// "% of loops not in FORAY form in the original program".
     pub fn pct_loops_not_static(&self) -> f64 {
-        MemoryBehavior::pct(self.model_loops - self.static_loops, self.model_loops)
+        pct(self.model_loops - self.static_loops, self.model_loops)
     }
 
     /// "% of references not in FORAY form in the original program".
     pub fn pct_refs_not_static(&self) -> f64 {
-        MemoryBehavior::pct(self.model_refs - self.static_refs, self.model_refs)
+        pct(self.model_refs - self.static_refs, self.model_refs)
     }
 
     /// The headline multiplier: dynamically analyzable references vs
@@ -231,6 +213,16 @@ impl CaptureComparison {
         } else {
             Some(self.model_refs as f64 / self.static_refs as f64)
         }
+    }
+}
+
+/// `part` as a percentage of `whole` (0–100; 0 when `whole` is 0). The
+/// paper's tables print it as `{:.0}%`.
+pub fn pct(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / whole as f64
     }
 }
 
@@ -349,7 +341,7 @@ mod tests {
         assert_eq!(row.model_footprint, 32);
         assert_eq!(row.lib_footprint, 4);
         assert_eq!(row.other_footprint, 1);
-        assert!((MemoryBehavior::pct(row.model_accesses, row.total_accesses) - 33.33).abs() < 0.1);
+        assert!((pct(row.model_accesses, row.total_accesses) - 33.33).abs() < 0.1);
     }
 
     #[test]
@@ -373,9 +365,9 @@ mod tests {
 
     #[test]
     fn pct_helpers() {
-        assert_eq!(LoopBreakdown::pct(1, 4), 25.0);
-        assert_eq!(LoopBreakdown::pct(0, 0), 0.0);
-        assert_eq!(MemoryBehavior::pct(2, 8), 25.0);
-        assert_eq!(MemoryBehavior::pct(2, 0), 0.0);
+        assert_eq!(pct(1, 4), 25.0);
+        assert_eq!(pct(0, 0), 0.0);
+        assert_eq!(pct(2, 8), 25.0);
+        assert_eq!(pct(2, 0), 0.0);
     }
 }

@@ -8,8 +8,7 @@
 //! accessed, so a report can say `A400020 = q at 9:13` instead of leaving
 //! the designer to grep.
 
-use minic::ast::visit_expr;
-use minic::{Expr, Loc, Program, SiteId, Stmt};
+use minic::{Expr, Loc, Program, SiteId};
 use minic_trace::{layout, InstrAddr};
 use std::collections::HashMap;
 
@@ -72,7 +71,7 @@ pub fn site_map(prog: &Program) -> HashMap<InstrAddr, SiteInfo> {
                 },
             );
         };
-        visit_fn_exprs(f, &mut on_expr);
+        f.visit_exprs(&mut on_expr);
     }
     map
 }
@@ -93,59 +92,6 @@ fn name_of(e: &Expr) -> Option<String> {
         Expr::Var { name, .. } => Some(name.clone()),
         Expr::Index { base, .. } => name_of(base),
         _ => None,
-    }
-}
-
-fn visit_fn_exprs(f: &minic::Function, on_expr: &mut impl FnMut(&Expr)) {
-    fn stmt_walk(s: &Stmt, on_expr: &mut impl FnMut(&Expr)) {
-        match s {
-            Stmt::LocalDecl { init: Some(e), .. } => visit_expr(e, on_expr),
-            Stmt::Assign { target, value, .. } => {
-                visit_expr(target, on_expr);
-                visit_expr(value, on_expr);
-            }
-            Stmt::Expr(e) | Stmt::Return(Some(e)) => visit_expr(e, on_expr),
-            Stmt::If { cond, then_blk, else_blk } => {
-                visit_expr(cond, on_expr);
-                for s in &then_blk.stmts {
-                    stmt_walk(s, on_expr);
-                }
-                if let Some(b) = else_blk {
-                    for s in &b.stmts {
-                        stmt_walk(s, on_expr);
-                    }
-                }
-            }
-            Stmt::While { cond, body, .. } | Stmt::DoWhile { cond, body, .. } => {
-                visit_expr(cond, on_expr);
-                for s in &body.stmts {
-                    stmt_walk(s, on_expr);
-                }
-            }
-            Stmt::For { init, cond, step, body, .. } => {
-                if let Some(s) = init {
-                    stmt_walk(s, on_expr);
-                }
-                if let Some(c) = cond {
-                    visit_expr(c, on_expr);
-                }
-                if let Some(s) = step {
-                    stmt_walk(s, on_expr);
-                }
-                for s in &body.stmts {
-                    stmt_walk(s, on_expr);
-                }
-            }
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    stmt_walk(s, on_expr);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in &f.body.stmts {
-        stmt_walk(s, on_expr);
     }
 }
 

@@ -61,23 +61,9 @@ impl Type {
         }
     }
 
-    /// Size in bytes of the pointee, used to scale pointer arithmetic.
-    /// Returns `None` for non-pointer types.
-    pub fn pointee_size(&self) -> Option<u32> {
-        match self {
-            Type::Ptr(inner) => Some(inner.size()),
-            _ => None,
-        }
-    }
-
     /// Convenience: `int*`.
     pub fn ptr_to(inner: Type) -> Type {
         Type::Ptr(Box::new(inner))
-    }
-
-    /// Whether this is a pointer type.
-    pub fn is_ptr(&self) -> bool {
-        matches!(self, Type::Ptr(_))
     }
 }
 
@@ -491,14 +477,32 @@ impl Program {
         n
     }
 
-    /// Calls `f` on every statement, in a deterministic pre-order walk.
+    /// Calls `f` on every statement, function by function, in
+    /// [`Function::visit_stmts`] order.
     pub fn visit_stmts(&self, f: &mut impl FnMut(&Stmt)) {
         for func in &self.functions {
-            visit_block_stmts(&func.body, f);
+            func.visit_stmts(f);
         }
     }
 
-    /// Calls `f` on every expression, in a deterministic pre-order walk.
+    /// Calls `f` on every expression, function by function, in
+    /// [`Function::visit_exprs`] order.
+    pub fn visit_exprs(&self, f: &mut impl FnMut(&Expr)) {
+        for func in &self.functions {
+            func.visit_exprs(f);
+        }
+    }
+}
+
+impl Function {
+    /// Calls `f` on every statement of the body, in a deterministic
+    /// pre-order walk.
+    pub fn visit_stmts(&self, f: &mut impl FnMut(&Stmt)) {
+        visit_block_stmts(&self.body, f);
+    }
+
+    /// Calls `f` on every expression of the body, in a deterministic
+    /// pre-order walk.
     pub fn visit_exprs(&self, f: &mut impl FnMut(&Expr)) {
         self.visit_stmts(&mut |s| visit_stmt_exprs(s, f));
     }
@@ -589,9 +593,6 @@ mod tests {
         assert_eq!(Type::Int.size(), 4);
         assert_eq!(Type::Char.size(), 1);
         assert_eq!(Type::ptr_to(Type::Char).size(), 4);
-        assert_eq!(Type::ptr_to(Type::Int).pointee_size(), Some(4));
-        assert_eq!(Type::ptr_to(Type::Char).pointee_size(), Some(1));
-        assert_eq!(Type::Int.pointee_size(), None);
     }
 
     #[test]

@@ -32,17 +32,6 @@ pub fn instrument(prog: &mut Program) {
     }
 }
 
-/// Returns whether a program already contains checkpoints.
-pub fn is_instrumented(prog: &Program) -> bool {
-    let mut found = false;
-    prog.visit_stmts(&mut |s| {
-        if matches!(s, Stmt::Checkpoint { .. }) {
-            found = true;
-        }
-    });
-    found
-}
-
 fn checkpoint(loop_id: LoopId, kind: CheckpointKind) -> Stmt {
     Stmt::Checkpoint { loop_id, kind }
 }
@@ -167,14 +156,6 @@ mod tests {
     fn break_gets_body_end() {
         let cps = checkpoints_of("void main() { do { break; } while (1); }");
         assert_eq!(cps, vec![(0, LB), (0, BB), (0, BE), (0, BE)]);
-    }
-
-    #[test]
-    fn detects_instrumentation() {
-        let mut prog = parse("void main() { while (0) { } }").unwrap();
-        assert!(!is_instrumented(&prog));
-        instrument(&mut prog);
-        assert!(is_instrumented(&prog));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * [`check`] — semantic validation + canonical loop/site numbering;
 //! * [`instrument()`] — Step 1 of the paper's Algorithm 1 (loop checkpoints);
 //! * [`pretty()`] — AST → source text (round-trips);
-//! * [`count_lines`] — Table I's line metrics;
-//! * [`build`] — programmatic AST construction.
+//! * [`count_lines`] — Table I's line metrics.
 //!
 //! Execution and trace generation live in the `minic-sim` crate; the FORAY
 //! model extraction itself lives in the `foray` crate.
@@ -48,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod build;
 pub mod builtins;
 mod error;
 pub mod instrument;
@@ -64,7 +62,7 @@ pub use ast::{
     Program, SiteId, Stmt, Type, UnOp,
 };
 pub use error::{Diagnostic, Error, Result};
-pub use instrument::{instrument, is_instrumented};
+pub use instrument::instrument;
 pub use lexer::lex;
 pub use loc::{count_lines, LineCounts};
 pub use parser::parse;
@@ -84,7 +82,7 @@ pub use token::Loc;
 /// ```
 /// # fn main() -> Result<(), minic::Error> {
 /// let prog = minic::frontend("void main() { while (0) { } }")?;
-/// assert!(minic::is_instrumented(&prog));
+/// assert!(minic::pretty(&prog).contains("CHECKPOINT(0);"));
 /// # Ok(())
 /// # }
 /// ```

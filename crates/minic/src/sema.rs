@@ -57,9 +57,9 @@ pub fn check(prog: &mut Program) -> Result<ProgramInfo> {
     }
 }
 
-/// Renumbers loops and sites in deterministic pre-order. Exposed for tools
-/// that synthesize ASTs directly (see [`crate::build`]).
-pub fn renumber(prog: &mut Program) {
+/// Renumbers loops and sites in deterministic pre-order; [`check`] runs it
+/// first.
+pub(crate) fn renumber(prog: &mut Program) {
     let mut next_loop = 0u32;
     let mut next_site = 0u32;
     for func in &mut prog.functions {

@@ -30,12 +30,18 @@ use crate::protocol::{
 };
 use foray::{ForayGen, ForayModel, MemoryBehavior};
 use std::any::Any;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Done and failed job records kept for `wait` and `poll`. Past this
+/// many, the record that finished first is dropped and its id answers
+/// `unknown_job`. Queued and running records are never dropped: the queue
+/// bound and the worker count already bound them.
+pub(crate) const MAX_FINISHED_JOBS: usize = 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -123,6 +129,8 @@ struct Counters {
 struct State {
     queue: BinaryHeap<QueueEntry>,
     jobs: HashMap<u64, JobState>,
+    /// Ids of done and failed records, oldest-finished first.
+    finished: VecDeque<u64>,
     in_flight: HashMap<String, u64>,
     cache: ResultCache,
     counters: Counters,
@@ -130,6 +138,19 @@ struct State {
     next_seq: u64,
     running: u64,
     shutting_down: bool,
+}
+
+impl State {
+    /// Records `id` as done or failed, then drops the oldest-finished
+    /// record past [`MAX_FINISHED_JOBS`].
+    fn finish(&mut self, id: u64, state: JobState) {
+        self.jobs.insert(id, state);
+        self.finished.push_back(id);
+        if self.finished.len() > MAX_FINISHED_JOBS {
+            let oldest = self.finished.pop_front().expect("over the cap, so non-empty");
+            self.jobs.remove(&oldest);
+        }
+    }
 }
 
 struct Shared {
@@ -160,6 +181,7 @@ impl Server {
             state: Mutex::new(State {
                 queue: BinaryHeap::new(),
                 jobs: HashMap::new(),
+                finished: VecDeque::new(),
                 in_flight: HashMap::new(),
                 cache: ResultCache::new(cfg.cache_entries, cfg.spill_dir.clone()),
                 counters: Counters::default(),
@@ -205,7 +227,7 @@ impl Server {
             st.counters.cache_hits += 1;
             let id = st.next_id;
             st.next_id += 1;
-            st.jobs.insert(id, JobState::Done { hit: true, result });
+            st.finish(id, JobState::Done { hit: true, result });
             return Ok(Submitted { job: format!("j{id}"), hit: true, key });
         }
         if let Some(&id) = st.in_flight.get(&key) {
@@ -237,7 +259,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// `unknown_job`, `job_failed` (with the compute error), or `timeout`.
+    /// `unknown_job` (never issued, or dropped after 1024 later jobs
+    /// finished), `job_failed` (with the compute error), or `timeout`.
     pub fn wait(
         &self,
         job: &str,
@@ -284,7 +307,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// `unknown_job`.
+    /// `unknown_job`, as for [`Server::wait`].
     pub fn poll(&self, job: &str) -> Result<&'static str, ProtoError> {
         let id = parse_job_id(job)?;
         let st = self.shared.lock();
@@ -480,15 +503,11 @@ fn run_claimed(
             let result: Arc<str> = Arc::from(text);
             st.cache.insert(&job.key, Arc::clone(&result));
             st.counters.computed += 1;
-            if let Some(state) = st.jobs.get_mut(&id) {
-                *state = JobState::Done { hit: false, result };
-            }
+            st.finish(id, JobState::Done { hit: false, result });
         }
         Err(msg) => {
             st.counters.failed += 1;
-            if let Some(state) = st.jobs.get_mut(&id) {
-                *state = JobState::Failed(msg);
-            }
+            st.finish(id, JobState::Failed(msg));
         }
     }
     drop(st);
@@ -747,6 +766,43 @@ mod tests {
         assert_eq!(srv.wait("j999", None).unwrap_err().code, ErrorCode::UnknownJob);
         assert_eq!(srv.poll("bogus").unwrap_err().code, ErrorCode::UnknownJob);
         assert!(srv.step_one());
+    }
+
+    /// Finished records are capped: the oldest-finished goes first, a
+    /// queued record is never dropped, the newest still answers, and the
+    /// counters still conserve.
+    #[test]
+    fn finished_job_records_are_capped_oldest_first() {
+        let srv = manual_server();
+        let cold = srv.submit(&spec(LOOP)).unwrap();
+        assert_eq!(cold.job, "j0");
+        assert!(srv.step_one());
+        let queued = srv.submit(&spec("int b[9]; void main() { b[1] = 2; }")).unwrap();
+        assert_eq!(queued.job, "j1");
+        let mut newest = cold;
+        for _ in 0..MAX_FINISHED_JOBS {
+            newest = srv.submit(&spec(LOOP)).unwrap();
+            assert!(newest.hit);
+        }
+        assert_eq!(srv.poll("j0").unwrap_err().code, ErrorCode::UnknownJob);
+        assert_eq!(srv.wait("j0", None).unwrap_err().code, ErrorCode::UnknownJob);
+        assert_eq!(srv.poll("j1").unwrap(), "queued", "a queued record is never dropped");
+        let (hit, payload) = srv.wait(&newest.job, None).unwrap();
+        assert!(hit);
+        assert!(payload.contains("for ("), "{payload}");
+
+        // The queued job finishing pushes out the oldest hit, j2.
+        assert!(srv.step_one());
+        assert_eq!(srv.poll("j1").unwrap(), "done");
+        assert_eq!(srv.poll("j2").unwrap_err().code, ErrorCode::UnknownJob);
+        assert_eq!(srv.poll("j3").unwrap(), "done");
+        assert_eq!(srv.shared.lock().jobs.len(), MAX_FINISHED_JOBS);
+
+        let st = srv.stats();
+        let hits = MAX_FINISHED_JOBS as u64;
+        assert_eq!((st.submitted, st.cache_hits, st.computed), (2 + hits, hits, 2));
+        assert_eq!(st.cache_hits + st.deduped + st.cache_misses + st.rejected, st.submitted);
+        assert_eq!(st.computed + st.failed, st.cache_misses);
     }
 
     #[test]

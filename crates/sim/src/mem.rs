@@ -110,15 +110,6 @@ impl Memory {
     pub fn read_i32(&self, addr: u32) -> i64 {
         self.read_u32(addr) as i32 as i64
     }
-
-    /// Number of resident pages (diagnostic).
-    pub fn resident_pages(&self) -> usize {
-        self.dir
-            .iter()
-            .flatten()
-            .map(|node| node.iter().filter(|leaf| leaf.is_some()).count())
-            .sum()
-    }
 }
 
 /// Bump allocator over the heap segment, with simple free accounting.

@@ -102,12 +102,6 @@ impl EnergyModel {
     pub fn main_nj(&self, n: u64) -> f64 {
         self.main_access_nj * n as f64
     }
-
-    /// Energy advantage of one SPM access over one main-memory access at a
-    /// given SPM size (positive while SPM wins).
-    pub fn advantage_nj(&self, size_bytes: u32) -> f64 {
-        self.main_access_nj - self.spm_access_nj(size_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +113,6 @@ mod tests {
         let m = EnergyModel::default();
         assert!(m.spm_access_nj(512) < m.main_access_nj);
         assert!(m.spm_access_nj(16 * 1024) > m.spm_access_nj(512));
-        assert!(m.advantage_nj(512) > 0.0);
     }
 
     #[test]
@@ -136,7 +129,10 @@ mod tests {
             assert_eq!(name, expect);
             assert_eq!(model, &EnergyModel::preset(expect).unwrap());
             // Every preset keeps the SPM worthwhile at its anchor size.
-            assert!(model.advantage_nj(model.spm_base_bytes) > 0.0, "{name} never wins");
+            assert!(
+                model.spm_access_nj(model.spm_base_bytes) < model.main_access_nj,
+                "{name} never wins"
+            );
         }
         assert_eq!(EnergyModel::preset("default").unwrap(), EnergyModel::default());
         let small = EnergyModel::preset("small-spm").unwrap();

@@ -3,9 +3,8 @@
 //! be placed in SPM").
 //!
 //! Selecting at most one buffering level per reference under a capacity
-//! budget is a multiple-choice knapsack. Both an exact dynamic program and
-//! the classical density-greedy heuristic are provided, so the heuristic
-//! can be ablated against the optimum.
+//! budget is a multiple-choice knapsack, solved exactly by one dynamic
+//! program ([`CapacityPlan`]).
 
 use crate::candidate::BufferCandidate;
 use crate::energy::EnergyModel;
@@ -20,12 +19,6 @@ pub struct Selection {
     pub used_bytes: u32,
     /// Energy saved vs an all-main-memory baseline, in nJ.
     pub savings_nj: f64,
-}
-
-impl Selection {
-    fn empty() -> Selection {
-        Selection { chosen: Vec::new(), used_bytes: 0, savings_nj: 0.0 }
-    }
 }
 
 /// The multiple-choice knapsack dynamic program, solved **once** up to a
@@ -126,63 +119,13 @@ impl CapacityPlan {
 /// Complexity `O(capacity × candidates)`; capacities are SPM-sized
 /// (≤ 64 KiB), so this is fast in practice. Sweeping several capacities?
 /// Build one [`CapacityPlan`] at the largest and [`CapacityPlan::select`]
-/// each — that is what [`sweep`] does.
+/// each — that is what [`crate::SpmDesignSpace::explore`] does.
 pub fn select_exact(
     candidates: &[BufferCandidate],
     energy: &EnergyModel,
     capacity: u32,
 ) -> Selection {
     CapacityPlan::build(candidates, energy, capacity).select(capacity)
-}
-
-/// Greedy selection by savings density (nJ per byte), one level per
-/// reference, first-fit under the capacity.
-pub fn select_greedy(
-    candidates: &[BufferCandidate],
-    energy: &EnergyModel,
-    capacity: u32,
-) -> Selection {
-    let mut order: Vec<usize> =
-        (0..candidates.len()).filter(|&i| candidates[i].savings_nj(energy) > 0.0).collect();
-    order.sort_by(|&a, &b| {
-        let da = candidates[a].savings_nj(energy) / candidates[a].size_bytes.max(1) as f64;
-        let db = candidates[b].savings_nj(energy) / candidates[b].size_bytes.max(1) as f64;
-        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut sel = Selection::empty();
-    let mut used_refs = std::collections::HashSet::new();
-    for i in order {
-        let c = &candidates[i];
-        if used_refs.contains(&c.ref_idx) {
-            continue;
-        }
-        if sel.used_bytes + c.size_bytes <= capacity {
-            sel.used_bytes += c.size_bytes;
-            sel.savings_nj += c.savings_nj(energy);
-            sel.chosen.push(i);
-            used_refs.insert(c.ref_idx);
-        }
-    }
-    sel.chosen.sort_unstable();
-    sel
-}
-
-/// Sweeps SPM capacities, producing the curve of (capacity, savings) — the
-/// paper's "several buffer configurations are suggested and one of them is
-/// selected during design space exploration".
-///
-/// The dynamic program is solved **once** at the largest capacity and each
-/// grid point is answered by backtracking ([`CapacityPlan`]); the old
-/// per-capacity re-solve is gone. Results are identical to calling
-/// [`select_exact`] per capacity.
-pub fn sweep(
-    candidates: &[BufferCandidate],
-    energy: &EnergyModel,
-    capacities: &[u32],
-) -> Vec<(u32, Selection)> {
-    let budget = capacities.iter().copied().max().unwrap_or(0);
-    let plan = CapacityPlan::build(candidates, energy, budget);
-    capacities.iter().map(|&cap| (cap, plan.select(cap))).collect()
 }
 
 #[cfg(test)]
@@ -230,27 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_beats_or_equals_greedy() {
-        let energy = EnergyModel::default();
-        // Adversarial sizes: greedy-by-density walks into a corner.
-        let cands = vec![
-            candidate(0, 1, 60, 3_000, 30),
-            candidate(1, 1, 60, 3_000, 30),
-            candidate(2, 1, 100, 4_600, 46),
-        ];
-        for cap in [100u32, 120, 160, 220] {
-            let e = select_exact(&cands, &energy, cap);
-            let g = select_greedy(&cands, &energy, cap);
-            assert!(
-                e.savings_nj >= g.savings_nj - 1e-9,
-                "cap {cap}: exact {} < greedy {}",
-                e.savings_nj,
-                g.savings_nj
-            );
-        }
-    }
-
-    #[test]
     fn zero_capacity_selects_nothing() {
         let energy = EnergyModel::default();
         let cands = vec![candidate(0, 1, 100, 1_000, 10)];
@@ -276,8 +198,6 @@ mod tests {
         assert!(cands[0].savings_nj(&energy) < 0.0);
         let sel = select_exact(&cands, &energy, 1_000);
         assert!(sel.chosen.is_empty());
-        let sel = select_greedy(&cands, &energy, 1_000);
-        assert!(sel.chosen.is_empty());
     }
 
     #[test]
@@ -301,34 +221,5 @@ mod tests {
         }
         // Above-budget capacities clamp to the budget column.
         assert_eq!(plan.select(4096), plan.select(1024));
-    }
-
-    #[test]
-    fn sweep_matches_per_capacity_exact_solves() {
-        let energy = EnergyModel::default();
-        let cands = vec![
-            candidate(0, 1, 128, 4_000, 32),
-            candidate(1, 1, 256, 6_000, 64),
-            candidate(2, 1, 512, 9_000, 128),
-        ];
-        let caps = [64u32, 128, 300, 512, 1024];
-        let curve = sweep(&cands, &energy, &caps);
-        for (cap, sel) in curve {
-            assert_eq!(sel, select_exact(&cands, &energy, cap), "capacity {cap}");
-        }
-    }
-
-    #[test]
-    fn sweep_is_monotone() {
-        let energy = EnergyModel::default();
-        let cands = vec![
-            candidate(0, 1, 128, 4_000, 32),
-            candidate(1, 1, 256, 6_000, 64),
-            candidate(2, 1, 512, 9_000, 128),
-        ];
-        let curve = sweep(&cands, &energy, &[128, 256, 512, 1024]);
-        for pair in curve.windows(2) {
-            assert!(pair[1].1.savings_nj >= pair[0].1.savings_nj - 1e-9);
-        }
     }
 }

@@ -41,7 +41,7 @@ pub mod transform;
 pub use candidate::{candidates_for, enumerate, BufferCandidate};
 pub use dse::{DsePoint, DseResult, DseStats, SpmDesignSpace};
 pub use energy::EnergyModel;
-pub use explore::{select_exact, select_greedy, sweep, CapacityPlan, Selection};
+pub use explore::{select_exact, CapacityPlan, Selection};
 pub use transform::emit_buffered;
 
 use foray::ForayModel;
@@ -85,12 +85,6 @@ impl SpmFlow {
         let baseline_nj = self.energy.main_nj(model.covered_accesses());
         SpmReport { candidates, selection, code, baseline_nj }
     }
-
-    /// Sweeps several capacities (the paper's design-space exploration).
-    pub fn sweep(&self, model: &ForayModel, capacities: &[u32]) -> Vec<(u32, Selection)> {
-        let candidates = enumerate(model);
-        explore::sweep(&candidates, &self.energy, capacities)
-    }
 }
 
 #[cfg(test)]
@@ -120,16 +114,6 @@ mod tests {
         assert!(report.selection.savings_nj > 0.0);
         assert!(report.selection.used_bytes <= 4096);
         assert!(report.baseline_nj > report.selection.savings_nj);
-    }
-
-    #[test]
-    fn sweep_savings_grow_with_capacity() {
-        let model = reuse_heavy_model();
-        let curve = SpmFlow::default().sweep(&model, &[256, 512, 1024, 4096]);
-        assert_eq!(curve.len(), 4);
-        for pair in curve.windows(2) {
-            assert!(pair[1].1.savings_nj >= pair[0].1.savings_nj - 1e-9);
-        }
     }
 
     #[test]

@@ -342,9 +342,8 @@ fn parse_header(h: &[u8; HEADER_BYTES]) -> Result<(FormatVersion, u32), ReadErro
 ///
 /// In v2 mode (the default) each flushed block is delta-compressed
 /// with its own CRC32, and a checkpoint index is accumulated (one entry
-/// per block) and appended at [`Self::finish`] — disable it with
-/// [`Self::with_checkpoint_index`] to shave the trailer from short-lived
-/// files.
+/// per block) and appended at [`Self::finish`]; a v2 writer always writes
+/// it.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     out: W,
@@ -363,8 +362,8 @@ pub struct TraceWriter<W: Write> {
     block_first_ordinal: u64,
     /// Loop-id range observed in the current block.
     loops: LoopRange,
-    /// Accumulated index entries (`None` = disabled or v1).
-    index: Option<Vec<IndexEntry>>,
+    /// Accumulated index entries (v2 only; v1 has no index).
+    index: Vec<IndexEntry>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -402,27 +401,13 @@ impl<W: Write> TraceWriter<W> {
             out_offset: HEADER_BYTES as u64,
             block_first_ordinal: 0,
             loops: LoopRange::default(),
-            index: match format {
-                FormatVersion::V1 => None,
-                FormatVersion::V2 => Some(Vec::new()),
-            },
+            index: Vec::new(),
         };
         let header = header_bytes(format, block_cap as u32);
         if let Err(e) = w.out.write_all(&header) {
             w.error = Some(e);
         }
         w
-    }
-
-    /// Enables or disables the v2 checkpoint index (ignored in v1, where
-    /// no index exists). Call before the first record is flushed; entries
-    /// already accumulated are dropped when disabling.
-    pub fn with_checkpoint_index(mut self, enabled: bool) -> Self {
-        self.index = match (self.format, enabled) {
-            (FormatVersion::V2, true) => Some(self.index.take().unwrap_or_default()),
-            _ => None,
-        };
-        self
     }
 
     /// Records written so far.
@@ -458,8 +443,8 @@ impl<W: Write> TraceWriter<W> {
             self.error = Some(e);
         }
         let loops = self.loops.take();
-        if let Some(index) = &mut self.index {
-            index.push(IndexEntry::new(self.out_offset, self.block_first_ordinal, loops));
+        if self.format == FormatVersion::V2 {
+            self.index.push(IndexEntry::new(self.out_offset, self.block_first_ordinal, loops));
         }
         self.out_offset += (self.format.block_header_bytes() + self.block.len()) as u64;
         self.v2_state = V2State::default();
@@ -510,7 +495,7 @@ impl<W: Write> TraceSink for TraceWriter<W> {
             .and_then(|()| match self.format {
                 FormatVersion::V1 => Ok(()),
                 FormatVersion::V2 => {
-                    let index = CheckpointIndex::new(self.index.take().unwrap_or_default());
+                    let index = CheckpointIndex::new(std::mem::take(&mut self.index));
                     self.out.write_all(&index.encode())
                 }
             })
@@ -1470,15 +1455,23 @@ mod tests {
 
     #[test]
     fn disabled_index_round_trips_and_reports_unseekable() {
+        // The format allows an index of no entries (empty traces write
+        // one). Rewrite a multi-block file's trailer that way: E = 0, the
+        // CRC of no bytes, then the footer.
         let recs = sample(20);
-        let mut w = TraceWriter::with_options(Vec::new(), FormatVersion::V2, 64)
-            .with_checkpoint_index(false);
-        for r in &recs {
-            w.record(r);
-        }
-        w.finish();
-        assert!(w.io_error().is_none());
-        let file = TraceFile::from_bytes(w.into_inner()).unwrap();
+        let mut bytes = encode_with(FormatVersion::V2, &recs, 64);
+        let n_blocks =
+            TraceFile::from_bytes(bytes.clone()).unwrap().index().unwrap().entries().len();
+        assert!(n_blocks > 1, "want a multi-block file");
+        let footer = bytes.split_off(bytes.len() - 8);
+        bytes.truncate(bytes.len() - (4 + n_blocks * ENTRY_BYTES + 4));
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&crc32(&[]).to_le_bytes());
+        bytes.extend_from_slice(&footer);
+        let streamed: Vec<Record> =
+            TraceReader::new(bytes.as_slice()).unwrap().map(Result::unwrap).collect();
+        assert_eq!(streamed, recs);
+        let file = TraceFile::from_bytes(bytes).unwrap();
         assert!(file.index().is_none());
         assert!(file.records_from_loop(LoopId(0)).is_none());
         let decoded: Vec<Record> = file.records().map(Result::unwrap).collect();

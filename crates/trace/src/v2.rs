@@ -29,9 +29,10 @@
 //! length from its first byte alone — no data-dependent scan over
 //! continuation bits — so the bulk decoder can select each length
 //! through a predicted branch and keep the record-to-record position
-//! chain off the load path (see `fast_step`). Decode runs within ~25%
-//! of fixed-width v1 record throughput on ~4x fewer bytes: far cheaper
-//! per file byte, which is what bounds replay from storage.
+//! chain off the load path (see `fast_step`). Decode runs at 0.7–0.8x of
+//! fixed-width v1's record throughput (`trace_codec`; per-commit readings
+//! are in `BENCH_history.jsonl`) on ~4x fewer bytes: far cheaper per file
+//! byte, which is what bounds replay from storage.
 //!
 //! The address delta is **per instruction**, not global: a 256-entry
 //! direct-mapped table keyed by the instruction address holds each

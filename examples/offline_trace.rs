@@ -3,9 +3,10 @@
 //! online analysis makes the "typically large" trace file unnecessary.
 //!
 //! Two file flavours are shown: the paper's Fig. 4(c) text format (human
-//! readable, self-describing lines) and the framed `foray-trace/v1` binary
-//! container (compact, versioned, zero-copy to decode) — and the replayed
-//! analyses are identical to each other and to the online run.
+//! readable, self-describing lines) and the `foray-trace` binary container
+//! (compact, versioned, zero-copy to decode; `TraceWriter::new` writes
+//! version 2) — and the replayed analyses are identical to each other and
+//! to the online run.
 //!
 //! ```text
 //! cargo run --example offline_trace
@@ -42,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Step 2 (offline flavour B): the same profiling run into a framed
-    // foray-trace/v1 file — streamed block by block, never in memory.
+    // Step 2 (offline flavour B): the same profiling run into a v2
+    // `.ftrace` file — streamed block by block, never in memory.
     let framed_path = dir.join("foray_offline_demo.ftrace");
     {
         let file = std::fs::File::create(&framed_path)?;

@@ -6,7 +6,8 @@
 //! cargo run --example spm_flow
 //! ```
 
-use foray_spm::{EnergyModel, SpmFlow};
+use foray::ForayGen;
+use foray_spm::{EnergyModel, SpmDesignSpace, SpmFlow};
 use foray_workloads::{jpegc, Params};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,29 +23,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.sim.accesses
     );
 
-    // Phase II: reuse analysis + DSE over SPM capacities.
-    let flow = SpmFlow::new(EnergyModel::default());
+    // Phase II: reuse analysis + DSE over SPM capacities, one energy model.
     println!("Phase II: design-space exploration");
     println!("{:>10} {:>12} {:>14} {:>10}", "SPM bytes", "buffers", "savings (nJ)", "used");
-    let capacities = [256u32, 512, 1024, 2048, 4096, 8192, 16384];
-    let curve = flow.sweep(&out.model, &capacities);
-    for (cap, sel) in &curve {
+    let result = SpmDesignSpace::new()
+        .capacities(&[256, 512, 1024, 2048, 4096, 8192, 16384])
+        .model("default", EnergyModel::default())
+        .workload(workload.batch_job(ForayGen::new()))
+        .explore(0)?;
+    let curve = result.curve(workload.name, "default");
+    for p in &curve {
         println!(
             "{:>10} {:>12} {:>14.1} {:>10}",
-            cap,
-            sel.chosen.len(),
-            sel.savings_nj,
-            sel.used_bytes
+            p.capacity,
+            p.selection.chosen.len(),
+            p.selection.savings_nj,
+            p.selection.used_bytes
         );
     }
 
     // Pick the knee (first capacity achieving ≥ 90% of the max savings).
-    let max = curve.last().map(|(_, s)| s.savings_nj).unwrap_or(0.0);
+    let max = curve.last().map_or(0.0, |p| p.selection.savings_nj);
     let knee =
-        curve.iter().find(|(_, s)| s.savings_nj >= 0.9 * max).map(|(c, _)| *c).unwrap_or(4096);
+        curve.iter().find(|p| p.selection.savings_nj >= 0.9 * max).map_or(4096, |p| p.capacity);
     println!("\nselected capacity: {knee} bytes (knee of the curve)");
 
-    let report = flow.run(&out.model, knee);
+    let report = SpmFlow::new(EnergyModel::default()).run(&out.model, knee);
     println!(
         "baseline energy {:.1} nJ, saved {:.1} nJ ({:.1}%)\n",
         report.baseline_nj,

@@ -6,9 +6,9 @@
 //! the whole stack; depend on the individual crates ([`foray`], [`minic`],
 //! [`minic_sim`], ...) to pick components.
 //!
-//! The `examples/` and `tests/` directories of this package host the
-//! runnable walk-throughs of the paper's figures and the cross-crate
-//! integration/property tests.
+//! The `examples/` directory of this package holds short tours of the API
+//! (the paper's figures are `foray-bench`'s `figures` bin), and `tests/`
+//! holds the cross-crate integration and property tests.
 //!
 //! # Examples
 //!

@@ -126,3 +126,52 @@ fn interprocedural_nesting_blinds_the_static_detector_not_foray() {
     assert_eq!(r.terms.len(), 2);
     assert_eq!(r.terms[1].coeff, 256);
 }
+
+/// Coefficients (innermost first), trip counts (innermost first) and
+/// writes of a model's only reference.
+fn only_ref_shape(out: &foray::ForayGenOutput) -> (Vec<i64>, Vec<u64>, u64) {
+    assert_eq!(out.model.ref_count(), 1, "{}", out.code);
+    let r = &out.model.refs[0];
+    assert!(!r.is_partial());
+    let coeffs = r.terms.iter().map(|t| t.coeff).collect();
+    let trips = r.node_path.iter().map(|n| out.model.loops[n].trip).collect();
+    (coeffs, trips, r.writes)
+}
+
+#[test]
+fn figure1_excerpts_become_figure2_models() {
+    // The paper's motivating example: two jpeg excerpts no static
+    // technique analyzes (Fig. 1), and the FORAY models FORAY-GEN
+    // extracts for them (Fig. 2).
+    let (cmp, out) = compare(
+        "int last_bitpos[192]; int *last_bitpos_ptr;
+         void main() {
+             int ci; int coefi;
+             last_bitpos_ptr = last_bitpos;
+             for (ci = 0; ci < 3; ci++) {
+                 for (coefi = 0; coefi < 64; coefi++) { *last_bitpos_ptr++ = -1; }
+             }
+         }",
+        FilterConfig::default(),
+    );
+    assert_eq!((cmp.static_loops, cmp.static_refs), (2, 0), "the pointer walk hides the reference");
+    assert_eq!((cmp.model_loops, cmp.model_refs), (2, 1));
+    assert_eq!(only_ref_shape(&out), (vec![4, 256], vec![64, 3], 192));
+
+    // 16 writes over 16 locations: Nexec is relaxed to 16, as the paper's
+    // figures show the model before the Step 4 purge.
+    let (cmp, out) = compare(
+        "int workspace[1024]; int *result[16]; int currow;
+         void main() {
+             int i;
+             currow = 0;
+             while (currow < 16) {
+                 for (i = 4; i > 0; i--) { result[currow] = workspace; currow++; }
+             }
+         }",
+        FilterConfig { n_exec: 16, n_loc: 10 },
+    );
+    assert_eq!((cmp.static_loops, cmp.static_refs), (1, 0), "`currow` is no loop's iterator");
+    assert_eq!((cmp.model_loops, cmp.model_refs), (2, 1));
+    assert_eq!(only_ref_shape(&out), (vec![4, 16], vec![4, 4], 16));
+}

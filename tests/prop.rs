@@ -597,7 +597,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn exact_knapsack_dominates_greedy_and_matches_bruteforce(
+    fn exact_knapsack_matches_bruteforce(
         sizes in proptest::collection::vec((16u32..200, 100u64..100_000), 1..7),
         capacity in 50u32..600,
     ) {
@@ -618,8 +618,6 @@ proptest! {
             })
             .collect();
         let exact = foray_spm::select_exact(&candidates, &energy, capacity);
-        let greedy = foray_spm::select_greedy(&candidates, &energy, capacity);
-        prop_assert!(exact.savings_nj >= greedy.savings_nj - 1e-6);
         prop_assert!(exact.used_bytes <= capacity);
 
         // Brute force over all subsets (≤ 2^6).
