@@ -10,30 +10,36 @@
 //! ```
 
 use foray::{FilterConfig, ForayGen};
+use foray_bench::print_report;
+use std::error::Error;
+use std::io::Write;
+use std::process::ExitCode;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
-    if matches!(which.as_str(), "fig2" | "all") {
-        fig2()?;
-    }
-    if matches!(which.as_str(), "fig4" | "all") {
-        fig4()?;
-    }
-    if matches!(which.as_str(), "fig7" | "all") {
-        fig7()?;
-    }
-    if matches!(which.as_str(), "fig9" | "all") {
-        fig9()?;
-    }
-    Ok(())
+    print_report(|w| {
+        if matches!(which.as_str(), "fig2" | "all") {
+            fig2(w)?;
+        }
+        if matches!(which.as_str(), "fig4" | "all") {
+            fig4(w)?;
+        }
+        if matches!(which.as_str(), "fig7" | "all") {
+            fig7(w)?;
+        }
+        if matches!(which.as_str(), "fig9" | "all") {
+            fig9(w)?;
+        }
+        Ok(())
+    })
 }
 
-fn banner(s: &str) {
-    println!("\n==================== {s} ====================");
+fn banner(w: &mut dyn Write, s: &str) -> std::io::Result<()> {
+    writeln!(w, "\n==================== {s} ====================")
 }
 
-fn fig2() -> Result<(), foray::PipelineError> {
-    banner("Figure 1 -> Figure 2");
+fn fig2(w: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    banner(w, "Figure 1 -> Figure 2")?;
     let excerpts: [(&str, &str, FilterConfig); 2] = [
         (
             "*last_bitpos_ptr++ = -1 over components x coefficients",
@@ -61,15 +67,15 @@ fn fig2() -> Result<(), foray::PipelineError> {
         ),
     ];
     for (title, src, filter) in excerpts {
-        println!("\n-- {title} --");
+        writeln!(w, "\n-- {title} --")?;
         let out = ForayGen::new().filter(filter).run_source(src)?;
-        print!("{}", out.code);
+        write!(w, "{}", out.code)?;
     }
     Ok(())
 }
 
-fn fig4() -> Result<(), foray::PipelineError> {
-    banner("Figure 4");
+fn fig4(w: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    banner(w, "Figure 4")?;
     let src = "char q[10000]; char *ptr;
         void main() {
             int i; int t1 = 98;
@@ -81,22 +87,23 @@ fn fig4() -> Result<(), foray::PipelineError> {
             }
         }";
     let out = ForayGen::new().filter(FilterConfig { n_exec: 6, n_loc: 6 }).run_source(src)?;
-    println!("annotated program:\n{}", minic::pretty(&out.program));
-    println!("FORAY model:\n{}", out.code);
+    writeln!(w, "annotated program:\n{}", minic::pretty(&out.program))?;
+    writeln!(w, "FORAY model:\n{}", out.code)?;
     let r = &out.model.refs[0];
-    println!(
+    writeln!(
+        w,
         "paper expects coefficients (1, 103) and trips (3, 2): got ({}, {}) and ({}, {})",
         r.terms[0].coeff,
         r.terms[1].coeff,
         out.model.loops[&r.node_path[0]].trip,
         out.model.loops[&r.node_path[1]].trip
-    );
+    )?;
     Ok(())
 }
 
-fn fig7() -> Result<(), foray::PipelineError> {
-    banner("Figure 7: partial affine index expressions");
-    println!("\n-- case 1: stack-reallocated local array --");
+fn fig7(w: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    banner(w, "Figure 7: partial affine index expressions")?;
+    writeln!(w, "\n-- case 1: stack-reallocated local array --")?;
     let out = ForayGen::new().run_source(
         "int src[4000]; int sink;
          int foo(int x) {
@@ -116,8 +123,8 @@ fn fig7() -> Result<(), foray::PipelineError> {
              sink = tmp;
          }",
     )?;
-    print!("{}", out.code);
-    println!("\n-- case 2: data-dependent offset parameter --");
+    write!(w, "{}", out.code)?;
+    writeln!(w, "\n-- case 2: data-dependent offset parameter --")?;
     let out =
         ForayGen::new().inputs(vec![0, 700, 160, 2400, 1000, 40, 3333, 90, 2048, 512]).run_source(
             "int A[4000]; int sink;
@@ -134,12 +141,12 @@ fn fig7() -> Result<(), foray::PipelineError> {
                  sink = tmp;
              }",
         )?;
-    print!("{}", out.code);
+    write!(w, "{}", out.code)?;
     Ok(())
 }
 
-fn fig9() -> Result<(), foray::PipelineError> {
-    banner("Figure 9: inlining hints");
+fn fig9(w: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    banner(w, "Figure 9: inlining hints")?;
     let out = ForayGen::new().run_source(
         "int A[1000];
          int foo(int offset) {
@@ -154,15 +161,16 @@ fn fig9() -> Result<(), foray::PipelineError> {
              print_int(tmp);
          }",
     )?;
-    print!("{}", out.code);
+    write!(w, "{}", out.code)?;
     for h in &out.hints {
-        println!(
+        writeln!(
+            w,
             "hint: duplicate `{}` — its loop {} runs in {} contexts ({})",
             h.function,
             h.loop_id,
             h.contexts.len(),
             h.context_paths.join(" | ")
-        );
+        )?;
     }
     Ok(())
 }

@@ -9,9 +9,15 @@
 
 use foray::report::render_table;
 use foray::{FilterConfig, ForayGen, ForayModel};
+use foray_bench::print_report;
 use foray_workloads::{all, Params};
+use std::process::ExitCode;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    print_report(report)
+}
+
+fn report(out: &mut dyn std::io::Write) -> Result<(), Box<dyn std::error::Error>> {
     let sweeps: [(u64, u64); 6] = [(1, 1), (5, 5), (20, 10), (50, 10), (20, 50), (100, 100)];
     let mut rows = Vec::new();
     for workload in all(Params::default()) {
@@ -29,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .chain(sweeps.iter().map(|(e, l)| format!("{e}/{l}")))
         .collect();
     let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    println!("FORAY model size (references) under Nexec/Nloc sweeps\n");
-    println!("{}", render_table(&headers_ref, &rows));
-    println!("paper default: 20/10 (third column).");
+    writeln!(out, "FORAY model size (references) under Nexec/Nloc sweeps\n")?;
+    writeln!(out, "{}", render_table(&headers_ref, &rows))?;
+    writeln!(out, "paper default: 20/10 (third column).")?;
     Ok(())
 }

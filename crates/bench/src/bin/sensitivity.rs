@@ -8,9 +8,15 @@
 //! ```
 
 use foray::report::render_table;
+use foray_bench::print_report;
 use foray_workloads::{all, input, Params};
+use std::process::ExitCode;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    print_report(report)
+}
+
+fn report(out: &mut dyn std::io::Write) -> Result<(), Box<dyn std::error::Error>> {
     let seeds: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4);
     let mut rows = Vec::new();
     for workload in all(Params::default()) {
@@ -39,15 +45,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (worst.only_left + worst.only_right).to_string(),
         ]);
     }
-    println!("Model stability across {seeds} alternative input sets\n");
-    println!(
+    writeln!(out, "Model stability across {seeds} alternative input sets\n")?;
+    writeln!(
+        out,
         "{}",
         render_table(
             &["benchmark", "model refs", "min stability", "changed", "appear/vanish"],
             &rows
         )
-    );
-    println!("stability = references whose affine terms survive the input change;");
-    println!("the paper left this study as future work (Section 6).");
+    )?;
+    writeln!(out, "stability = references whose affine terms survive the input change;")?;
+    writeln!(out, "the paper left this study as future work (Section 6).")?;
     Ok(())
 }

@@ -6,10 +6,15 @@
 //! ```
 
 use foray::report::{pct, render_table};
-use foray_bench::run_suite;
+use foray_bench::{print_report, run_suite};
 use foray_workloads::Params;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    print_report(report)
+}
+
+fn report(out: &mut dyn std::io::Write) -> Result<(), Box<dyn std::error::Error>> {
     let scale: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
     let runs = run_suite(Params { scale });
 
@@ -30,11 +35,14 @@ fn main() {
         totals.2 += t.while_loops;
         totals.3 += t.do_loops;
     }
-    println!("Table I. Benchmark complexity and loop distribution (scale {scale})\n");
-    println!("{}", render_table(&["benchmark", "lines", "loops", "for", "while", "do"], &rows));
+    writeln!(out, "Table I. Benchmark complexity and loop distribution (scale {scale})\n")?;
+    let headers = ["benchmark", "lines", "loops", "for", "while", "do"];
+    writeln!(out, "{}", render_table(&headers, &rows))?;
     let non_for = totals.2 + totals.3;
-    println!(
+    writeln!(
+        out,
         "non-for loops overall: {:.0}% (paper reports 23% on average)",
         pct(non_for as u64, totals.0 as u64)
-    );
+    )?;
+    Ok(())
 }

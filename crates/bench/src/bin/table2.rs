@@ -9,10 +9,15 @@
 //! ```
 
 use foray::report::render_table;
-use foray_bench::run_suite;
+use foray_bench::{print_report, run_suite};
 use foray_workloads::Params;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    print_report(report)
+}
+
+fn report(out: &mut dyn std::io::Write) -> Result<(), Box<dyn std::error::Error>> {
     let scale: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
     let runs = run_suite(Params { scale });
 
@@ -32,19 +37,22 @@ fn main() {
         // form) we cap at the model size for the average.
         gains.push(t.gain().unwrap_or(t.model_refs as f64));
     }
-    println!("Table II. Loops and references converted into FORAY form (scale {scale})\n");
-    println!(
+    writeln!(out, "Table II. Loops and references converted into FORAY form (scale {scale})\n")?;
+    writeln!(
+        out,
         "{}",
         render_table(
             &["benchmark", "FORAY loops", "FORAY refs", "loops not static", "refs not static"],
             &rows
         )
-    );
+    )?;
     let mean = gains.iter().sum::<f64>() / gains.len() as f64;
     let geo = gains.iter().map(|g| g.ln()).sum::<f64>() / gains.len() as f64;
-    println!(
+    writeln!(
+        out,
         "headline: analyzable references grow {mean:.1}x on average ({:.1}x geometric);",
         geo.exp()
-    );
-    println!("          the paper reports \"two times increase ... on average\".");
+    )?;
+    writeln!(out, "          the paper reports \"two times increase ... on average\".")?;
+    Ok(())
 }

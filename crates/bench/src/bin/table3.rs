@@ -7,10 +7,15 @@
 //! ```
 
 use foray::report::{pct, render_table};
-use foray_bench::{human, run_suite};
+use foray_bench::{human, print_report, run_suite};
 use foray_workloads::Params;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    print_report(report)
+}
+
+fn report(out: &mut dyn std::io::Write) -> Result<(), Box<dyn std::error::Error>> {
     let scale: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
     let runs = run_suite(Params { scale });
 
@@ -36,8 +41,9 @@ fn main() {
         sums.2 += pct(t.model_footprint, t.total_footprint);
         sums.3 += 1;
     }
-    println!("Table III. Memory behaviour of the FORAY models (scale {scale})\n");
-    println!(
+    writeln!(out, "Table III. Memory behaviour of the FORAY models (scale {scale})\n")?;
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
@@ -55,13 +61,18 @@ fn main() {
             ],
             &rows
         )
-    );
+    )?;
     let n = sums.3 as f64;
-    println!(
+    writeln!(
+        out,
         "averages: {:.1}% of references / {:.1}% of accesses / {:.1}% of footprint in the model",
         sums.0 / n,
         sums.1 / n,
         sums.2 / n
-    );
-    println!("          (paper averages: 2.2% of references, 29% of accesses, 44% of footprint)");
+    )?;
+    writeln!(
+        out,
+        "          (paper averages: 2.2% of references, 29% of accesses, 44% of footprint)"
+    )?;
+    Ok(())
 }

@@ -33,6 +33,9 @@ pub mod harness;
 use foray::{BatchJob, CaptureComparison, ForayGen, ForayGenOutput, LoopBreakdown, MemoryBehavior};
 use foray_workloads::{all, Params, Workload};
 use std::collections::HashSet;
+use std::error::Error;
+use std::io::{self, BufWriter, ErrorKind, Write};
+use std::process::ExitCode;
 
 /// One workload's complete experiment bundle.
 pub struct BenchRun {
@@ -131,9 +134,98 @@ pub fn human(n: u64) -> String {
     }
 }
 
+/// Runs a paper bin's or an example's `report`, which prints through one
+/// locked, buffered stdout. A reader that closes the pipe early (`| head
+/// -1`) ends the report quietly with exit 0, as `foray-gen` does. Any
+/// other error is printed to stderr and exits 1.
+pub fn print_report(report: impl FnOnce(&mut dyn Write) -> Result<(), Box<dyn Error>>) -> ExitCode {
+    match run_report(BufWriter::new(io::stdout().lock()), report) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            // A closed stderr must not turn the exit code into a panic.
+            let _ = writeln!(io::stderr(), "error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// [`print_report`] into `out`: a broken pipe counts as success only when
+/// `out` is what broke, not a file or socket the report opened.
+fn run_report(
+    out: impl Write,
+    report: impl FnOnce(&mut dyn Write) -> Result<(), Box<dyn Error>>,
+) -> Result<(), Box<dyn Error>> {
+    let mut out = ReaderAware { out, closed: false };
+    let ran = report(&mut out).and_then(|()| Ok(out.flush()?));
+    match ran {
+        Err(e) if out.closed && is_broken_pipe(&*e) => Ok(()),
+        other => other,
+    }
+}
+
+fn is_broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>().is_some_and(|e| e.kind() == ErrorKind::BrokenPipe)
+}
+
+/// A writer that notes a write which found its reader gone.
+struct ReaderAware<W> {
+    out: W,
+    closed: bool,
+}
+
+impl<W: Write> ReaderAware<W> {
+    fn note<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        self.closed |= result.as_ref().is_err_and(|e| e.kind() == ErrorKind::BrokenPipe);
+        result
+    }
+}
+
+impl<W: Write> Write for ReaderAware<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = self.out.write(buf);
+        self.note(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let flushed = self.out.flush();
+        self.note(flushed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A stdout whose reader has gone: every write fails.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_a_report_quietly_and_other_errors_stay_errors() {
+        let printing = |out: &mut dyn Write| -> Result<(), Box<dyn Error>> {
+            for line in 0..10_000 {
+                writeln!(out, "line {line}")?;
+            }
+            Ok(())
+        };
+        assert!(run_report(ClosedPipe, printing).is_ok());
+        let failing = |_: &mut dyn Write| -> Result<(), Box<dyn Error>> { Err("no model".into()) };
+        assert_eq!(run_report(ClosedPipe, failing).unwrap_err().to_string(), "no model");
+        // A broken pipe that stdout did not see is the report's own error.
+        let socket = |_: &mut dyn Write| -> Result<(), Box<dyn Error>> {
+            Err(io::Error::from(ErrorKind::BrokenPipe).into())
+        };
+        assert!(run_report(Vec::new(), socket).is_err());
+    }
 
     #[test]
     fn render_alignment() {

@@ -222,3 +222,52 @@ fn a_closed_pipe_ends_the_command_quietly_and_keeps_error_exits() {
         .expect("foray-gen binary runs");
     assert_eq!(analyze.code(), Some(1));
 }
+
+/// A daemon that runs out of descriptors keeps serving. Under `ulimit -n
+/// 48`, forty held connections use up the daemon's descriptors, so its
+/// `accept` fails. The daemon backs off and tries again instead of
+/// exiting, and it answers a `ping` once the connections close.
+#[test]
+fn a_daemon_out_of_descriptors_serves_again_once_connections_close() {
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    /// Kills the daemon if the test fails before it shuts down.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let socket =
+        std::env::temp_dir().join(format!("foray_cli_smoke_fds_{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let path = socket.to_str().unwrap();
+    let mut daemon = Daemon(
+        Command::new("sh")
+            .args(["-c", "ulimit -n 48; exec \"$0\" serve --socket \"$1\""])
+            .args([env!("CARGO_BIN_EXE_foray-gen"), path])
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("sh runs"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !socket.exists() {
+        assert!(Instant::now() < deadline, "the daemon never bound {path}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let held: Vec<UnixStream> = (0..40).map(|_| UnixStream::connect(&socket).unwrap()).collect();
+    // Time for the daemon to accept until its descriptors run out.
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(daemon.0.try_wait().unwrap().is_none(), "the daemon exited out of descriptors");
+    drop(held);
+
+    let ping = foray_gen(&["client", "--socket", path, "ping"]);
+    assert_eq!(String::from_utf8_lossy(&ping.stdout), "pong\n", "{ping:?}");
+    let shutdown = foray_gen(&["client", "--socket", path, "shutdown"]);
+    assert_eq!(String::from_utf8_lossy(&shutdown.stdout), "draining\n", "{shutdown:?}");
+    assert_eq!(daemon.0.wait().unwrap().code(), Some(0));
+}

@@ -24,7 +24,9 @@
 //! * [`server`] — the scheduler: bounded priority queue with
 //!   reject-with-retry-after backpressure, in-flight deduplication
 //!   (N identical submissions, one compute), graceful drain shutdown;
-//! * [`net`] — Unix/TCP listeners and a blocking [`Client`].
+//! * [`net`] — Unix/TCP listeners served by a pool of at most
+//!   [`MAX_CONNECTIONS`] reused connection handlers, and a blocking
+//!   [`Client`].
 //!
 //! # Examples
 //!
@@ -61,7 +63,7 @@ pub mod server;
 
 pub use cache::{CacheCounters, ResultCache};
 pub use key::{resolve, ResolvedJob, KEY_SCHEMA};
-pub use net::{serve, Client, ServeAddr, MAX_LINE_BYTES};
+pub use net::{serve, Client, ServeAddr, MAX_CONNECTIONS, MAX_LINE_BYTES};
 pub use protocol::{
     parse_request, ErrorCode, JobInput, JobKind, JobSpec, ProtoError, Request, Response,
     StatsSnapshot, MAX_PRIORITY,

@@ -3,11 +3,15 @@
 //!
 //! Transports only frame lines and move bytes — every protocol decision
 //! (parsing, typed errors, shutdown) lives in
-//! [`Server::handle_line`](crate::Server::handle_line). One thread per
-//! connection; a blocking `wait` therefore never stalls other clients.
-//! A malformed line earns an error response and the connection stays
-//! open; only EOF, a transport error or a line longer than
-//! [`MAX_LINE_BYTES`] closes it.
+//! [`Server::handle_line`](crate::Server::handle_line). Connections are
+//! served by a pool of handler threads, at most [`MAX_CONNECTIONS`] of
+//! them, each spawned on demand and kept: a handler serves one connection
+//! at a time, so a blocking `wait` never stalls other clients, and then
+//! goes idle. The accept loop hands a new connection to the handler that
+//! went idle last. With every handler busy and the cap reached, the new
+//! connection reads one `queue_full` line and is closed. A malformed line
+//! earns an error response and the connection stays open; only EOF, a
+//! transport error or a line longer than [`MAX_LINE_BYTES`] closes it.
 
 use crate::protocol::{ErrorCode, ProtoError, Response};
 use crate::Server;
@@ -17,8 +21,10 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::mpsc::{self, Receiver, SendError, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 /// The longest request line the daemon reads, in bytes, line ending
 /// excluded: 8 MiB. A workload's source pasted into a `source` submit
@@ -26,6 +32,19 @@ use std::thread;
 /// 4.9 MB line). A longer line earns `bad_request` and closes the
 /// connection, after the daemon has read one byte past the cap.
 pub const MAX_LINE_BYTES: usize = 8 << 20;
+
+/// The most connections the daemon serves at once, and so the most
+/// connection handlers (threads) it keeps. Past it, a new connection reads
+/// one `queue_full` line, "too many connections", and is closed.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// The pause after a failed `accept` (say, out of descriptors). It doubles
+/// with each further failure, up to [`ACCEPT_BACKOFF_MAX`], and starts
+/// again here after the next accepted connection.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+
+/// The longest pause between two failed `accept`s.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Where the daemon listens (and the client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,14 +69,26 @@ enum AnyListener {
     Tcp(TcpListener),
 }
 
+impl AnyListener {
+    fn accept(&self) -> io::Result<Box<dyn Conn>> {
+        Ok(match self {
+            AnyListener::Unix(l) => Box::new(l.accept()?.0),
+            AnyListener::Tcp(l) => Box::new(l.accept()?.0),
+        })
+    }
+}
+
 /// Runs the accept loop until a client sends `shutdown`, then drains the
 /// queue gracefully and returns. Blocks the calling thread for the
 /// daemon's whole life.
 ///
+/// A failed `accept` does not end the loop: it pauses and tries again,
+/// 5 ms at first and doubling up to 1 s, so a daemon out of descriptors
+/// serves again once connections close.
+///
 /// # Errors
 ///
-/// Bind/accept failures. Per-connection IO errors only end that
-/// connection.
+/// Bind failures. Per-connection IO errors only end that connection.
 pub fn serve(server: Server, addr: &ServeAddr) -> io::Result<()> {
     let listener = match addr {
         ServeAddr::Unix(path) => {
@@ -75,27 +106,34 @@ pub fn serve(server: Server, addr: &ServeAddr) -> io::Result<()> {
     };
     let stop = Arc::new(AtomicBool::new(false));
     let server = Arc::new(server);
+    let mut pool = Pool::new({
+        let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
+        move |conn| {
+            if drive_connection(&server, conn) {
+                stop.store(true, Ordering::SeqCst);
+                poke(&bound);
+            }
+        }
+    });
+    let mut backoff = ACCEPT_BACKOFF_MIN;
     while !stop.load(Ordering::SeqCst) {
-        let stream: Box<dyn Conn> = match &listener {
-            AnyListener::Unix(l) => Box::new(l.accept()?.0),
-            AnyListener::Tcp(l) => Box::new(l.accept()?.0),
+        let conn = match listener.accept() {
+            Ok(conn) => conn,
+            Err(_) => {
+                thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                continue;
+            }
         };
+        backoff = ACCEPT_BACKOFF_MIN;
         if stop.load(Ordering::SeqCst) {
             break; // the poke connection itself
         }
-        let srv = Arc::clone(&server);
-        let stop_flag = Arc::clone(&stop);
-        let poke_addr = bound.clone();
-        // Connection threads are detached: an idle client must not be
-        // able to hold the daemon's exit hostage. They die with the
-        // process (or at EOF when their client hangs up).
-        thread::spawn(move || {
-            if drive_connection(&srv, stream.as_ref()) {
-                stop_flag.store(true, Ordering::SeqCst);
-                poke(&poke_addr);
-            }
-        });
+        if let Err(conn) = pool.dispatch(conn) {
+            refuse(&server, conn);
+        }
     }
+    pool.shutdown();
     // `handle_line` already flipped the drain flag when it acknowledged
     // the shutdown command; wait for every accepted job to finish.
     server.begin_shutdown();
@@ -106,20 +144,143 @@ pub fn serve(server: Server, addr: &ServeAddr) -> io::Result<()> {
     Ok(())
 }
 
-/// A bidirectional byte stream we can split into reader + writer.
-trait Conn: Send {
-    fn split(&self) -> io::Result<(Box<dyn Read>, Box<dyn Write>)>;
+/// What a handler does with each connection it is handed.
+type ServeConn = dyn Fn(Box<dyn Conn>) + Send + Sync;
+
+/// The connection handlers. A handler is spawned when a connection finds
+/// none idle and fewer than [`MAX_CONNECTIONS`] exist, and then kept: it
+/// serves one connection after another, each handed to it on its own
+/// one-slot mailbox. Only the pool holds a mailbox's sender, so dropping
+/// it is the handler's stop message.
+struct Pool {
+    serve: Arc<ServeConn>,
+    /// The slots of idle handlers, the one that went idle last on top.
+    idle: Arc<Mutex<Vec<usize>>>,
+    /// Each spawned handler's mailbox and thread, by slot.
+    handlers: Vec<Handler>,
+}
+
+struct Handler {
+    mailbox: SyncSender<Box<dyn Conn>>,
+    thread: JoinHandle<()>,
+}
+
+impl Pool {
+    fn new(serve: impl Fn(Box<dyn Conn>) + Send + Sync + 'static) -> Pool {
+        Pool { serve: Arc::new(serve), idle: Arc::default(), handlers: Vec::new() }
+    }
+
+    /// Hands `conn` to the handler that went idle last, or to a new one
+    /// while the cap allows. Gives `conn` back when every handler is busy
+    /// at the cap, or when no thread can be spawned.
+    fn dispatch(&mut self, conn: Box<dyn Conn>) -> Result<(), Box<dyn Conn>> {
+        let idle = lock(&self.idle).pop();
+        let (slot, conn) = match idle {
+            Some(slot) => match self.handlers[slot].mailbox.send(conn) {
+                Ok(()) => return Ok(()),
+                // The handler unwound, and its guard gave the slot back.
+                Err(SendError(conn)) => (slot, conn),
+            },
+            None if self.handlers.len() < MAX_CONNECTIONS => (self.handlers.len(), conn),
+            None => return Err(conn),
+        };
+        let (mailbox, inbox) = mpsc::sync_channel(1);
+        let (serve, idle) = (Arc::clone(&self.serve), Arc::clone(&self.idle));
+        let spawned = thread::Builder::new().spawn(move || handle(slot, inbox, &*serve, &idle));
+        let Ok(thread) = spawned else {
+            if slot < self.handlers.len() {
+                lock(&self.idle).push(slot); // still free: the next connection tries again
+            }
+            return Err(conn);
+        };
+        // The mailbox is empty and its handler alive, so this cannot fail.
+        let _ = mailbox.send(conn);
+        let handler = Handler { mailbox, thread };
+        if slot < self.handlers.len() {
+            self.handlers[slot] = handler;
+        } else {
+            self.handlers.push(handler);
+        }
+        Ok(())
+    }
+
+    /// Stops and joins every idle handler. A busy handler finishes its
+    /// connection first; its mailbox closes here, so it then exits, and an
+    /// idle client cannot hold the daemon open.
+    fn shutdown(self) {
+        let idle = std::mem::take(&mut *lock(&self.idle));
+        let mut handlers: Vec<Option<Handler>> = self.handlers.into_iter().map(Some).collect();
+        let stopping: Vec<JoinHandle<()>> =
+            idle.into_iter().filter_map(|slot| handlers[slot].take()).map(|h| h.thread).collect();
+        for thread in stopping {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A handler's life: serve each connection its mailbox brings and go idle
+/// in between, until the pool drops the mailbox's sender.
+fn handle(
+    slot: usize,
+    inbox: Receiver<Box<dyn Conn>>,
+    serve: &ServeConn,
+    idle: &Mutex<Vec<usize>>,
+) {
+    let _guard = SlotGuard { slot, idle };
+    // Declared after the guard, so dropped before it: a slot the guard
+    // gives back already has a closed mailbox.
+    let inbox = inbox;
+    while let Ok(conn) = inbox.recv() {
+        serve(conn);
+        lock(idle).push(slot);
+    }
+}
+
+/// Gives a handler's slot back if the handler unwinds, so a panic cannot
+/// shrink the pool: the accept loop finds the slot idle and its mailbox
+/// closed, and spawns a new handler in it.
+struct SlotGuard<'a> {
+    slot: usize,
+    idle: &'a Mutex<Vec<usize>>,
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            lock(self.idle).push(self.slot);
+        }
+    }
+}
+
+/// Locks the idle stack. Each update of it is one push, pop or take, so
+/// a thread that panicked elsewhere left it whole.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Tells a connection that found every handler busy to come back later,
+/// and closes it.
+fn refuse(server: &Server, mut conn: Box<dyn Conn>) {
+    let mut line = Response::Error(server.refuse_connection()).render();
+    line.push('\n');
+    let _ = conn.write_all(line.as_bytes());
+}
+
+/// A connected stream, split into a reader and a writer on two
+/// descriptors: the writer is the stream itself.
+trait Conn: Write + Send {
+    fn split(self: Box<Self>) -> io::Result<(Box<dyn Read>, Box<dyn Write>)>;
 }
 
 impl Conn for UnixStream {
-    fn split(&self) -> io::Result<(Box<dyn Read>, Box<dyn Write>)> {
-        Ok((Box::new(self.try_clone()?), Box::new(self.try_clone()?)))
+    fn split(self: Box<Self>) -> io::Result<(Box<dyn Read>, Box<dyn Write>)> {
+        Ok((Box::new(self.try_clone()?), self))
     }
 }
 
 impl Conn for TcpStream {
-    fn split(&self) -> io::Result<(Box<dyn Read>, Box<dyn Write>)> {
-        Ok((Box::new(self.try_clone()?), Box::new(self.try_clone()?)))
+    fn split(self: Box<Self>) -> io::Result<(Box<dyn Read>, Box<dyn Write>)> {
+        Ok((Box::new(self.try_clone()?), self))
     }
 }
 
@@ -154,8 +315,8 @@ fn next_line<'a>(reader: &mut impl BufRead, buf: &'a mut Vec<u8>) -> Line<'a> {
 
 /// Serves one connection; returns `true` when the client asked for
 /// shutdown.
-fn drive_connection(server: &Server, stream: &dyn Conn) -> bool {
-    let Ok((read, mut write)) = stream.split() else { return false };
+fn drive_connection(server: &Server, conn: Box<dyn Conn>) -> bool {
+    let Ok((read, mut write)) = conn.split() else { return false };
     let mut reader = BufReader::new(read);
     let mut buf = Vec::new();
     loop {
@@ -223,9 +384,18 @@ impl Client {
     /// Transport failures; an unparseable reply maps to
     /// [`io::ErrorKind::InvalidData`].
     pub fn request(&mut self, line: &str) -> io::Result<Response> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        let sent = self
+            .writer
+            .write_all(line.as_bytes())
+            .and_then(|()| self.writer.write_all(b"\n"))
+            .and_then(|()| self.writer.flush());
+        // A daemon that refuses a connection writes why before it closes
+        // it, so a request that finds the connection closed reads on.
+        if let Err(e) = sent {
+            if !matches!(e.kind(), io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset) {
+                return Err(e);
+            }
+        }
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the stream"));
@@ -326,5 +496,83 @@ impl Client {
                 format!("unexpected wait reply: {other:?}"),
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// A pool whose handlers panic on a connection that sends `!`, and
+    /// otherwise hold their connection until its client hangs up.
+    fn holding_pool() -> Pool {
+        Pool::new(|conn: Box<dyn Conn>| {
+            let Ok((mut read, _write)) = conn.split() else { return };
+            let mut byte = [0];
+            if read.read(&mut byte).unwrap_or(0) == 1 && byte[0] == b'!' {
+                panic!("injected handler fault");
+            }
+            let _ = read.read_to_end(&mut Vec::new());
+        })
+    }
+
+    /// A connected pair: the client's end and the daemon's.
+    fn connection() -> (UnixStream, Box<dyn Conn>) {
+        let (client, daemon) = UnixStream::pair().unwrap();
+        (client, Box::new(daemon))
+    }
+
+    fn wait_until_idle(pool: &Pool, slots: &[usize]) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while *lock(&pool.idle) != slots {
+            assert!(Instant::now() < deadline, "idle {:?}, want {slots:?}", lock(&pool.idle));
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// An idle handler takes the next connection, the one that went idle
+    /// last first, and no thread is spawned while one is idle.
+    #[test]
+    fn the_handler_that_went_idle_last_serves_the_next_connection() {
+        let mut pool = holding_pool();
+        let (a, conn) = connection();
+        assert!(pool.dispatch(conn).is_ok());
+        let (b, conn) = connection();
+        assert!(pool.dispatch(conn).is_ok());
+        drop(a);
+        wait_until_idle(&pool, &[0]);
+        drop(b);
+        wait_until_idle(&pool, &[0, 1]);
+        let (c, conn) = connection();
+        assert!(pool.dispatch(conn).is_ok());
+        assert_eq!(*lock(&pool.idle), [0], "slot 1 went idle last");
+        assert_eq!(pool.handlers.len(), 2, "no handler spawned while one was idle");
+        drop(c);
+        wait_until_idle(&pool, &[0, 1]);
+        pool.shutdown();
+    }
+
+    /// A handler that unwinds gives its slot back: the pool still serves
+    /// `MAX_CONNECTIONS` connections at once, and refuses one more.
+    #[test]
+    fn a_handler_that_panics_gives_its_slot_back() {
+        let mut pool = holding_pool();
+        let (mut doomed, conn) = connection();
+        assert!(pool.dispatch(conn).is_ok());
+        doomed.write_all(b"!").unwrap();
+        wait_until_idle(&pool, &[0]);
+        let held: Vec<UnixStream> = (0..MAX_CONNECTIONS)
+            .map(|i| {
+                let (client, conn) = connection();
+                assert!(pool.dispatch(conn).is_ok(), "connection {i} refused under the cap");
+                client
+            })
+            .collect();
+        let (_extra, conn) = connection();
+        assert!(pool.dispatch(conn).is_err(), "a connection past the cap is given back");
+        assert_eq!(pool.handlers.len(), MAX_CONNECTIONS);
+        drop(held);
+        pool.shutdown();
     }
 }

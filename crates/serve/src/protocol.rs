@@ -274,6 +274,10 @@ pub struct StatsSnapshot {
     pub cache_evictions: u64,
     /// Cache hits served by re-loading a spilled entry from disk.
     pub disk_hits: u64,
+    /// Connections closed with `queue_full` because every connection
+    /// handler was busy. They sent no request, so they stay out of
+    /// `submitted`.
+    pub connections_refused: u64,
 }
 
 /// A server reply.
@@ -353,6 +357,7 @@ impl Response {
                 ("cache_entries", Json::Int(s.cache_entries as i64)),
                 ("cache_evictions", Json::Int(s.cache_evictions as i64)),
                 ("disk_hits", Json::Int(s.disk_hits as i64)),
+                ("connections_refused", Json::Int(s.connections_refused as i64)),
             ]),
             Response::Pong => obj([("ok", Json::Bool(true)), ("type", Json::Str("pong".into()))]),
             Response::ShutdownStarted => {
@@ -430,6 +435,7 @@ impl Response {
                     cache_entries: n("cache_entries"),
                     cache_evictions: n("cache_evictions"),
                     disk_hits: n("disk_hits"),
+                    connections_refused: n("connections_refused"),
                 }))
             }
             "pong" => Ok(Response::Pong),
@@ -653,7 +659,12 @@ mod tests {
             Response::Submitted { job: "j1".into(), hit: true, key: "ab12".into() },
             Response::Status { job: "j1".into(), state: "queued" },
             Response::Result { job: "j1".into(), hit: false, result: "for (...)\n".into() },
-            Response::Stats(StatsSnapshot { submitted: 3, cache_hits: 1, ..Default::default() }),
+            Response::Stats(StatsSnapshot {
+                submitted: 3,
+                cache_hits: 1,
+                connections_refused: 2,
+                ..Default::default()
+            }),
             Response::Pong,
             Response::ShutdownStarted,
             Response::Error(ProtoError {

@@ -24,6 +24,7 @@
 use crate::cache::ResultCache;
 use crate::json::{obj, Json};
 use crate::key::{content_digest, job_key, program, trace_key, ResolvedJob};
+use crate::net::MAX_CONNECTIONS;
 use crate::protocol::{
     parse_request, ErrorCode, JobInput, JobKind, JobSpec, ProtoError, Request, Response,
     StatsSnapshot,
@@ -124,6 +125,7 @@ struct Counters {
     computed: u64,
     failed: u64,
     rejected: u64,
+    connections_refused: u64,
 }
 
 struct State {
@@ -340,6 +342,19 @@ impl Server {
             cache_entries: st.cache.len() as u64,
             cache_evictions: cc.evictions,
             disk_hits: cc.disk_hits,
+            connections_refused: st.counters.connections_refused,
+        }
+    }
+
+    /// Counts a connection turned away because every connection handler
+    /// was busy, and returns the `queue_full` error it is sent. The
+    /// connection sent no request, so this is not a submission.
+    pub(crate) fn refuse_connection(&self) -> ProtoError {
+        self.shared.lock().counters.connections_refused += 1;
+        ProtoError {
+            code: ErrorCode::QueueFull,
+            message: format!("too many connections ({MAX_CONNECTIONS} open)"),
+            retry_after_ms: Some(self.shared.cfg.retry_after_ms),
         }
     }
 

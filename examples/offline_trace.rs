@@ -15,9 +15,14 @@
 use foray::{Analyzer, FilterConfig, ForayModel};
 use minic_trace::text::{TextReader, TextWriter};
 use minic_trace::{RecordSource as _, TraceFile, TraceSink as _, TraceWriter};
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
+use std::process::ExitCode;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    foray_bench::print_report(tour)
+}
+
+fn tour(w: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
     let src = "int hist[128]; int data[512];
         void main() {
             int i; int pass;
@@ -53,12 +58,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Some(e) = writer.io_error() {
             return Err(format!("trace write failed: {e}").into());
         }
-        println!("recorded {} records", writer.records_written());
+        writeln!(w, "recorded {} records", writer.records_written())?;
     }
     let text_size = std::fs::metadata(&text_path)?.len();
     let framed_size = std::fs::metadata(&framed_path)?.len();
-    println!("text trace:   {} ({text_size} bytes)", text_path.display());
-    println!("framed trace: {} ({framed_size} bytes)", framed_path.display());
+    writeln!(w, "text trace:   {} ({text_size} bytes)", text_path.display())?;
+    writeln!(w, "framed trace: {} ({framed_size} bytes)", framed_path.display())?;
 
     // Step 3 (offline): stream the text file back through the analyzer
     // without materializing it in memory.
@@ -72,14 +77,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Same step via the framed file: one bulk read, zero-copy decode, and
     // any RecordSource-aware entry point.
     let file = TraceFile::open(&framed_path)?;
-    println!("replayed {} records from the framed file", file.record_count());
+    writeln!(w, "replayed {} records from the framed file", file.record_count())?;
     let mut analyzer = Analyzer::new();
     (&file).stream_into(&mut analyzer)?;
     let from_framed = analyzer.into_analysis();
     assert_eq!(from_text, from_framed, "both file formats replay identically");
 
     let model = ForayModel::extract(&from_framed, &FilterConfig::default());
-    println!("\nFORAY model from the trace file:\n{}", foray::codegen::emit(&model));
+    writeln!(w, "\nFORAY model from the trace file:\n{}", foray::codegen::emit(&model))?;
 
     // The data[i] scan is affine; hist[i % 128] is not (and is excluded).
     assert!(model.refs.iter().any(|r| !r.terms.is_empty()));

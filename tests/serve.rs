@@ -10,11 +10,11 @@
 
 use foray_serve::{
     resolve, Client, ErrorCode, JobInput, JobKind, JobSpec, Response, ServeAddr, ServeConfig,
-    Server,
+    Server, MAX_CONNECTIONS,
 };
 use foray_workloads::Params;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A manual-drive server: no background workers, jobs run via `step_one`
 /// so every test is deterministic.
@@ -397,6 +397,137 @@ fn socket_round_trip_with_counter_verified_cache_hit() {
     assert_eq!(client.shutdown().unwrap(), Response::ShutdownStarted);
     daemon.join().unwrap().unwrap();
     assert!(!sock.exists(), "socket file removed on exit");
+}
+
+/// The connection cap over a real socket. With every handler held by a
+/// connection that has answered a `ping`, the next connection reads one
+/// `queue_full` line, unasked, and is closed. The refusal is counted
+/// outside the submit algebra. Once one held connection closes, its
+/// handler serves a new one; the retry loop waits for the handler to
+/// notice the close.
+#[test]
+fn connections_past_the_cap_read_queue_full_until_one_closes() {
+    use std::io::{BufRead, BufReader};
+    let sock = std::env::temp_dir().join(format!("foray-serve-cap-{}.sock", std::process::id()));
+    let addr = ServeAddr::Unix(sock.clone());
+    let server =
+        Server::new(ServeConfig { workers: 0, retry_after_ms: 41, ..ServeConfig::default() });
+    let daemon = {
+        let addr = addr.clone();
+        std::thread::spawn(move || foray_serve::serve(server, &addr))
+    };
+    wait_for_socket(&sock);
+
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|i| {
+            let mut client = Client::connect(&addr).unwrap();
+            assert_eq!(client.ping().unwrap(), Response::Pong, "connection {i}");
+            client
+        })
+        .collect();
+    let refused = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+    refused.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut refused = BufReader::new(refused);
+    let mut reply = String::new();
+    refused.read_line(&mut reply).expect("a refusal before the read timeout");
+    let Ok(Response::Error(e)) = Response::parse(reply.trim_end()) else { panic!("{reply}") };
+    assert_eq!(e.code, ErrorCode::QueueFull, "{reply}");
+    assert_eq!(e.retry_after_ms, Some(41), "{reply}");
+    assert!(e.message.contains("too many connections"), "{reply}");
+    reply.clear();
+    assert_eq!(refused.read_line(&mut reply).expect("the daemon closes"), 0, "{reply}");
+
+    let Response::Stats(st) = held[0].stats().unwrap() else { panic!("stats reply") };
+    assert_eq!(st.connections_refused, 1);
+    assert_eq!(st.submitted, 0, "a refused connection is not a submission");
+
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        match Client::connect(&addr).and_then(|mut c| c.ping()) {
+            Ok(Response::Pong) => break,
+            Ok(Response::Error(e)) if e.code == ErrorCode::QueueFull => {}
+            other => panic!("a ping past the cap earned {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "no handler came free after a connection closed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(held[1].ping().unwrap(), Response::Pong, "held connections stay served");
+    assert_eq!(held[0].shutdown().unwrap(), Response::ShutdownStarted);
+    daemon.join().unwrap().unwrap();
+}
+
+/// A seeded request soak over the in-process scheduler in step mode
+/// (`workers: 0`), with `step_one` interleaved. The mix covers cache hits,
+/// misses (twelve sources through a four-entry cache), dedupes,
+/// `queue_full` from a three-job queue and a source that fails at runtime. The counters conserve after every step, every
+/// accepted job ends done or failed, and once the queue drains nothing
+/// runs and every miss was computed or failed.
+#[test]
+fn a_seeded_request_soak_conserves_the_counters() {
+    let srv = Server::new(ServeConfig {
+        workers: 0,
+        queue_capacity: 3,
+        cache_entries: 4,
+        ..ServeConfig::default()
+    });
+    let mut specs: Vec<JobSpec> = (1..=12)
+        .map(|k| {
+            source_spec(&format!(
+                "int a[32]; void main() {{ int i; for (i = 0; i < 32; i++) {{ a[i] = {k} * i; }} }}"
+            ))
+        })
+        .collect();
+    specs.push(source_spec("int z; void main() { int d; d = 0; z = 7 / d; }"));
+    let mut seed = 0x5eed_2901_u64;
+    let mut next = move || {
+        // xorshift64: a fixed, dependency-free sequence.
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    let mut accepted = std::collections::BTreeSet::new();
+    for step in 0..600 {
+        let r = next();
+        if r % 4 == 0 {
+            srv.step_one();
+        } else {
+            match srv.submit(&specs[(r >> 8) as usize % specs.len()]) {
+                Ok(s) => {
+                    accepted.insert(s.job);
+                }
+                Err(e) => assert_eq!(e.code, ErrorCode::QueueFull, "step {step}: {e}"),
+            }
+        }
+        let st = srv.stats();
+        assert_eq!(
+            st.cache_hits + st.deduped + st.cache_misses + st.rejected,
+            st.submitted,
+            "step {step}: {st:?}"
+        );
+        assert_eq!(
+            st.computed + st.failed + st.queue_depth + st.running,
+            st.cache_misses,
+            "step {step}: {st:?}"
+        );
+    }
+    while srv.step_one() {}
+    for job in &accepted {
+        let state = srv.poll(job).unwrap();
+        assert!(state == "done" || state == "failed", "{job} ended {state}");
+    }
+    let st = srv.stats();
+    assert_eq!((st.queue_depth, st.running), (0, 0), "{st:?}");
+    assert_eq!(st.computed + st.failed, st.cache_misses, "{st:?}");
+    for (name, count) in [
+        ("hits", st.cache_hits),
+        ("dedupes", st.deduped),
+        ("queue_full rejections", st.rejected),
+        ("runtime failures", st.failed),
+    ] {
+        assert!(count > 0, "the soak produced no {name}: {st:?}");
+    }
 }
 
 fn wait_for_socket(path: &std::path::Path) {
