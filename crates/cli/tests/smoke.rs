@@ -188,6 +188,40 @@ fn usage_and_compile_errors_map_to_distinct_exit_codes() {
     assert_eq!(compile.status.code(), Some(2), "parse failure is a compile error");
 }
 
+/// Nested parentheses, nested blocks and a flat sum, each nested exactly
+/// `depth` levels as `minic::MAX_AST_DEPTH` counts them (the function
+/// body's `{` is the first level).
+fn nested_shapes(depth: usize) -> [(&'static str, String); 3] {
+    let k = depth - 1;
+    [
+        ("parens", format!("int x; void main() {{ x = {}1{}; }}", "(".repeat(k), ")".repeat(k))),
+        ("blocks", format!("void main() {}{}", "{".repeat(depth), "}".repeat(depth))),
+        ("sum", format!("int x; void main() {{ x = 1{}; }}", " + 1".repeat(k))),
+    ]
+}
+
+/// A program nested to the bound compiles, and one a level deeper is a
+/// compile error (exit 2), never a stack overflow that aborts.
+#[test]
+fn nesting_past_the_bound_is_a_compile_error_not_an_abort() {
+    let bound = minic::MAX_AST_DEPTH as usize;
+    for (depth, code) in [(bound, 0), (bound + 1, 2)] {
+        for (shape, src) in nested_shapes(depth) {
+            let path = std::env::temp_dir().join(format!("foray_cli_smoke_{shape}_{depth}.mc"));
+            std::fs::write(&path, src).unwrap();
+            for cmd in ["annotate", "model"] {
+                let out = foray_gen(&[cmd, path.to_str().unwrap()]);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(code), "{cmd} {shape} {depth}: {stderr}");
+                if code == 2 {
+                    assert!(stderr.contains("nesting deeper than 128 levels"), "{stderr}");
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
 #[test]
 fn client_without_a_daemon_names_the_connect_step_and_address() {
     let socket = std::env::temp_dir().join("foray_cli_smoke_no_daemon.sock");

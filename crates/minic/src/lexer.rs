@@ -1,7 +1,10 @@
-//! Hand-written lexer for mini-C.
+//! Hand-written streaming lexer for mini-C.
 //!
 //! Supports `//` and `/* */` comments, decimal and hexadecimal integer
-//! literals, and character literals with the common escapes.
+//! literals, and character literals with the common escapes. The parser
+//! pulls one token at a time ([`Lexer::next_token`]), so no token vector
+//! is built; [`lex`] collects the same tokens for callers that want them
+//! all. A column is the byte offset from the start of its line, plus one.
 
 use crate::error::{Error, Result};
 use crate::token::{Keyword, Loc, Token, TokenKind};
@@ -24,41 +27,63 @@ use crate::token::{Keyword, Loc, Token, TokenKind};
 /// # }
 /// ```
 pub fn lex(src: &str) -> Result<Vec<Token>> {
-    Lexer::new(src).run()
+    let mut lexer = Lexer::new(src);
+    let mut out = Vec::new();
+    loop {
+        let tok = lexer.next_token()?;
+        let eof = tok.kind == TokenKind::Eof;
+        out.push(tok);
+        if eof {
+            return Ok(out);
+        }
+    }
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
+/// The most digits [`Lexer::literal_run`] takes in one literal. Every
+/// 18-digit decimal fits in an `i64`, so the run never checks for
+/// overflow; a longer literal goes the token path.
+const RUN_MAX_DIGITS: usize = 18;
+
+/// The lexer's state: where it stands in the source.
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
+    /// Byte offset of the first unlexed byte.
     pos: usize,
+    /// 1-based line of `pos`.
     line: u32,
-    col: u32,
+    /// Byte offset at which `line` starts.
+    line_start: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0, line: 1, col: 1 }
+    pub(crate) fn new(src: &'a str) -> Self {
+        Lexer { src, pos: 0, line: 1, line_start: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
     }
 
     fn loc(&self) -> Loc {
-        Loc::new(self.line, self.col)
+        let col = u32::try_from(self.pos - self.line_start + 1).unwrap_or(u32::MAX);
+        Loc::new(self.line, col)
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.bytes().get(self.pos + 1).copied()
     }
 
+    /// Consumes one byte, which may be a newline.
     fn bump(&mut self) -> Option<u8> {
         let c = self.peek()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+            self.line_start = self.pos;
         }
         Some(c)
     }
@@ -67,22 +92,60 @@ impl<'a> Lexer<'a> {
         Error::Lex { loc: self.loc(), msg: msg.into() }
     }
 
-    fn run(mut self) -> Result<Vec<Token>> {
-        let mut out = Vec::new();
+    /// Lexes the next token: [`TokenKind::Eof`], again and again, once the
+    /// source is used up.
+    pub(crate) fn next_token(&mut self) -> Result<Token> {
+        self.skip_trivia()?;
+        let loc = self.loc();
+        let Some(c) = self.peek() else {
+            return Ok(Token::new(TokenKind::Eof, loc));
+        };
+        let kind = match c {
+            b'0'..=b'9' => self.number()?,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident_or_kw(),
+            b'\'' => self.char_lit()?,
+            _ => self.operator()?,
+        };
+        Ok(Token::new(kind, loc))
+    }
+
+    /// Scans a run of `-?digits ,` pairs in an initializer list, with
+    /// spaces or tabs around each part, and pushes each value onto `init`.
+    /// Call it where the grammar wants a constant: just past the list's `{`
+    /// or a `,`. It stops before the first pair that is anything else (a
+    /// hex or character literal, a comment, a newline, a literal of more
+    /// than [`RUN_MAX_DIGITS`] digits, the closing `}`) and leaves it to
+    /// the token path, so every value and every error is the token path's.
+    pub(crate) fn literal_run(&mut self, init: &mut Vec<i64>) {
+        let src = self.bytes();
+        let blank = |mut p: usize| {
+            while let Some(b' ' | b'\t') = src.get(p) {
+                p += 1;
+            }
+            p
+        };
         loop {
-            self.skip_trivia()?;
-            let loc = self.loc();
-            let Some(c) = self.peek() else {
-                out.push(Token::new(TokenKind::Eof, loc));
-                return Ok(out);
-            };
-            let kind = match c {
-                b'0'..=b'9' => self.number()?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident_or_kw(),
-                b'\'' => self.char_lit()?,
-                _ => self.operator()?,
-            };
-            out.push(Token::new(kind, loc));
+            let mut p = blank(self.pos);
+            let neg = src.get(p) == Some(&b'-');
+            p += usize::from(neg);
+            let digits = p;
+            let mut value = 0i64;
+            while let Some(&c @ b'0'..=b'9') = src.get(p) {
+                if p - digits == RUN_MAX_DIGITS {
+                    return;
+                }
+                value = value * 10 + i64::from(c - b'0');
+                p += 1;
+            }
+            if p == digits {
+                return;
+            }
+            p = blank(p);
+            if src.get(p) != Some(&b',') {
+                return;
+            }
+            init.push(if neg { -value } else { value });
+            self.pos = p + 1;
         }
     }
 
@@ -93,22 +156,17 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    // To the end of the line; the newline is whitespace.
+                    let rest = &self.bytes()[self.pos..];
+                    self.pos += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
                 }
                 Some(b'/') if self.peek2() == Some(b'*') => {
                     let start = self.loc();
-                    self.bump();
-                    self.bump();
+                    self.pos += 2;
                     loop {
                         match (self.peek(), self.peek2()) {
                             (Some(b'*'), Some(b'/')) => {
-                                self.bump();
-                                self.bump();
+                                self.pos += 2;
                                 break;
                             }
                             (Some(_), _) => {
@@ -131,8 +189,7 @@ impl<'a> Lexer<'a> {
     fn number(&mut self) -> Result<TokenKind> {
         let mut value: i64 = 0;
         if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x' | b'X')) {
-            self.bump();
-            self.bump();
+            self.pos += 2;
             let mut any = false;
             while let Some(c) = self.peek() {
                 let digit = match c {
@@ -146,7 +203,7 @@ impl<'a> Lexer<'a> {
                     .checked_mul(16)
                     .and_then(|v| v.checked_add(digit))
                     .ok_or_else(|| self.err("hex literal overflows i64"))?;
-                self.bump();
+                self.pos += 1;
             }
             if !any {
                 return Err(self.err("hex literal needs at least one digit"));
@@ -157,7 +214,7 @@ impl<'a> Lexer<'a> {
                     .checked_mul(10)
                     .and_then(|v| v.checked_add((c - b'0') as i64))
                     .ok_or_else(|| self.err("decimal literal overflows i64"))?;
-                self.bump();
+                self.pos += 1;
             }
         }
         if matches!(self.peek(), Some(b'a'..=b'z' | b'A'..=b'Z' | b'_')) {
@@ -169,9 +226,10 @@ impl<'a> Lexer<'a> {
     fn ident_or_kw(&mut self) -> TokenKind {
         let start = self.pos;
         while let Some(b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_') = self.peek() {
-            self.bump();
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii ident");
+        // ASCII bytes only, so both ends are character boundaries.
+        let text = &self.src[start..self.pos];
         match Keyword::from_str(text) {
             Some(kw) => TokenKind::Kw(kw),
             None => TokenKind::Ident(text.to_owned()),
@@ -206,10 +264,12 @@ impl<'a> Lexer<'a> {
     }
 
     fn operator(&mut self) -> Result<TokenKind> {
-        let c = self.bump().expect("caller checked non-empty");
+        // Trivia took every newline, so this byte is not one.
+        let c = self.bytes()[self.pos];
+        self.pos += 1;
         let two = |lexer: &mut Self, next: u8, yes: TokenKind, no: TokenKind| {
             if lexer.peek() == Some(next) {
-                lexer.bump();
+                lexer.pos += 1;
                 yes
             } else {
                 no
@@ -230,22 +290,22 @@ impl<'a> Lexer<'a> {
             b'^' => TokenKind::Caret,
             b'+' => match self.peek() {
                 Some(b'+') => {
-                    self.bump();
+                    self.pos += 1;
                     TokenKind::PlusPlus
                 }
                 Some(b'=') => {
-                    self.bump();
+                    self.pos += 1;
                     TokenKind::PlusAssign
                 }
                 _ => TokenKind::Plus,
             },
             b'-' => match self.peek() {
                 Some(b'-') => {
-                    self.bump();
+                    self.pos += 1;
                     TokenKind::MinusMinus
                 }
                 Some(b'=') => {
-                    self.bump();
+                    self.pos += 1;
                     TokenKind::MinusAssign
                 }
                 _ => TokenKind::Minus,
@@ -259,22 +319,22 @@ impl<'a> Lexer<'a> {
             b'=' => two(self, b'=', TokenKind::EqEq, TokenKind::Assign),
             b'<' => match self.peek() {
                 Some(b'=') => {
-                    self.bump();
+                    self.pos += 1;
                     TokenKind::Le
                 }
                 Some(b'<') => {
-                    self.bump();
+                    self.pos += 1;
                     TokenKind::Shl
                 }
                 _ => TokenKind::Lt,
             },
             b'>' => match self.peek() {
                 Some(b'=') => {
-                    self.bump();
+                    self.pos += 1;
                     TokenKind::Ge
                 }
                 Some(b'>') => {
-                    self.bump();
+                    self.pos += 1;
                     TokenKind::Shr
                 }
                 _ => TokenKind::Gt,
@@ -373,6 +433,21 @@ mod tests {
         assert!(lex("'ab'").is_err());
         assert!(lex("99999999999999999999").is_err());
         assert!(lex("12abc").is_err());
+    }
+
+    #[test]
+    fn lex_error_columns_count_bytes_from_the_line_start() {
+        let cases = [
+            ("\tint\r x; /* a\n\n b */ \t@", Loc::new(3, 9), "unexpected character '@'"),
+            ("int x;\r\n\t\t/* c\r\n */ int\t@", Loc::new(3, 10), "unexpected character '@'"),
+            ("int x;\r\n\tint y = '", Loc::new(2, 11), "unterminated character literal"),
+            ("int x; /* a\n b", Loc::new(1, 8), "unterminated block comment"),
+        ];
+        for (src, loc, msg) in cases {
+            let want = Error::Lex { loc, msg: msg.into() };
+            assert_eq!(lex(src).unwrap_err(), want, "{src:?}");
+            assert_eq!(crate::parse(src).unwrap_err(), want, "{src:?} while parsing");
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use error::{Diagnostic, Error, Result};
 pub use instrument::instrument;
 pub use lexer::lex;
 pub use loc::{count_lines, LineCounts};
-pub use parser::parse;
+pub use parser::{parse, MAX_AST_DEPTH};
 pub use pretty::{checkpoint_from_number, checkpoint_number, pretty};
 pub use sema::{check, ProgramInfo};
 pub use token::Loc;

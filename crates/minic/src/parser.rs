@@ -14,14 +14,35 @@
 //!                '*' deref, '&' addr-of, calls, ++/--
 //! ```
 //!
+//! The parser pulls tokens from the lexer one at a time and looks at most
+//! one token ahead. A global's initializer list first goes through the
+//! lexer's literal run, which takes plain `-?digits ,` pairs straight from
+//! the source; the token path takes whatever the run leaves. Errors come
+//! out as if the whole source were lexed before parsing: a lex error
+//! anywhere wins over a parse error, so after a parse error the rest of
+//! the source is lexed to look for one. Nesting is bounded by
+//! [`MAX_AST_DEPTH`].
+//!
 //! Loops receive sequential [`LoopId`]s and every potential memory-access
 //! expression receives a sequential [`SiteId`]; both are re-canonicalized by
 //! [`crate::sema::check`].
 
 use crate::ast::*;
 use crate::error::{Error, Result};
-use crate::lexer::lex;
+use crate::lexer::Lexer;
 use crate::token::{Keyword, Loc, Token, TokenKind};
+
+/// The deepest nesting a program may have; a deeper one is an
+/// [`Error::Parse`] at the token that opens the level past it.
+///
+/// Each `(`, `[`, `{`, prefix operator, `?` and unbraced statement body
+/// opens one level inside the levels around it, and each operator of a
+/// flat chain such as `1 + 1 + …` or `a[i][j]` adds one level to the
+/// chain, because the tree it builds is that deep. The parser and every
+/// pass over the tree (sema, instrumentation, printing, lowering, the
+/// tree-walker and `Drop`) recurse along that depth, so the bound keeps
+/// each of them inside a 2 MiB thread stack, even in a debug build.
+pub const MAX_AST_DEPTH: u32 = 128;
 
 /// Parses a full mini-C translation unit.
 ///
@@ -41,36 +62,76 @@ use crate::token::{Keyword, Loc, Token, TokenKind};
 /// # }
 /// ```
 pub fn parse(src: &str) -> Result<Program> {
-    let tokens = lex(src)?;
-    Parser::new(tokens).program()
+    let mut parser = Parser::new(src);
+    let parsed = parser.program();
+    parser.finish(parsed)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The one token of lookahead; the lexer stands just past it.
+    tok: Token,
+    /// The first lex error. From it on the parser sees only `Eof`, and
+    /// [`Parser::finish`] reports it whatever the parse returned.
+    lex_err: Option<Error>,
     next_loop: u32,
     next_site: u32,
+    /// Levels open at `tok` (see [`MAX_AST_DEPTH`]).
+    depth: u32,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0, next_loop: 0, next_site: 0 }
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(src),
+            tok: Token::new(TokenKind::Eof, Loc::default()),
+            lex_err: None,
+            next_loop: 0,
+            next_site: 0,
+            depth: 0,
+        };
+        parser.tok = parser.lex();
+        parser
+    }
+
+    /// The next token from the lexer. A lex error is kept and reads as
+    /// `Eof`.
+    fn lex(&mut self) -> Token {
+        if self.lex_err.is_none() {
+            match self.lexer.next_token() {
+                Ok(tok) => return tok,
+                Err(e) => self.lex_err = Some(e),
+            }
+        }
+        Token::new(TokenKind::Eof, self.tok.loc)
+    }
+
+    /// The parse's result, or the first lex error in the source.
+    fn finish(mut self, parsed: Result<Program>) -> Result<Program> {
+        if let Some(e) = self.lex_err {
+            return Err(e);
+        }
+        let Err(parse_err) = parsed else { return parsed };
+        loop {
+            match self.lexer.next_token() {
+                Err(e) => return Err(e),
+                Ok(tok) if tok.kind == TokenKind::Eof => return Err(parse_err),
+                Ok(_) => {}
+            }
+        }
     }
 
     fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+        &self.tok.kind
     }
 
     fn loc(&self) -> Loc {
-        self.tokens[self.pos].loc
+        self.tok.loc
     }
 
     fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        kind
+        let next = self.lex();
+        std::mem::replace(&mut self.tok, next).kind
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -94,6 +155,24 @@ impl Parser {
         Error::Parse { loc: self.loc(), msg: msg.into() }
     }
 
+    /// Opens one more level at `loc`, the token that opens it.
+    fn deeper(&mut self, loc: Loc) -> Result<()> {
+        if self.depth == MAX_AST_DEPTH {
+            let msg = format!("nesting deeper than {MAX_AST_DEPTH} levels");
+            return Err(Error::Parse { loc, msg });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parses with `parse` one level deeper than the current token.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.deeper(self.loc())?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn fresh_loop(&mut self) -> LoopId {
         let id = LoopId(self.next_loop);
         self.next_loop += 1;
@@ -107,14 +186,12 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match self.peek() {
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                self.bump();
-                Ok(name)
-            }
-            other => Err(self.err(format!("expected identifier, found `{other}`"))),
-        }
+        let TokenKind::Ident(name) = &mut self.tok.kind else {
+            return Err(self.err(format!("expected identifier, found `{}`", self.peek())));
+        };
+        let name = std::mem::take(name);
+        self.bump();
+        Ok(name)
     }
 
     // ---- types ------------------------------------------------------
@@ -139,7 +216,7 @@ impl Parser {
 
     // ---- top level ----------------------------------------------------
 
-    fn program(mut self) -> Result<Program> {
+    fn program(&mut self) -> Result<Program> {
         let mut prog = Program::new();
         while !matches!(self.peek(), TokenKind::Eof) {
             let loc = self.loc();
@@ -172,10 +249,13 @@ impl Parser {
         }
         let mut init = Vec::new();
         if self.eat(&TokenKind::Assign) {
-            if self.eat(&TokenKind::LBrace) {
+            if matches!(self.peek(), TokenKind::LBrace) {
+                // `tok` is the `{` or a `,`, and nothing past it is lexed.
                 loop {
+                    self.lexer.literal_run(&mut init);
+                    self.bump();
                     init.push(self.const_int()?);
-                    if !self.eat(&TokenKind::Comma) {
+                    if !matches!(self.peek(), TokenKind::Comma) {
                         break;
                     }
                 }
@@ -224,15 +304,17 @@ impl Parser {
     // ---- statements ----------------------------------------------------
 
     fn block(&mut self) -> Result<Block> {
-        self.expect(&TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
-            if matches!(self.peek(), TokenKind::Eof) {
-                return Err(self.err("unterminated block"));
+        self.nested(|p| {
+            p.expect(&TokenKind::LBrace)?;
+            let mut stmts = Vec::new();
+            while !p.eat(&TokenKind::RBrace) {
+                if matches!(p.peek(), TokenKind::Eof) {
+                    return Err(p.err("unterminated block"));
+                }
+                stmts.push(p.stmt()?);
             }
-            stmts.push(self.stmt()?);
-        }
-        Ok(Block { stmts })
+            Ok(Block { stmts })
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
@@ -337,7 +419,7 @@ impl Parser {
         if matches!(self.peek(), TokenKind::LBrace) {
             self.block()
         } else {
-            Ok(Block { stmts: vec![self.stmt()?] })
+            self.nested(|p| Ok(Block { stmts: vec![p.stmt()?] }))
         }
     }
 
@@ -394,14 +476,16 @@ impl Parser {
 
     fn ternary(&mut self) -> Result<Expr> {
         let cond = self.binary(0)?;
-        if self.eat(&TokenKind::Question) {
-            let then = self.expr()?;
-            self.expect(&TokenKind::Colon)?;
-            let els = self.ternary()?;
-            Ok(Expr::Cond { cond: Box::new(cond), then: Box::new(then), els: Box::new(els) })
-        } else {
-            Ok(cond)
+        if !matches!(self.peek(), TokenKind::Question) {
+            return Ok(cond);
         }
+        self.nested(|p| {
+            p.bump();
+            let then = p.expr()?;
+            p.expect(&TokenKind::Colon)?;
+            let els = p.ternary()?;
+            Ok(Expr::Cond { cond: Box::new(cond), then: Box::new(then), els: Box::new(els) })
+        })
     }
 
     fn bin_op_of(kind: &TokenKind) -> Option<(BinOp, u8)> {
@@ -430,73 +514,78 @@ impl Parser {
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr> {
+        let outer = self.depth;
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = Self::bin_op_of(self.peek()) {
             if prec < min_prec {
                 break;
             }
+            self.deeper(self.loc())?;
             self.bump();
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr> {
         let loc = self.loc();
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(self.unary()?) })
-            }
-            TokenKind::Bang => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(self.unary()?) })
-            }
-            TokenKind::Tilde => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::BitNot, expr: Box::new(self.unary()?) })
-            }
+        let prefix = matches!(
+            self.peek(),
+            TokenKind::Minus
+                | TokenKind::Bang
+                | TokenKind::Tilde
+                | TokenKind::Star
+                | TokenKind::Amp
+                | TokenKind::PlusPlus
+                | TokenKind::MinusMinus
+        );
+        if !prefix {
+            return self.postfix();
+        }
+        self.nested(|p| match p.bump() {
+            TokenKind::Minus => Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(p.unary()?) }),
+            TokenKind::Bang => Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(p.unary()?) }),
+            TokenKind::Tilde => Ok(Expr::Unary { op: UnOp::BitNot, expr: Box::new(p.unary()?) }),
             TokenKind::Star => {
-                self.bump();
-                let site = self.fresh_site();
-                let inner = self.unary()?;
+                let site = p.fresh_site();
+                let inner = p.unary()?;
                 Ok(Expr::Deref { ptr: Box::new(inner), site, loc })
             }
             TokenKind::Amp => {
-                self.bump();
-                let lvalue = self.unary()?;
+                let lvalue = p.unary()?;
                 if !lvalue.is_lvalue() {
-                    return Err(self.err("`&` requires an lvalue operand"));
+                    return Err(p.err("`&` requires an lvalue operand"));
                 }
                 Ok(Expr::AddrOf { lvalue: Box::new(lvalue), loc })
             }
             TokenKind::PlusPlus => {
-                self.bump();
-                let target = self.unary()?;
+                let target = p.unary()?;
                 if !target.is_lvalue() {
-                    return Err(self.err("`++` requires an lvalue operand"));
+                    return Err(p.err("`++` requires an lvalue operand"));
                 }
                 Ok(Expr::IncDec { op: IncDec::PreInc, target: Box::new(target) })
             }
-            TokenKind::MinusMinus => {
-                self.bump();
-                let target = self.unary()?;
+            // `--`, the last prefix operator.
+            _ => {
+                let target = p.unary()?;
                 if !target.is_lvalue() {
-                    return Err(self.err("`--` requires an lvalue operand"));
+                    return Err(p.err("`--` requires an lvalue operand"));
                 }
                 Ok(Expr::IncDec { op: IncDec::PreDec, target: Box::new(target) })
             }
-            _ => self.postfix(),
-        }
+        })
     }
 
     fn postfix(&mut self) -> Result<Expr> {
+        let outer = self.depth;
         let mut expr = self.primary()?;
         loop {
             let loc = self.loc();
             match self.peek() {
                 TokenKind::LBracket => {
+                    self.deeper(loc)?;
                     self.bump();
                     let site = self.fresh_site();
                     let index = self.expr()?;
@@ -504,6 +593,7 @@ impl Parser {
                     expr = Expr::Index { base: Box::new(expr), index: Box::new(index), site, loc };
                 }
                 TokenKind::PlusPlus => {
+                    self.deeper(loc)?;
                     self.bump();
                     if !expr.is_lvalue() {
                         return Err(self.err("`++` requires an lvalue operand"));
@@ -511,45 +601,52 @@ impl Parser {
                     expr = Expr::IncDec { op: IncDec::PostInc, target: Box::new(expr) };
                 }
                 TokenKind::MinusMinus => {
+                    self.deeper(loc)?;
                     self.bump();
                     if !expr.is_lvalue() {
                         return Err(self.err("`--` requires an lvalue operand"));
                     }
                     expr = Expr::IncDec { op: IncDec::PostDec, target: Box::new(expr) };
                 }
-                _ => return Ok(expr),
+                _ => break,
             }
         }
+        self.depth = outer;
+        Ok(expr)
     }
 
     fn primary(&mut self) -> Result<Expr> {
         let loc = self.loc();
+        if matches!(self.peek(), TokenKind::LParen) {
+            return self.nested(|p| {
+                p.bump();
+                let inner = p.expr()?;
+                p.expect(&TokenKind::RParen)?;
+                Ok(inner)
+            });
+        }
         match self.bump() {
             TokenKind::IntLit(v) => Ok(Expr::IntLit(v)),
             TokenKind::CharLit(c) => Ok(Expr::IntLit(c as i64)),
-            TokenKind::Ident(name) => {
-                if matches!(self.peek(), TokenKind::LParen) {
-                    self.bump();
+            TokenKind::Ident(name) if matches!(self.peek(), TokenKind::LParen) => {
+                self.nested(|p| {
+                    p.bump();
                     let mut args = Vec::new();
-                    if !self.eat(&TokenKind::RParen) {
+                    if !p.eat(&TokenKind::RParen) {
                         loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
+                            args.push(p.expr()?);
+                            if !p.eat(&TokenKind::Comma) {
                                 break;
                             }
                         }
-                        self.expect(&TokenKind::RParen)?;
+                        p.expect(&TokenKind::RParen)?;
                     }
                     Ok(Expr::Call { name, args, loc })
-                } else {
-                    let site = self.fresh_site();
-                    Ok(Expr::Var { name, site, loc })
-                }
+                })
             }
-            TokenKind::LParen => {
-                let inner = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                Ok(inner)
+            TokenKind::Ident(name) => {
+                let site = self.fresh_site();
+                Ok(Expr::Var { name, site, loc })
             }
             other => {
                 Err(Error::Parse { loc, msg: format!("expected expression, found `{other}`") })
@@ -690,5 +787,149 @@ mod tests {
     #[test]
     fn empty_statement() {
         assert!(parse("void main(){ ;;; }").is_ok());
+    }
+
+    fn lex_err(line: u32, col: u32, msg: &str) -> Error {
+        Error::Lex { loc: Loc::new(line, col), msg: msg.into() }
+    }
+
+    fn parse_err(line: u32, col: u32, msg: &str) -> Error {
+        Error::Parse { loc: Loc::new(line, col), msg: msg.into() }
+    }
+
+    #[test]
+    fn a_lex_error_after_a_parse_error_is_the_one_reported() {
+        let broken = "void main() { int x; x = ; }";
+        assert_eq!(parse(broken), Err(parse_err(1, 26, "expected expression, found `;`")));
+        let unexpected = lex_err(2, 2, "unexpected character '@'");
+        assert_eq!(parse(&format!("{broken}\n@")), Err(unexpected.clone()));
+        // Past the error, nothing is parsed, but all of it is lexed.
+        let tail = "int t[3] = {1, 2, 3};\nint u = 0x;";
+        let hex = lex_err(3, 11, "hex literal needs at least one digit");
+        assert_eq!(parse(&format!("{broken}\n{tail}")), Err(hex.clone()));
+        // The first lex error wins, wherever the parse stops.
+        assert_eq!(parse(&format!("{broken}\n@\n{tail}")), Err(unexpected));
+        let hex = lex_err(2, 11, "hex literal needs at least one digit");
+        assert_eq!(parse(&format!("{tail} @")), Err(hex));
+        // A parse error inside an initializer list, after a literal run.
+        let list = "int t[4] = {1, 2, ;, 4};";
+        assert_eq!(parse(list), Err(parse_err(1, 20, "expected integer constant, found `;`")));
+        let late = lex_err(1, 27, "unterminated character literal");
+        assert_eq!(parse(&format!("{list} '")), Err(late));
+    }
+
+    /// The `init` that `int t[N] = {list};` parses to.
+    fn init_of(list: &str) -> Result<Vec<i64>> {
+        parse(&format!("int t[64] = {{{list}}};")).map(|mut prog| prog.globals.remove(0).init)
+    }
+
+    #[test]
+    fn initializer_lists_read_the_same_through_the_literal_run_and_the_token_path() {
+        let big = i64::MAX.to_string();
+        let cases: [(&str, Result<Vec<i64>>); 12] = [
+            ("1, 2, 3", Ok(vec![1, 2, 3])),
+            ("0x10, 0xfF, 7", Ok(vec![16, 255, 7])),
+            (r"'a', '\n', 7", Ok(vec![97, 10, 7])),
+            ("-0, 0, -5", Ok(vec![0, 0, -5])),
+            ("- 5 , -5,\t-\t5", Ok(vec![-5, -5, -5])),
+            (
+                "007, 999999999999999999, -999999999999999999",
+                Ok(vec![7, 999_999_999_999_999_999, -999_999_999_999_999_999]),
+            ),
+            (&format!("{big}, -{big}, 1"), Ok(vec![i64::MAX, -i64::MAX, 1])),
+            ("1, 9223372036854775808, 2", Err(lex_err(1, 35, "decimal literal overflows i64"))),
+            // A constant's error stands at the token after it, as ever.
+            ("1, 2,", Err(parse_err(1, 20, "expected integer constant, found `}`"))),
+            ("", Err(parse_err(1, 15, "expected integer constant, found `}`"))),
+            ("1, /* c */ 2, // d\n 3", Ok(vec![1, 2, 3])),
+            ("1,\n2,\n3", Ok(vec![1, 2, 3])),
+        ];
+        for (list, want) in cases {
+            assert_eq!(init_of(list), want, "{{{list}}}");
+            // A newline after every comma sends each value the token path.
+            let token_path = init_of(&list.replace(',', ",\n"));
+            match (&want, token_path) {
+                (Ok(_), got) => assert_eq!(got, want, "{{{list}}} on the token path"),
+                (Err(Error::Lex { msg, .. } | Error::Parse { msg, .. }), Err(got)) => {
+                    assert!(got.to_string().ends_with(msg.as_str()), "{{{list}}}: {got}")
+                }
+                (want, got) => panic!("{{{list}}}: {want:?} but {got:?} on the token path"),
+            }
+        }
+        assert_eq!(init_of("1, 2 3"), Err(parse_err(1, 19, "expected `}`, found `3`")));
+        assert_eq!(
+            init_of("12abc, 1"),
+            Err(lex_err(1, 16, "identifier character directly after number"))
+        );
+    }
+
+    /// Nested parentheses, nested blocks and a flat sum, each nested
+    /// exactly `depth` levels as [`MAX_AST_DEPTH`] counts them (the
+    /// function body's `{` is the first), with the column of the token
+    /// that opens the last level.
+    fn nested_shapes(depth: usize) -> [(&'static str, String, u32); 3] {
+        let k = depth - 1;
+        [
+            (
+                "parentheses",
+                format!("int x; void main() {{ x = {}1{}; }}", "(".repeat(k), ")".repeat(k)),
+                25 + k as u32,
+            ),
+            (
+                "blocks",
+                format!("void main() {}{}", "{".repeat(depth), "}".repeat(depth)),
+                12 + depth as u32,
+            ),
+            (
+                "a flat sum",
+                format!("int x; void main() {{ x = 1{}; }}", " + 1".repeat(k)),
+                24 + 4 * k as u32,
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error_at_its_opening_token() {
+        let bound = MAX_AST_DEPTH as usize;
+        for (shape, src, _) in nested_shapes(bound) {
+            assert!(crate::frontend(&src).is_ok(), "{shape} at the bound");
+        }
+        for (shape, src, col) in nested_shapes(bound + 1) {
+            let want = parse_err(1, col, "nesting deeper than 128 levels");
+            assert_eq!(crate::frontend(&src).map(drop), Err(want), "{shape} past the bound");
+        }
+    }
+
+    #[test]
+    fn every_recursive_form_counts_toward_the_bound() {
+        /// A form's name, and its program nested `k` levels inside the
+        /// function body's `{`.
+        type Form = (&'static str, fn(usize) -> String);
+        let forms: [Form; 7] = [
+            ("prefix", |k| format!("int x; void main() {{ x = {}1; }}", "- ".repeat(k))),
+            ("index", |k| {
+                format!("int a[4]; void main() {{ {}0{} = 1; }}", "a[".repeat(k), "]".repeat(k))
+            }),
+            ("index chain", |k| format!("int *a; void main() {{ a{} = 1; }}", "[0]".repeat(k))),
+            ("call", |k| {
+                let calls = format!("{}1{}", "f(".repeat(k), ")".repeat(k));
+                format!("int f(int a) {{ return a; }} void main() {{ {calls}; }}")
+            }),
+            ("conditional", |k| format!("int x; void main() {{ x = {}0; }}", "x ? 1 : ".repeat(k))),
+            // The innermost `if`'s own body is one level more.
+            ("else if", |k| {
+                let chain = " else if (x) x = 1;".repeat(k - 1);
+                format!("int x; void main() {{ if (x) x = 1;{chain} }}")
+            }),
+            ("unbraced body", |k| {
+                format!("int x; void main() {{ {}x = 0; }}", "while (x) ".repeat(k))
+            }),
+        ];
+        let inner = MAX_AST_DEPTH as usize - 1;
+        for (name, form) in forms {
+            assert_eq!(parse(&form(inner)).err(), None, "{name} at the bound");
+            let err = parse(&form(inner + 1)).unwrap_err();
+            assert!(err.to_string().ends_with("nesting deeper than 128 levels"), "{name}: {err}");
+        }
     }
 }

@@ -364,17 +364,21 @@ impl Client {
     ///
     /// Connection failures.
     pub fn connect(addr: &ServeAddr) -> io::Result<Client> {
-        let (reader, writer): (Box<dyn Read + Send>, Box<dyn Write + Send>) = match addr {
+        Ok(match addr {
             ServeAddr::Unix(p) => {
                 let s = UnixStream::connect(p)?;
-                (Box::new(s.try_clone()?), Box::new(s))
+                Client::over(s.try_clone()?, s)
             }
             ServeAddr::Tcp(a) => {
                 let s = TcpStream::connect(a.as_str())?;
-                (Box::new(s.try_clone()?), Box::new(s))
+                Client::over(s.try_clone()?, s)
             }
-        };
-        Ok(Client { reader: BufReader::new(reader), writer })
+        })
+    }
+
+    /// A client over the two halves of one connected stream.
+    fn over(reader: impl Read + Send + 'static, writer: impl Write + Send + 'static) -> Client {
+        Client { reader: BufReader::new(Box::new(reader)), writer: Box::new(writer) }
     }
 
     /// Sends one raw request line and reads one reply.
@@ -384,11 +388,9 @@ impl Client {
     /// Transport failures; an unparseable reply maps to
     /// [`io::ErrorKind::InvalidData`].
     pub fn request(&mut self, line: &str) -> io::Result<Response> {
-        let sent = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush());
+        // The line and its newline go out in one write.
+        let request = format!("{line}\n");
+        let sent = self.writer.write_all(request.as_bytes()).and_then(|()| self.writer.flush());
         // A daemon that refuses a connection writes why before it closes
         // it, so a request that finds the connection closed reads on.
         if let Err(e) = sent {
@@ -574,5 +576,38 @@ mod tests {
         assert_eq!(pool.handlers.len(), MAX_CONNECTIONS);
         drop(held);
         pool.shutdown();
+    }
+
+    /// One datagram per `write`, so the far end sees each write apart. (A
+    /// stream pair cannot tell: a reader waiting on one read both halves
+    /// of a request sent in two writes.)
+    struct Datagrams(std::os::unix::net::UnixDatagram);
+
+    impl Read for Datagrams {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.recv(buf)
+        }
+    }
+
+    impl Write for Datagrams {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.send(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_goes_out_in_one_write() {
+        let (client_end, daemon_end) = std::os::unix::net::UnixDatagram::pair().unwrap();
+        let mut client =
+            Client::over(Datagrams(client_end.try_clone().unwrap()), Datagrams(client_end));
+        daemon_end.send(format!("{}\n", Response::Pong.render()).as_bytes()).unwrap();
+        assert_eq!(client.ping().unwrap(), Response::Pong);
+        let mut buf = [0; 64];
+        let n = daemon_end.recv(&mut buf).unwrap();
+        assert_eq!(&buf[..n], b"{\"cmd\":\"ping\"}\n");
     }
 }

@@ -8,6 +8,8 @@
 //! * the interpreter agrees with a Rust-side reference evaluator on random
 //!   arithmetic expressions;
 //! * pretty-printed programs re-parse to the same text (fixpoint);
+//! * the frontend answers every random token sequence and byte-mutated
+//!   corpus source with `Ok` or a typed error, and never panics;
 //! * the exact knapsack dominates greedy and matches brute force on small
 //!   instances.
 
@@ -588,6 +590,77 @@ proptest! {
         let once = minic::pretty(&prog);
         let twice = minic::pretty(&minic::parse(&once).unwrap());
         prop_assert_eq!(once, twice);
+    }
+}
+
+// ---------- the frontend is total ----------
+
+/// Spellings for random token sequences, one space apart: every keyword
+/// and operator, a few names, literals of each form (one past `i64::MAX`
+/// too), both comment openers, and bytes the lexer refuses or leaves
+/// unterminated. The glue between tokens adds the blanks.
+const TOKENS: &str = "int char void if else for while do return break continue main x a f \
+    print_int input 0 7 -1 0x1F 0x 'a' '\\n' 9223372036854775808 12ab ( ) { } [ ] ; , + - * / \
+    % & | ^ ~ ! < > <= >= == != && || << >> = += -= *= /= %= ++ -- ? : /*c*/ // /* @ '";
+
+/// Bytes that mutations write into corpus sources.
+const MUTANT_BYTES: &[u8] = b"{}()[];,-+*/=<>!&|?:'0123456789xai \n\t\r@";
+
+/// The corpus sources at scale 1, built once.
+fn corpus_sources() -> &'static [String] {
+    static SOURCES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    SOURCES.get_or_init(|| {
+        let corpus = foray_workloads::build(None, 1).expect("the corpus builds");
+        corpus.into_iter().map(|w| w.source).collect()
+    })
+}
+
+/// Runs the frontend: `Ok`, a semantic error, or a lex or parse error
+/// located in the source all pass; a panic fails the test.
+fn frontend_answers(src: &str) -> Result<(), TestCaseError> {
+    if let Err(minic::Error::Lex { loc, .. } | minic::Error::Parse { loc, .. }) =
+        minic::frontend(src)
+    {
+        let lines = src.split('\n').count() as u32;
+        prop_assert!(loc.line >= 1 && loc.line <= lines && loc.col >= 1, "{loc} in {src:?}");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn frontend_answers_random_token_sequences(
+        picks in proptest::collection::vec(any::<usize>(), 0..80),
+        glue in 0..5usize,
+    ) {
+        let tokens: Vec<&str> = TOKENS.split(' ').filter(|t| !t.is_empty()).collect();
+        let glue = [" ", "", "\n", "\t", "\r\n"][glue];
+        let src = picks.iter().map(|&i| tokens[i % tokens.len()]).collect::<Vec<_>>().join(glue);
+        frontend_answers(&src)?;
+        // The same tokens inside a function body and an initializer list.
+        frontend_answers(&format!("void main() {{ {src} }}"))?;
+        frontend_answers(&format!("int t[4] = {{{src}}};"))?;
+    }
+
+    #[test]
+    fn frontend_answers_byte_mutated_corpus_sources(
+        which in 0..7usize,
+        edits in proptest::collection::vec((any::<u64>(), 0..3u8, 0..MUTANT_BYTES.len()), 1..6),
+    ) {
+        let mut bytes = corpus_sources()[which].clone().into_bytes();
+        for (at, op, byte) in edits {
+            let at = (at % bytes.len() as u64) as usize;
+            match op {
+                0 => bytes[at] = MUTANT_BYTES[byte],
+                1 => bytes.insert(at, MUTANT_BYTES[byte]),
+                _ => {
+                    bytes.remove(at);
+                }
+            }
+        }
+        frontend_answers(&String::from_utf8_lossy(&bytes))?;
     }
 }
 

@@ -399,6 +399,39 @@ fn socket_round_trip_with_counter_verified_cache_hit() {
     assert!(!sock.exists(), "socket file removed on exit");
 }
 
+/// A source nested past `minic::MAX_AST_DEPTH` fails its own job as a
+/// compile error, and the daemon lives on. Without the bound, 2,000 nested
+/// parentheses in one inline source overflowed a worker's 2 MiB stack and
+/// aborted the whole daemon.
+#[test]
+fn a_source_nested_past_the_bound_fails_its_job_and_the_daemon_answers_on() {
+    let sock = std::env::temp_dir().join(format!("foray-serve-deep-{}.sock", std::process::id()));
+    let addr = ServeAddr::Unix(sock.clone());
+    let server = Server::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let daemon = {
+        let addr = addr.clone();
+        std::thread::spawn(move || foray_serve::serve(server, &addr))
+    };
+    wait_for_socket(&sock);
+
+    let nested = |depth: usize| {
+        let k = depth - 1;
+        format!("int x; void main() {{ x = {}1{}; }}", "(".repeat(k), ")".repeat(k))
+    };
+    let bound = minic::MAX_AST_DEPTH as usize;
+    let mut client = Client::connect(&addr).unwrap();
+    let at_bound = client.run(&source_spec(&nested(bound))).unwrap();
+    assert!(at_bound.is_ok(), "{at_bound:?}");
+    for depth in [bound + 1, 2_000, 100_000] {
+        let e = client.run(&source_spec(&nested(depth))).unwrap().unwrap_err();
+        assert_eq!(e.code, ErrorCode::JobFailed);
+        assert!(e.message.contains("nesting deeper than 128 levels"), "{}", e.message);
+        assert_eq!(client.ping().unwrap(), Response::Pong, "after {depth} levels");
+    }
+    assert_eq!(client.shutdown().unwrap(), Response::ShutdownStarted);
+    daemon.join().unwrap().unwrap();
+}
+
 /// The connection cap over a real socket. With every handler held by a
 /// connection that has answered a `ping`, the next connection reads one
 /// `queue_full` line, unasked, and is closed. The refusal is counted
