@@ -115,20 +115,12 @@ fn walk_stmt(
             let canonical = canonical_iterator(init.as_deref(), cond.as_ref(), step.as_deref())
                 .filter(|iv| !body_reassigns(body.stmts.as_slice(), iv));
             match canonical {
-                Some(iv) if all_canonical => {
-                    out.canonical_loops.insert(*id);
-                    env.push(&iv);
-                    scan_exprs_in_loop_header(init.as_deref(), cond.as_ref(), step.as_deref());
-                    walk_block(&body.stmts, env, true, arrays, out);
-                    env.pop();
-                }
                 Some(iv) => {
-                    // Canonical shape, but buried under a non-canonical
-                    // loop: the loop itself still counts as FORAY-form,
-                    // its references do not.
+                    // Buried under a non-canonical loop, the loop itself
+                    // still counts as FORAY-form; its references do not.
                     out.canonical_loops.insert(*id);
                     env.push(&iv);
-                    walk_block(&body.stmts, env, false, arrays, out);
+                    walk_block(&body.stmts, env, all_canonical, arrays, out);
                     env.pop();
                 }
                 None => {
@@ -152,14 +144,9 @@ fn walk_stmt(
             }
         }
         Stmt::Block(b) => walk_block(&b.stmts, env, all_canonical, arrays, out),
-        Stmt::Assign { target, value, .. } => {
-            if all_canonical {
-                scan_expr(target, env, arrays, out);
-            }
-            let _ = value;
-            if all_canonical {
-                scan_expr(value, env, arrays, out);
-            }
+        Stmt::Assign { target, value, .. } if all_canonical => {
+            scan_expr(target, env, arrays, out);
+            scan_expr(value, env, arrays, out);
         }
         Stmt::Expr(e) | Stmt::Return(Some(e)) if all_canonical => {
             scan_expr(e, env, arrays, out);
@@ -169,11 +156,6 @@ fn walk_stmt(
         }
         _ => {}
     }
-}
-
-fn scan_exprs_in_loop_header(_init: Option<&Stmt>, _cond: Option<&Expr>, _step: Option<&Stmt>) {
-    // Loop-header expressions touch only the iterator and constants in the
-    // canonical shape; nothing to record.
 }
 
 /// Records every qualifying array subscript in `e`.

@@ -162,7 +162,7 @@ fn fig9(w: &mut dyn Write) -> Result<(), Box<dyn Error>> {
          }",
     )?;
     write!(w, "{}", out.code)?;
-    for h in &out.hints {
+    for h in foray::hints::inline_hints(&out.program, out.analysis.tree()) {
         writeln!(
             w,
             "hint: duplicate `{}` — its loop {} runs in {} contexts ({})",

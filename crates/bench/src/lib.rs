@@ -30,7 +30,7 @@
 
 pub mod harness;
 
-use foray::{BatchJob, CaptureComparison, ForayGen, ForayGenOutput, LoopBreakdown, MemoryBehavior};
+use foray::{CaptureComparison, ForayGenOutput, LoopBreakdown, MemoryBehavior};
 use foray_workloads::{all, Params, Workload};
 use std::collections::HashSet;
 use std::error::Error;
@@ -41,11 +41,9 @@ use std::process::ExitCode;
 pub struct BenchRun {
     /// The workload itself.
     pub workload: Workload,
-    /// The checked (uninstrumented) program, for static analysis.
-    pub program: minic::Program,
     /// Full FORAY-GEN output.
     pub output: ForayGenOutput,
-    /// Static detector results.
+    /// Static detector results over the profiled program.
     pub static_analysis: foray_baseline::StaticAnalysis,
 }
 
@@ -57,16 +55,14 @@ impl BenchRun {
     /// Panics if the workload fails to compile or run — that is a bug in
     /// the workload crate, not an experiment outcome.
     pub fn execute(workload: Workload) -> BenchRun {
-        let mut program = minic::parse(&workload.source).expect("workload parses");
-        minic::check(&mut program).expect("workload checks");
-        let static_analysis = foray_baseline::analyze_program(&program);
         let output = workload.run().expect("workload runs");
-        BenchRun { workload, program, output, static_analysis }
+        let static_analysis = foray_baseline::analyze_program(&output.program);
+        BenchRun { workload, output, static_analysis }
     }
 
     /// Table I row.
     pub fn table1(&self) -> LoopBreakdown {
-        LoopBreakdown::compute(&self.workload.source, &self.program, &self.output.analysis)
+        LoopBreakdown::compute(&self.workload.source, &self.output.program, &self.output.analysis)
     }
 
     /// Table II row.
@@ -87,38 +83,27 @@ impl BenchRun {
 }
 
 /// Runs the whole suite at a scale, fanning the workloads across the
-/// shared batch thread pool (auto-sized worker count).
+/// shared batch thread pool (auto-sized worker count). Results are in
+/// workload order and identical to sequential [`BenchRun::execute`] runs
+/// regardless of scheduling.
 pub fn run_suite(params: Params) -> Vec<BenchRun> {
-    run_suite_with(params, 0)
+    foray::map_ordered(&all(params), 0, |_, w| BenchRun::execute(w.clone()))
 }
 
-/// [`run_suite`] with an explicit worker count (`0` = auto-detect; see
-/// [`foray::resolve_workers`]). Results are in workload order and identical
-/// to sequential [`BenchRun::execute`] runs regardless of scheduling.
-pub fn run_suite_with(params: Params, workers: usize) -> Vec<BenchRun> {
-    let workloads = all(params);
-    let jobs: Vec<BatchJob> = workloads.iter().map(|w| w.batch_job(ForayGen::new())).collect();
-    let outputs = foray::analyze_batch(&jobs, workers);
-    workloads
-        .into_iter()
-        .zip(outputs)
-        .map(|(workload, output)| {
-            let output = output.expect("workload runs");
-            let mut program = minic::parse(&workload.source).expect("workload parses");
-            minic::check(&mut program).expect("workload checks");
-            let static_analysis = foray_baseline::analyze_program(&program);
-            BenchRun { workload, program, output, static_analysis }
-        })
-        .collect()
-}
-
-/// The corpus design space: every workload at `params` in
-/// [`foray_spm::SpmDesignSpace::standard`] — the space `foray-gen dse`
-/// explores by default. (CI's `dse-smoke` job runs the CLI on a
-/// five-capacity grid, without 8192.)
+/// The corpus design space: every workload at `params`, profiled across
+/// the shared pool, in [`foray_spm::SpmDesignSpace::standard`] — the space
+/// `foray-gen dse` explores by default. (CI's `dse-smoke` job runs the CLI
+/// on a five-capacity grid, without 8192.)
+///
+/// # Panics
+///
+/// Panics if a workload fails to compile or run, as [`BenchRun::execute`]
+/// does.
 pub fn dse_space(params: Params) -> foray_spm::SpmDesignSpace {
-    foray_spm::SpmDesignSpace::standard()
-        .workloads(all(params).iter().map(|w| w.batch_job(ForayGen::new())))
+    let workloads = all(params);
+    let models = foray::map_ordered(&workloads, 0, |_, w| w.run().expect("workload runs").model);
+    let names = workloads.iter().map(|w| w.name.to_owned());
+    foray_spm::SpmDesignSpace::standard().workloads(names.zip(models))
 }
 
 /// Human-friendly access counts (`8.3M` style, as in Table III).
@@ -253,7 +238,7 @@ mod tests {
     #[test]
     fn batched_suite_matches_direct_execution() {
         // The batch pool must not change any experiment number.
-        let batched = run_suite_with(Params::default(), 3);
+        let batched = run_suite(Params::default());
         assert_eq!(batched.len(), 7);
         let direct =
             BenchRun::execute(foray_workloads::by_name("gsmc", Params::default()).unwrap());

@@ -319,9 +319,9 @@ const FLAGS: &[Flag] = &[
     Flag(&["-o", "--output"], TRACE, Value(|o, v| set(&mut o.output, Some(v.into())))),
     Flag(&["--trace-format"], &[Cmd::Record], Value(|o, v| set(&mut o.trace_format, version(v)?))),
     Flag(&["--from-loop"], &[Cmd::Analyze], Value(|o, v| set(&mut o.from_loop, Some(num(v)?)))),
-    Flag(&["--capacity"], &[Cmd::Spm], Value(|o, v| set(&mut o.capacity, num(v)?))),
+    Flag(&["--capacity"], &[Cmd::Spm], Value(|o, v| set(&mut o.capacity, capacity(v)?))),
     Flag(&["--workloads"], DSE, Value(|o, v| set(&mut o.workloads, list(v, |s| Ok(s.into()))?))),
-    Flag(&["--capacities"], DSE, Value(|o, v| set(&mut o.space.capacities, list(v, num)?))),
+    Flag(&["--capacities"], DSE, Value(|o, v| set(&mut o.space.capacities, list(v, capacity)?))),
     Flag(&["--models"], DSE, Value(|o, v| set(&mut o.space.models, list(v, energy_model)?))),
     Flag(&["--jobs"], DSE, Value(|o, v| set(&mut o.jobs, num(v)?))),
     Flag(&["--json"], DSE, Value(|o, v| set(&mut o.json, Some(v.into())))),
@@ -383,6 +383,15 @@ fn version(v: &str) -> Result<FormatVersion, String> {
 
 fn kind(v: &str) -> Result<JobKind, String> {
     JobKind::parse(v).ok_or_else(|| "use model/report/dse".to_owned())
+}
+
+/// An SPM capacity in bytes, at most [`foray_spm::MAX_CAPACITY`]: the
+/// knapsack table grows with it.
+fn capacity(v: &str) -> Result<u32, String> {
+    match num::<u32>(v)? {
+        c if c <= foray_spm::MAX_CAPACITY => Ok(c),
+        _ => Err(format!("above the largest SPM capacity, {} bytes", foray_spm::MAX_CAPACITY)),
+    }
 }
 
 fn priority(v: &str) -> Result<u8, String> {
@@ -671,9 +680,7 @@ fn cmd_report(
     stdout: &mut dyn Write,
 ) -> Result<(), CliError> {
     let out = pipeline(o, inputs).run_source(&src)?;
-    let mut prog = minic::parse(&src).map_err(|e| CliError::Compile(e.to_string()))?;
-    minic::check(&mut prog).map_err(|e| CliError::Compile(e.to_string()))?;
-    let st = foray_baseline::analyze_program(&prog);
+    let st = foray_baseline::analyze_program(&out.program);
     let loops: std::collections::HashSet<minic::LoopId> =
         st.canonical_loops.iter().copied().collect();
     let cmp = foray::CaptureComparison::compute(&out.model, &loops, &st.affine_instrs());
@@ -734,10 +741,11 @@ fn cmd_report(
             None => writeln!(stdout, "{} -> (synthetic traffic, no source site)", note.array)?,
         }
     }
-    if !out.hints.is_empty() {
+    let hints = foray::hints::inline_hints(&out.program, out.analysis.tree());
+    if !hints.is_empty() {
         writeln!(stdout)?;
         writeln!(stdout, "== inlining hints ==")?;
-        for h in &out.hints {
+        for h in &hints {
             writeln!(
                 stdout,
                 "duplicate `{}`: loop {} runs in {} contexts ({})",
@@ -796,7 +804,12 @@ fn cmd_dse(o: &Opts, stdout: &mut dyn Write) -> Result<(), CliError> {
         }
         built
     };
-    let space = o.space.clone().workloads(workloads.iter().map(|w| w.batch_job(ForayGen::new())));
+    let runs = foray::map_ordered(&workloads, o.jobs, |_, w| w.run());
+    let mut space = o.space.clone();
+    for (w, run) in workloads.iter().zip(runs) {
+        let out = run.map_err(|e| CliError::Runtime(format!("workload `{}`: {e}", w.name)))?;
+        space = space.workload(w.name, out.model);
+    }
     let result = space.explore(o.jobs).map_err(|e| CliError::Runtime(e.to_string()))?;
     // The JSON file and `--check` must not depend on a reader that keeps
     // stdout open to the end.
@@ -1430,6 +1443,10 @@ mod tests {
             addr: sock(), workload: s("fftc"));
         case!("client --socket /tmp/forayd.sock submit --workload lamec --scale 40", Submit,
             addr: sock(), workload: s("lamec"), scale: 40);
+        case!("client --socket /tmp/forayd.sock submit --workload fftc --kind dse", Submit,
+            addr: sock(), workload: s("fftc"), kind: JobKind::Dse);
+        case!("dse --workloads fftc --json dse-direct.json", Dse,
+            workloads: vec!["fftc".to_owned()], json: s("dse-direct.json"));
     }
 
     /// Asserts that each command line is a usage error.

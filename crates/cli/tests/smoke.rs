@@ -112,6 +112,28 @@ fn dse_report_is_deterministic_in_the_job_count() {
     assert!(stdout.contains("Pareto front"), "missing ranked front:\n{stdout}");
 }
 
+/// The bytes `report --workload W` prints for the seven workloads, and the
+/// text and JSON of `dse --workloads all` at scale 1, pinned by digest.
+#[test]
+fn report_and_dse_bytes_are_pinned() {
+    let mut reports = foray::StableHasher::new();
+    for w in foray_workloads::all(foray_workloads::Params { scale: 1 }) {
+        let out = foray_gen(&["report", "--workload", w.name]);
+        assert!(out.status.success(), "{}: {}", w.name, String::from_utf8_lossy(&out.stderr));
+        reports.update(&out.stdout);
+    }
+    assert_eq!(reports.finish_hex(), "1a4f7f5ffa8c5850", "report bytes moved");
+
+    let json = std::env::temp_dir().join("foray_cli_smoke_dse_pinned.json");
+    let out = foray_gen(&["dse", "--workloads", "all", "--json", json.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let mut dse = foray::StableHasher::new();
+    dse.update(&out.stdout);
+    dse.update(&std::fs::read(&json).unwrap());
+    assert_eq!(dse.finish_hex(), "5528b6eccd560837", "dse bytes moved");
+    std::fs::remove_file(&json).ok();
+}
+
 #[test]
 fn trace_file_pipeline_matches_the_in_ram_model() {
     // The acceptance bar for the file-backed trace pipeline: record a
@@ -219,6 +241,29 @@ fn nesting_past_the_bound_is_a_compile_error_not_an_abort() {
             }
             std::fs::remove_file(&path).ok();
         }
+    }
+}
+
+/// An SPM capacity above `foray_spm::MAX_CAPACITY` is a usage error, found
+/// before the knapsack table is allocated: under a 1 GB address-space cap
+/// both commands exit 1 and name the bound, where a 4 GB capacity used to
+/// abort on a 32 GB allocation.
+#[test]
+fn a_capacity_past_the_bound_is_a_usage_error_not_an_abort() {
+    let huge = "4000000000";
+    for args in [
+        ["spm", "--workload", "fftc", "--capacity", huge].join(" "),
+        ["dse", "--workloads", "fftc", "--capacities", &format!("256,{huge}")].join(" "),
+    ] {
+        let out = Command::new("sh")
+            .args(["-c", &format!("ulimit -v 1000000; exec \"$0\" {args}")])
+            .arg(env!("CARGO_BIN_EXE_foray-gen"))
+            .output()
+            .expect("sh runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        let bound = format!("above the largest SPM capacity, {} bytes", foray_spm::MAX_CAPACITY);
+        assert!(stderr.contains(&bound), "{args}: {stderr}");
     }
 }
 

@@ -7,7 +7,6 @@
 
 use crate::analyzer::{Analysis, Analyzer};
 use crate::codegen;
-use crate::hints::{inline_hints, InlineHint};
 use crate::model::{FilterConfig, ForayModel};
 use minic::Program;
 use minic_sim::{Engine, RuntimeError, SimConfig, SimOutcome};
@@ -56,7 +55,10 @@ impl From<RuntimeError> for PipelineError {
 /// Everything FORAY-GEN produces for one program.
 #[derive(Debug, Clone)]
 pub struct ForayGenOutput {
-    /// The instrumented program that was profiled.
+    /// The instrumented program that was profiled. The static baseline,
+    /// Table I's loop kinds, the back-annotation and the inlining hints
+    /// read it as they would the checked source program: instrumentation
+    /// only inserts checkpoints, which they skip.
     pub program: Program,
     /// Raw analysis (loop tree + fitted references).
     pub analysis: Analysis,
@@ -66,8 +68,6 @@ pub struct ForayGenOutput {
     pub code: String,
     /// Simulator outcome (printed values, counters).
     pub sim: SimOutcome,
-    /// Function-inlining hints (Section 4).
-    pub hints: Vec<InlineHint>,
 }
 
 /// Builder for the FORAY-GEN flow.
@@ -158,30 +158,21 @@ impl ForayGen {
     /// [`PipelineError::Frontend`] if the source does not compile;
     /// [`PipelineError::Runtime`] if profiling faults.
     pub fn run_source(&self, src: &str) -> Result<ForayGenOutput, PipelineError> {
-        let prog = minic::frontend(src)?;
-        self.run_instrumented(prog)
-    }
-
-    /// Profiles the program once with the online analyzer as the
-    /// simulation's only sink.
-    fn profile_analysis(&self, prog: &Program) -> Result<(Analysis, SimOutcome), PipelineError> {
+        let program = minic::frontend(src)?;
+        // The online analyzer is the simulation's only sink.
         let mut analyzer = Analyzer::new();
-        let sim = minic_sim::run_with_sink(prog, &self.sim, &self.inputs, &mut analyzer)?;
-        Ok((analyzer.into_analysis(), sim))
-    }
-
-    fn run_instrumented(&self, prog: Program) -> Result<ForayGenOutput, PipelineError> {
-        let (analysis, sim) = self.profile_analysis(&prog)?;
+        let sim = minic_sim::run_with_sink(&program, &self.sim, &self.inputs, &mut analyzer)?;
+        let analysis = analyzer.into_analysis();
         let model = ForayModel::extract(&analysis, &self.filter);
         let code = codegen::emit(&model);
-        let hints = inline_hints(&prog, analysis.tree());
-        Ok(ForayGenOutput { program: prog, analysis, model, code, sim, hints })
+        Ok(ForayGenOutput { program, analysis, model, code, sim })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hints::inline_hints;
 
     const FIG4: &str = "char q[10000]; char *ptr;
         void main() {
@@ -213,7 +204,7 @@ mod tests {
         assert!(out.code.contains("for (int i0=0; i0<2; i0++)"), "{}", out.code);
         assert!(out.code.contains("for (int i3=0; i3<3; i3++)"), "{}", out.code);
         assert!(out.code.contains("+ 1*i3 + 103*i0]"), "{}", out.code);
-        assert!(out.hints.is_empty());
+        assert!(inline_hints(&out.program, out.analysis.tree()).is_empty());
     }
 
     #[test]
@@ -235,9 +226,10 @@ mod tests {
                  }",
             )
             .unwrap();
-        assert_eq!(out.hints.len(), 1);
-        assert_eq!(out.hints[0].function, "foo");
-        assert_eq!(out.hints[0].contexts.len(), 2);
+        let hints = inline_hints(&out.program, out.analysis.tree());
+        assert_eq!(hints.len(), 1);
+        assert_eq!(hints[0].function, "foo");
+        assert_eq!(hints[0].contexts.len(), 2);
         // foo's A[i+offset] is fully affine in each context (offset is
         // itself affine in the outer iterator): 2 model refs, full windows.
         let full_refs: Vec<_> = out.model.refs.iter().filter(|r| !r.is_partial()).collect();

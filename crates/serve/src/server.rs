@@ -539,48 +539,31 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 }
 
 /// The actual analysis: one sequential analyzer per job, run with the
-/// lock released. The worker builds the job's program here; its payload
-/// is a pure function of the job (the determinism the cache relies on).
+/// lock released. The job's analysis comes from its trace file or from
+/// profiling its program; the model is extracted once under the job's
+/// filter, and the payload is a pure function of the analysis and the
+/// model (the determinism the cache relies on).
 fn compute(job: &ResolvedJob) -> Result<String, String> {
     let spec = &job.spec;
-    let filter = foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc };
-    let pipeline =
-        |inputs: Vec<i64>| ForayGen::new().filter(filter).engine(spec.engine).inputs(inputs);
-    match spec.kind {
-        JobKind::Model | JobKind::Report => {
-            let (analysis, model, code) = match &spec.input {
-                JobInput::Trace(path) => {
-                    let analysis = analyze_submitted_trace(job, path)?;
-                    let model = ForayModel::extract(&analysis, &filter);
-                    let code = foray::codegen::emit(&model);
-                    (analysis, model, code)
-                }
-                JobInput::Workload(_) | JobInput::Source(_) => {
-                    let (source, inputs) = program(spec).map_err(|e| e.message)?;
-                    let out = pipeline(inputs).run_source(&source).map_err(|e| e.to_string())?;
-                    (out.analysis, out.model, out.code)
-                }
-            };
-            match spec.kind {
-                JobKind::Model => Ok(code),
-                JobKind::Report => Ok(render_report(job, &analysis, &model, &code)),
-                JobKind::Dse => unreachable!("outer match"),
-            }
-        }
-        JobKind::Dse => {
+    let analysis = match &spec.input {
+        JobInput::Trace(path) => analyze_submitted_trace(job, path)?,
+        JobInput::Workload(_) | JobInput::Source(_) => {
             let (source, inputs) = program(spec).map_err(|e| e.message)?;
-            let name = match &spec.input {
-                JobInput::Workload(w) => w.as_str(),
-                _ => "inline",
-            };
-            let batch = foray::BatchJob::new(name, source).pipeline(pipeline(inputs));
-            let result = foray_spm::SpmDesignSpace::standard()
-                .workloads([batch])
-                .explore(1)
-                .map_err(|e| e.to_string())?;
-            Ok(result.to_json())
+            let pipeline = ForayGen::new().engine(spec.engine).inputs(inputs);
+            pipeline.run_source(&source).map_err(|e| e.to_string())?.analysis
         }
-    }
+    };
+    let filter = foray::FilterConfig { n_exec: spec.n_exec, n_loc: spec.n_loc };
+    let model = ForayModel::extract(&analysis, &filter);
+    Ok(match spec.kind {
+        JobKind::Model => foray::codegen::emit(&model),
+        JobKind::Report => render_report(job, &analysis, &model),
+        JobKind::Dse => foray_spm::SpmDesignSpace::standard()
+            .workload(job_name(spec), model)
+            .explore(1)
+            .map_err(|e| e.to_string())?
+            .to_json(),
+    })
 }
 
 /// Reads a trace job's file once and analyzes those bytes, provided they
@@ -596,25 +579,25 @@ fn analyze_submitted_trace(job: &ResolvedJob, path: &str) -> Result<foray::Analy
     foray::analyze_source(&file).map_err(|e| format!("trace `{path}`: {e}"))
 }
 
-/// Renders the `report` payload: `foray-serve-report/v1`, one compact
-/// JSON object with the Table III memory-behaviour counters plus the
-/// emitted model code.
-fn render_report(
-    job: &ResolvedJob,
-    analysis: &foray::Analysis,
-    model: &ForayModel,
-    code: &str,
-) -> String {
-    let mb = MemoryBehavior::compute(analysis, model);
-    let name = match &job.spec.input {
+/// The name a payload gives the job's program: the workload, `inline`
+/// for a source, or the trace's path.
+fn job_name(spec: &JobSpec) -> String {
+    match &spec.input {
         JobInput::Workload(w) => w.clone(),
         JobInput::Source(_) => "inline".to_owned(),
         JobInput::Trace(p) => p.clone(),
-    };
+    }
+}
+
+/// Renders the `report` payload: `foray-serve-report/v1`, one compact
+/// JSON object with the Table III memory-behaviour counters plus the
+/// emitted model code.
+fn render_report(job: &ResolvedJob, analysis: &foray::Analysis, model: &ForayModel) -> String {
+    let mb = MemoryBehavior::compute(analysis, model);
     let n = |v: u64| Json::Int(v as i64);
     obj([
         ("schema", Json::Str("foray-serve-report/v1".into())),
-        ("name", Json::Str(name)),
+        ("name", Json::Str(job_name(&job.spec))),
         ("key", Json::Str(job.key.clone())),
         ("total_refs", n(mb.total_refs)),
         ("total_accesses", n(mb.total_accesses)),
@@ -627,7 +610,7 @@ fn render_report(
         ("lib_footprint", n(mb.lib_footprint)),
         ("other_footprint", n(mb.other_footprint)),
         ("model_loops", n(model.loops.len() as u64)),
-        ("code", Json::Str(code.to_owned())),
+        ("code", Json::Str(foray::codegen::emit(model))),
     ])
     .render()
 }

@@ -12,8 +12,10 @@
 //!
 //! Work sharing across the axes:
 //!
-//! * each **workload** is profiled and model-extracted once
-//!   ([`foray::analyze_batch`]);
+//! * each **workload** arrives as a FORAY model its caller has already
+//!   extracted, so one profiling run serves every point; callers profile
+//!   many workloads across the same pool ([`foray::map_ordered`] over
+//!   [`foray::ForayGen::run_source`]);
 //! * buffer candidates are enumerated **once per workload** and shared by
 //!   every energy model and capacity ([`DseStats::enumerations`] proves
 //!   it);
@@ -28,15 +30,11 @@
 //! # Examples
 //!
 //! ```
-//! # fn main() -> Result<(), foray_spm::dse::DseError> {
-//! use foray::BatchJob;
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! use foray_spm::dse::SpmDesignSpace;
 //!
-//! let space = SpmDesignSpace::new()
-//!     .capacities(&[256, 1024, 4096])
-//!     .preset_models()
-//!     .workload(BatchJob::new(
-//!         "rescan",
+//! let model = foray::ForayGen::new()
+//!     .run_source(
 //!         "int table[256]; int acc[1024];
 //!          void main() {
 //!              int i; int j;
@@ -44,7 +42,12 @@
 //!                  for (j = 0; j < 256; j++) { acc[j] = table[j]; }
 //!              }
 //!          }",
-//!     ));
+//!     )?
+//!     .model;
+//! let space = SpmDesignSpace::new()
+//!     .capacities(&[256, 1024, 4096])
+//!     .preset_models()
+//!     .workload("rescan", model);
 //! let result = space.explore(2)?;
 //! assert_eq!(result.stats.enumerations, 1); // one workload, one enumeration
 //! assert!(result.front().iter().any(|p| p.selection.savings_nj > 0.0));
@@ -56,7 +59,7 @@
 use crate::candidate::{enumerate, BufferCandidate};
 use crate::energy::EnergyModel;
 use crate::explore::{CapacityPlan, Selection};
-use foray::{BatchJob, ForayModel, PipelineError};
+use foray::ForayModel;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -69,8 +72,8 @@ pub struct SpmDesignSpace {
     /// Named energy models — presets ([`EnergyModel::presets`]) and/or
     /// user-supplied models.
     pub models: Vec<(String, EnergyModel)>,
-    /// Workload programs, as batch jobs for the shared pool.
-    pub workloads: Vec<BatchJob>,
+    /// Named workloads, each as its already-extracted FORAY model.
+    pub workloads: Vec<(String, ForayModel)>,
 }
 
 impl SpmDesignSpace {
@@ -106,15 +109,18 @@ impl SpmDesignSpace {
         self
     }
 
-    /// Adds one workload.
-    pub fn workload(mut self, job: BatchJob) -> SpmDesignSpace {
-        self.workloads.push(job);
+    /// Adds one named workload by its extracted FORAY model.
+    pub fn workload(mut self, name: impl Into<String>, model: ForayModel) -> SpmDesignSpace {
+        self.workloads.push((name.into(), model));
         self
     }
 
-    /// Adds many workloads.
-    pub fn workloads(mut self, jobs: impl IntoIterator<Item = BatchJob>) -> SpmDesignSpace {
-        self.workloads.extend(jobs);
+    /// Adds many named workloads.
+    pub fn workloads(
+        mut self,
+        workloads: impl IntoIterator<Item = (String, ForayModel)>,
+    ) -> SpmDesignSpace {
+        self.workloads.extend(workloads);
         self
     }
 
@@ -126,8 +132,7 @@ impl SpmDesignSpace {
     ///
     /// # Errors
     ///
-    /// [`DseError::EmptyAxis`] if an axis has no entries;
-    /// [`DseError::Workload`] if a workload fails to compile or run.
+    /// [`DseError::EmptyAxis`] if an axis has no entries.
     pub fn explore(&self, workers: usize) -> Result<DseResult, DseError> {
         if self.capacities.is_empty() {
             return Err(DseError::EmptyAxis("capacities"));
@@ -143,28 +148,17 @@ impl SpmDesignSpace {
         capacities.dedup();
         let budget = *capacities.last().expect("grid is non-empty");
 
-        // Stage 1: profile and extract one FORAY model per workload, across
-        // the shared batch pool.
-        let outputs = foray::analyze_batch(&self.workloads, workers);
-        let mut models: Vec<ForayModel> = Vec::with_capacity(outputs.len());
-        for (job, out) in self.workloads.iter().zip(outputs) {
-            match out {
-                Ok(o) => models.push(o.model),
-                Err(error) => return Err(DseError::Workload { name: job.name.clone(), error }),
-            }
-        }
-
-        // Stage 2: enumerate buffer candidates once per workload. The
+        // Stage 1: enumerate buffer candidates once per workload. The
         // model and capacity axes reuse these sets; the counter feeds
         // `DseStats::enumerations` so tests can pin the sharing.
         let enumerations = AtomicU64::new(0);
         let candidate_sets: Vec<Vec<BufferCandidate>> =
-            foray::map_ordered(&models, workers, |_, model| {
+            foray::map_ordered(&self.workloads, workers, |_, (_, model)| {
                 enumerations.fetch_add(1, Ordering::Relaxed);
                 enumerate(model)
             });
 
-        // Stage 3: one (workload, model) job per pair — solve the knapsack
+        // Stage 2: one (workload, model) job per pair — solve the knapsack
         // table once at the budget, backtrack every capacity.
         let pairs: Vec<(usize, usize)> = (0..self.workloads.len())
             .flat_map(|w| (0..self.models.len()).map(move |m| (w, m)))
@@ -174,11 +168,12 @@ impl SpmDesignSpace {
             let (model_name, energy) = &self.models[m];
             plans.fetch_add(1, Ordering::Relaxed);
             let plan = CapacityPlan::build(&candidate_sets[w], energy, budget);
-            let baseline_nj = energy.main_nj(models[w].covered_accesses());
+            let (workload, model) = &self.workloads[w];
+            let baseline_nj = energy.main_nj(model.covered_accesses());
             capacities
                 .iter()
                 .map(|&capacity| DsePoint {
-                    workload: self.workloads[w].name.clone(),
+                    workload: workload.clone(),
                     model: model_name.clone(),
                     capacity,
                     selection: plan.select(capacity),
@@ -207,7 +202,7 @@ impl SpmDesignSpace {
         Ok(DseResult {
             capacities,
             models: self.models.iter().map(|(n, _)| n.clone()).collect(),
-            workloads: self.workloads.iter().map(|j| j.name.clone()).collect(),
+            workloads: self.workloads.iter().map(|(name, _)| name.clone()).collect(),
             points,
             stats,
         })
@@ -217,7 +212,7 @@ impl SpmDesignSpace {
 /// One explored design point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DsePoint {
-    /// Workload name (the batch job's label).
+    /// Workload name.
     pub workload: String,
     /// Energy-model name.
     pub model: String,
@@ -491,20 +486,12 @@ fn json_f64(x: f64) -> String {
 pub enum DseError {
     /// An axis of the design space has no entries.
     EmptyAxis(&'static str),
-    /// A workload failed to compile or run; carries the job's name.
-    Workload {
-        /// The failing batch job's label.
-        name: String,
-        /// The underlying pipeline failure.
-        error: PipelineError,
-    },
 }
 
 impl fmt::Display for DseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DseError::EmptyAxis(axis) => write!(f, "design space has no {axis}"),
-            DseError::Workload { name, error } => write!(f, "workload `{name}`: {error}"),
         }
     }
 }
@@ -532,11 +519,13 @@ mod tests {
         }";
 
     fn space() -> SpmDesignSpace {
+        let model = |src| foray::ForayGen::new().run_source(src).expect("runs").model;
         SpmDesignSpace::new()
             .capacities(&[4096, 256, 1024, 256]) // unsorted + duplicate on purpose
             .model("small-spm", EnergyModel::preset("small-spm").unwrap())
             .model("large-spm", EnergyModel::preset("large-spm").unwrap())
-            .workloads([BatchJob::new("rescan", RESCAN), BatchJob::new("stream", STREAM)])
+            .workload("rescan", model(RESCAN))
+            .workload("stream", model(STREAM))
     }
 
     #[test]
@@ -569,20 +558,6 @@ mod tests {
         assert!(matches!(err, DseError::EmptyAxis("models")), "{err}");
         let err = SpmDesignSpace::new().capacities(&[256]).preset_models().explore(1).unwrap_err();
         assert!(matches!(err, DseError::EmptyAxis("workloads")), "{err}");
-    }
-
-    #[test]
-    fn workload_failures_carry_the_job_name() {
-        let err = SpmDesignSpace::new()
-            .capacities(&[256])
-            .preset_models()
-            .workload(BatchJob::new("broken", "void main() {"))
-            .explore(1)
-            .unwrap_err();
-        match err {
-            DseError::Workload { name, .. } => assert_eq!(name, "broken"),
-            other => panic!("wrong error: {other}"),
-        }
     }
 
     fn fixture_point(capacity: u32, savings_nj: f64) -> DsePoint {

@@ -10,6 +10,13 @@ use crate::candidate::BufferCandidate;
 use crate::energy::EnergyModel;
 use std::collections::BTreeMap;
 
+/// The largest SPM capacity, in bytes, that the command line accepts:
+/// 1 MiB, 16× the 64 KiB that [`select_exact`] calls SPM-sized.
+/// [`CapacityPlan::build`] allocates `budget + 1` cells for its table and
+/// for each reference group's row, so an unbounded capacity is an
+/// unbounded allocation.
+pub const MAX_CAPACITY: u32 = 1 << 20;
+
 /// A chosen configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Selection {
@@ -48,6 +55,12 @@ pub struct CapacityPlan {
 
 impl CapacityPlan {
     /// Solves the DP for `candidates` under `energy`, up to `budget` bytes.
+    ///
+    /// The table and each reference group's row hold `budget + 1` cells,
+    /// so callers keep `budget` at or below [`MAX_CAPACITY`]: the
+    /// `foray-gen` command line refuses a larger `--capacity` or
+    /// `--capacities` value, and a `forayd` `dse` job explores the fixed
+    /// [`crate::SpmDesignSpace::standard`] grid.
     pub fn build(
         candidates: &[BufferCandidate],
         energy: &EnergyModel,

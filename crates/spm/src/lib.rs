@@ -41,7 +41,7 @@ pub mod transform;
 pub use candidate::{candidates_for, enumerate, BufferCandidate};
 pub use dse::{DsePoint, DseResult, DseStats, SpmDesignSpace};
 pub use energy::EnergyModel;
-pub use explore::{select_exact, CapacityPlan, Selection};
+pub use explore::{select_exact, CapacityPlan, Selection, MAX_CAPACITY};
 pub use transform::emit_buffered;
 
 use foray::ForayModel;

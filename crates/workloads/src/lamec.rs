@@ -123,10 +123,10 @@ mod tests {
     #[test]
     fn band_energy_yields_inline_hint() {
         let out = workload(Params::default()).run().expect("lamec runs");
+        let hints = foray::hints::inline_hints(&out.program, out.analysis.tree());
         assert!(
-            out.hints.iter().any(|h| h.function == "band_energy" && h.contexts.len() == 2),
-            "hints: {:?}",
-            out.hints
+            hints.iter().any(|h| h.function == "band_energy" && h.contexts.len() == 2),
+            "hints: {hints:?}"
         );
     }
 

@@ -22,13 +22,18 @@
 //! |---|---|---|
 //! | [`histoc`] | histogram equalization | indirect `hist[image[i]]` updates — the data-dependent partial-affine probe |
 //!
+//! [`Workload::run`] is a workload's one profiling step. Callers that
+//! profile many fan the runs across the shared pool with
+//! [`foray::map_ordered`], which returns the outputs in workload order.
+//!
 //! # Examples
 //!
 //! ```no_run
 //! # fn main() -> Result<(), foray::PipelineError> {
-//! for w in foray_workloads::all(foray_workloads::Params::default()) {
-//!     let out = w.run()?;
-//!     println!("{}: {} refs in FORAY model", w.name, out.model.ref_count());
+//! let workloads = foray_workloads::all(foray_workloads::Params::default());
+//! let outputs = foray::map_ordered(&workloads, 0, |_, w| w.run());
+//! for (w, out) in workloads.iter().zip(outputs) {
+//!     println!("{}: {} refs in FORAY model", w.name, out?.model.ref_count());
 //! }
 //! # Ok(())
 //! # }
@@ -105,14 +110,6 @@ impl Workload {
     /// Propagates [`minic::Error`].
     pub fn frontend(&self) -> Result<minic::Program, minic::Error> {
         minic::frontend(&self.source)
-    }
-
-    /// Packages the workload as a [`foray::BatchJob`] for
-    /// [`foray::analyze_batch`], installing this workload's inputs on top
-    /// of the given pipeline configuration.
-    pub fn batch_job(&self, pipeline: foray::ForayGen) -> foray::BatchJob {
-        foray::BatchJob::new(self.name, self.source.clone())
-            .pipeline(pipeline.inputs(self.inputs.clone()))
     }
 }
 

@@ -6,7 +6,6 @@
 //! cargo run --example spm_flow
 //! ```
 
-use foray::ForayGen;
 use foray_spm::{EnergyModel, SpmDesignSpace, SpmFlow};
 use foray_workloads::{jpegc, Params};
 use std::io::Write;
@@ -30,13 +29,14 @@ fn tour(w: &mut dyn Write) -> Result<(), Box<dyn std::error::Error>> {
         out.sim.accesses
     )?;
 
-    // Phase II: reuse analysis + DSE over SPM capacities, one energy model.
+    // Phase II: reuse analysis + DSE over SPM capacities, one energy model,
+    // on the model Phase I extracted.
     writeln!(w, "Phase II: design-space exploration")?;
     writeln!(w, "{:>10} {:>12} {:>14} {:>10}", "SPM bytes", "buffers", "savings (nJ)", "used")?;
     let result = SpmDesignSpace::new()
         .capacities(&[256, 512, 1024, 2048, 4096, 8192, 16384])
         .model("default", EnergyModel::default())
-        .workload(workload.batch_job(ForayGen::new()))
+        .workload(workload.name, out.model.clone())
         .explore(0)?;
     let curve = result.curve(workload.name, "default");
     for p in &curve {

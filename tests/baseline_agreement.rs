@@ -175,3 +175,63 @@ fn figure1_excerpts_become_figure2_models() {
     assert_eq!((cmp.model_loops, cmp.model_refs), (2, 1));
     assert_eq!(only_ref_shape(&out), (vec![4, 16], vec![4, 4], 16));
 }
+
+/// Early exits from canonical `for` loops, which instrumentation rewrites
+/// to close the loop's body first.
+const EARLY_EXITS: &str = "int a[64]; int b[64]; int s;
+    int find(int key) {
+        int i;
+        for (i = 0; i < 64; i++) {
+            if (a[i] == key) { return i; }
+        }
+        return 0 - 1;
+    }
+    void main() {
+        int i; int j;
+        for (i = 0; i < 64; i++) {
+            a[i] = 3 * i;
+            if (i > 60) { break; }
+            if (i % 2) { continue; }
+            b[i] = a[i];
+        }
+        for (j = 0; j < 16; j++) { s = s + find(3 * j); }
+    }";
+
+/// The static baseline, Table I's loop breakdown and the back-annotation
+/// read the same on the instrumented program the pipeline profiled as on
+/// the parsed-and-checked one: instrumentation only inserts checkpoints,
+/// which all three skip.
+#[test]
+fn baseline_reads_the_instrumented_program_as_the_checked_one() {
+    let mut programs: Vec<(String, String, Vec<i64>, FilterConfig)> = Vec::new();
+    for scale in [1, 2] {
+        for w in foray_workloads::all(foray_workloads::Params { scale }) {
+            let name = format!("{} scale {scale}", w.name);
+            programs.push((name, w.source, w.inputs, FilterConfig::default()));
+        }
+    }
+    let all_refs = FilterConfig { n_exec: 1, n_loc: 1 };
+    programs.push(("early exits".to_owned(), EARLY_EXITS.to_owned(), Vec::new(), all_refs));
+    for (name, src, inputs, filter) in &programs {
+        let mut checked = minic::parse(src).unwrap();
+        minic::check(&mut checked).unwrap();
+        let out = ForayGen::new().filter(*filter).inputs(inputs.clone()).run_source(src).unwrap();
+        let instrumented = minic::frontend(src).unwrap();
+        assert_eq!(
+            foray_baseline::analyze_program(&instrumented),
+            foray_baseline::analyze_program(&checked),
+            "{name}: static baseline"
+        );
+        assert_eq!(
+            foray::LoopBreakdown::compute(src, &instrumented, &out.analysis),
+            foray::LoopBreakdown::compute(src, &checked, &out.analysis),
+            "{name}: loop breakdown"
+        );
+        assert_eq!(
+            foray::srcmap::annotate(&out.model, &instrumented),
+            foray::srcmap::annotate(&out.model, &checked),
+            "{name}: back-annotation"
+        );
+        assert!(out.model.ref_count() > 0, "{name}: no references to annotate");
+    }
+}

@@ -6,27 +6,33 @@
 //!   byte-identical text and JSON reports for N ∈ {1, 2, auto}, on random
 //!   capacity grids and model subsets (property test) and on the corpus;
 //! * **Equivalence with the sequential path** — every explored point
-//!   equals profiling the workload directly, enumerating once, and solving
-//!   the knapsack at that capacity with `select_exact`;
+//!   equals enumerating the workload's model once and solving the knapsack
+//!   at that capacity with `select_exact`;
 //! * **Work sharing** — candidate enumeration runs once per workload and
 //!   one knapsack plan per (workload, model), never per capacity;
 //! * **Pareto semantics** — every pruned point is dominated by a front
 //!   member, and every front is non-empty and monotone (`check()`).
 
+use foray::ForayModel;
 use foray_spm::dse::{pareto_front, DsePoint, SpmDesignSpace};
 use foray_spm::{enumerate, select_exact, EnergyModel};
-use foray_workloads::{all, by_name, Params};
+use foray_workloads::{all, by_name, Params, Workload};
 use proptest::prelude::*;
+
+/// Each workload's name and FORAY model, profiled across the shared pool.
+fn profiled(workloads: &[Workload]) -> Vec<(String, ForayModel)> {
+    foray::map_ordered(workloads, 0, |_, w| {
+        (w.name.to_owned(), w.run().expect("workload runs").model)
+    })
+}
 
 /// A small two-workload space to keep property-test cases cheap.
 fn small_space(capacities: &[u32], models: &[(String, EnergyModel)]) -> SpmDesignSpace {
-    let mut space = SpmDesignSpace::new().capacities(capacities).workloads(
-        ["fftc", "adpcmc"].iter().map(|n| {
-            by_name(n, Params::default())
-                .expect("corpus workload exists")
-                .batch_job(foray::ForayGen::new())
-        }),
-    );
+    let workloads: Vec<Workload> = ["fftc", "adpcmc"]
+        .iter()
+        .map(|n| by_name(n, Params::default()).expect("corpus workload exists"))
+        .collect();
+    let mut space = SpmDesignSpace::new().capacities(capacities).workloads(profiled(&workloads));
     for (name, model) in models {
         space = space.model(name.clone(), model.clone());
     }
@@ -156,12 +162,7 @@ fn scaled_corpus_still_explores_deterministically() {
     let space = SpmDesignSpace::new()
         .capacities(&[512, 2048])
         .model("small-spm", EnergyModel::preset("small-spm").unwrap())
-        .workloads(
-            all(Params { scale: 2 })
-                .into_iter()
-                .take(2)
-                .map(|w| w.batch_job(foray::ForayGen::new())),
-        );
+        .workloads(profiled(&all(Params { scale: 2 })[..2]));
     let a = space.explore(1).expect("explores");
     let b = space.explore(0).expect("explores");
     assert_eq!(a.to_json(), b.to_json());

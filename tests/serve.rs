@@ -86,6 +86,24 @@ fn report_and_dse_payloads_cache_byte_identically() {
     assert_eq!(srv.stats().computed, 2);
 }
 
+/// The bytes of every corpus workload's `report` and `dse` payloads at
+/// scale 1, pinned by one digest per kind over the payloads in corpus
+/// order. Model bytes are pinned by `corpus_served_bytes_equal_direct_runs`.
+#[test]
+fn corpus_report_and_dse_payload_bytes_are_pinned() {
+    let srv = manual();
+    for (kind, pinned) in
+        [(JobKind::Report, "0d906e7fd7032334"), (JobKind::Dse, "1adce27d2cfe75bf")]
+    {
+        let mut digest = foray::StableHasher::new();
+        for w in foray_workloads::all(Params { scale: 1 }) {
+            let (_, payload) = run_job(&srv, &JobSpec { kind, ..workload_spec(w.name) });
+            digest.update(payload.as_bytes());
+        }
+        assert_eq!(digest.finish_hex(), pinned, "{kind:?} payload bytes moved");
+    }
+}
+
 /// The engine ablation rides the cache key: tree and VM engines are
 /// distinct entries, but their payloads agree byte for byte (the
 /// engine-equivalence guarantee observed through the service).

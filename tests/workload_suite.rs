@@ -283,7 +283,8 @@ fn fused_ops_dispatch_a_quarter_fewer_than_the_peephole() {
     assert!(total * 4 <= before * 3, "corpus: {total} ops dispatched, {before} before");
 }
 
-/// Renders one batch result as the textual report a consumer would emit.
+/// Renders pooled profiling results as the textual report a consumer
+/// would emit.
 fn render_batch(results: &[Result<foray::ForayGenOutput, foray::PipelineError>]) -> String {
     let mut out = String::new();
     for r in results {
@@ -302,14 +303,14 @@ fn render_batch(results: &[Result<foray::ForayGenOutput, foray::PipelineError>])
 
 #[test]
 fn batch_report_is_byte_identical_across_runs() {
-    let jobs: Vec<foray::BatchJob> =
-        all(Params::default()).iter().map(|w| w.batch_job(foray::ForayGen::new())).collect();
-    let first = render_batch(&foray::analyze_batch(&jobs, 0));
-    let second = render_batch(&foray::analyze_batch(&jobs, 0));
+    let workloads = all(Params::default());
+    let batch = |workers| render_batch(&foray::map_ordered(&workloads, workers, |_, w| w.run()));
+    let first = batch(0);
+    let second = batch(0);
     assert!(!first.is_empty());
     assert_eq!(first, second, "thread scheduling leaked into the batch report");
-    let serial = render_batch(&foray::analyze_batch(&jobs, 1));
+    let serial = batch(1);
     assert_eq!(first, serial, "the pooled batch differs from the one-worker batch");
-    let two = render_batch(&foray::analyze_batch(&jobs, 2));
+    let two = batch(2);
     assert_eq!(two, serial, "the two-worker batch differs from the one-worker batch");
 }
